@@ -17,8 +17,10 @@ import numpy as np
 __all__ = [
     "SUPPORTED_FIELD_ORDERS",
     "BitMatrix",
+    "Echelon",
     "SmallField",
     "bitrow_rank",
+    "echelon",
     "field_add",
     "field_inv",
     "field_mul",
@@ -152,27 +154,144 @@ class BitMatrix:
 
 # ----------------------------------------------------------------------
 # elimination
+#
+# One kernel serves every elimination here: a forward pass that pivots
+# each row on its leftmost column, then back-substitution from the
+# rightmost pivot column back.  The reduced row echelon form of a row
+# space is unique, so the result equals the textbook left-to-right column
+# sweep.  The forward pass works on mirrored rows, with column c at bit
+# cols-1-c, so the pivot column of a row is its ``bit_length``.
 
-def _reduce_row(row: int, pivots: dict[int, int]) -> int:
-    """XOR away known pivots; the result is zero or has a fresh lowest bit."""
-    while row:
-        low = (row & -row).bit_length() - 1
-        if low not in pivots:
-            return row
-        row ^= pivots[low]
-    return 0
+
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    text = bin(x)[:1:-1]
+    out = []
+    pos = text.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = text.find("1", pos + 1)
+    return out
+
+
+def _mirror(row: int, cols: int) -> int:
+    """The row with column c moved to bit cols-1-c; its own inverse."""
+    return int(format(row, f"0{cols}b")[::-1], 2)
+
+
+def _forward(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Pivot rows keyed by their bit length, and the indices of the input
+    rows that were independent of the rows before them."""
+    pivots: dict[int, int] = {}
+    keep = []
+    for idx, row in enumerate(rows):
+        while row:
+            top = row.bit_length()
+            prow = pivots.get(top)
+            if prow is None:
+                pivots[top] = row
+                keep.append(idx)
+                break
+            row ^= prow
+    return pivots, keep
+
+
+# Rows are unpacked to one byte per bit a block at a time: unpacking a
+# whole n = 4096 matrix at once takes several MB, and that transient
+# raised the peak memory of a whole ``pgblrc analyze`` run.
+_BLOCK = 64
+
+
+def _unpack(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Bit rows as a len(rows) x cols uint8 array."""
+    width = (cols + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
+    ).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """The rows of a 0/1 uint8 array as bit rows."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """Reduced row echelon form of a matrix's row space.
+
+    rows:        the nonzero reduced rows, ordered by pivot column
+    pivots:      pivot column of each reduced row (its lowest set bit)
+    independent: indices of the input rows kept by a top-down greedy scan
+    cols:        column count of the input
+    """
+
+    rows: tuple[int, ...]
+    pivots: tuple[int, ...]
+    independent: tuple[int, ...]
+    cols: int
+
+    def free_columns(self) -> list[int]:
+        pivot_set = set(self.pivots)
+        return [c for c in range(self.cols) if c not in pivot_set]
+
+    def nullspace(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Null-space basis rows, systematic on the free columns, and the
+        same basis by column: bit j of column c is basis row j at c.
+
+        Basis row j is free column j plus, at each pivot column, the
+        reduced row's entry in free column j.  So a pivot column is its
+        reduced row cut down to the free columns, and the basis rows are
+        those cuts transposed.  Both are read off the reduced rows a block
+        of rows at a time, unpacked to one byte per bit.
+        """
+        free = self.free_columns()
+        cols, k = self.cols, len(free)
+        pivots = list(self.pivots)
+        by_col = [0] * cols
+        for j, f in enumerate(free):
+            by_col[f] = 1 << j
+        for lo in range(0, len(pivots), _BLOCK):
+            cut = _unpack(self.rows[lo:lo + _BLOCK], cols)[:, free]
+            for p, bits in zip(pivots[lo:lo + _BLOCK], _pack(cut)):
+                by_col[p] = bits
+        basis: list[int] = []
+        for lo in range(0, k, _BLOCK):
+            size = min(_BLOCK, k - lo)
+            mask = (1 << size) - 1
+            block = np.zeros((size, cols), dtype=np.uint8)
+            block[np.arange(size), free[lo:lo + size]] = 1
+            block[:, pivots] = _unpack([(by_col[p] >> lo) & mask for p in pivots], size).T
+            basis.extend(_pack(block))
+        return tuple(basis), tuple(by_col)
+
+
+def echelon(m: BitMatrix) -> Echelon:
+    """Forward pass on mirrored rows, then back-substitution."""
+    cols = m.cols
+    pivots, keep = _forward(_mirror(row, cols) for row in m.data)
+    tops = sorted(pivots)
+    pivot_mask = 0
+    for top in tops:
+        pivot_mask |= 1 << (top - 1)
+    for top in tops:
+        row = pivots[top]
+        for b in _set_bits((row & pivot_mask) ^ (1 << (top - 1))):
+            row ^= pivots[b + 1]
+        pivots[top] = row
+    tops.reverse()
+    return Echelon(
+        tuple(_mirror(pivots[top], cols) for top in tops),
+        tuple(cols - top for top in tops),
+        tuple(keep),
+        cols,
+    )
 
 
 def bitrow_rank(rows: Iterable[int]) -> int:
-    """Rank of bit-packed rows, eliminating on the lowest set bit."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        row = _reduce_row(row, pivots)
-        if row:
-            pivots[(row & -row).bit_length() - 1] = row
-            rank += 1
-    return rank
+    """Rank of bit-packed rows (pivoting on the highest bit suffices)."""
+    return len(_forward(rows)[0])
 
 
 def rank2(m: BitMatrix) -> int:
@@ -187,42 +306,18 @@ def independent_row_indices(m: BitMatrix) -> tuple[int, ...]:
     kept rows above it, so the result is the first spanning subset in
     row order.
     """
-    pivots: dict[int, int] = {}
-    keep = []
-    for idx, row in enumerate(m.data):
-        red = _reduce_row(row, pivots)
-        if red:
-            pivots[(red & -red).bit_length() - 1] = red
-            keep.append(idx)
-    return tuple(keep)
+    return tuple(_forward(m.data)[1])
 
 
 def rref2(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns.
 
-    Pivoting is deterministic: columns are scanned left to right and the
-    first available row is chosen, so equal inputs give equal outputs.
+    The nonzero rows come first in pivot column order, then the zero
+    rows, so the shape is that of the input.
     """
-    work = list(m.data)
-    pivots = []
-    row = 0
-    for col in range(m.cols):
-        sel = None
-        for r in range(row, m.rows):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[row], work[sel] = work[sel], work[row]
-        for r in range(m.rows):
-            if r != row and ((work[r] >> col) & 1):
-                work[r] ^= work[row]
-        pivots.append(col)
-        row += 1
-        if row == m.rows:
-            break
-    return BitMatrix(m.rows, m.cols, tuple(work)), tuple(pivots)
+    ech = echelon(m)
+    data = ech.rows + (0,) * (m.rows - len(ech.rows))
+    return BitMatrix(m.rows, m.cols, data), ech.pivots
 
 
 def nullspace2(m: BitMatrix) -> BitMatrix:
@@ -232,17 +327,8 @@ def nullspace2(m: BitMatrix) -> BitMatrix:
     rref2(m) and 0 in every other free column, so the basis is systematic
     on the free columns and ordered by free column index.
     """
-    reduced, pivots = rref2(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for r, p in enumerate(pivots):
-            if (reduced.data[r] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return BitMatrix(len(basis), m.cols, tuple(basis))
+    basis, _ = echelon(m).nullspace()
+    return BitMatrix(len(basis), m.cols, basis)
 
 
 def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
@@ -256,12 +342,12 @@ def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
         (row | (((rhs_bits >> r) & 1) << n) for r, row in enumerate(m.data)),
         n + 1,
     )
-    reduced, pivots = rref2(aug)
-    if len(pivots) < n or (pivots and pivots[-1] == n):
+    ech = echelon(aug)
+    if len(ech.pivots) < n or (ech.pivots and ech.pivots[-1] == n):
         return None
     sol = 0
-    for r, p in enumerate(pivots):
-        sol |= ((reduced.data[r] >> n) & 1) << p
+    for row, p in zip(ech.rows, ech.pivots):
+        sol |= ((row >> n) & 1) << p
     return sol
 
 

@@ -76,34 +76,40 @@ def _forced_zero_symbol(reduced: BitMatrix, pivots: tuple[int, ...]) -> int | No
     return None
 
 
-def build_code(inc: IncidenceStructure) -> BlrcCode:
-    """Validate the geometry and assemble the systematic code it defines."""
-    pg = validate_pg(inc)
+def build_code(inc: IncidenceStructure, pg: PgParams | None = None) -> BlrcCode:
+    """Assemble the systematic code a partial geometry defines.
+
+    ``pg`` is the geometry's certified parameters, as ``validate_pg(inc)``
+    returns them; pass it when the caller has already validated ``inc``.
+    When it is None the geometry is validated here first.
+
+    One elimination of the incidence matrix gives everything: the
+    independent line checks that form the parity-check matrix, the
+    reduced form whose non-pivot columns are the information set, and the
+    generator read off the reduced rows, by row and by column.
+    """
+    if pg is None:
+        pg = validate_pg(inc)
     n = inc.num_points
     nmat = incidence_matrix(inc)
-    keep = algebra.independent_row_indices(nmat)
-    m = len(keep)
-    k = n - m
+    ech = algebra.echelon(nmat)
+    k = n - len(ech.rows)
     if k == 0:
         raise DegenerateCodeError("degenerate code (full-rank incidence)")
-    parity = BitMatrix.from_bitrows((nmat.data[i] for i in keep), n)
-    reduced, pivots = algebra.rref2(parity)
-    forced = _forced_zero_symbol(reduced, pivots)
+    parity = BitMatrix.from_bitrows((nmat.data[i] for i in ech.independent), n)
+    forced = _forced_zero_symbol(BitMatrix(len(ech.rows), n, ech.rows), ech.pivots)
     if forced is not None:
         raise DegenerateCodeError(
             f"all-zero row in the redundancy part of the parity checks: "
             f"symbol {forced} is forced to zero in every codeword"
         )
-    generator = algebra.nullspace2(parity)
-    pivot_set = set(pivots)
-    info_set = tuple(c for c in range(n) if c not in pivot_set)
-    gen_cols = generator.transpose().data
+    basis, gen_cols = ech.nullspace()
     return BlrcCode(
         n=n,
         k=k,
         parity_check=parity,
-        generator=generator,
-        info_set=info_set,
+        generator=BitMatrix(k, n, basis),
+        info_set=tuple(ech.free_columns()),
         geometry=inc,
         pg=pg,
         gen_cols=gen_cols,

@@ -4,9 +4,13 @@ A partial geometry pg(s, t, alpha) is a point/line incidence structure in
 which every line carries s+1 points, every point lies on t+1 lines, two
 distinct lines share at most one point, and for every non-incident pair
 (P, B) exactly alpha points of the line B are collinear with the point P.
-``validate_pg`` certifies all four axioms exhaustively and returns the
-parameters; the constructors below produce the standard families used for
-code building.
+``validate_pg`` certifies all four axioms and returns the parameters.  It
+works point by point: axiom 3 is a popcount of the union of the lines
+through each point, and alpha a counting certificate (Bose 1963) over the
+points collinear with it.  Only a structure that fails one of these tests
+pays for a scan of line pairs or point/line pairs, which names the first
+offending pair as the witness.  The constructors below produce the
+standard families used for code building.
 """
 
 from __future__ import annotations
@@ -153,10 +157,88 @@ def _classify(s: int, t: int, alpha: int) -> tuple[str, bool]:
     return CLASS_PROPER, False
 
 
+def _require_covered(inc: IncidenceStructure) -> None:
+    """Reject a structure with more points than incidences before any
+    per-point table is built: some point then lies on no line."""
+    incidences = sum(len(line) for line in inc.lines)
+    if inc.num_points <= incidences:
+        return
+    covered = sorted({p for line in inc.lines for p in line})
+    uncovered = next((i for i, p in enumerate(covered) if i != p), len(covered))
+    raise PgValidationError(
+        "point-degree",
+        f"point {uncovered} lies on no line: {inc.num_points} points "
+        f"but only {incidences} incidences",
+        witness=uncovered,
+    )
+
+
+def _first_big_intersection(inc: IncidenceStructure) -> PgValidationError:
+    """The error naming the first line pair, in index order, that shares
+    more than one point."""
+    masks = inc.line_masks
+    for i, j in itertools.combinations(range(inc.num_lines), 2):
+        if (masks[i] & masks[j]).bit_count() > 1:
+            return PgValidationError(
+                "line-intersection",
+                f"lines {i} and {j} share more than one point",
+                witness=(i, j),
+            )
+    raise AssertionError("per-point union test failed but no line pair overlaps")
+
+
+def _first_alpha_mismatch(inc: IncidenceStructure,
+                          collinear: list[int]) -> PgValidationError:
+    """The error naming the first non-incident (point, line) pair whose
+    bridge count differs from that of the first such pair.
+
+    With axiom 3 certified, the bridges of a non-incident (P, B) are the
+    points of B collinear with P, so one popcount per pair suffices.
+    """
+    masks = inc.line_masks
+    alpha = None
+    first_pair = None
+    for p in range(inc.num_points):
+        pbit = 1 << p
+        cmask = collinear[p]
+        for b in range(inc.num_lines):
+            if masks[b] & pbit:
+                continue
+            bridges = (cmask & masks[b]).bit_count()
+            if alpha is None:
+                alpha, first_pair = bridges, (p, b)
+            elif bridges != alpha:
+                return PgValidationError(
+                    "alpha",
+                    f"non-uniform alpha: pair (point {p}, line {b}) has "
+                    f"{bridges} bridges, pair {first_pair} has {alpha}",
+                    witness=(p, b),
+                )
+    raise AssertionError("counting certificate failed but every pair agrees")
+
+
 def validate_pg(inc: IncidenceStructure) -> PgParams:
-    """Certify the partial-geometry axioms; raise PgValidationError with a witness."""
+    """Certify the partial-geometry axioms; raise PgValidationError with a witness.
+
+    Point degrees and line sizes are checked directly.  The rest works
+    point by point, with col(x) the union of the lines through x:
+
+    - axiom 3: the lines through p meet only at p iff col(p) has
+      (t+1)s + 1 points;
+    - alpha, by Bose's counting certificate (1963): let b(B) be the number
+      of points of a line B missing p that are collinear with p, over the
+      M = L - t - 1 such lines.  Then sum b = s t (t+1), and sum b(b-1) is
+      the sum over the points q != p of col(p) of |col(q) & col(p)| - (s+1).
+      b is constant, and equal to alpha, iff M sum b^2 = (sum b)^2.
+
+    Only when a test fails does the scan of every line pair, or of every
+    non-incident point/line pair, run; it names the same first witness a
+    direct check of every pair would.  A structure with more points than
+    incidences is rejected before any per-point table is built.
+    """
     if inc.num_lines == 0:
         raise PgValidationError("point-degree", "structure has no lines")
+    _require_covered(inc)
 
     degrees = [len(v) for v in inc.lines_through]
     t_plus_1 = degrees[0]
@@ -190,60 +272,38 @@ def validate_pg(inc: IncidenceStructure) -> PgParams:
             f"every line must carry at least 2 points (s >= 1), found {s_plus_1}",
             witness=0,
         )
+    s, t = s_plus_1 - 1, t_plus_1 - 1
 
     masks = inc.line_masks
-    for i, j in itertools.combinations(range(inc.num_lines), 2):
-        if (masks[i] & masks[j]).bit_count() > 1:
-            raise PgValidationError(
-                "line-intersection",
-                f"lines {i} and {j} share more than one point",
-                witness=(i, j),
-            )
-
-    # With axiom 3 certified, the number of (point of B, line through P)
-    # bridge pairs for a non-incident (P, B) equals the number of points
-    # of B collinear with P, so one popcount per pair suffices.
     collinear = []
-    for p in range(inc.num_points):
+    for through in inc.lines_through:
         acc = 0
-        for ln in inc.lines_through[p]:
+        for ln in through:
             acc |= masks[ln]
         collinear.append(acc)
+    if any(c.bit_count() != (t + 1) * s + 1 for c in collinear):
+        raise _first_big_intersection(inc)
 
-    alpha = None
-    first_pair = None
-    for p in range(inc.num_points):
-        pbit = 1 << p
-        cmask = collinear[p]
-        for b in range(inc.num_lines):
-            if masks[b] & pbit:
-                continue
-            bridges = (cmask & masks[b]).bit_count()
-            if alpha is None:
-                alpha, first_pair = bridges, (p, b)
-            elif bridges != alpha:
-                raise PgValidationError(
-                    "alpha",
-                    f"non-uniform alpha: pair (point {p}, line {b}) has "
-                    f"{bridges} bridges, pair {first_pair} has {alpha}",
-                    witness=(p, b),
-                )
-    if alpha is None:
+    missing = inc.num_lines - t_plus_1
+    if missing == 0:
         raise PgValidationError("alpha", "no non-incident point/line pair exists")
-    if alpha < 1:
-        raise PgValidationError(
-            "alpha",
-            f"pair (point {first_pair[0]}, line {first_pair[1]}) has no bridge "
-            "(alpha must be at least 1)",
-            witness=first_pair,
-        )
-
-    s, t = s_plus_1 - 1, t_plus_1 - 1
+    sum_b = s * t * (t + 1)
+    for p, cmask in enumerate(collinear):
+        sum_bb = -(t + 1) * s * (s + 1)
+        for ln in inc.lines_through[p]:
+            for q in inc.lines[ln]:
+                if q != p:
+                    sum_bb += (collinear[q] & cmask).bit_count()
+        if missing * (sum_bb + sum_b) != sum_b * sum_b:
+            raise _first_alpha_mismatch(inc, collinear)
+    # b is constant and sum b > 0, so alpha >= 1
+    alpha = sum_b // missing
     if alpha > min(s + 1, t + 1):
+        first_line = next(b for b, m in enumerate(masks) if not m & 1)
         raise PgValidationError(
             "alpha",
             f"alpha={alpha} exceeds min(s+1, t+1)={min(s + 1, t + 1)}",
-            witness=first_pair,
+            witness=(0, first_line),
         )
 
     expected_points = (s + 1) * (s * t + alpha)
@@ -430,8 +490,11 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
     are the pencils of lines through each original point.
 
     For a valid pg(s, t, alpha) the dual is a pg(t, s, alpha), and applying
-    dual twice returns the original structure.
+    dual twice returns the original structure.  A point on no line would
+    become an empty dual line, so a structure with more points than
+    incidences is rejected up front with a "point-degree" error.
     """
+    _require_covered(inc)
     label = f"dual({inc.label})" if inc.label else None
     return IncidenceStructure(inc.num_lines, tuple(inc.lines_through), label=label)
 

@@ -351,10 +351,15 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
     overall_r = max(per_r) if r is None else r
     per_vectors = [_repair_vectors(code, i, overall_r, mode, guard) for i in range(n)]
     per_a = tuple(len(vecs) for vecs in per_vectors)
-    per_delta = tuple(
-        len(minimum_hitting_set([frozenset(v.helpers(i)) for v in vecs]))
-        for i, vecs in enumerate(per_vectors)
-    )
+    if mode == "geometric":
+        # the line helper sets through a point are pairwise disjoint and
+        # nonempty, so each needs its own hitter
+        per_delta = per_a
+    else:
+        per_delta = tuple(
+            len(minimum_hitting_set([frozenset(v.helpers(i)) for v in vecs]))
+            for i, vecs in enumerate(per_vectors)
+        )
     repair_sets = tuple(
         tuple(v.helpers(i) for v in vecs) for i, vecs in enumerate(per_vectors)
     )

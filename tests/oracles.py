@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here recomputes results with a different algorithm and a
+The first group recomputes results with a different algorithm and a
 different representation (numpy uint8 arrays, itertools search) so that
-a shared bug between package and test is unlikely.
+a shared bug between package and test is unlikely.  The second group
+keeps the direct forms that the package's fast paths replaced: the
+pair-by-pair partial-geometry check and the column-sweep elimination.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from pgblrc.algebra import BitMatrix
+from pgblrc.errors import DegenerateCodeError, PgValidationError
+from pgblrc.geometry import PgParams, _classify, incidence_matrix
 
 
 def np_rank2(a: np.ndarray) -> int:
@@ -117,3 +123,211 @@ def brute_repair_degree(gen_cols: list[int], k: int, i: int,
             if acc == 0:
                 return w - 1
     return None
+
+
+# ----------------------------------------------------------------------
+# the direct forms of the package's fast paths: every line pair, every
+# point/line pair, and the column-sweep elimination
+
+
+def validate_pg_pairwise(inc) -> PgParams:
+    """The partial-geometry axioms checked pair by pair: axiom 3 on every
+    pair of lines and alpha on every non-incident point/line pair."""
+    if inc.num_lines == 0:
+        raise PgValidationError("point-degree", "structure has no lines")
+
+    degrees = [len(v) for v in inc.lines_through]
+    t_plus_1 = degrees[0]
+    for p, d in enumerate(degrees):
+        if d != t_plus_1:
+            raise PgValidationError(
+                "point-degree",
+                f"non-uniform point degree: point {p} lies on {d} lines, "
+                f"point 0 on {t_plus_1}",
+                witness=p,
+            )
+    if t_plus_1 < 2:
+        raise PgValidationError(
+            "point-degree",
+            f"every point must lie on at least 2 lines (t >= 1), found {t_plus_1}",
+            witness=0,
+        )
+
+    s_plus_1 = len(inc.lines[0])
+    for idx, line in enumerate(inc.lines):
+        if len(line) != s_plus_1:
+            raise PgValidationError(
+                "line-size",
+                f"non-uniform line size: line {idx} has {len(line)} points, "
+                f"line 0 has {s_plus_1}",
+                witness=idx,
+            )
+    if s_plus_1 < 2:
+        raise PgValidationError(
+            "line-size",
+            f"every line must carry at least 2 points (s >= 1), found {s_plus_1}",
+            witness=0,
+        )
+
+    masks = inc.line_masks
+    for i, j in itertools.combinations(range(inc.num_lines), 2):
+        if (masks[i] & masks[j]).bit_count() > 1:
+            raise PgValidationError(
+                "line-intersection",
+                f"lines {i} and {j} share more than one point",
+                witness=(i, j),
+            )
+
+    # With axiom 3 certified, the number of (point of B, line through P)
+    # bridge pairs for a non-incident (P, B) equals the number of points
+    # of B collinear with P, so one popcount per pair suffices.
+    collinear = []
+    for p in range(inc.num_points):
+        acc = 0
+        for ln in inc.lines_through[p]:
+            acc |= masks[ln]
+        collinear.append(acc)
+
+    alpha = None
+    first_pair = None
+    for p in range(inc.num_points):
+        pbit = 1 << p
+        cmask = collinear[p]
+        for b in range(inc.num_lines):
+            if masks[b] & pbit:
+                continue
+            bridges = (cmask & masks[b]).bit_count()
+            if alpha is None:
+                alpha, first_pair = bridges, (p, b)
+            elif bridges != alpha:
+                raise PgValidationError(
+                    "alpha",
+                    f"non-uniform alpha: pair (point {p}, line {b}) has "
+                    f"{bridges} bridges, pair {first_pair} has {alpha}",
+                    witness=(p, b),
+                )
+    if alpha is None:
+        raise PgValidationError("alpha", "no non-incident point/line pair exists")
+    if alpha < 1:
+        raise PgValidationError(
+            "alpha",
+            f"pair (point {first_pair[0]}, line {first_pair[1]}) has no bridge "
+            "(alpha must be at least 1)",
+            witness=first_pair,
+        )
+
+    s, t = s_plus_1 - 1, t_plus_1 - 1
+    if alpha > min(s + 1, t + 1):
+        raise PgValidationError(
+            "alpha",
+            f"alpha={alpha} exceeds min(s+1, t+1)={min(s + 1, t + 1)}",
+            witness=first_pair,
+        )
+
+    expected_points = (s + 1) * (s * t + alpha)
+    expected_lines = (t + 1) * (s * t + alpha)
+    if expected_points % alpha or inc.num_points != expected_points // alpha:
+        raise PgValidationError(
+            "cardinality",
+            f"point count {inc.num_points} does not match "
+            f"(s+1)(st+alpha)/alpha = {expected_points}/{alpha}",
+        )
+    if expected_lines % alpha or inc.num_lines != expected_lines // alpha:
+        raise PgValidationError(
+            "cardinality",
+            f"line count {inc.num_lines} does not match "
+            f"(t+1)(st+alpha)/alpha = {expected_lines}/{alpha}",
+        )
+
+    pg_class, degenerate = _classify(s, t, alpha)
+    return PgParams(
+        s=s,
+        t=t,
+        alpha=alpha,
+        num_points=inc.num_points,
+        num_lines=inc.num_lines,
+        pg_class=pg_class,
+        grid_degenerate=degenerate,
+    )
+
+
+def _reduce_row(row: int, pivots: dict[int, int]) -> int:
+    """XOR away known pivots; the result is zero or has a fresh lowest bit."""
+    while row:
+        low = (row & -row).bit_length() - 1
+        if low not in pivots:
+            return row
+        row ^= pivots[low]
+    return 0
+
+
+def independent_row_indices_greedy(m: BitMatrix) -> tuple[int, ...]:
+    """Rows kept by a top-down scan that drops rows dependent on those above."""
+    pivots: dict[int, int] = {}
+    keep = []
+    for idx, row in enumerate(m.data):
+        red = _reduce_row(row, pivots)
+        if red:
+            pivots[(red & -red).bit_length() - 1] = red
+            keep.append(idx)
+    return tuple(keep)
+
+
+def rref2_column_sweep(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
+    """Reduced row echelon form by sweeping columns left to right, taking
+    the first available row as the pivot."""
+    work = list(m.data)
+    pivots = []
+    row = 0
+    for col in range(m.cols):
+        sel = None
+        for r in range(row, m.rows):
+            if (work[r] >> col) & 1:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[row], work[sel] = work[sel], work[row]
+        for r in range(m.rows):
+            if r != row and ((work[r] >> col) & 1):
+                work[r] ^= work[row]
+        pivots.append(col)
+        row += 1
+        if row == m.rows:
+            break
+    return BitMatrix(m.rows, m.cols, tuple(work)), tuple(pivots)
+
+
+def nullspace2_column_sweep(m: BitMatrix) -> BitMatrix:
+    """Null-space basis systematic on the free columns of the column sweep."""
+    reduced, pivots = rref2_column_sweep(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = 1 << f
+        for r, p in enumerate(pivots):
+            if (reduced.data[r] >> f) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return BitMatrix(len(basis), m.cols, tuple(basis))
+
+
+def build_code_parts(inc):
+    """(parity_check, generator, info_set, gen_cols) by separate passes:
+    greedy independent rows, a column-sweep rref, a second column-sweep
+    rref for the null space, and a transpose for the columns."""
+    n = inc.num_points
+    nmat = incidence_matrix(inc)
+    keep = independent_row_indices_greedy(nmat)
+    if n - len(keep) == 0:
+        raise DegenerateCodeError("degenerate code (full-rank incidence)")
+    parity = BitMatrix.from_bitrows((nmat.data[i] for i in keep), n)
+    reduced, pivots = rref2_column_sweep(parity)
+    for r, prow in enumerate(reduced.data):
+        if prow == 1 << pivots[r]:
+            raise DegenerateCodeError(f"symbol {pivots[r]} is forced to zero")
+    generator = nullspace2_column_sweep(parity)
+    pivot_set = set(pivots)
+    info_set = tuple(c for c in range(n) if c not in pivot_set)
+    return parity, generator, info_set, generator.transpose().data

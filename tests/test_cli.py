@@ -93,6 +93,18 @@ def test_validate_fixture_with_dual(capsys):
     assert payload["class"] == "steiner-2-design"
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["analyze", "--dual"]])
+def test_huge_declared_point_count_fails_fast(capsys, tmp_path, argv):
+    # a trillion points but one two-point line: rejected before any
+    # per-point table or full-width bit mask is built
+    path = tmp_path / "hostile.txt"
+    path.write_text("1000000000000 1\n0 1\n")
+    code, out, err = run(capsys, *argv, "--file", str(path))
+    assert code == 3
+    assert out == ""
+    assert "validation error: point 2 lies on no line" in err
+
+
 # ----------------------------------------------------------------- analyze
 
 

@@ -1,0 +1,202 @@
+"""The package's fast paths against the direct forms kept in ``oracles``.
+
+Validation runs a per-point union test and a counting certificate, code
+building runs one elimination, and geometric tolerance is read off the
+line count; each must agree with the pairwise scans, the column-sweep
+elimination and the hitting-set search they replace.
+"""
+
+import random
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from pgblrc.algebra import (
+    BitMatrix,
+    independent_row_indices,
+    nullspace2,
+    rref2,
+    solve2,
+)
+from pgblrc.code import build_code
+from pgblrc.errors import PgValidationError
+from pgblrc.geometry import (
+    IncidenceStructure,
+    dual,
+    elliptic_quadric_gq,
+    grid,
+    hyperoval_gq,
+    load,
+    symplectic_gq,
+    validate_pg,
+)
+from pgblrc.repair import minimum_hitting_set, repair_profile
+
+from oracles import (
+    build_code_parts,
+    independent_row_indices_greedy,
+    nullspace2_column_sweep,
+    rref2_column_sweep,
+    validate_pg_pairwise,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+LADDER = {
+    "grid8": lambda: grid(8),
+    "symplectic4": lambda: symplectic_gq(4),
+    "elliptic3": lambda: elliptic_quadric_gq(3),
+    "hyperoval8": lambda: hyperoval_gq(8),
+    "dual_elliptic2": lambda: dual(elliptic_quadric_gq(2)),
+}
+
+
+@lru_cache(maxsize=None)
+def ladder(name):
+    return LADDER[name]()
+
+
+@lru_cache(maxsize=None)
+def ladder_code(name):
+    return build_code(ladder(name))
+
+
+def outcome(validate, inc):
+    """The parameters, or the (kind, witness, message) of the rejection."""
+    try:
+        return validate(inc)
+    except PgValidationError as exc:
+        return (exc.kind, exc.witness, str(exc))
+
+
+# -------------------------------------------------------------- validation
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_validate_pg_matches_pairwise_scan_on_ladder(name):
+    inc = ladder(name)
+    assert validate_pg(inc) == validate_pg_pairwise(inc)
+
+
+def _move_one_incidence(rng, lines, num_points):
+    li = rng.randrange(len(lines))
+    line = lines[li]
+    drop = rng.choice(line)
+    add = rng.choice([p for p in range(num_points) if p not in line])
+    lines[li] = tuple(sorted(set(line) - {drop} | {add}))
+
+
+def _swap_between_lines(rng, lines, num_points):
+    while True:
+        i, j = rng.sample(range(len(lines)), 2)
+        only_i = sorted(set(lines[i]) - set(lines[j]))
+        only_j = sorted(set(lines[j]) - set(lines[i]))
+        if only_i and only_j:
+            break
+    p, q = rng.choice(only_i), rng.choice(only_j)
+    lines[i] = tuple(sorted(set(lines[i]) - {p} | {q}))
+    lines[j] = tuple(sorted(set(lines[j]) - {q} | {p}))
+
+
+@pytest.mark.parametrize("name, make", [
+    ("grid4", lambda: grid(4)),
+    ("symplectic3", lambda: symplectic_gq(3)),
+    ("fano", lambda: load(FIXTURES / "fano.txt")),
+])
+def test_validate_pg_matches_pairwise_scan_on_mutations(name, make):
+    base = make()
+    rng = random.Random(f"mutations:{name}")
+    rejected = 0
+    for trial in range(120):
+        lines = list(base.lines)
+        mutate = _move_one_incidence if trial % 2 else _swap_between_lines
+        for _ in range(1 + trial % 3):
+            mutate(rng, lines, base.num_points)
+        if len(set(lines)) < len(lines):
+            continue
+        inc = IncidenceStructure(base.num_points, tuple(lines))
+        got = outcome(validate_pg, inc)
+        assert got == outcome(validate_pg_pairwise, inc)
+        rejected += isinstance(got, tuple)
+    assert rejected > 60
+
+
+# ------------------------------------------------------------ elimination
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_build_code_matches_separate_passes_on_ladder(name):
+    code = ladder_code(name)
+    parity, generator, info_set, gen_cols = build_code_parts(ladder(name))
+    assert code.parity_check == parity
+    assert code.generator == generator
+    assert code.info_set == info_set
+    assert code.gen_cols == gen_cols
+
+
+def test_build_code_with_certified_params_matches_validating_build():
+    inc = grid(3)
+    pg = validate_pg(inc)
+    assert build_code(inc, pg) == build_code(inc)
+
+
+def _random_bitmatrix(rng, rows, cols):
+    density = rng.choice([0.1, 0.3, 0.5, 0.8])
+    return BitMatrix.from_bitrows(
+        (sum(1 << j for j in range(cols) if rng.random() < density)
+         for _ in range(rows)),
+        cols,
+    )
+
+
+def _augment(m, rhs):
+    """The system solve2 reduces: M with the right-hand side as a last column."""
+    return BitMatrix.from_bitrows(
+        (row | (((rhs >> r) & 1) << m.cols) for r, row in enumerate(m.data)),
+        m.cols + 1,
+    )
+
+
+def test_elimination_matches_column_sweep_on_random_matrices():
+    rng = random.Random(1302)
+    cases = []
+    for _ in range(200):
+        cases.append(_random_bitmatrix(rng, rng.randrange(1, 24), rng.randrange(1, 24)))
+    for _ in range(100):
+        n = rng.randrange(1, 16)
+        square = _random_bitmatrix(rng, n, n)
+        cases.append(_augment(square, rng.getrandbits(n)))
+    for _ in range(6):
+        # wide enough to span several of the kernel's unpacking blocks
+        cases.append(_random_bitmatrix(rng, rng.randrange(60, 160), rng.randrange(100, 260)))
+    for m in cases:
+        assert rref2(m) == rref2_column_sweep(m)
+        assert nullspace2(m) == nullspace2_column_sweep(m)
+        assert independent_row_indices(m) == independent_row_indices_greedy(m)
+
+
+def test_solve2_agrees_with_column_sweep_on_augmented_systems():
+    rng = random.Random(5518)
+    for _ in range(150):
+        n = rng.randrange(1, 16)
+        square = _random_bitmatrix(rng, n, n)
+        rhs = rng.getrandbits(n)
+        reduced, pivots = rref2_column_sweep(_augment(square, rhs))
+        if len(pivots) < n or pivots[-1] == n:
+            assert solve2(square, rhs) is None
+        else:
+            expected = sum(((reduced.data[r] >> n) & 1) << p for r, p in enumerate(pivots))
+            assert solve2(square, rhs) == expected
+
+
+# ----------------------------------------------------------------- repair
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_geometric_tolerance_matches_minimum_hitting_set_on_ladder(name):
+    profile = repair_profile(ladder_code(name), mode="geometric")
+    assert profile.per_symbol_delta == tuple(
+        len(minimum_hitting_set([frozenset(h) for h in sets]))
+        for sets in profile.repair_sets
+    )

@@ -110,7 +110,7 @@ def test_hyperoval_parameters(q):
 
 
 def test_hyperoval_largest_supported_order():
-    # full validation is the slowest check in the suite, still well in budget
+    # n = 4096: validation is per point, so the top rung takes about a second
     params = validate_pg(hyperoval_gq(16))
     assert (params.s, params.t, params.alpha) == (15, 17, 1)
     assert params.num_points == 4096
@@ -233,6 +233,15 @@ def test_validator_mutation_sweep_on_fano():
 def test_validator_rejects_empty_structures():
     with pytest.raises(PgValidationError, match="no lines"):
         validate_pg(IncidenceStructure(3, ()))
+
+
+def test_huge_point_count_fails_before_any_per_point_table():
+    inc = IncidenceStructure(10**12, ((0, 1),))
+    for call in (validate_pg, dual):
+        with pytest.raises(PgValidationError, match="point 2 lies on no line") as ei:
+            call(inc)
+        assert (ei.value.kind, ei.value.witness) == ("point-degree", 2)
+    assert "lines_through" not in vars(inc) and "line_masks" not in vars(inc)
 
 
 # -------------------------------------------------------------- text files
