@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--guard", type=int,
                            default=repair.DEFAULT_SEARCH_GUARD,
                            help="abort exhaustive search beyond this many "
-                                "candidate supports")
+                                "half-supports: the sum over weights w up to "
+                                "r+1 of C(n, ceil(w/2)) + C(n, floor(w/2))")
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
     p_analyze.add_argument("--output")
     p_analyze.set_defaults(func=_cmd_analyze)

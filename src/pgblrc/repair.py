@@ -10,9 +10,15 @@ Three per-symbol quantities drive everything here:
   whose loss blocks every one of those checks.
 
 ``geometric`` mode reads the metrics straight off the geometry's lines
-(the designed values).  ``exhaustive`` mode enumerates every low-weight
-parity check by direct search, so its numbers are exact; a work guard
-bounds the search size.
+(the designed values).  ``exhaustive`` mode takes one census of every
+dual codeword of weight at most r+1 (``_dual_census``): each support is
+split into its lower and upper halves, the lower halves are tabulated by
+the XOR of their generator columns and the upper halves are joined
+against the table, a meet in the middle as in Stern's low-weight
+codeword search.  Its numbers are therefore exact.  A work guard,
+counted in half-supports (the subsets of about half the maximum weight
+that the census enumerates or tabulates), bounds the search before it
+starts.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,13 +42,9 @@ __all__ = [
     "RepairVector",
     "alternativity",
     "blocking_set",
-    "is_balanced",
     "line_repair_sets",
     "minimum_hitting_set",
     "omega_r",
-    "overall_alternativity",
-    "overall_repair_degree",
-    "overall_tolerance",
     "repair_degree",
     "repair_profile",
     "repair_symbol",
@@ -94,96 +96,106 @@ def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
     return [RepairVector(geo.lines[ln], line=ln) for ln in geo.lines_through[i]]
 
 
-def _colex_combinations(pool: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
-    """Fixed-size subsets of pool (given ascending), in colexicographic order."""
-
-    def rec(limit: int, size: int) -> Iterator[tuple[int, ...]]:
-        if size == 0:
-            yield ()
-            return
-        for last in range(size - 1, limit):
-            for rest in rec(last, size - 1):
-                yield rest + (pool[last],)
-
-    return rec(len(pool), size)
+def _census_work(n: int, max_weight: int) -> int:
+    """Half-supports the census touches: per weight w, the ceil(w/2)-subsets
+    it enumerates plus the floor(w/2)-subsets it tabulates."""
+    return sum(math.comb(n, (w + 1) // 2) + math.comb(n, w // 2)
+               for w in range(1, max_weight + 1))
 
 
-def _support_count(n: int, r: int) -> int:
-    return sum(math.comb(n - 1, w - 1) for w in range(1, r + 2))
+def _xor_cols(cols: Sequence[int], coords: tuple[int, ...]) -> int:
+    acc = 0
+    for j in coords:
+        acc ^= cols[j]
+    return acc
 
 
-def _check_guard(n: int, r: int, guard: int) -> None:
-    total = _support_count(n, r)
-    if total > guard:
-        raise GuardExceededError(
-            f"{total} candidate supports exceed the search guard of {guard}; "
-            "use geometric mode or raise the guard"
-        )
+def _dual_census(code: BlrcCode, max_weight: int,
+                 guard: int) -> list[tuple[int, ...]]:
+    """Every dual-codeword support of weight at most max_weight, in
+    (weight, colex) order.
 
-
-def _iter_dual_supports(code: BlrcCode, i: int, weight: int) -> Iterator[tuple[int, ...]]:
-    """Supports of dual codewords of the given exact weight that cover i.
-
-    A binary vector is a dual codeword exactly when the generator columns
-    on its support XOR to zero, so each candidate support needs one
-    accumulated XOR.  Enumeration order is colexicographic, which makes
-    completeness per weight obvious and the cost predictable.
+    A support is a dual codeword exactly when the generator columns on it
+    XOR to zero.  A support of weight w splits one way into its floor(w/2)
+    lowest coordinates A and its ceil(w/2) highest B, and the two halves
+    XOR to the same value.  So the small halves are tabulated by XOR, the
+    large ones enumerated and joined against the table, and a pair kept
+    only when max(A) < min(B); each support is then found exactly once.
+    The work, counted in half-supports, is checked against ``guard``
+    before anything is enumerated; it also bounds the table's size.
     """
+    n = code.n
+    work = _census_work(n, max_weight)
+    if work > guard:
+        raise GuardExceededError(
+            f"the census of dual codewords of weight <= {max_weight} on "
+            f"n = {n} symbols needs {work} half-supports, over the search "
+            f"guard of {guard}; use geometric mode or raise the guard"
+        )
     cols = code.gen_cols
-    base = cols[i]
-    others = [j for j in range(code.n) if j != i]
-    for rest in _colex_combinations(others, weight - 1):
-        acc = base
-        for j in rest:
-            acc ^= cols[j]
-        if acc == 0:
-            yield tuple(sorted((i,) + rest))
+    found = []
+    for w in range(1, max_weight + 1):
+        table: dict[int, list[tuple[int, ...]]] = {}
+        for low in itertools.combinations(range(n), w // 2):
+            table.setdefault(_xor_cols(cols, low), []).append(low)
+        for high in itertools.combinations(range(n), w - w // 2):
+            for low in table.get(_xor_cols(cols, high), ()):
+                if not low or low[-1] < high[0]:
+                    found.append(low + high)
+    found.sort(key=lambda support: (len(support), support[::-1]))
+    return found
+
+
+def _tag_lines(code: BlrcCode, i: int,
+               supports: Iterable[tuple[int, ...]]) -> list[RepairVector]:
+    """Repair vectors for i, carrying the line index where a support is a
+    line through i."""
+    geo = code.geometry
+    line_lookup = {geo.lines[ln]: ln for ln in geo.lines_through[i]}
+    return [RepairVector(s, line=line_lookup.get(s)) for s in supports]
+
+
+def _no_repair_vector() -> RuntimeError:
+    return RuntimeError(
+        "no repair vector found up to weight s+1; "
+        "the code is inconsistent with its geometry"
+    )
 
 
 def omega_r(code: BlrcCode, i: int, r: int,
             guard: int = DEFAULT_SEARCH_GUARD) -> list[RepairVector]:
-    """Every dual codeword covering i with weight at most r+1, by search.
+    """Every dual codeword covering i with weight at most r+1.
 
-    Results come in weight order; checks that coincide with geometry
-    lines carry their line index.
+    The supports are the census entries (see ``_dual_census``) that
+    contain i, so they come in weight order, colexicographic within a
+    weight.  Checks that coincide with geometry lines carry their line
+    index.  ``guard`` bounds the census work in half-supports:
+    the sum over w <= r+1 of C(n, ceil(w/2)) + C(n, floor(w/2)).
     """
     _check_coord(code, i)
     if r < 0:
         raise ValueError("repair degree bound must be non-negative")
-    _check_guard(code.n, r, guard)
-    line_lookup = {
-        code.geometry.lines[ln]: ln for ln in code.geometry.lines_through[i]
-    }
-    found = []
-    for w in range(1, r + 2):
-        for support in _iter_dual_supports(code, i, w):
-            found.append(RepairVector(support, line=line_lookup.get(support)))
-    return found
+    return _tag_lines(code, i, (s for s in _dual_census(code, r + 1, guard) if i in s))
 
 
 def repair_degree(code: BlrcCode, i: int, mode: str = "exhaustive",
                   guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    """Fewest symbols that repair coordinate i through one parity check."""
+    """Fewest symbols that repair coordinate i through one parity check.
+
+    Exhaustive mode reads it off the lightest census support containing i,
+    searching up to weight s+1 under the same half-support guard as
+    ``omega_r``.
+    """
     _check_coord(code, i)
     _check_mode(mode)
     s = code.pg.s
     if mode == "geometric":
         # every line through i repairs it from its other s points
         return s
-    _check_guard(code.n, s, guard)
-    for w in range(1, s + 2):
-        for _ in _iter_dual_supports(code, i, w):
-            return w - 1
-    raise RuntimeError(
-        "no repair vector found up to weight s+1; "
-        "the code is inconsistent with its geometry"
-    )
-
-
-def overall_repair_degree(code: BlrcCode, mode: str = "exhaustive",
-                          guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    """Worst per-symbol repair degree: max over all coordinates."""
-    return max(repair_degree(code, i, mode, guard) for i in range(code.n))
+    for support in _dual_census(code, s + 1, guard):
+        if i in support:
+            return len(support) - 1
+    raise _no_repair_vector()
 
 
 def _repair_vectors(code: BlrcCode, i: int, r: int, mode: str,
@@ -199,16 +211,6 @@ def alternativity(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
     _check_coord(code, i)
     _check_mode(mode)
     return len(_repair_vectors(code, i, r, mode, guard))
-
-
-def overall_alternativity(code: BlrcCode, r: int | None = None,
-                          mode: str = "exhaustive",
-                          guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    """Fewest alternatives any coordinate has: min over all coordinates."""
-    _check_mode(mode)
-    if r is None:
-        r = overall_repair_degree(code, mode, guard)
-    return min(alternativity(code, i, r, mode, guard) for i in range(code.n))
 
 
 def minimum_hitting_set(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -283,15 +285,6 @@ def tolerance(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
     return len(blocking_set(code, i, r, mode, guard))
 
 
-def overall_tolerance(code: BlrcCode, r: int | None = None,
-                      mode: str = "exhaustive",
-                      guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    _check_mode(mode)
-    if r is None:
-        r = overall_repair_degree(code, mode, guard)
-    return min(tolerance(code, i, r, mode, guard) for i in range(code.n))
-
-
 @dataclass(frozen=True)
 class RepairProfile:
     """Per-symbol and overall repair metrics of a code."""
@@ -343,19 +336,39 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
     """Compute every repair metric in one pass.
 
     The alternativity and tolerance columns use the overall repair degree
-    (max over symbols) unless an explicit r is given.
+    (max over symbols) unless an explicit r is given.  Exhaustive mode
+    takes one census up to weight max(s, r)+1 and files each support
+    under every symbol it covers; ``guard`` bounds that census as in
+    ``omega_r``.
     """
     _check_mode(mode)
     n = code.n
-    per_r = tuple(repair_degree(code, i, mode, guard) for i in range(n))
-    overall_r = max(per_r) if r is None else r
-    per_vectors = [_repair_vectors(code, i, overall_r, mode, guard) for i in range(n)]
-    per_a = tuple(len(vecs) for vecs in per_vectors)
     if mode == "geometric":
+        per_r = tuple(repair_degree(code, i, mode, guard) for i in range(n))
+        overall_r = max(per_r) if r is None else r
+        per_vectors = [_repair_vectors(code, i, overall_r, mode, guard)
+                       for i in range(n)]
+        per_a = tuple(len(vecs) for vecs in per_vectors)
         # the line helper sets through a point are pairwise disjoint and
         # nonempty, so each needs its own hitter
         per_delta = per_a
     else:
+        if r is not None and r < 0:
+            raise ValueError("repair degree bound must be non-negative")
+        s = code.pg.s
+        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        for support in _dual_census(code, (s if r is None else max(s, r)) + 1, guard):
+            for i in support:
+                buckets[i].append(support)
+        if any(not b or len(b[0]) > s + 1 for b in buckets):
+            raise _no_repair_vector()
+        per_r = tuple(len(b[0]) - 1 for b in buckets)
+        overall_r = max(per_r) if r is None else r
+        per_vectors = [
+            _tag_lines(code, i, (sup for sup in b if len(sup) <= overall_r + 1))
+            for i, b in enumerate(buckets)
+        ]
+        per_a = tuple(len(vecs) for vecs in per_vectors)
         per_delta = tuple(
             len(minimum_hitting_set([frozenset(v.helpers(i)) for v in vecs]))
             for i, vecs in enumerate(per_vectors)
@@ -375,12 +388,6 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         per_symbol_delta=per_delta,
         repair_sets=repair_sets,
     )
-
-
-def is_balanced(code: BlrcCode, r: int | None = None, mode: str = "exhaustive",
-                guard: int = DEFAULT_SEARCH_GUARD) -> bool:
-    """True iff every coordinate has the same tolerance."""
-    return repair_profile(code, mode, r, guard).balanced
 
 
 # ----------------------------------------------------------------------
@@ -477,9 +484,7 @@ class AvailabilityReport:
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     # counter-based: trial index keyed into the counter block, so draws
     # are independent of evaluation order and splittable across trials
-    return np.random.Generator(
-        np.random.Philox(key=seed & ((1 << 128) - 1), counter=trial << 192)
-    )
+    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 192))
 
 
 def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
@@ -499,8 +504,9 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     """
     if model not in AVAILABILITY_MODELS:
         raise ValueError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    if not 0 <= seed < 1 << 128:
+        # the Philox key is 128 bits wide: a larger seed would alias a smaller one
+        raise ValueError("seed must lie in [0, 2**128)")
     n = code.n
     candidates = []
     for i in range(n):

@@ -4,18 +4,21 @@ The first group recomputes results with a different algorithm and a
 different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
-pair-by-pair partial-geometry check and the column-sweep elimination.
+pair-by-pair partial-geometry check, the column-sweep elimination and
+the symbol-by-symbol dual-support search.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from pgblrc.algebra import BitMatrix
 from pgblrc.errors import DegenerateCodeError, PgValidationError
 from pgblrc.geometry import PgParams, _classify, incidence_matrix
+from pgblrc.repair import RepairProfile, RepairVector, minimum_hitting_set
 
 
 def np_rank2(a: np.ndarray) -> int:
@@ -331,3 +334,92 @@ def build_code_parts(inc):
     pivot_set = set(pivots)
     info_set = tuple(c for c in range(n) if c not in pivot_set)
     return parity, generator, info_set, generator.transpose().data
+
+
+# ----------------------------------------------------------------------
+# the symbol-by-symbol dual-support search that the census replaced: for
+# each symbol i, every support through i is tried in colexicographic order
+
+
+def _colex_combinations(pool: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Fixed-size subsets of pool (given ascending), in colexicographic order."""
+
+    def rec(limit: int, size: int) -> Iterator[tuple[int, ...]]:
+        if size == 0:
+            yield ()
+            return
+        for last in range(size - 1, limit):
+            for rest in rec(last, size - 1):
+                yield rest + (pool[last],)
+
+    return rec(len(pool), size)
+
+
+def _iter_dual_supports(code, i: int, weight: int) -> Iterator[tuple[int, ...]]:
+    """Supports of dual codewords of the given exact weight that cover i.
+
+    A binary vector is a dual codeword exactly when the generator columns
+    on its support XOR to zero, so each candidate support needs one
+    accumulated XOR.  Enumeration order is colexicographic, which makes
+    completeness per weight obvious and the cost predictable.
+    """
+    cols = code.gen_cols
+    base = cols[i]
+    others = [j for j in range(code.n) if j != i]
+    for rest in _colex_combinations(others, weight - 1):
+        acc = base
+        for j in rest:
+            acc ^= cols[j]
+        if acc == 0:
+            yield tuple(sorted((i,) + rest))
+
+
+def omega_r_per_symbol(code, i: int, r: int) -> list[RepairVector]:
+    """Every dual codeword covering i with weight at most r+1, in weight
+    order; checks that coincide with geometry lines carry their index."""
+    line_lookup = {
+        code.geometry.lines[ln]: ln for ln in code.geometry.lines_through[i]
+    }
+    found = []
+    for w in range(1, r + 2):
+        for support in _iter_dual_supports(code, i, w):
+            found.append(RepairVector(support, line=line_lookup.get(support)))
+    return found
+
+
+def repair_degree_per_symbol(code, i: int) -> int:
+    """Fewest symbols that repair coordinate i through one parity check."""
+    for w in range(1, code.pg.s + 2):
+        for _ in _iter_dual_supports(code, i, w):
+            return w - 1
+    raise RuntimeError(
+        "no repair vector found up to weight s+1; "
+        "the code is inconsistent with its geometry"
+    )
+
+
+def repair_profile_per_symbol(code, r: int | None = None) -> RepairProfile:
+    """The exhaustive profile assembled from one search per symbol."""
+    n = code.n
+    per_r = tuple(repair_degree_per_symbol(code, i) for i in range(n))
+    overall_r = max(per_r) if r is None else r
+    per_vectors = [omega_r_per_symbol(code, i, overall_r) for i in range(n)]
+    per_a = tuple(len(vecs) for vecs in per_vectors)
+    per_delta = tuple(
+        len(minimum_hitting_set([frozenset(v.helpers(i)) for v in vecs]))
+        for i, vecs in enumerate(per_vectors)
+    )
+    return RepairProfile(
+        mode="exhaustive",
+        n=n,
+        r=overall_r,
+        a=min(per_a),
+        delta=min(per_delta),
+        balanced=len(set(per_delta)) == 1,
+        per_symbol_r=per_r,
+        per_symbol_a=per_a,
+        per_symbol_delta=per_delta,
+        repair_sets=tuple(
+            tuple(v.helpers(i) for v in vecs) for i, vecs in enumerate(per_vectors)
+        ),
+    )

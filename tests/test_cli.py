@@ -174,6 +174,11 @@ def test_analyze_guard_exceeded(capsys):
                        "--exhaustive", "--guard", "1")
     assert code == 4
     assert "guard exceeded" in err
+    # grid(2): n = 9, s = 2, so weights up to 3 and 10 + 18 + 45 half-supports
+    assert "weight <= 3" in err
+    assert "n = 9" in err
+    assert "73 half-supports" in err
+    assert "search guard of 1;" in err
 
 
 def test_analyze_file_source_with_dual(capsys, tmp_path):
@@ -231,6 +236,13 @@ def test_simulate_json_shape_and_determinism(capsys):
     assert len(payload["per_symbol_success"]) == 15
     code, reseeded, _ = run(capsys, *argv[:-1], "8")
     assert reseeded != first
+
+
+def test_simulate_rejects_a_seed_beyond_the_generator_key(capsys):
+    code, out, err = run(capsys, "simulate", "--geometry", "grid", "--s", "2",
+                         "--p", "0.1", "--seed", str(2**128))
+    assert code == 3 and out == ""
+    assert "seed" in err
 
 
 def test_simulate_output_file(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """The package's fast paths against the direct forms kept in ``oracles``.
 
 Validation runs a per-point union test and a counting certificate, code
-building runs one elimination, and geometric tolerance is read off the
-line count; each must agree with the pairwise scans, the column-sweep
-elimination and the hitting-set search they replace.
+building runs one elimination, geometric tolerance is read off the line
+count, and the exhaustive metrics come from one meet-in-the-middle
+census of low-weight dual codewords; each must agree with the pairwise
+scans, the column-sweep elimination, the hitting-set search and the
+symbol-by-symbol dual-support search they replace.
 """
 
 import random
@@ -19,10 +21,11 @@ from pgblrc.algebra import (
     rref2,
     solve2,
 )
-from pgblrc.code import build_code
+from pgblrc.code import BlrcCode, build_code
 from pgblrc.errors import PgValidationError
 from pgblrc.geometry import (
     IncidenceStructure,
+    PgParams,
     dual,
     elliptic_quadric_gq,
     grid,
@@ -31,15 +34,19 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc.repair import minimum_hitting_set, repair_profile
+from pgblrc.repair import minimum_hitting_set, omega_r, repair_degree, repair_profile
 
 from oracles import (
     build_code_parts,
     independent_row_indices_greedy,
     nullspace2_column_sweep,
+    omega_r_per_symbol,
+    repair_degree_per_symbol,
+    repair_profile_per_symbol,
     rref2_column_sweep,
     validate_pg_pairwise,
 )
+from test_repair import unbalanced_code
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -200,3 +207,91 @@ def test_geometric_tolerance_matches_minimum_hitting_set_on_ladder(name):
         len(minimum_hitting_set([frozenset(h) for h in sets]))
         for sets in profile.repair_sets
     )
+
+
+SMALL = {
+    "grid2": lambda: build_code(grid(2)),
+    "grid3": lambda: build_code(grid(3)),
+    "grid4": lambda: build_code(grid(4)),
+    "symplectic2": lambda: build_code(symplectic_gq(2)),
+    "symplectic3": lambda: build_code(symplectic_gq(3)),
+    "elliptic2": lambda: build_code(elliptic_quadric_gq(2)),
+    "unbalanced": unbalanced_code,
+}
+
+
+@lru_cache(maxsize=None)
+def small_code(name):
+    return SMALL[name]()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_exhaustive_profile_matches_per_symbol_search(name):
+    code = small_code(name)
+    profile = repair_profile(code, mode="exhaustive")
+    assert profile == repair_profile_per_symbol(code)
+    for i in range(code.n):
+        assert omega_r(code, i, profile.r) == omega_r_per_symbol(code, i, profile.r)
+        assert repair_degree(code, i) == repair_degree_per_symbol(code, i)
+
+
+def zero_column_code(s):
+    """Hand-built 4-symbol code whose last symbol is zero in every
+    codeword, so {3} is a weight-1 dual word; the others need weight 3."""
+    generator = BitMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0]])
+    parity = BitMatrix.from_rows([[1, 1, 1, 0], [0, 0, 0, 1]])
+    pg = PgParams(s=s, t=0, alpha=1, num_points=4, num_lines=1,
+                  pg_class="proper", grid_degenerate=False)
+    return BlrcCode(
+        n=4, k=2, parity_check=parity, generator=generator, info_set=(0, 2),
+        geometry=IncidenceStructure(4, ((0, 1, 2),)), pg=pg,
+        gen_cols=generator.transpose().data,
+    )
+
+
+def test_census_finds_a_weight_one_dual_word_like_per_symbol_search():
+    code = zero_column_code(s=2)
+    assert [repair_degree(code, i) for i in range(4)] == [2, 2, 2, 0]
+    for i in range(4):
+        assert repair_degree(code, i) == repair_degree_per_symbol(code, i)
+        assert omega_r(code, i, 2) == omega_r_per_symbol(code, i, 2)
+
+
+def test_profile_fails_like_per_symbol_search_without_a_light_check():
+    # with s = 1, symbols 0-2 have no dual word of weight <= s+1, even
+    # though the census for r = 2 reaches their weight-3 one
+    code = zero_column_code(s=1)
+    for profile in (repair_profile, repair_profile_per_symbol):
+        with pytest.raises(RuntimeError, match="no repair vector"):
+            profile(code, r=2)
+
+
+@pytest.mark.parametrize("name, r", [
+    ("grid3", 4), ("unbalanced", 2), ("symplectic2", 3), ("symplectic2", 1)])
+def test_exhaustive_profile_with_explicit_r_matches_per_symbol_search(name, r):
+    code = small_code(name)
+    assert repair_profile(code, r=r) == repair_profile_per_symbol(code, r=r)
+    for i in range(code.n):
+        assert omega_r(code, i, r) == omega_r_per_symbol(code, i, r)
+
+
+def test_census_matches_per_symbol_search_on_dual_elliptic2():
+    code = ladder_code("dual_elliptic2")
+    r = code.pg.s
+    for i in (0, 22, 44):
+        assert omega_r(code, i, r) == omega_r_per_symbol(code, i, r)
+        assert repair_degree(code, i) == repair_degree_per_symbol(code, i) == r
+
+
+@pytest.mark.parametrize("name", ["symplectic4", "elliptic3"])
+def test_exhaustive_profile_equals_geometric_on_ladder(name):
+    code = ladder_code(name)
+    exact = repair_profile(code, mode="exhaustive")
+    designed = repair_profile(code, mode="geometric")
+    s, t = code.pg.s, code.pg.t
+    assert (exact.r, exact.a, exact.delta, exact.balanced) == (s, t + 1, t + 1, True)
+    for field in ("r", "a", "delta", "balanced", "per_symbol_r",
+                  "per_symbol_a", "per_symbol_delta"):
+        assert getattr(exact, field) == getattr(designed, field)
+    assert [set(sets) for sets in exact.repair_sets] == [
+        set(sets) for sets in designed.repair_sets]

@@ -18,13 +18,9 @@ from pgblrc.repair import (
     RepairVector,
     alternativity,
     blocking_set,
-    is_balanced,
     line_repair_sets,
     minimum_hitting_set,
     omega_r,
-    overall_alternativity,
-    overall_repair_degree,
-    overall_tolerance,
     repair_degree,
     repair_profile,
     repair_symbol,
@@ -138,8 +134,8 @@ def test_omega_guard():
 def test_repair_degree_both_modes(name):
     code = make_code(name)
     expected = EXPECTED_PROFILE[name]["r"]
-    assert overall_repair_degree(code, mode="geometric") == code.pg.s
-    assert overall_repair_degree(code, mode="exhaustive") == expected
+    assert repair_profile(code, mode="geometric").r == code.pg.s
+    assert repair_profile(code, mode="exhaustive").r == expected
     for i in (0, code.n // 2, code.n - 1):
         assert repair_degree(code, i, mode="exhaustive") == expected
         oracle = brute_repair_degree(list(code.gen_cols), code.k, i, code.pg.s)
@@ -170,10 +166,11 @@ def test_repair_degree_validation():
 def test_alternativity_and_tolerance(name):
     code = make_code(name)
     want = EXPECTED_PROFILE[name]
-    assert overall_alternativity(code) == want["a"]
-    assert overall_tolerance(code) == want["delta"]
+    prof = repair_profile(code)
+    assert prof.a == want["a"]
+    assert prof.delta == want["delta"]
     # geometric mode sees exactly the t+1 line alternatives
-    assert overall_alternativity(code, r=code.pg.s, mode="geometric") == code.pg.t + 1
+    assert repair_profile(code, mode="geometric", r=code.pg.s).a == code.pg.t + 1
     for i in (0, code.n - 1):
         assert alternativity(code, i, want["r"]) == want["a"]
         assert tolerance(code, i, want["r"]) == want["delta"]
@@ -275,8 +272,7 @@ def test_unbalanced_code_is_detected():
     assert prof.per_symbol_delta == (2, 2, 2, 1, 1)
     assert not prof.balanced
     assert prof.delta == 1
-    assert not is_balanced(code)
-    assert is_balanced(make_code("grid2"))
+    assert repair_profile(make_code("grid2")).balanced
 
 
 def test_delta_guarantee_is_sharp_on_grid2():
@@ -450,3 +446,8 @@ def test_simulation_validation():
         simulate_availability(code, model="iid", p=0.5, trials=0)
     with pytest.raises(ValueError, match="seed"):
         simulate_availability(code, model="iid", p=0.5, seed=-1)
+    # the generator key is 128 bits wide: a larger seed would alias a smaller one
+    with pytest.raises(ValueError, match="seed"):
+        simulate_availability(code, model="iid", p=0.5, seed=7 + 2**128)
+    top = simulate_availability(code, model="iid", p=0.5, trials=4, seed=2**128 - 1)
+    assert top.seed == 2**128 - 1
