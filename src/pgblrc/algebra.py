@@ -21,9 +21,6 @@ __all__ = [
     "SmallField",
     "bitrow_rank",
     "echelon",
-    "field_add",
-    "field_inv",
-    "field_mul",
     "independent_row_indices",
     "nullspace2",
     "rank2",
@@ -476,15 +473,3 @@ class SmallField:
 def small_field(q: int) -> SmallField:
     """Cached field instance for a supported order q."""
     return SmallField(q)
-
-
-def field_add(field: SmallField, x: int, y: int) -> int:
-    return field.add(x, y)
-
-
-def field_mul(field: SmallField, x: int, y: int) -> int:
-    return field.mul(x, y)
-
-
-def field_inv(field: SmallField, x: int) -> int:
-    return field.inv(x)

@@ -168,20 +168,23 @@ _SPORADIC_GQ = (
 
 _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
-# parameter pairs whose quadrangles this package can actually build
-_BUILDERS = {
-    **{(q, q): (lambda q=q: geometry.symplectic_gq(q)) for q in (2, 3, 4)},
-    **{(q, q * q): (lambda q=q: geometry.elliptic_quadric_gq(q)) for q in (2, 3)},
-    **{(q - 1, q + 1): (lambda q=q: geometry.hyperoval_gq(q)) for q in (4, 8, 16)},
-    **{(z, 1): (lambda z=z: geometry.grid(z)) for z in range(1, 32)},
-}
-_DUAL_BUILDERS = {
-    **{(q * q, q): (lambda q=q: geometry.dual(geometry.elliptic_quadric_gq(q)))
-       for q in (2, 3)},
-    **{(q + 1, q - 1): (lambda q=q: geometry.dual(geometry.hyperoval_gq(q)))
-       for q in (4, 8, 16)},
-    **{(1, z): (lambda z=z: geometry.dual(geometry.grid(z))) for z in range(1, 32)},
-}
+
+def _constructible_gq(s: int, t: int) -> geometry.IncidenceStructure | None:
+    """The quadrangle of order (s, t) this package builds, or None: the grids
+    up to z = 31, W(q), Q-(5, q), T2*(O) and the duals of the last two."""
+    if t == 1 and 1 <= s <= 31:
+        return geometry.grid(s)
+    if s == t and s in (2, 3, 4):
+        return geometry.symplectic_gq(s)
+    if t == s * s and s in (2, 3):
+        return geometry.elliptic_quadric_gq(s)
+    if s == t * t and t in (2, 3):
+        return geometry.dual(geometry.elliptic_quadric_gq(t))
+    if t == s + 2 and s + 1 in (4, 8, 16):
+        return geometry.hyperoval_gq(s + 1)
+    if s == t + 2 and t + 1 in (4, 8, 16):
+        return geometry.dual(geometry.hyperoval_gq(t + 1))
+    return None
 
 
 def known_gq_parameters(max_z: int = 16) -> list[tuple[int, int]]:
@@ -234,9 +237,9 @@ def _estimate_rate(s: int, t: int, estimator: str) -> tuple[Fraction, str]:
     """Rate estimate for the code of a pg(s, t, 1) and the estimator used."""
     r_val, a_val = s, t + 1
     if estimator == "exact-rank":
-        builder = _BUILDERS.get((s, t)) or _DUAL_BUILDERS.get((s, t))
-        if builder is not None:
-            built = code_mod.build_code(builder())
+        inc = _constructible_gq(s, t)
+        if inc is not None:
+            built = code_mod.build_code(inc)
             return Fraction(built.k, built.n), "exact-rank"
         estimator = "theorem-upper-bound"  # not constructible here, fall back
     if estimator == "theorem-upper-bound":

@@ -8,8 +8,6 @@ columns, so messages appear verbatim at those coordinates.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,7 +16,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import BitMatrix
-from .errors import DegenerateCodeError, GuardExceededError, NotInformationSetError
+from .errors import DegenerateCodeError, NotInformationSetError
 from .geometry import IncidenceStructure, PgParams, incidence_matrix, validate_pg
 
 __all__ = [
@@ -31,9 +29,6 @@ __all__ = [
     "rate",
     "reconstruct",
 ]
-
-DEFAULT_MDS_GUARD = 10_000_000
-
 
 @dataclass(frozen=True)
 class BlrcCode:
@@ -54,14 +49,6 @@ class BlrcCode:
     geometry: IncidenceStructure
     pg: PgParams
     gen_cols: tuple[int, ...]
-
-    @property
-    def H(self) -> BitMatrix:
-        return self.parity_check
-
-    @property
-    def G(self) -> BitMatrix:
-        return self.generator
 
 
 def _forced_zero_symbol(reduced: BitMatrix, pivots: tuple[int, ...]) -> int | None:
@@ -168,18 +155,17 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
     return _bits_to_array(solution, code.k)
 
 
-def is_mds(code: BlrcCode, guard: int = DEFAULT_MDS_GUARD) -> bool:
-    """True iff every k-subset of coordinates is an information set."""
-    total = math.comb(code.n, code.k)
-    if total > guard:
-        raise GuardExceededError(
-            f"instance too large for exhaustive MDS check: "
-            f"{total} subsets exceed the guard of {guard}"
-        )
-    for combo in itertools.combinations(range(code.n), code.k):
-        if algebra.bitrow_rank(code.gen_cols[c] for c in combo) < code.k:
-            return False
-    return True
+def is_mds(code: BlrcCode) -> bool:
+    """True iff every k-subset of coordinates is an information set.
+
+    Binary MDS codes are trivial (MacWilliams and Sloane, ch. 11): the
+    whole space, a repetition code (k = 1 with no zero coordinate) or a
+    single parity check (n - k = 1 over all n coordinates).
+    """
+    n, k = code.n, code.k
+    return (k == n
+            or (k == 1 and all(code.gen_cols))
+            or (n - k == 1 and code.parity_check.data[0] == (1 << n) - 1))
 
 
 def rate(code: BlrcCode) -> Fraction:

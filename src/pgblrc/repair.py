@@ -1,6 +1,8 @@
 """Repair metrics and repair execution for geometry-backed binary codes.
 
-Three per-symbol quantities drive everything here:
+Three per-symbol quantities drive everything here; ``repair_profile``
+returns them as ``per_symbol_r``, ``per_symbol_a`` and
+``per_symbol_delta``:
 
 - repair degree r(i): the fewest other symbols that recover symbol i
   through a single parity check;
@@ -19,6 +21,11 @@ codeword search.  Its numbers are therefore exact.  A work guard,
 counted in half-supports (the subsets of about half the maximum weight
 that the census enumerates or tabulates), bounds the search before it
 starts.
+
+``repair_symbol`` and ``simulate_availability`` apply one repair rule
+(``_repair_order`` then ``_first_open``): the least-weight check whose
+helpers are all available, ties to the lowest line index.  So the
+simulator estimates the success of the executor itself.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,16 +47,13 @@ __all__ = [
     "RepairOutcome",
     "RepairProfile",
     "RepairVector",
-    "alternativity",
     "blocking_set",
     "line_repair_sets",
     "minimum_hitting_set",
     "omega_r",
-    "repair_degree",
     "repair_profile",
     "repair_symbol",
     "simulate_availability",
-    "tolerance",
 ]
 
 DEFAULT_SEARCH_GUARD = 100_000_000
@@ -59,9 +63,12 @@ _MODES = ("geometric", "exhaustive")
 AVAILABILITY_MODELS = ("iid", "adversarial")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepairVector:
-    """A parity check usable to repair any one coordinate in its support."""
+    """A parity check usable to repair any one coordinate in its support.
+
+    Slotted: the simulator keeps all n(t+1) line checks of a code alive.
+    """
 
     support: tuple[int, ...]
     line: int | None = None  # incidence row index when the check is a line
@@ -83,6 +90,11 @@ def _check_coord(code: BlrcCode, i: int) -> None:
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
+
+
+def _check_degree_bound(r: int) -> None:
+    if r < 0:
+        raise ValueError("repair degree bound must be non-negative")
 
 
 def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
@@ -173,29 +185,8 @@ def omega_r(code: BlrcCode, i: int, r: int,
     the sum over w <= r+1 of C(n, ceil(w/2)) + C(n, floor(w/2)).
     """
     _check_coord(code, i)
-    if r < 0:
-        raise ValueError("repair degree bound must be non-negative")
+    _check_degree_bound(r)
     return _tag_lines(code, i, (s for s in _dual_census(code, r + 1, guard) if i in s))
-
-
-def repair_degree(code: BlrcCode, i: int, mode: str = "exhaustive",
-                  guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    """Fewest symbols that repair coordinate i through one parity check.
-
-    Exhaustive mode reads it off the lightest census support containing i,
-    searching up to weight s+1 under the same half-support guard as
-    ``omega_r``.
-    """
-    _check_coord(code, i)
-    _check_mode(mode)
-    s = code.pg.s
-    if mode == "geometric":
-        # every line through i repairs it from its other s points
-        return s
-    for support in _dual_census(code, s + 1, guard):
-        if i in support:
-            return len(support) - 1
-    raise _no_repair_vector()
 
 
 def _repair_vectors(code: BlrcCode, i: int, r: int, mode: str,
@@ -203,14 +194,6 @@ def _repair_vectors(code: BlrcCode, i: int, r: int, mode: str,
     if mode == "geometric":
         return [v for v in line_repair_sets(code, i) if v.weight <= r + 1]
     return omega_r(code, i, r, guard)
-
-
-def alternativity(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
-                  guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    """Number of repair alternatives of weight at most r+1 for coordinate i."""
-    _check_coord(code, i)
-    _check_mode(mode)
-    return len(_repair_vectors(code, i, r, mode, guard))
 
 
 def minimum_hitting_set(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -267,22 +250,16 @@ def minimum_hitting_set(sets: Sequence[frozenset[int]]) -> frozenset[int]:
 
 def blocking_set(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
                  guard: int = DEFAULT_SEARCH_GUARD) -> frozenset[int]:
-    """A smallest set of other coordinates that blocks every repair of i."""
+    """A smallest set of other coordinates that blocks every repair of i.
+
+    Its size is the tolerance delta(i): any fewer unavailable nodes leave
+    some repair alternative of weight at most r+1 intact.
+    """
     _check_coord(code, i)
     _check_mode(mode)
+    _check_degree_bound(r)
     vectors = _repair_vectors(code, i, r, mode, guard)
     return minimum_hitting_set([frozenset(v.helpers(i)) for v in vectors])
-
-
-def tolerance(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
-              guard: int = DEFAULT_SEARCH_GUARD) -> int:
-    """Size of the smallest blocking set for coordinate i.
-
-    Any unavailability pattern of fewer than this many other nodes leaves
-    at least one repair alternative intact; a pattern of exactly this
-    size that blocks them all exists (see ``blocking_set``).
-    """
-    return len(blocking_set(code, i, r, mode, guard))
 
 
 @dataclass(frozen=True)
@@ -335,17 +312,23 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
                    guard: int = DEFAULT_SEARCH_GUARD) -> RepairProfile:
     """Compute every repair metric in one pass.
 
-    The alternativity and tolerance columns use the overall repair degree
-    (max over symbols) unless an explicit r is given.  Exhaustive mode
+    ``per_symbol_r``, ``per_symbol_a`` and ``per_symbol_delta`` hold
+    r(i), a(i) and delta(i) for every symbol i.  The alternativity and
+    tolerance columns use the overall repair degree (max over symbols)
+    unless an explicit r is given.  Exhaustive mode
     takes one census up to weight max(s, r)+1 and files each support
     under every symbol it covers; ``guard`` bounds that census as in
     ``omega_r``.
     """
     _check_mode(mode)
+    if r is not None:
+        _check_degree_bound(r)
     n = code.n
+    s = code.pg.s
     if mode == "geometric":
-        per_r = tuple(repair_degree(code, i, mode, guard) for i in range(n))
-        overall_r = max(per_r) if r is None else r
+        # every line through i repairs it from its other s points
+        per_r = (s,) * n
+        overall_r = s if r is None else r
         per_vectors = [_repair_vectors(code, i, overall_r, mode, guard)
                        for i in range(n)]
         per_a = tuple(len(vecs) for vecs in per_vectors)
@@ -353,9 +336,6 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         # nonempty, so each needs its own hitter
         per_delta = per_a
     else:
-        if r is not None and r < 0:
-            raise ValueError("repair degree bound must be non-negative")
-        s = code.pg.s
         buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
         for support in _dual_census(code, (s if r is None else max(s, r)) + 1, guard):
             for i in support:
@@ -391,7 +371,36 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
 
 
 # ----------------------------------------------------------------------
-# repair execution
+# repair execution: one rule for the executor and the simulator
+
+def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None = None
+                  ) -> Iterator[tuple[frozenset[int], RepairVector]]:
+    """The checks covering i (by default its line checks) in the order a
+    repair tries them: weight, then line index (lines first), then support.
+
+    Each comes as a (helpers, check) pair whose helper set is built only
+    when the pair is drawn, so a scan that stops early builds few of them.
+    """
+    if vectors is None:
+        candidates = line_repair_sets(code, i)
+    else:
+        candidates = [v for v in vectors if i in v.support]
+    ordered = sorted(
+        candidates,
+        key=lambda v: (v.weight, v.line if v.line is not None else math.inf, v.support),
+    )
+    return ((frozenset(v.support).difference((i,)), v) for v in ordered)
+
+
+def _first_open(order: Iterable[tuple[frozenset[int], RepairVector]],
+                unavailable: set[int]) -> tuple[frozenset[int], RepairVector] | None:
+    """The first (helpers, check) pair whose helpers avoid ``unavailable``.
+    Helper sets never hold the symbol under repair, so it never blocks itself."""
+    for pair in order:
+        if pair[0].isdisjoint(unavailable):
+            return pair
+    return None
+
 
 @dataclass(frozen=True)
 class RepairOutcome:
@@ -411,8 +420,9 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     listed in ``unavailable`` cannot be read even if a value is present.
     Candidate checks default to the line alternatives; pass ``vectors``
     (for example from ``omega_r``) to widen the search.  The executor
-    prefers the least-weight surviving check, ties broken by lowest line
-    index.
+    takes the first check in ``_repair_order`` (least weight, then lowest
+    line index) with no blocked helper, by the same scan
+    ``simulate_availability`` runs.
     """
     _check_coord(code, i)
     if len(received) != code.n:
@@ -421,21 +431,14 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     erased = {j for j, v in enumerate(received) if v is None}
     if i not in erased and i not in unavailable:
         raise ValueError(f"symbol {i} is present and available; nothing to repair")
-    blocked = (unavailable | erased) - {i}
-    candidates = list(vectors) if vectors is not None else line_repair_sets(code, i)
-    candidates = [v for v in candidates if i in v.support]
-    candidates.sort(
-        key=lambda v: (v.weight, v.line if v.line is not None else math.inf, v.support)
-    )
-    for v in candidates:
-        helpers = v.helpers(i)
-        if blocked.intersection(helpers):
-            continue
-        value = 0
-        for j in helpers:
-            value ^= int(received[j])
-        return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
-    raise NotLocallyRepairableError("not locally repairable under this availability")
+    hit = _first_open(_repair_order(code, i, vectors), unavailable | erased)
+    if hit is None:
+        raise NotLocallyRepairableError("not locally repairable under this availability")
+    helpers, v = hit
+    value = 0
+    for j in helpers:
+        value ^= int(received[j])
+    return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +501,10 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
 
     model="adversarial": every unavailable set of exactly u nodes is tried
     when there are at most ``exhaustive_limit`` of them, otherwise
-    ``trials`` sets are sampled.  Repairing a symbol uses its line
-    alternatives; the symbol under repair does not count against its own
-    availability.
+    ``trials`` sets are sampled.  A symbol counts as repaired when
+    ``repair_symbol`` would repair it from its line checks: the same
+    ``_first_open`` scan over the same ``_repair_order`` finds a check
+    with every helper available (the symbol itself never blocks).
     """
     if model not in AVAILABILITY_MODELS:
         raise ValueError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
@@ -508,10 +512,7 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
         # the Philox key is 128 bits wide: a larger seed would alias a smaller one
         raise ValueError("seed must lie in [0, 2**128)")
     n = code.n
-    candidates = []
-    for i in range(n):
-        vecs = sorted(line_repair_sets(code, i), key=lambda v: (v.weight, v.line))
-        candidates.append([(frozenset(v.helpers(i)), v.weight - 1) for v in vecs])
+    orders = [list(_repair_order(code, i)) for i in range(n)]
 
     succ = [0] * n
     retrieved = [0] * n
@@ -522,15 +523,13 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
         nonlocal cases, all_ok_cases
         cases += 1
         all_ok = True
-        for i in range(n):
-            blocked = unavail - {i}
-            for helpers, cost in candidates[i]:
-                if not (helpers & blocked):
-                    succ[i] += 1
-                    retrieved[i] += cost
-                    break
-            else:
+        for i, order in enumerate(orders):
+            hit = _first_open(order, unavail)
+            if hit is None:
                 all_ok = False
+            else:
+                succ[i] += 1
+                retrieved[i] += len(hit[0])
         if all_ok:
             all_ok_cases += 1
 

@@ -4,8 +4,9 @@ The first group recomputes results with a different algorithm and a
 different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
-pair-by-pair partial-geometry check, the column-sweep elimination and
-the symbol-by-symbol dual-support search.
+pair-by-pair partial-geometry check, the column-sweep elimination,
+the symbol-by-symbol dual-support search and the subset-by-subset MDS
+test.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import BitMatrix
+from pgblrc.algebra import BitMatrix, bitrow_rank
 from pgblrc.errors import DegenerateCodeError, PgValidationError
 from pgblrc.geometry import PgParams, _classify, incidence_matrix
 from pgblrc.repair import RepairProfile, RepairVector, minimum_hitting_set
@@ -423,3 +424,15 @@ def repair_profile_per_symbol(code, r: int | None = None) -> RepairProfile:
             tuple(v.helpers(i) for v in vecs) for i, vecs in enumerate(per_vectors)
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# the MDS test that the derivation replaced: every k-subset of coordinates
+
+
+def is_mds_scan(code) -> bool:
+    """True iff every k-subset of coordinates is an information set."""
+    for combo in itertools.combinations(range(code.n), code.k):
+        if bitrow_rank(code.gen_cols[c] for c in combo) < code.k:
+            return False
+    return True

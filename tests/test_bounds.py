@@ -6,6 +6,7 @@ import pytest
 from pgblrc.algebra import rank2
 from pgblrc.bounds import (
     CatalogEntry,
+    _constructible_gq,
     ESTIMATORS,
     GRID_FAMILY_KEY,
     bounds_table,
@@ -216,6 +217,31 @@ def test_known_gq_parameters_cover_the_classical_families():
     assert (1, 7) in pairs
     assert pairs == sorted(set(pairs))  # ordered, no duplicates
     assert (4, 2) not in pairs          # duals stay out until catalog time
+
+
+def test_constructible_quadrangles_are_pinned():
+    # every (s, t) with s >= 2 that catalog(estimator="exact-rank") builds
+    expected = {(z, 1): f"grid({z})" for z in range(2, 32)}
+    expected.update({
+        (2, 2): "symplectic-gq(2)", (3, 3): "symplectic-gq(3)",
+        (4, 4): "symplectic-gq(4)",
+        (2, 4): "elliptic-quadric-gq(2)", (3, 9): "elliptic-quadric-gq(3)",
+        (4, 2): "dual(elliptic-quadric-gq(2))",
+        (9, 3): "dual(elliptic-quadric-gq(3))",
+        (3, 5): "hyperoval-gq(4)", (7, 9): "hyperoval-gq(8)",
+        (15, 17): "hyperoval-gq(16)",
+        (5, 3): "dual(hyperoval-gq(4))", (9, 7): "dual(hyperoval-gq(8))",
+        (17, 15): "dual(hyperoval-gq(16))",
+    })
+    built = {}
+    for s in range(2, 41):
+        for t in range(1, 41):
+            inc = _constructible_gq(s, t)
+            if inc is not None:
+                assert len(inc.lines[0]) == s + 1
+                assert len(inc.lines_through[0]) == t + 1
+                built[(s, t)] = inc.label
+    assert built == expected
 
 
 def test_catalog_reproduces_the_practical_pairs():

@@ -19,7 +19,6 @@ from pgblrc.code import (
 )
 from pgblrc.errors import (
     DegenerateCodeError,
-    GuardExceededError,
     NotInformationSetError,
 )
 from pgblrc.geometry import (
@@ -120,7 +119,6 @@ def test_code_is_immutable():
     code = build_code(grid(2))
     with pytest.raises(AttributeError):
         code.k = 3
-    assert code.H is code.parity_check and code.G is code.generator
 
 
 # --------------------------------------------------------- encode and dual
@@ -224,9 +222,9 @@ def test_is_mds_flags_grid2():
 
 
 def test_is_mds_guard():
-    code = build_code(symplectic_gq(2))
-    with pytest.raises(GuardExceededError, match="exhaustive MDS check"):
-        is_mds(code, guard=100)
+    # the derivation takes no work guard, even where a subset scan would
+    # test all C(15, 5) information sets
+    assert not is_mds(build_code(symplectic_gq(2)))
 
 
 def test_export_code_layout():

@@ -2,10 +2,11 @@
 
 Validation runs a per-point union test and a counting certificate, code
 building runs one elimination, geometric tolerance is read off the line
-count, and the exhaustive metrics come from one meet-in-the-middle
-census of low-weight dual codewords; each must agree with the pairwise
-scans, the column-sweep elimination, the hitting-set search and the
-symbol-by-symbol dual-support search they replace.
+count, the exhaustive metrics come from one meet-in-the-middle census
+of low-weight dual codewords, and ``is_mds`` is derived rather than
+scanned; each must agree with the pairwise scans, the column-sweep
+elimination, the hitting-set search, the symbol-by-symbol dual-support
+search and the subset-by-subset MDS test they replace.
 """
 
 import random
@@ -18,10 +19,11 @@ from pgblrc.algebra import (
     BitMatrix,
     independent_row_indices,
     nullspace2,
+    rank2,
     rref2,
     solve2,
 )
-from pgblrc.code import BlrcCode, build_code
+from pgblrc.code import BlrcCode, build_code, is_mds
 from pgblrc.errors import PgValidationError
 from pgblrc.geometry import (
     IncidenceStructure,
@@ -34,11 +36,12 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc.repair import minimum_hitting_set, omega_r, repair_degree, repair_profile
+from pgblrc.repair import minimum_hitting_set, omega_r, repair_profile
 
 from oracles import (
     build_code_parts,
     independent_row_indices_greedy,
+    is_mds_scan,
     nullspace2_column_sweep,
     omega_r_per_symbol,
     repair_degree_per_symbol,
@@ -197,6 +200,40 @@ def test_solve2_agrees_with_column_sweep_on_augmented_systems():
             assert solve2(square, rhs) == expected
 
 
+# -------------------------------------------------------------------- MDS
+
+
+def code_from_generator(generator):
+    """A bare code around a full-rank generator; its parity checks span
+    the generator's null space."""
+    n = generator.cols
+    pg = PgParams(s=1, t=0, alpha=1, num_points=n, num_lines=0,
+                  pg_class="proper", grid_degenerate=False)
+    return BlrcCode(
+        n=n, k=generator.rows, parity_check=nullspace2(generator),
+        generator=generator, info_set=(), geometry=IncidenceStructure(n, ()),
+        pg=pg, gen_cols=generator.transpose().data,
+    )
+
+
+def test_is_mds_matches_the_subset_scan():
+    codes = [build_code(grid(1)), build_code(grid(2)),
+             build_code(symplectic_gq(2)), unbalanced_code(),
+             code_from_generator(BitMatrix.from_rows(
+                 [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))]
+    rng = random.Random(4711)
+    while len(codes) < 400:
+        n = rng.randrange(1, 9)
+        k = rng.randrange(1, n + 1)
+        generator = _random_bitmatrix(rng, k, n)
+        if rank2(generator) == k:
+            codes.append(code_from_generator(generator))
+    verdicts = [is_mds(code) for code in codes]
+    assert verdicts == [is_mds_scan(code) for code in codes]
+    assert verdicts[:5] == [True, False, False, False, True]
+    assert 20 < sum(verdicts) < len(codes)
+
+
 # ----------------------------------------------------------------- repair
 
 
@@ -232,7 +269,7 @@ def test_exhaustive_profile_matches_per_symbol_search(name):
     assert profile == repair_profile_per_symbol(code)
     for i in range(code.n):
         assert omega_r(code, i, profile.r) == omega_r_per_symbol(code, i, profile.r)
-        assert repair_degree(code, i) == repair_degree_per_symbol(code, i)
+        assert profile.per_symbol_r[i] == repair_degree_per_symbol(code, i)
 
 
 def zero_column_code(s):
@@ -251,9 +288,12 @@ def zero_column_code(s):
 
 def test_census_finds_a_weight_one_dual_word_like_per_symbol_search():
     code = zero_column_code(s=2)
-    assert [repair_degree(code, i) for i in range(4)] == [2, 2, 2, 0]
+    # the profile cannot be taken here: {3} leaves symbol 3 no helper to
+    # block, so r(i) is read off the lightest check omega_r returns
+    degrees = [omega_r(code, i, code.pg.s)[0].weight - 1 for i in range(4)]
+    assert degrees == [2, 2, 2, 0]
     for i in range(4):
-        assert repair_degree(code, i) == repair_degree_per_symbol(code, i)
+        assert degrees[i] == repair_degree_per_symbol(code, i)
         assert omega_r(code, i, 2) == omega_r_per_symbol(code, i, 2)
 
 
@@ -278,9 +318,10 @@ def test_exhaustive_profile_with_explicit_r_matches_per_symbol_search(name, r):
 def test_census_matches_per_symbol_search_on_dual_elliptic2():
     code = ladder_code("dual_elliptic2")
     r = code.pg.s
+    profile = repair_profile(code)
     for i in (0, 22, 44):
         assert omega_r(code, i, r) == omega_r_per_symbol(code, i, r)
-        assert repair_degree(code, i) == repair_degree_per_symbol(code, i) == r
+        assert profile.per_symbol_r[i] == repair_degree_per_symbol(code, i) == r
 
 
 @pytest.mark.parametrize("name", ["symplectic4", "elliptic3"])

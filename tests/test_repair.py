@@ -16,16 +16,13 @@ from pgblrc.geometry import (
 )
 from pgblrc.repair import (
     RepairVector,
-    alternativity,
     blocking_set,
     line_repair_sets,
     minimum_hitting_set,
     omega_r,
-    repair_degree,
     repair_profile,
     repair_symbol,
     simulate_availability,
-    tolerance,
 )
 
 from oracles import brute_minimum_hitting_set, brute_repair_degree, dual_codewords_upto
@@ -135,9 +132,10 @@ def test_repair_degree_both_modes(name):
     code = make_code(name)
     expected = EXPECTED_PROFILE[name]["r"]
     assert repair_profile(code, mode="geometric").r == code.pg.s
-    assert repair_profile(code, mode="exhaustive").r == expected
+    exact = repair_profile(code, mode="exhaustive")
+    assert exact.r == expected
     for i in (0, code.n // 2, code.n - 1):
-        assert repair_degree(code, i, mode="exhaustive") == expected
+        assert exact.per_symbol_r[i] == expected
         oracle = brute_repair_degree(list(code.gen_cols), code.k, i, code.pg.s)
         assert oracle == expected
 
@@ -145,18 +143,27 @@ def test_repair_degree_both_modes(name):
 def test_repair_degree_sees_sub_line_checks():
     # duplicate generator columns give a weight-2 dual vector, below any line
     code = unbalanced_code()
-    assert repair_degree(code, 0, mode="exhaustive") == 1
-    assert repair_degree(code, 0, mode="geometric") == code.pg.s == 1
+    assert repair_profile(code, mode="exhaustive").per_symbol_r[0] == 1
+    assert repair_profile(code, mode="geometric").per_symbol_r[0] == code.pg.s == 1
 
 
 def test_repair_degree_validation():
     code = make_code("grid2")
     with pytest.raises(ValueError, match="out of range"):
-        repair_degree(code, 9)
+        omega_r(code, 9, 2)
     with pytest.raises(ValueError, match="unknown mode"):
-        repair_degree(code, 0, mode="fast")
+        repair_profile(code, mode="fast")
     with pytest.raises(GuardExceededError):
-        repair_degree(code, 0, guard=3)
+        repair_profile(code, guard=3)
+
+
+@pytest.mark.parametrize("mode", ["geometric", "exhaustive"])
+def test_negative_repair_degree_bound_is_rejected(mode):
+    code = make_code("grid2")
+    with pytest.raises(ValueError, match="non-negative"):
+        repair_profile(code, mode=mode, r=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        blocking_set(code, 0, -1, mode=mode)
 
 
 # ------------------------------------------------- alternativity, tolerance
@@ -167,22 +174,24 @@ def test_alternativity_and_tolerance(name):
     code = make_code(name)
     want = EXPECTED_PROFILE[name]
     prof = repair_profile(code)
+    assert prof.r == want["r"]
     assert prof.a == want["a"]
     assert prof.delta == want["delta"]
     # geometric mode sees exactly the t+1 line alternatives
     assert repair_profile(code, mode="geometric", r=code.pg.s).a == code.pg.t + 1
     for i in (0, code.n - 1):
-        assert alternativity(code, i, want["r"]) == want["a"]
-        assert tolerance(code, i, want["r"]) == want["delta"]
+        assert prof.per_symbol_a[i] == want["a"]
+        assert prof.per_symbol_delta[i] == want["delta"]
 
 
 @pytest.mark.parametrize("name", ["grid2", "w2"])
 def test_tolerance_matches_brute_force(name):
     code = make_code(name)
     r = EXPECTED_PROFILE[name]["r"]
+    prof = repair_profile(code, r=r)
     for i in range(code.n):
         helper_sets = [frozenset(v.helpers(i)) for v in omega_r(code, i, r)]
-        assert tolerance(code, i, r) == len(brute_minimum_hitting_set(helper_sets))
+        assert prof.per_symbol_delta[i] == len(brute_minimum_hitting_set(helper_sets))
 
 
 def test_blocking_set_blocks_everything():
@@ -371,6 +380,30 @@ def test_simulation_is_seed_deterministic():
     assert a.to_csv() == b.to_csv()
     assert a.to_json_dict() == b.to_json_dict()
     assert a.to_csv() != c.to_csv()
+
+
+def test_simulation_counts_the_repairs_repair_symbol_makes():
+    # the simulator and the executor share one repair rule, so every case
+    # the report counts as a success is a repair_symbol call that succeeds
+    code = make_code("w2")
+    report = simulate_availability(code, model="adversarial", u=3)
+    succ = [0] * code.n
+    retrieved = [0] * code.n
+    for combo in itertools.combinations(range(code.n), 3):
+        for i in range(code.n):
+            received = [0] * code.n
+            received[i] = None
+            try:
+                out = repair_symbol(code, received, i, unavailable=combo)
+            except NotLocallyRepairableError:
+                continue
+            succ[i] += 1
+            retrieved[i] += out.retrieved
+    assert report.coverage == "exhaustive"
+    assert report.per_symbol_success == tuple(x / report.cases for x in succ)
+    assert report.per_symbol_mean_retrieved == tuple(
+        x / y for x, y in zip(retrieved, succ))
+    assert 0 < report.overall_success < 1
 
 
 def test_simulation_iid_extremes():
