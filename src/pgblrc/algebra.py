@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = [
     "SUPPORTED_FIELD_ORDERS",
     "BitMatrix",
@@ -380,7 +382,7 @@ class SmallField:
         elif q in _REDUCTIONS:
             p, m, reduction = _REDUCTIONS[q]
         else:
-            raise ValueError(
+            raise ParameterError(
                 f"unsupported field order {q}; supported orders: {SUPPORTED_FIELD_ORDERS}"
             )
         self.q = q

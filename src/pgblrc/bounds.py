@@ -9,12 +9,13 @@ output columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
 from . import code as code_mod
 from . import geometry
+from .errors import ParameterError
 
 __all__ = [
     "CatalogEntry",
@@ -81,7 +82,7 @@ def rate_upper_general(s: int, t: int, alpha: int) -> Fraction:
 
 def _check_ra(r: int, a: int) -> None:
     if r < 2 or a < 2:
-        raise ValueError("bounds require repair degree >= 2 and alternativity >= 2")
+        raise ParameterError("bounds require repair degree >= 2 and alternativity >= 2")
 
 
 def rate_lower(r: int, a: int) -> Fraction:
@@ -262,7 +263,9 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
     is auditable; the grid pairs (z, 1) collapse into one family entry.
     """
     if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+        raise ParameterError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+    if max_n < 0:
+        raise ParameterError("max_n must be non-negative")
     min_rate = Fraction(min_rate)
 
     base = known_gq_parameters(max_z=max(2, math.isqrt(max_n) + 2))
@@ -274,10 +277,7 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
             oriented.setdefault((t, s), True)
 
     entries: list[CatalogEntry] = []
-    grid_members: list[tuple[int, int, Fraction, str, bool, str | None]] = []
-
     for (s, t) in sorted(oriented):
-        via_dual = oriented[(s, t)]
         if s < 2:
             continue
         n = (s + 1) * (s * t + 1)
@@ -286,65 +286,32 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
         est = "theorem-upper-bound" if (big and estimator == "exact-rank") else estimator
         rate_est, est_used = _estimate_rate(s, t, est)
         low_rate = rate_est <= min_rate
-        passes = not big and not low_rate
         if big:
             exclusion = f"n = {n} exceeds max_n = {max_n}"
         elif low_rate:
             exclusion = f"rate estimate {rate_est} is not above {min_rate}"
         else:
             exclusion = None
-        if t == 1:
-            grid_members.append((s, n, rate_est, est_used, passes, exclusion))
-            continue
-        entries.append(
-            CatalogEntry(
-                r=s,
-                a=t + 1,
-                s=s,
-                t=t,
-                via_dual=via_dual,
-                n=n,
-                rate_estimate=rate_est,
-                estimator=est_used,
-                passes_filter=passes,
-                exclusion=exclusion,
-            )
-        )
+        entries.append(CatalogEntry(
+            r=s, a=t + 1, s=s, t=t, via_dual=oriented[(s, t)], n=n,
+            rate_estimate=rate_est, estimator=est_used,
+            passes_filter=exclusion is None, exclusion=exclusion,
+        ))
 
-    if grid_members:
-        surviving = [m for m in grid_members if m[4]]
-        if surviving:
-            r_lo = min(m[0] for m in surviving)
-            r_hi = max(m[0] for m in surviving)
-            worst_rate = min(surviving, key=lambda m: m[2])
-            family = CatalogEntry(
-                r=None,
-                a=2,
-                s=None,
-                t=1,
-                via_dual=True,
-                n=max(m[1] for m in surviving),
-                rate_estimate=worst_rate[2],
-                estimator=worst_rate[3],
-                passes_filter=True,
-                family_r_range=(r_lo, r_hi),
-            )
-        else:
-            worst = grid_members[0]
-            family = CatalogEntry(
-                r=None,
-                a=2,
-                s=None,
-                t=1,
-                via_dual=True,
-                n=worst[1],
-                rate_estimate=worst[2],
-                estimator=worst[3],
-                passes_filter=False,
-                exclusion=worst[5],
-                family_r_range=None,
-            )
-        entries.append(family)
+    # the grids (z, 1), z >= 2, always present since max_z >= 2, fold into
+    # one family entry: over the survivors, the worst rate and the largest
+    # n; with none, the smallest grid's verdict
+    grids = [e for e in entries if e.t == 1]
+    entries = [e for e in entries if e.t != 1]
+    surviving = [e for e in grids if e.passes_filter]
+    family = grids[0]
+    if surviving:
+        family = replace(
+            min(surviving, key=lambda e: e.rate_estimate),
+            n=max(e.n for e in surviving),
+            family_r_range=(min(e.r for e in surviving), max(e.r for e in surviving)),
+        )
+    entries.append(replace(family, r=None, s=None, via_dual=True))
 
     entries.sort(
         key=lambda e: (e.family_r_range is None, e.r if e.r is not None else 0, e.a)

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: construct, validate, analyze, simulate, bounds, catalog.
-Exit codes: 0 success, 2 usage (argparse), 3 validation failure,
-4 search guard exceeded, 5 file I/O failure.
+Exit codes: 0 success, 2 usage (argparse), 3 validation failure or an
+out-of-range parameter (the package's typed errors only; any other
+exception propagates), 4 search guard exceeded, 5 file I/O failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     DegenerateCodeError,
     GuardExceededError,
     IncidenceFileError,
+    ParameterError,
     PgValidationError,
 )
 
@@ -134,9 +136,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    inc = geometry.load(args.file)
-    if args.dual:
-        inc = geometry.dual(inc)
+    inc = _load_geometry(args)
     params = geometry.validate_pg(inc)
     payload = {"schema_version": 1, "valid": True}
     payload.update(_geometry_dict(inc, params))
@@ -433,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (PgValidationError, DegenerateCodeError, ValueError) as exc:
+    except (PgValidationError, DegenerateCodeError, ParameterError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

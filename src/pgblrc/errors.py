@@ -8,6 +8,7 @@ __all__ = [
     "IncidenceFileError",
     "NotInformationSetError",
     "NotLocallyRepairableError",
+    "ParameterError",
     "PgValidationError",
 ]
 
@@ -38,6 +39,10 @@ class IncidenceFileError(ValueError):
 
 class DegenerateCodeError(ValueError):
     """The geometry cannot carry a code (no message symbols survive)."""
+
+
+class ParameterError(ValueError):
+    """An argument lies outside the range a constructor or routine accepts."""
 
 
 class NotInformationSetError(ValueError):

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .algebra import BitMatrix, small_field
-from .errors import IncidenceFileError, PgValidationError
+from .errors import IncidenceFileError, ParameterError, PgValidationError
 
 __all__ = [
     "CLASS_GQ",
@@ -63,14 +63,6 @@ class PgParams:
     num_lines: int
     pg_class: str
     grid_degenerate: bool = False
-
-    def describe(self) -> str:
-        tag = " (grid-degenerate)" if self.grid_degenerate else ""
-        return (
-            f"pg(s={self.s}, t={self.t}, alpha={self.alpha}): "
-            f"{self.num_points} points, {self.num_lines} lines, "
-            f"class {self.pg_class}{tag}"
-        )
 
 
 @dataclass(frozen=True)
@@ -342,7 +334,7 @@ def grid(s: int) -> IncidenceStructure:
     A pg(s, 1, 1): every point lies on one row and one column.
     """
     if s < 1:
-        raise ValueError("grid requires s >= 1")
+        raise ParameterError("grid requires s >= 1")
     w = s + 1
     lines = [tuple(range(i * w, (i + 1) * w)) for i in range(w)]
     lines += [tuple(range(j, w * w, w)) for j in range(w)]
@@ -385,6 +377,18 @@ def _line_points(field, u, v) -> list[tuple[int, ...]]:
     return pts
 
 
+def _polar_lines(field, points, orthogonal, label: str) -> IncidenceStructure:
+    """The given projective points with every line spanned by two of them
+    that ``orthogonal`` accepts (the totally isotropic or singular lines)."""
+    index = {p: i for i, p in enumerate(points)}
+    lines = set()
+    for u, v in itertools.combinations(points, 2):
+        if orthogonal(u, v):
+            lines.add(frozenset(index[p] for p in _line_points(field, u, v)))
+    sorted_lines = sorted(tuple(sorted(l)) for l in lines)
+    return IncidenceStructure(len(points), tuple(sorted_lines), label=label)
+
+
 def symplectic_gq(q: int) -> IncidenceStructure:
     """Points of 3-dimensional projective space over GF(q), with the lines
     that are isotropic for the alternating form x1 y2 - x2 y1 + x3 y4 - x4 y3.
@@ -392,22 +396,14 @@ def symplectic_gq(q: int) -> IncidenceStructure:
     A pg(q, q, 1) on (q+1)(q^2+1) points and as many lines.
     """
     field = small_field(q)
-    points = _projective_points(field, 4)
-    index = {p: i for i, p in enumerate(points)}
 
-    def form(u, v):
+    def orthogonal(u, v):
         a = field.add(field.mul(u[0], v[1]), field.mul(u[2], v[3]))
         b = field.add(field.mul(u[1], v[0]), field.mul(u[3], v[2]))
-        return field.sub(a, b)
+        return field.sub(a, b) == 0
 
-    lines = set()
-    for u, v in itertools.combinations(points, 2):
-        if form(u, v) == 0:
-            lines.add(frozenset(index[p] for p in _line_points(field, u, v)))
-    sorted_lines = sorted(tuple(sorted(l)) for l in lines)
-    return IncidenceStructure(
-        len(points), tuple(sorted_lines), label=f"symplectic-gq({q})"
-    )
+    return _polar_lines(field, _projective_points(field, 4), orthogonal,
+                        f"symplectic-gq({q})")
 
 
 def elliptic_quadric_gq(q: int) -> IncidenceStructure:
@@ -417,7 +413,7 @@ def elliptic_quadric_gq(q: int) -> IncidenceStructure:
     A pg(q, q^2, 1) on (q+1)(q^3+1) points and (q^2+1)(q^3+1) lines.
     """
     if q not in (2, 3):
-        raise ValueError("elliptic quadric construction supports q in {2, 3}")
+        raise ParameterError("elliptic quadric construction supports q in {2, 3}")
     field = small_field(q)
     # x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
     # q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square).
@@ -430,19 +426,11 @@ def elliptic_quadric_gq(q: int) -> IncidenceStructure:
             tail = field.add(tail, field.mul(x[4], x[5]))
         return field.add(head, tail)
 
-    def polar(u, v):
-        return field.sub(field.sub(quad(_vec_add(field, u, v)), quad(u)), quad(v))
+    def orthogonal(u, v):
+        return field.sub(field.sub(quad(_vec_add(field, u, v)), quad(u)), quad(v)) == 0
 
     points = [p for p in _projective_points(field, 6) if quad(p) == 0]
-    index = {p: i for i, p in enumerate(points)}
-    lines = set()
-    for u, v in itertools.combinations(points, 2):
-        if polar(u, v) == 0:
-            lines.add(frozenset(index[p] for p in _line_points(field, u, v)))
-    sorted_lines = sorted(tuple(sorted(l)) for l in lines)
-    return IncidenceStructure(
-        len(points), tuple(sorted_lines), label=f"elliptic-quadric-gq({q})"
-    )
+    return _polar_lines(field, points, orthogonal, f"elliptic-quadric-gq({q})")
 
 
 def hyperoval_gq(q: int) -> IncidenceStructure:
@@ -453,7 +441,7 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     q^2 (q+2) lines.
     """
     if q not in (4, 8, 16):
-        raise ValueError("hyperoval construction supports q in {4, 8, 16}")
+        raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
     field = small_field(q)
     # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
     directions = [(t, 1, field.mul(t, t)) for t in field.elements()]

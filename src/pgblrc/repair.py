@@ -20,7 +20,9 @@ against the table, a meet in the middle as in Stern's low-weight
 codeword search.  Its numbers are therefore exact.  A work guard,
 counted in half-supports (the subsets of about half the maximum weight
 that the census enumerates or tabulates), bounds the search before it
-starts.
+starts.  Either way the checks are filed in one per-symbol table
+(``_checks``), Omega_r(i), which ``repair_profile``, ``omega_r`` and
+``blocking_set`` all read.
 
 ``repair_symbol`` and ``simulate_availability`` apply one repair rule
 (``_repair_order`` then ``_first_open``): the least-weight check whose
@@ -38,7 +40,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .code import BlrcCode
-from .errors import GuardExceededError, NotLocallyRepairableError
+from .errors import (DegenerateCodeError, GuardExceededError,
+                     NotLocallyRepairableError, ParameterError)
 
 __all__ = [
     "AVAILABILITY_MODELS",
@@ -61,6 +64,9 @@ DEFAULT_SEARCH_GUARD = 100_000_000
 _MODES = ("geometric", "exhaustive")
 
 AVAILABILITY_MODELS = ("iid", "adversarial")
+
+# the adversarial model tries every u-set up to this many, else samples
+_EXHAUSTIVE_LIMIT = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,20 +164,39 @@ def _dual_census(code: BlrcCode, max_weight: int,
     return found
 
 
-def _tag_lines(code: BlrcCode, i: int,
-               supports: Iterable[tuple[int, ...]]) -> list[RepairVector]:
-    """Repair vectors for i, carrying the line index where a support is a
-    line through i."""
+def _checks(code: BlrcCode, mode: str, max_weight: int,
+            guard: int) -> list[list[RepairVector]]:
+    """Omega_r(i) for every symbol i, with max_weight = r+1: the checks of
+    weight at most max_weight that cover i.
+
+    Geometric mode takes the lines through i, in line order.  Exhaustive
+    mode takes the census (see ``_dual_census``) and files each support,
+    as one vector shared by the symbols it covers, under every symbol in
+    it, so each list keeps census order; a support that is a line carries
+    its line index.
+    """
     geo = code.geometry
-    line_lookup = {geo.lines[ln]: ln for ln in geo.lines_through[i]}
-    return [RepairVector(s, line=line_lookup.get(s)) for s in supports]
+    if mode == "geometric":
+        lines = [RepairVector(line, line=ln) if len(line) <= max_weight else None
+                 for ln, line in enumerate(geo.lines)]
+        return [[lines[ln] for ln in through if lines[ln] is not None]
+                for through in geo.lines_through]
+    line_index = {line: ln for ln, line in enumerate(geo.lines)}
+    table: list[list[RepairVector]] = [[] for _ in range(code.n)]
+    for support in _dual_census(code, max_weight, guard):
+        vector = RepairVector(support, line=line_index.get(support))
+        for i in support:
+            table[i].append(vector)
+    return table
 
 
-def _no_repair_vector() -> RuntimeError:
-    return RuntimeError(
-        "no repair vector found up to weight s+1; "
-        "the code is inconsistent with its geometry"
-    )
+def _helper_sets(i: int, checks: Iterable[RepairVector]) -> list[frozenset[int]]:
+    """The helper sets of the checks covering i: the family a blocking set
+    of i must hit.  An empty one means symbol i is zero in every codeword."""
+    family = [frozenset(v.support).difference((i,)) for v in checks]
+    if not all(family):
+        raise DegenerateCodeError(f"symbol {i} is forced to zero in every codeword")
+    return family
 
 
 def omega_r(code: BlrcCode, i: int, r: int,
@@ -186,14 +211,7 @@ def omega_r(code: BlrcCode, i: int, r: int,
     """
     _check_coord(code, i)
     _check_degree_bound(r)
-    return _tag_lines(code, i, (s for s in _dual_census(code, r + 1, guard) if i in s))
-
-
-def _repair_vectors(code: BlrcCode, i: int, r: int, mode: str,
-                    guard: int) -> list[RepairVector]:
-    if mode == "geometric":
-        return [v for v in line_repair_sets(code, i) if v.weight <= r + 1]
-    return omega_r(code, i, r, guard)
+    return _checks(code, "exhaustive", r + 1, guard)[i]
 
 
 def minimum_hitting_set(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -253,13 +271,13 @@ def blocking_set(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
     """A smallest set of other coordinates that blocks every repair of i.
 
     Its size is the tolerance delta(i): any fewer unavailable nodes leave
-    some repair alternative of weight at most r+1 intact.
+    some repair alternative of weight at most r+1 intact.  A check of
+    weight 1 on i (i is zero in every codeword) raises DegenerateCodeError.
     """
     _check_coord(code, i)
     _check_mode(mode)
     _check_degree_bound(r)
-    vectors = _repair_vectors(code, i, r, mode, guard)
-    return minimum_hitting_set([frozenset(v.helpers(i)) for v in vectors])
+    return minimum_hitting_set(_helper_sets(i, _checks(code, mode, r + 1, guard)[i]))
 
 
 @dataclass(frozen=True)
@@ -318,7 +336,8 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
     unless an explicit r is given.  Exhaustive mode
     takes one census up to weight max(s, r)+1 and files each support
     under every symbol it covers; ``guard`` bounds that census as in
-    ``omega_r``.
+    ``omega_r``.  There a check of weight 1 (a symbol zero in every
+    codeword) raises DegenerateCodeError, as in ``blocking_set``.
     """
     _check_mode(mode)
     if r is not None:
@@ -329,33 +348,21 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         # every line through i repairs it from its other s points
         per_r = (s,) * n
         overall_r = s if r is None else r
-        per_vectors = [_repair_vectors(code, i, overall_r, mode, guard)
-                       for i in range(n)]
-        per_a = tuple(len(vecs) for vecs in per_vectors)
-        # the line helper sets through a point are pairwise disjoint and
-        # nonempty, so each needs its own hitter
-        per_delta = per_a
+        checks = _checks(code, mode, overall_r + 1, guard)
     else:
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        for support in _dual_census(code, (s if r is None else max(s, r)) + 1, guard):
-            for i in support:
-                buckets[i].append(support)
-        if any(not b or len(b[0]) > s + 1 for b in buckets):
-            raise _no_repair_vector()
-        per_r = tuple(len(b[0]) - 1 for b in buckets)
+        checks = _checks(code, mode, (s if r is None else max(s, r)) + 1, guard)
+        if any(not c or c[0].weight > s + 1 for c in checks):
+            raise RuntimeError("no repair vector found up to weight s+1; "
+                               "the code is inconsistent with its geometry")
+        per_r = tuple(c[0].weight - 1 for c in checks)
         overall_r = max(per_r) if r is None else r
-        per_vectors = [
-            _tag_lines(code, i, (sup for sup in b if len(sup) <= overall_r + 1))
-            for i, b in enumerate(buckets)
-        ]
-        per_a = tuple(len(vecs) for vecs in per_vectors)
-        per_delta = tuple(
-            len(minimum_hitting_set([frozenset(v.helpers(i)) for v in vecs]))
-            for i, vecs in enumerate(per_vectors)
-        )
-    repair_sets = tuple(
-        tuple(v.helpers(i) for v in vecs) for i, vecs in enumerate(per_vectors)
-    )
+        checks = [[v for v in c if v.weight <= overall_r + 1] for c in checks]
+    per_a = tuple(len(c) for c in checks)
+    # the line helper sets through a point are pairwise disjoint and
+    # nonempty, so each needs its own hitter
+    per_delta = per_a if mode == "geometric" else tuple(
+        len(minimum_hitting_set(_helper_sets(i, c))) for i, c in enumerate(checks))
+    repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
     return RepairProfile(
         mode=mode,
         n=n,
@@ -491,8 +498,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
-                          u: int = 0, trials: int = 1000, seed: int = 0,
-                          exhaustive_limit: int = 100_000) -> AvailabilityReport:
+                          u: int = 0, trials: int = 1000,
+                          seed: int = 0) -> AvailabilityReport:
     """Estimate per-symbol local-repair success against node unavailability.
 
     model="iid": each node is unavailable independently with probability p,
@@ -500,65 +507,50 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     so reruns with the same seed are identical byte for byte.
 
     model="adversarial": every unavailable set of exactly u nodes is tried
-    when there are at most ``exhaustive_limit`` of them, otherwise
-    ``trials`` sets are sampled.  A symbol counts as repaired when
+    when there are at most ``_EXHAUSTIVE_LIMIT`` (100 000) of them,
+    otherwise ``trials`` sets are sampled.  A symbol counts as repaired when
     ``repair_symbol`` would repair it from its line checks: the same
     ``_first_open`` scan over the same ``_repair_order`` finds a check
     with every helper available (the symbol itself never blocks).
     """
     if model not in AVAILABILITY_MODELS:
-        raise ValueError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
+        raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
     if not 0 <= seed < 1 << 128:
         # the Philox key is 128 bits wide: a larger seed would alias a smaller one
-        raise ValueError("seed must lie in [0, 2**128)")
+        raise ParameterError("seed must lie in [0, 2**128)")
     n = code.n
-    orders = [list(_repair_order(code, i)) for i in range(n)]
+    if model == "iid":
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError("p must lie in [0, 1]")
+    elif not 0 <= u <= n:
+        raise ParameterError(f"u must lie in [0, {n}]")
+    sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT
+    if sampled and trials < 1:
+        raise ParameterError("trials must be positive")
+    if not sampled:
+        unavailable_sets: Iterable[set[int]] = map(set, itertools.combinations(range(n), u))
+    elif model == "iid":
+        unavailable_sets = (set(np.flatnonzero(_trial_rng(seed, trial).random(n) < p).tolist())
+                            for trial in range(trials))
+    else:
+        unavailable_sets = (set(_trial_rng(seed, trial).choice(n, size=u, replace=False).tolist())
+                            for trial in range(trials))
 
+    orders = [list(_repair_order(code, i)) for i in range(n)]
     succ = [0] * n
     retrieved = [0] * n
-    cases = 0
-    all_ok_cases = 0
-
-    def eval_case(unavail: set[int]) -> None:
-        nonlocal cases, all_ok_cases
+    cases = all_ok_cases = 0
+    for unavailable in unavailable_sets:
         cases += 1
         all_ok = True
         for i, order in enumerate(orders):
-            hit = _first_open(order, unavail)
+            hit = _first_open(order, unavailable)
             if hit is None:
                 all_ok = False
             else:
                 succ[i] += 1
                 retrieved[i] += len(hit[0])
-        if all_ok:
-            all_ok_cases += 1
-
-    if model == "iid":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if trials < 1:
-            raise ValueError("trials must be positive")
-        for trial in range(trials):
-            mask = _trial_rng(seed, trial).random(n) < p
-            eval_case({j for j in range(n) if mask[j]})
-        coverage = "sampled"
-        parameter: float = p
-    else:
-        if not 0 <= u <= n:
-            raise ValueError(f"u must lie in [0, {n}]")
-        total = math.comb(n, u)
-        if total <= exhaustive_limit:
-            for combo in itertools.combinations(range(n), u):
-                eval_case(set(combo))
-            coverage = "exhaustive"
-        else:
-            if trials < 1:
-                raise ValueError("trials must be positive")
-            for trial in range(trials):
-                combo = _trial_rng(seed, trial).choice(n, size=u, replace=False)
-                eval_case({int(x) for x in combo})
-            coverage = "sampled"
-        parameter = u
+        all_ok_cases += all_ok
 
     per_success = tuple(succ[i] / cases for i in range(n))
     per_retrieved = tuple(
@@ -567,10 +559,10 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     total_succ = sum(succ)
     return AvailabilityReport(
         model=model,
-        parameter=parameter,
+        parameter=p if model == "iid" else u,
         seed=seed,
         cases=cases,
-        coverage=coverage,
+        coverage="sampled" if sampled else "exhaustive",
         per_symbol_success=per_success,
         per_symbol_mean_retrieved=per_retrieved,
         overall_success=total_succ / (cases * n),

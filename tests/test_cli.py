@@ -363,3 +363,37 @@ def test_geometry_source_is_required(capsys):
 
 def test_parser_program_name():
     assert build_parser().prog == "pgblrc"
+
+
+# exit 3 is kept for the package's typed errors: every parameter check a
+# command line argument reaches raises ParameterError
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "grid", "--s", "0"], "grid requires s >= 1"),
+    (["construct", "elliptic", "--q", "4"], "supports q in {2, 3}"),
+    (["construct", "hyperoval", "--q", "5"], "supports q in {4, 8, 16}"),
+    (["construct", "symplectic", "--q", "6"], "unsupported field order 6"),
+    (["bounds", "--r", "1"], "repair degree >= 2"),
+    (["catalog", "--max-n", "-1"], "max_n must be non-negative"),
+    (["simulate", "--geometry", "grid", "--s", "2", "--p", "0.1", "--seed", "-1"],
+     "seed must lie"),
+    (["simulate", "--geometry", "grid", "--s", "2", "--p", "1.5"], "p must lie"),
+    (["simulate", "--geometry", "grid", "--s", "2", "--model", "adversarial",
+      "--u", "10"], "u must lie"),
+    (["simulate", "--geometry", "grid", "--s", "2", "--p", "0.1", "--trials", "0"],
+     "trials must be positive"),
+])
+def test_parameter_errors_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("validation error: ") and message in err
+
+
+def test_an_untyped_value_error_is_not_a_validation_failure(capsys, monkeypatch):
+    import pgblrc.repair
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(pgblrc.repair, "repair_profile", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["analyze", "--geometry", "grid", "--s", "2"])

@@ -24,7 +24,7 @@ from pgblrc.algebra import (
     solve2,
 )
 from pgblrc.code import BlrcCode, build_code, is_mds
-from pgblrc.errors import PgValidationError
+from pgblrc.errors import DegenerateCodeError, PgValidationError
 from pgblrc.geometry import (
     IncidenceStructure,
     PgParams,
@@ -36,7 +36,7 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc.repair import minimum_hitting_set, omega_r, repair_profile
+from pgblrc.repair import blocking_set, minimum_hitting_set, omega_r, repair_profile
 
 from oracles import (
     build_code_parts,
@@ -295,6 +295,18 @@ def test_census_finds_a_weight_one_dual_word_like_per_symbol_search():
     for i in range(4):
         assert degrees[i] == repair_degree_per_symbol(code, i)
         assert omega_r(code, i, 2) == omega_r_per_symbol(code, i, 2)
+
+
+def test_a_symbol_forced_to_zero_is_a_degenerate_code():
+    # {3} is a check on symbol 3 alone: its helper set is empty, so no
+    # tolerance exists and no blocking set can be named
+    code = zero_column_code(s=2)
+    message = "symbol 3 is forced to zero in every codeword"
+    with pytest.raises(DegenerateCodeError, match=message):
+        repair_profile(code)
+    with pytest.raises(DegenerateCodeError, match=message):
+        blocking_set(code, 3, 2)
+    assert blocking_set(code, 0, 2) == frozenset({1})
 
 
 def test_profile_fails_like_per_symbol_search_without_a_light_check():

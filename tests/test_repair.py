@@ -444,12 +444,11 @@ def test_simulation_adversarial_u0_and_full():
 
 
 def test_simulation_sampled_adversarial():
-    code = make_code("w2")
-    rep = simulate_availability(code, model="adversarial", u=3, trials=64,
-                                seed=5, exhaustive_limit=10)
+    # C(40, 5) = 658 008 five-sets: past the exhaustive limit, so sampled
+    code = build_code(symplectic_gq(3))
+    rep = simulate_availability(code, model="adversarial", u=5, trials=64, seed=5)
     assert rep.coverage == "sampled" and rep.cases == 64
-    again = simulate_availability(code, model="adversarial", u=3, trials=64,
-                                  seed=5, exhaustive_limit=10)
+    again = simulate_availability(code, model="adversarial", u=5, trials=64, seed=5)
     assert rep.to_csv() == again.to_csv()
 
 
