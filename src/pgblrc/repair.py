@@ -24,10 +24,12 @@ starts.  Either way the checks are filed in one per-symbol table
 (``_checks``), Omega_r(i), which ``repair_profile``, ``omega_r`` and
 ``blocking_set`` all read.
 
-``repair_symbol`` and ``simulate_availability`` apply one repair rule
-(``_repair_order`` then ``_first_open``): the least-weight check whose
-helpers are all available, ties to the lowest line index.  So the
-simulator estimates the success of the executor itself.
+``repair_symbol`` and ``simulate_availability`` apply one repair rule:
+the least-weight check whose helpers are all available, ties to the
+lowest line index.  ``repair_symbol`` scans ``_repair_order`` with
+``_first_open``; the simulator applies the same rule to whole chunks of
+cases at once (``_availability_counts``).  So the simulator estimates
+the success of the executor itself.
 """
 
 from __future__ import annotations
@@ -71,10 +73,7 @@ _EXHAUSTIVE_LIMIT = 100_000
 
 @dataclass(frozen=True, slots=True)
 class RepairVector:
-    """A parity check usable to repair any one coordinate in its support.
-
-    Slotted: the simulator keeps all n(t+1) line checks of a code alive.
-    """
+    """A parity check usable to repair any one coordinate in its support."""
 
     support: tuple[int, ...]
     line: int | None = None  # incidence row index when the check is a line
@@ -164,30 +163,36 @@ def _dual_census(code: BlrcCode, max_weight: int,
     return found
 
 
-def _checks(code: BlrcCode, mode: str, max_weight: int,
-            guard: int) -> list[list[RepairVector]]:
-    """Omega_r(i) for every symbol i, with max_weight = r+1: the checks of
-    weight at most max_weight that cover i.
+def _checks(code: BlrcCode, mode: str, max_weight: int, guard: int,
+            symbols: Sequence[int] | None = None) -> list[list[RepairVector]]:
+    """Omega_r(i) for every symbol i in ``symbols`` (default: all), with
+    max_weight = r+1: the checks of weight at most max_weight that cover i.
 
-    Geometric mode takes the lines through i, in line order.  Exhaustive
-    mode takes the census (see ``_dual_census``) and files each support,
-    as one vector shared by the symbols it covers, under every symbol in
-    it, so each list keeps census order; a support that is a line carries
-    its line index.
+    Geometric mode takes the lines through i, in line order, building
+    vectors only for the lines through the symbols asked for.  Exhaustive
+    mode takes the census (see ``_dual_census``), which covers every
+    symbol, and files each support, as one vector shared by the symbols it
+    covers, under every symbol in it, so each list keeps census order; a
+    support that is a line carries its line index.
     """
     geo = code.geometry
     if mode == "geometric":
-        lines = [RepairVector(line, line=ln) if len(line) <= max_weight else None
-                 for ln, line in enumerate(geo.lines)]
-        return [[lines[ln] for ln in through if lines[ln] is not None]
-                for through in geo.lines_through]
+        wanted = (range(geo.num_lines) if symbols is None else
+                  {ln for i in symbols for ln in geo.lines_through[i]})
+        symbols = range(code.n) if symbols is None else symbols
+        lines: list[RepairVector | None] = [None] * geo.num_lines
+        for ln in wanted:
+            if len(geo.lines[ln]) <= max_weight:
+                lines[ln] = RepairVector(geo.lines[ln], line=ln)
+        return [[lines[ln] for ln in geo.lines_through[i] if lines[ln] is not None]
+                for i in symbols]
     line_index = {line: ln for ln, line in enumerate(geo.lines)}
     table: list[list[RepairVector]] = [[] for _ in range(code.n)]
     for support in _dual_census(code, max_weight, guard):
         vector = RepairVector(support, line=line_index.get(support))
         for i in support:
             table[i].append(vector)
-    return table
+    return table if symbols is None else [table[i] for i in symbols]
 
 
 def _helper_sets(i: int, checks: Iterable[RepairVector]) -> list[frozenset[int]]:
@@ -211,7 +216,7 @@ def omega_r(code: BlrcCode, i: int, r: int,
     """
     _check_coord(code, i)
     _check_degree_bound(r)
-    return _checks(code, "exhaustive", r + 1, guard)[i]
+    return _checks(code, "exhaustive", r + 1, guard, (i,))[0]
 
 
 def minimum_hitting_set(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -277,7 +282,7 @@ def blocking_set(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
     _check_coord(code, i)
     _check_mode(mode)
     _check_degree_bound(r)
-    return minimum_hitting_set(_helper_sets(i, _checks(code, mode, r + 1, guard)[i]))
+    return minimum_hitting_set(_helper_sets(i, _checks(code, mode, r + 1, guard, (i,))[0]))
 
 
 @dataclass(frozen=True)
@@ -428,8 +433,8 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     Candidate checks default to the line alternatives; pass ``vectors``
     (for example from ``omega_r``) to widen the search.  The executor
     takes the first check in ``_repair_order`` (least weight, then lowest
-    line index) with no blocked helper, by the same scan
-    ``simulate_availability`` runs.
+    line index) with no blocked helper, the rule
+    ``simulate_availability`` counts.
     """
     _check_coord(code, i)
     if len(received) != code.n:
@@ -497,6 +502,68 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=trial << 192))
 
 
+# the availability kernel's arrays are (points or lines) x cases: a chunk
+# of cases keeps each under this many cells, which bounds its memory
+_CHUNK_CELLS = 1 << 16
+
+
+def _availability_counts(code: BlrcCode, unavailable_sets: Iterable[Sequence[int]]
+                         ) -> tuple[list[int], list[int], int, int]:
+    """Count, over the given unavailable sets, the cases in which each symbol
+    has an open line check and the symbols those repairs read.
+
+    Returns (succ, retrieved, cases, all_ok_cases).  This is the rule of
+    ``_repair_order`` and ``_first_open`` on line checks, applied to a
+    chunk of cases at once, one column per case: count the unavailable
+    points of each line; line l through i is open when that count is at
+    most [i unavailable] (i never blocks itself), and i takes its first
+    open line in (weight, line index) order.
+    """
+    geo = code.geometry
+    n, num_lines = code.n, geo.num_lines
+    sizes = [len(line) for line in geo.lines]
+    # row k holds the k-th point of every line; shorter lines are padded
+    # with the point n, which is never unavailable
+    depth = max(sizes, default=0)
+    points = np.full((depth, num_lines), n, dtype=np.intp)
+    for ln, line in enumerate(geo.lines):
+        points[:len(line), ln] = line
+    # row j holds every symbol's j-th line in repair order; a symbol on
+    # fewer lines is padded with the line num_lines, whose count of 2
+    # never opens
+    width = max(map(len, geo.lines_through), default=0)
+    order = np.full((width, n), num_lines, dtype=np.intp)
+    helpers = np.zeros((width, n), dtype=np.int64)
+    for i, through in enumerate(geo.lines_through):
+        ranked = sorted(through, key=lambda ln: (sizes[ln], ln))
+        order[:len(ranked), i] = ranked
+        helpers[:len(ranked), i] = [sizes[ln] - 1 for ln in ranked]
+    count_type = np.min_scalar_type(max(depth, 2))  # no count can overflow
+
+    succ = np.zeros(n, dtype=np.int64)
+    retrieved = np.zeros(n, dtype=np.int64)
+    cases = all_ok_cases = 0
+    chunk_size = max(1, _CHUNK_CELLS // max(n, num_lines))
+    pending = iter(unavailable_sets)
+    while chunk := list(itertools.islice(pending, chunk_size)):
+        unavailable = np.zeros((n + 1, len(chunk)), dtype=np.uint8)
+        for case, unavailable_points in enumerate(chunk):
+            unavailable[unavailable_points, case] = 1
+        blocked = np.zeros((num_lines + 1, len(chunk)), dtype=count_type)
+        for row in points:
+            blocked[:-1] += unavailable.take(row, axis=0)
+        blocked[-1] = 2
+        ok = np.zeros((n, len(chunk)), dtype=bool)
+        for j in range(width):
+            open_j = blocked.take(order[j], axis=0) <= unavailable[:n]
+            retrieved += np.count_nonzero(open_j & ~ok, axis=1) * helpers[j]
+            ok |= open_j
+        succ += np.count_nonzero(ok, axis=1)
+        cases += len(chunk)
+        all_ok_cases += int(np.count_nonzero(ok.all(axis=0)))
+    return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
+
+
 def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
                           u: int = 0, trials: int = 1000,
                           seed: int = 0) -> AvailabilityReport:
@@ -509,9 +576,10 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     model="adversarial": every unavailable set of exactly u nodes is tried
     when there are at most ``_EXHAUSTIVE_LIMIT`` (100 000) of them,
     otherwise ``trials`` sets are sampled.  A symbol counts as repaired when
-    ``repair_symbol`` would repair it from its line checks: the same
-    ``_first_open`` scan over the same ``_repair_order`` finds a check
-    with every helper available (the symbol itself never blocks).
+    ``repair_symbol`` would repair it from its line checks: some line
+    through it has every helper available (the symbol itself never
+    blocks), and the first such line in ``_repair_order`` sets the symbols
+    read.  The cases are counted in chunks by ``_availability_counts``.
     """
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
@@ -528,29 +596,14 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     if sampled and trials < 1:
         raise ParameterError("trials must be positive")
     if not sampled:
-        unavailable_sets: Iterable[set[int]] = map(set, itertools.combinations(range(n), u))
+        unavailable_sets: Iterable[Sequence[int]] = itertools.combinations(range(n), u)
     elif model == "iid":
-        unavailable_sets = (set(np.flatnonzero(_trial_rng(seed, trial).random(n) < p).tolist())
+        unavailable_sets = (np.flatnonzero(_trial_rng(seed, trial).random(n) < p)
                             for trial in range(trials))
     else:
-        unavailable_sets = (set(_trial_rng(seed, trial).choice(n, size=u, replace=False).tolist())
+        unavailable_sets = (_trial_rng(seed, trial).choice(n, size=u, replace=False)
                             for trial in range(trials))
-
-    orders = [list(_repair_order(code, i)) for i in range(n)]
-    succ = [0] * n
-    retrieved = [0] * n
-    cases = all_ok_cases = 0
-    for unavailable in unavailable_sets:
-        cases += 1
-        all_ok = True
-        for i, order in enumerate(orders):
-            hit = _first_open(order, unavailable)
-            if hit is None:
-                all_ok = False
-            else:
-                succ[i] += 1
-                retrieved[i] += len(hit[0])
-        all_ok_cases += all_ok
+    succ, retrieved, cases, all_ok_cases = _availability_counts(code, unavailable_sets)
 
     per_success = tuple(succ[i] / cases for i in range(n))
     per_retrieved = tuple(

@@ -5,21 +5,32 @@ different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
 pair-by-pair partial-geometry check, the column-sweep elimination,
-the symbol-by-symbol dual-support search and the subset-by-subset MDS
-test.
+the symbol-by-symbol dual-support search, the subset-by-subset MDS
+test and the case-by-case availability simulator.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+import math
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from pgblrc.algebra import BitMatrix, bitrow_rank
-from pgblrc.errors import DegenerateCodeError, PgValidationError
+from pgblrc.errors import DegenerateCodeError, ParameterError, PgValidationError
 from pgblrc.geometry import PgParams, _classify, incidence_matrix
-from pgblrc.repair import RepairProfile, RepairVector, minimum_hitting_set
+from pgblrc.repair import (
+    _EXHAUSTIVE_LIMIT,
+    AVAILABILITY_MODELS,
+    AvailabilityReport,
+    RepairProfile,
+    RepairVector,
+    _first_open,
+    _repair_order,
+    _trial_rng,
+    minimum_hitting_set,
+)
 
 
 def np_rank2(a: np.ndarray) -> int:
@@ -436,3 +447,71 @@ def is_mds_scan(code) -> bool:
         if bitrow_rank(code.gen_cols[c] for c in combo) < code.k:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# the availability simulator that the chunked kernel replaced: one
+# _first_open scan over each symbol's _repair_order, case by case
+
+
+def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
+                                 u: int = 0, trials: int = 1000,
+                                 seed: int = 0) -> AvailabilityReport:
+    """``simulate_availability`` with the same draws, counted one case and
+    one symbol at a time by the executor's own scan."""
+    if model not in AVAILABILITY_MODELS:
+        raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
+    if not 0 <= seed < 1 << 128:
+        # the Philox key is 128 bits wide: a larger seed would alias a smaller one
+        raise ParameterError("seed must lie in [0, 2**128)")
+    n = code.n
+    if model == "iid":
+        if not 0.0 <= p <= 1.0:
+            raise ParameterError("p must lie in [0, 1]")
+    elif not 0 <= u <= n:
+        raise ParameterError(f"u must lie in [0, {n}]")
+    sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT
+    if sampled and trials < 1:
+        raise ParameterError("trials must be positive")
+    if not sampled:
+        unavailable_sets: Iterable[set[int]] = map(set, itertools.combinations(range(n), u))
+    elif model == "iid":
+        unavailable_sets = (set(np.flatnonzero(_trial_rng(seed, trial).random(n) < p).tolist())
+                            for trial in range(trials))
+    else:
+        unavailable_sets = (set(_trial_rng(seed, trial).choice(n, size=u, replace=False).tolist())
+                            for trial in range(trials))
+
+    orders = [list(_repair_order(code, i)) for i in range(n)]
+    succ = [0] * n
+    retrieved = [0] * n
+    cases = all_ok_cases = 0
+    for unavailable in unavailable_sets:
+        cases += 1
+        all_ok = True
+        for i, order in enumerate(orders):
+            hit = _first_open(order, unavailable)
+            if hit is None:
+                all_ok = False
+            else:
+                succ[i] += 1
+                retrieved[i] += len(hit[0])
+        all_ok_cases += all_ok
+
+    per_success = tuple(succ[i] / cases for i in range(n))
+    per_retrieved = tuple(
+        retrieved[i] / succ[i] if succ[i] else float("nan") for i in range(n)
+    )
+    total_succ = sum(succ)
+    return AvailabilityReport(
+        model=model,
+        parameter=p if model == "iid" else u,
+        seed=seed,
+        cases=cases,
+        coverage="sampled" if sampled else "exhaustive",
+        per_symbol_success=per_success,
+        per_symbol_mean_retrieved=per_retrieved,
+        overall_success=total_succ / (cases * n),
+        all_symbols_success=all_ok_cases / cases,
+        mean_retrieved=(sum(retrieved) / total_succ) if total_succ else float("nan"),
+    )

@@ -6,10 +6,16 @@ count, the exhaustive metrics come from one meet-in-the-middle census
 of low-weight dual codewords, and ``is_mds`` is derived rather than
 scanned; each must agree with the pairwise scans, the column-sweep
 elimination, the hitting-set search, the symbol-by-symbol dual-support
-search and the subset-by-subset MDS test they replace.
+search and the subset-by-subset MDS test they replace.  The availability
+simulator counts chunks of cases at once; it must agree with the
+case-by-case scan it replaced and, on line checks, with the exact
+availability that the disjoint line helper sets give.
 """
 
+import json
+import math
 import random
+import statistics
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,7 +42,15 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc.repair import blocking_set, minimum_hitting_set, omega_r, repair_profile
+from pgblrc import repair
+from pgblrc.repair import (
+    _EXHAUSTIVE_LIMIT,
+    blocking_set,
+    minimum_hitting_set,
+    omega_r,
+    repair_profile,
+    simulate_availability,
+)
 
 from oracles import (
     build_code_parts,
@@ -47,6 +61,7 @@ from oracles import (
     repair_degree_per_symbol,
     repair_profile_per_symbol,
     rref2_column_sweep,
+    simulate_availability_scalar,
     validate_pg_pairwise,
 )
 from test_repair import unbalanced_code
@@ -286,6 +301,20 @@ def zero_column_code(s):
     )
 
 
+def mixed_weight_code():
+    """Hand-built 4-symbol code whose symbol 0 lies on a line of weight 3
+    (line 0) and one of weight 2 (line 1): its repairs try line 1 first."""
+    generator = BitMatrix.from_rows([[1, 1, 1, 0], [0, 0, 1, 1]])
+    parity = BitMatrix.from_rows([[1, 0, 1, 1], [1, 1, 0, 0]])
+    pg = PgParams(s=2, t=1, alpha=1, num_points=4, num_lines=2,
+                  pg_class="proper", grid_degenerate=False)
+    return BlrcCode(
+        n=4, k=2, parity_check=parity, generator=generator, info_set=(0, 3),
+        geometry=IncidenceStructure(4, ((0, 2, 3), (0, 1))), pg=pg,
+        gen_cols=generator.transpose().data,
+    )
+
+
 def test_census_finds_a_weight_one_dual_word_like_per_symbol_search():
     code = zero_column_code(s=2)
     # the profile cannot be taken here: {3} leaves symbol 3 no helper to
@@ -348,3 +377,86 @@ def test_exhaustive_profile_equals_geometric_on_ladder(name):
         assert getattr(exact, field) == getattr(designed, field)
     assert [set(sets) for sets in exact.repair_sets] == [
         set(sets) for sets in designed.repair_sets]
+
+
+# ------------------------------------------------------------- simulation
+
+TOP_SEED = 2**128 - 1
+
+SIM_CODES = {
+    **{name: (lambda name=name: ladder_code(name)) for name in LADDER},
+    "unbalanced": unbalanced_code,
+    "zero_column": lambda: zero_column_code(s=2),
+    "mixed_weight": mixed_weight_code,
+}
+
+SIM_RUNS = [
+    dict(model="iid", p=0.35, seed=0),
+    dict(model="iid", p=0.35, seed=7),
+    dict(model="iid", p=0.35, seed=TOP_SEED),
+    dict(model="iid", p=0.0, seed=7),
+    dict(model="iid", p=1.0, seed=TOP_SEED),
+    dict(model="adversarial", u=0),
+    dict(model="adversarial", u=1),
+    dict(model="adversarial", u=2, seed=7),
+]
+
+
+def report_text(report):
+    # NaN != NaN, so reports are compared as the text they serialize to
+    return json.dumps(report.to_json_dict()) + report.to_csv()
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_simulation_matches_the_case_by_case_scan(name):
+    code = SIM_CODES[name]()
+    runs = list(SIM_RUNS)
+    sampled_u = next((u for u in range(code.n + 1)
+                      if math.comb(code.n, u) > _EXHAUSTIVE_LIMIT), None)
+    if sampled_u is not None:
+        runs.append(dict(model="adversarial", u=sampled_u, seed=TOP_SEED))
+    for kwargs in runs:
+        got = simulate_availability(code, trials=200, **kwargs)
+        want = simulate_availability_scalar(code, trials=200, **kwargs)
+        assert report_text(got) == report_text(want), kwargs
+
+
+@pytest.mark.parametrize("cases_per_chunk", [1, 7])
+def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chunk):
+    # by default 809 cases make a chunk here: one chunk for the iid run,
+    # four full ones and a remainder for the 3240 pairs
+    code = ladder_code("grid8")
+    runs = [dict(model="iid", p=0.35, trials=200, seed=7),
+            dict(model="adversarial", u=2)]
+    want = [report_text(simulate_availability(code, **kwargs)) for kwargs in runs]
+    monkeypatch.setattr(repair, "_CHUNK_CELLS",
+                        cases_per_chunk * max(code.n, code.geometry.num_lines))
+    assert [report_text(simulate_availability(code, **kwargs)) for kwargs in runs] == want
+
+
+@pytest.mark.parametrize("name", ["grid3", "grid8", "symplectic2", "symplectic3", "elliptic2"])
+@pytest.mark.parametrize("u", [2, 3])
+def test_adversarial_success_is_the_inclusion_exclusion_count(name, u):
+    # the t+1 line helper sets through a point are disjoint, s points each;
+    # a u-set that avoids k given ones is a u-set of the other n - k*s
+    # points, so inclusion-exclusion counts the u-sets that avoid one
+    code = ladder_code(name) if name in LADDER else small_code(name)
+    n, s, t = code.n, code.pg.s, code.pg.t
+    avoiding = sum((-1) ** (k + 1) * math.comb(t + 1, k) * math.comb(n - k * s, u)
+                   for k in range(1, t + 2))
+    report = simulate_availability(code, model="adversarial", u=u)
+    assert report.coverage == "exhaustive"
+    assert report.per_symbol_success == (avoiding / math.comb(n, u),) * n
+
+
+def test_iid_success_is_near_the_line_availability_probability():
+    # a line through i is open with probability (1-p)^s, independently of
+    # the other t lines (their helper sets are disjoint)
+    code = ladder_code("hyperoval8")
+    p, trials = 0.3, 1000
+    exact = 1 - (1 - (1 - p) ** code.pg.s) ** (code.pg.t + 1)
+    report = simulate_availability(code, model="iid", p=p, trials=trials, seed=2024)
+    # per trial, the share of symbols repaired lies in [0, 1] with mean
+    # exact, so its variance is at most exact * (1 - exact)
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(statistics.fmean(report.per_symbol_success) - exact) < 5 * sigma

@@ -203,6 +203,19 @@ def test_blocking_set_blocks_everything():
             assert block & set(v.helpers(i))
 
 
+@pytest.mark.parametrize("inc", [grid(3), symplectic_gq(3)], ids=["grid3", "w3"])
+def test_geometric_blocking_set_has_the_profile_tolerance(inc):
+    # geometric blocking_set builds only the lines through i; its witness
+    # must still hit every line through i and have size delta(i)
+    code = build_code(inc)
+    s = code.pg.s
+    profile = repair_profile(code, mode="geometric")
+    for i in range(code.n):
+        block = blocking_set(code, i, s, mode="geometric")
+        assert len(block) == profile.per_symbol_delta[i]
+        assert all(block & set(v.helpers(i)) for v in line_repair_sets(code, i))
+
+
 # ------------------------------------------------------ minimum hitting set
 
 
