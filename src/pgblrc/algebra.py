@@ -66,15 +66,14 @@ class BitMatrix:
                 width = len(entries)
             elif len(entries) != width:
                 raise ValueError("rows have inconsistent lengths")
-            bits = 0
-            for j, e in enumerate(entries):
+            for e in entries:
                 if e not in (0, 1):
                     raise ValueError(f"matrix entry {e!r} is not a bit")
-                bits |= e << j
-            packed.append(bits)
+            packed.append(entries)
         if width is None:
             raise ValueError("cannot infer column count from an empty row iterable")
-        return cls(len(packed), width, tuple(packed))
+        bits = np.array(packed, dtype=np.uint8).reshape(len(packed), width)
+        return cls(len(packed), width, tuple(_pack(bits)))
 
     @classmethod
     def from_bitrows(cls, bitrows: Iterable[int], cols: int) -> BitMatrix:
@@ -105,26 +104,19 @@ class BitMatrix:
         return (self.data[r] >> c) & 1
 
     def row_support(self, r: int) -> tuple[int, ...]:
-        row = self.data[r]
-        return tuple(j for j in range(self.cols) if (row >> j) & 1)
+        return tuple(_set_bits(self.data[r]))
 
     def row_weight(self, r: int) -> int:
         return self.data[r].bit_count()
 
     def to_lists(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.cols)] for row in self.data]
+        return self.to_array().tolist()
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.to_lists(), dtype=np.uint8).reshape(self.rows, self.cols)
+        return _unpack(self.data, self.cols)
 
     def transpose(self) -> BitMatrix:
-        out = [0] * self.cols
-        for r, row in enumerate(self.data):
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= 1 << r
-                row ^= low
-        return BitMatrix(self.cols, self.rows, tuple(out))
+        return BitMatrix(self.cols, self.rows, tuple(_transpose(self.data, self.cols)))
 
     def mul_vector_bits(self, v: int) -> int:
         """M v^T for a bit-packed vector; result bit r is row r of the product."""
@@ -139,11 +131,8 @@ class BitMatrix:
         out = []
         for row in self.data:
             acc = 0
-            rem = row
-            while rem:
-                low = rem & -rem
-                acc ^= other.data[low.bit_length() - 1]
-                rem ^= low
+            for j in _set_bits(row):
+                acc ^= other.data[j]
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
@@ -152,14 +141,8 @@ class BitMatrix:
 
 
 # ----------------------------------------------------------------------
-# elimination
-#
-# One kernel serves every elimination here: a forward pass that pivots
-# each row on its leftmost column, then back-substitution from the
-# rightmost pivot column back.  The reduced row echelon form of a row
-# space is unique, so the result equals the textbook left-to-right column
-# sweep.  The forward pass works on mirrored rows, with column c at bit
-# cols-1-c, so the pivot column of a row is its ``bit_length``.
+# the bit-row codec: every conversion between bit rows and arrays,
+# supports or columns in the package goes through these
 
 
 def _set_bits(x: int) -> list[int]:
@@ -171,6 +154,50 @@ def _set_bits(x: int) -> list[int]:
         out.append(pos)
         pos = text.find("1", pos + 1)
     return out
+
+
+def _unpack(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Bit rows as a len(rows) x cols uint8 array."""
+    width = (cols + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
+    ).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """The rows of a 0/1 uint8 array as bit rows."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+# Rows are unpacked to one byte per bit a block at a time: unpacking a
+# whole n = 4096 matrix at once takes several MB, and that transient
+# raised the peak memory of a whole ``pgblrc analyze`` run.
+_BLOCK = 64
+
+
+def _transpose(rows: Sequence[int], cols: int) -> list[int]:
+    """The cols columns of bit rows as bit rows: bit r of column c is
+    rows[r] at c.  Each block of _BLOCK columns is cut out of every row,
+    unpacked, transposed and packed."""
+    out: list[int] = []
+    for lo in range(0, cols, _BLOCK):
+        size = min(_BLOCK, cols - lo)
+        mask = (1 << size) - 1
+        out.extend(_pack(_unpack([(row >> lo) & mask for row in rows], size).T))
+    return out
+
+
+# ----------------------------------------------------------------------
+# elimination
+#
+# One kernel serves every elimination here: a forward pass that pivots
+# each row on its leftmost column, then back-substitution from the
+# rightmost pivot column back.  The reduced row echelon form of a row
+# space is unique, so the result equals the textbook left-to-right column
+# sweep.  The forward pass works on mirrored rows, with column c at bit
+# cols-1-c, so the pivot column of a row is its ``bit_length``.
 
 
 def _mirror(row: int, cols: int) -> int:
@@ -193,27 +220,6 @@ def _forward(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
                 break
             row ^= prow
     return pivots, keep
-
-
-# Rows are unpacked to one byte per bit a block at a time: unpacking a
-# whole n = 4096 matrix at once takes several MB, and that transient
-# raised the peak memory of a whole ``pgblrc analyze`` run.
-_BLOCK = 64
-
-
-def _unpack(rows: Sequence[int], cols: int) -> np.ndarray:
-    """Bit rows as a len(rows) x cols uint8 array."""
-    width = (cols + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
-    ).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
-
-
-def _pack(bits: np.ndarray) -> list[int]:
-    """The rows of a 0/1 uint8 array as bit rows."""
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
 @dataclass(frozen=True)
@@ -242,28 +248,18 @@ class Echelon:
         Basis row j is free column j plus, at each pivot column, the
         reduced row's entry in free column j.  So a pivot column is its
         reduced row cut down to the free columns, and the basis rows are
-        those cuts transposed.  Both are read off the reduced rows a block
-        of rows at a time, unpacked to one byte per bit.
+        those cuts transposed.  The cuts are read off the reduced rows a
+        block of rows at a time, unpacked to one byte per bit.
         """
         free = self.free_columns()
-        cols, k = self.cols, len(free)
-        pivots = list(self.pivots)
-        by_col = [0] * cols
+        by_col = [0] * self.cols
         for j, f in enumerate(free):
             by_col[f] = 1 << j
-        for lo in range(0, len(pivots), _BLOCK):
-            cut = _unpack(self.rows[lo:lo + _BLOCK], cols)[:, free]
-            for p, bits in zip(pivots[lo:lo + _BLOCK], _pack(cut)):
+        for lo in range(0, len(self.pivots), _BLOCK):
+            cut = _unpack(self.rows[lo:lo + _BLOCK], self.cols)[:, free]
+            for p, bits in zip(self.pivots[lo:lo + _BLOCK], _pack(cut)):
                 by_col[p] = bits
-        basis: list[int] = []
-        for lo in range(0, k, _BLOCK):
-            size = min(_BLOCK, k - lo)
-            mask = (1 << size) - 1
-            block = np.zeros((size, cols), dtype=np.uint8)
-            block[np.arange(size), free[lo:lo + size]] = 1
-            block[:, pivots] = _unpack([(by_col[p] >> lo) & mask for p in pivots], size).T
-            basis.extend(_pack(block))
-        return tuple(basis), tuple(by_col)
+        return tuple(_transpose(by_col, len(free))), tuple(by_col)
 
 
 def echelon(m: BitMatrix) -> Echelon:
@@ -271,9 +267,7 @@ def echelon(m: BitMatrix) -> Echelon:
     cols = m.cols
     pivots, keep = _forward(_mirror(row, cols) for row in m.data)
     tops = sorted(pivots)
-    pivot_mask = 0
-    for top in tops:
-        pivot_mask |= 1 << (top - 1)
+    pivot_mask = sum(1 << (top - 1) for top in tops)
     for top in tops:
         row = pivots[top]
         for b in _set_bits((row & pivot_mask) ^ (1 << (top - 1))):
@@ -344,10 +338,7 @@ def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
     ech = echelon(aug)
     if len(ech.pivots) < n or (ech.pivots and ech.pivots[-1] == n):
         return None
-    sol = 0
-    for row, p in zip(ech.rows, ech.pivots):
-        sol |= ((row >> n) & 1) << p
-    return sol
+    return sum(((row >> n) & 1) << p for row, p in zip(ech.rows, ech.pivots))
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,7 @@ def _analyze_text(payload: dict) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     inc = _load_geometry(args)
     params = geometry.validate_pg(inc)
-    built = code_mod.build_code(inc, params)
+    built = code_mod.build_code(inc)
     mode = "exhaustive" if args.exhaustive else "geometric"
     profile = repair.repair_profile(built, mode=mode, guard=args.guard)
     rate = code_mod.rate(built)

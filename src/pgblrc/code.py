@@ -51,32 +51,27 @@ class BlrcCode:
     gen_cols: tuple[int, ...]
 
 
-def _forced_zero_symbol(reduced: BitMatrix, pivots: tuple[int, ...]) -> int | None:
+def _forced_zero_symbol(reduced: Sequence[int], pivots: tuple[int, ...]) -> int | None:
     """Column index pinned to zero by a weight-1 parity check, if any.
 
     In reduced form such a check is a row supported on its pivot alone;
     the redundancy part of that row is all zero.
     """
-    for r, prow in enumerate(reduced.data):
-        if prow == 1 << pivots[r]:
-            return pivots[r]
-    return None
+    return next((p for row, p in zip(reduced, pivots) if row == 1 << p), None)
 
 
-def build_code(inc: IncidenceStructure, pg: PgParams | None = None) -> BlrcCode:
+def build_code(inc: IncidenceStructure) -> BlrcCode:
     """Assemble the systematic code a partial geometry defines.
 
-    ``pg`` is the geometry's certified parameters, as ``validate_pg(inc)``
-    returns them; pass it when the caller has already validated ``inc``.
-    When it is None the geometry is validated here first.
-
-    One elimination of the incidence matrix gives everything: the
-    independent line checks that form the parity-check matrix, the
-    reduced form whose non-pivot columns are the information set, and the
-    generator read off the reduced rows, by row and by column.
+    The geometry is certified by ``validate_pg``, which computes its
+    result once per structure, so a caller that validated ``inc`` first
+    does not pay for a second pass.  One elimination of the incidence
+    matrix then gives everything: the independent line checks that form
+    the parity-check matrix, the reduced form whose non-pivot columns are
+    the information set, and the generator read off the reduced rows, by
+    row and by column.
     """
-    if pg is None:
-        pg = validate_pg(inc)
+    pg = validate_pg(inc)
     n = inc.num_points
     nmat = incidence_matrix(inc)
     ech = algebra.echelon(nmat)
@@ -84,7 +79,7 @@ def build_code(inc: IncidenceStructure, pg: PgParams | None = None) -> BlrcCode:
     if k == 0:
         raise DegenerateCodeError("degenerate code (full-rank incidence)")
     parity = BitMatrix.from_bitrows((nmat.data[i] for i in ech.independent), n)
-    forced = _forced_zero_symbol(BitMatrix(len(ech.rows), n, ech.rows), ech.pivots)
+    forced = _forced_zero_symbol(ech.rows, ech.pivots)
     if forced is not None:
         raise DegenerateCodeError(
             f"all-zero row in the redundancy part of the parity checks: "
@@ -116,18 +111,14 @@ def _as_bits(values: Sequence[int], expected: int, what: str) -> int:
     return bits
 
 
-def _bits_to_array(bits: int, length: int) -> np.ndarray:
-    return np.array([(bits >> j) & 1 for j in range(length)], dtype=np.uint8)
-
-
 def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:
     """Codeword for a k-bit message; message bits reappear on info_set."""
     bits = _as_bits(message, code.k, "message")
+    rows = code.generator.data
     word = 0
-    for j, row in enumerate(code.generator.data):
-        if (bits >> j) & 1:
-            word ^= row
-    return _bits_to_array(word, code.n)
+    for j in algebra._set_bits(bits):
+        word ^= rows[j]
+    return algebra._unpack([word], code.n)[0]
 
 
 def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
@@ -152,7 +143,7 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
     solution = algebra.solve2(system, rhs)
     if solution is None:
         raise NotInformationSetError("not an information set")
-    return _bits_to_array(solution, code.k)
+    return algebra._unpack([solution], code.k)[0]
 
 
 def is_mds(code: BlrcCode) -> bool:

@@ -109,15 +109,14 @@ class IncidenceStructure:
         return tuple(tuple(v) for v in through)
 
     @cached_property
+    def _certificate(self) -> PgParams:
+        """``validate_pg``'s result; a failure raises and is not kept."""
+        return _certify(self)
+
+    @cached_property
     def line_masks(self) -> tuple[int, ...]:
         """Each line as a bit mask over points."""
-        out = []
-        for line in self.lines:
-            bits = 0
-            for p in line:
-                bits |= 1 << p
-            out.append(bits)
-        return tuple(out)
+        return tuple(sum(1 << p for p in line) for line in self.lines)
 
     def canonical_lines(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.lines))
@@ -227,7 +226,12 @@ def validate_pg(inc: IncidenceStructure) -> PgParams:
     non-incident point/line pair, run; it names the same first witness a
     direct check of every pair would.  A structure with more points than
     incidences is rejected before any per-point table is built.
+    The result is kept on ``inc``; a rejection is raised on every call.
     """
+    return inc._certificate
+
+
+def _certify(inc: IncidenceStructure) -> PgParams:
     if inc.num_lines == 0:
         raise PgValidationError("point-degree", "structure has no lines")
     _require_covered(inc)

@@ -397,6 +397,11 @@ def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None
         candidates = line_repair_sets(code, i)
     else:
         candidates = [v for v in vectors if i in v.support]
+        for v in candidates:
+            if (len(set(v.support)) != v.weight
+                    or not all(0 <= c < code.n for c in v.support)
+                    or _xor_cols(code.gen_cols, v.support)):
+                raise ValueError(f"support {v.support} is not a dual codeword of this code")
     ordered = sorted(
         candidates,
         key=lambda v: (v.weight, v.line if v.line is not None else math.inf, v.support),
@@ -434,16 +439,19 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     (for example from ``omega_r``) to widen the search.  The executor
     takes the first check in ``_repair_order`` (least weight, then lowest
     line index) with no blocked helper, the rule
-    ``simulate_availability`` counts.
+    ``simulate_availability`` counts.  A given vector covering i must be
+    a dual codeword: distinct coordinates whose generator columns XOR to
+    zero.  One that is not raises ValueError before any symbol is read.
     """
     _check_coord(code, i)
     if len(received) != code.n:
         raise ValueError(f"received word must have length {code.n}")
+    order = _repair_order(code, i, vectors)
     unavailable = set(unavailable)
     erased = {j for j, v in enumerate(received) if v is None}
     if i not in erased and i not in unavailable:
         raise ValueError(f"symbol {i} is present and available; nothing to repair")
-    hit = _first_open(_repair_order(code, i, vectors), unavailable | erased)
+    hit = _first_open(order, unavailable | erased)
     if hit is None:
         raise NotLocallyRepairableError("not locally repairable under this availability")
     helpers, v = hit

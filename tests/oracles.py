@@ -5,8 +5,9 @@ different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
 pair-by-pair partial-geometry check, the column-sweep elimination,
-the symbol-by-symbol dual-support search, the subset-by-subset MDS
-test and the case-by-case availability simulator.
+the bit-by-bit transpose, encoder and message read-out, the
+symbol-by-symbol dual-support search, the subset-by-subset MDS test and
+the case-by-case availability simulator.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import BitMatrix, bitrow_rank
+from pgblrc.algebra import BitMatrix, bitrow_rank, solve2
 from pgblrc.errors import DegenerateCodeError, ParameterError, PgValidationError
 from pgblrc.geometry import PgParams, _classify, incidence_matrix
 from pgblrc.repair import (
@@ -328,6 +329,38 @@ def nullspace2_column_sweep(m: BitMatrix) -> BitMatrix:
     return BitMatrix(len(basis), m.cols, tuple(basis))
 
 
+def transpose_bitwise(m: BitMatrix) -> BitMatrix:
+    """The transpose, one set bit at a time."""
+    out = [0] * m.cols
+    for r, row in enumerate(m.data):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << r
+            row ^= low
+    return BitMatrix(m.cols, m.rows, tuple(out))
+
+
+def bits_to_array(bits: int, length: int) -> np.ndarray:
+    """Bit j of ``bits`` as entry j of a uint8 array, one bit at a time."""
+    return np.array([(bits >> j) & 1 for j in range(length)], dtype=np.uint8)
+
+
+def encode_bitwise(code, message: Sequence[int]) -> np.ndarray:
+    """The codeword: generator row j is added when message bit j is set."""
+    word = 0
+    for j, row in enumerate(code.generator.data):
+        if int(message[j]):
+            word ^= row
+    return bits_to_array(word, code.n)
+
+
+def reconstruct_bitwise(code, coords: Sequence[int], values: Sequence[int]) -> np.ndarray:
+    """The message solved from the generator columns at an information set."""
+    system = BitMatrix.from_bitrows((code.gen_cols[c] for c in coords), code.k)
+    solution = solve2(system, sum(int(v) << j for j, v in enumerate(values)))
+    return bits_to_array(solution, code.k)
+
+
 def build_code_parts(inc):
     """(parity_check, generator, info_set, gen_cols) by separate passes:
     greedy independent rows, a column-sweep rref, a second column-sweep
@@ -345,7 +378,7 @@ def build_code_parts(inc):
     generator = nullspace2_column_sweep(parity)
     pivot_set = set(pivots)
     info_set = tuple(c for c in range(n) if c not in pivot_set)
-    return parity, generator, info_set, generator.transpose().data
+    return parity, generator, info_set, transpose_bitwise(generator).data
 
 
 # ----------------------------------------------------------------------

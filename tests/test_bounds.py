@@ -97,13 +97,17 @@ def test_rank_sandwich_on_constructed_instances():
 
 
 def test_binary_rank_can_fall_below_the_even_parity_floor():
-    # pg(7, 9, 1) has an even-parity floor of 315, yet its binary rank is
-    # 299 (the rational rank is the full 316).  The floor is therefore a
-    # design aid, not a certainty; analyze() reports such instances as
-    # out of bounds rather than hiding them.
-    inc = hyperoval_gq(8)
-    assert rank2(incidence_matrix(inc)) == 299
-    assert rank_bounds(7, 9, 1) == (315, 316)
+    # Both hyperoval quadrangles fall below their even-parity floor:
+    # pg(7, 9, 1) = hyperoval(8) has binary rank 299 against 315 (the
+    # rational rank is the full 316), and pg(15, 17, 1) = hyperoval(16)
+    # has 1938 against 2295.  Their duals have the same ranks and the same
+    # floors.  The floor is therefore a design aid, not a certainty;
+    # analyze() reports such instances as out of bounds rather than
+    # hiding them.
+    assert rank2(incidence_matrix(hyperoval_gq(8))) == 299
+    assert rank_bounds(7, 9, 1) == rank_bounds(9, 7, 1) == (315, 316)
+    assert rank2(incidence_matrix(hyperoval_gq(16))) == 1938
+    assert rank_bounds(15, 17, 1) == rank_bounds(17, 15, 1) == (2295, 2296)
 
 
 # ------------------------------------------------------------- rate bounds

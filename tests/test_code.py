@@ -110,9 +110,9 @@ def test_full_rank_incidence_is_rejected():
 
 def test_forced_zero_symbol_detector():
     reduced, pivots = rref2(BitMatrix.from_rows([[1, 0, 0], [0, 1, 1]]))
-    assert _forced_zero_symbol(reduced, pivots) == 0
+    assert _forced_zero_symbol(reduced.data, pivots) == 0
     reduced, pivots = rref2(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))
-    assert _forced_zero_symbol(reduced, pivots) is None
+    assert _forced_zero_symbol(reduced.data, pivots) is None
 
 
 def test_code_is_immutable():

@@ -19,6 +19,7 @@ import statistics
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pgblrc.algebra import (
@@ -29,7 +30,7 @@ from pgblrc.algebra import (
     rref2,
     solve2,
 )
-from pgblrc.code import BlrcCode, build_code, is_mds
+from pgblrc.code import BlrcCode, build_code, encode, is_mds, reconstruct
 from pgblrc.errors import DegenerateCodeError, PgValidationError
 from pgblrc.geometry import (
     IncidenceStructure,
@@ -42,7 +43,7 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc import repair
+from pgblrc import geometry, repair
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     blocking_set,
@@ -53,15 +54,19 @@ from pgblrc.repair import (
 )
 
 from oracles import (
+    bits_to_array,
     build_code_parts,
+    encode_bitwise,
     independent_row_indices_greedy,
     is_mds_scan,
     nullspace2_column_sweep,
     omega_r_per_symbol,
     repair_degree_per_symbol,
     repair_profile_per_symbol,
+    reconstruct_bitwise,
     rref2_column_sweep,
     simulate_availability_scalar,
+    transpose_bitwise,
     validate_pg_pairwise,
 )
 from test_repair import unbalanced_code
@@ -160,10 +165,24 @@ def test_build_code_matches_separate_passes_on_ladder(name):
     assert code.gen_cols == gen_cols
 
 
-def test_build_code_with_certified_params_matches_validating_build():
+def test_validate_then_build_certifies_the_structure_once(monkeypatch):
+    certified = []
+
+    def counting_certify(inc):
+        certified.append(inc)
+        return certify(inc)
+
+    certify = geometry._certify
+    monkeypatch.setattr(geometry, "_certify", counting_certify)
     inc = grid(3)
     pg = validate_pg(inc)
-    assert build_code(inc, pg) == build_code(inc)
+    code = build_code(inc)
+    assert len(certified) == 1 and certified[0] is inc
+    assert code.pg is pg
+    assert pg == validate_pg_pairwise(inc)
+    # a fresh, equal structure is certified on its own and builds the same code
+    assert build_code(grid(3)) == code
+    assert len(certified) == 2
 
 
 def _random_bitmatrix(rng, rows, cols):
@@ -213,6 +232,55 @@ def test_solve2_agrees_with_column_sweep_on_augmented_systems():
         else:
             expected = sum(((reduced.data[r] >> n) & 1) << p for r, p in enumerate(pivots))
             assert solve2(square, rhs) == expected
+
+
+# ------------------------------------------------------------------ codec
+
+
+def _same_array(got, expected):
+    """Same dtype, shape and bytes."""
+    return (got.dtype == expected.dtype == np.uint8 and got.shape == expected.shape
+            and got.tobytes() == expected.tobytes())
+
+
+def test_bit_rows_match_bitwise_oracles_on_random_shapes():
+    rng = random.Random(6407)
+    shapes = [(0, 0), (0, 5), (7, 0), (1, 1), (3, 64), (64, 3), (65, 129),
+              (9, 200), (130, 63), (8, 8), (1, 513)]
+    shapes += [(rng.randrange(150), rng.randrange(150)) for _ in range(40)]
+    for rows, cols in shapes:
+        m = _random_bitmatrix(rng, rows, cols)
+        t = m.transpose()
+        assert t == transpose_bitwise(m)
+        assert t.transpose() == m
+        expected = np.array([bits_to_array(row, cols) for row in m.data],
+                            dtype=np.uint8).reshape(rows, cols)
+        assert _same_array(m.to_array(), expected)
+        assert m.to_lists() == expected.tolist()
+        assert [m.row_support(r) for r in range(rows)] == [
+            tuple(np.flatnonzero(row).tolist()) for row in expected]
+        product = expected.astype(int) @ expected.T.astype(int) % 2
+        assert _same_array((m @ t).to_array(), product.astype(np.uint8))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_encode_and_reconstruct_match_bitwise_oracles_on_ladder(name):
+    code = ladder_code(name)
+    rng = np.random.default_rng(len(name) * code.n)
+    for trial in range(12):
+        message = rng.integers(0, 2, code.k, dtype=np.uint8)
+        given = message if trial % 2 else message.tolist()
+        word = encode(code, given)
+        assert _same_array(word, encode_bitwise(code, message))
+        # the information set, and k independent coordinates in a random order
+        perm = rng.permutation(code.n).tolist()
+        keep = independent_row_indices(
+            BitMatrix.from_bitrows((code.gen_cols[c] for c in perm), code.k))
+        for coords in (code.info_set, [perm[j] for j in keep]):
+            values = word[list(coords)]
+            got = reconstruct(code, coords, values)
+            assert _same_array(got, reconstruct_bitwise(code, coords, values))
+            assert _same_array(got, message)
 
 
 # -------------------------------------------------------------------- MDS

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -345,6 +346,35 @@ def test_repair_symbol_applies_wider_vector_lists():
     received = [None, 0, 0, 1, 1]
     out = repair_symbol(code, received, 0, vectors=omega_r(code, 0, 1))
     assert out.value == 0 and out.retrieved == 1  # weight-2 check wins
+
+
+class _NoReads(list):
+    """A received word that fails the test if any symbol is looked at."""
+
+    def __getitem__(self, j):
+        raise AssertionError(f"symbol {j} was read")
+
+    def __iter__(self):
+        raise AssertionError("the received word was read")
+
+
+def test_repair_symbol_rejects_vectors_that_are_not_dual_codewords():
+    code = make_code("grid2")
+    word = [int(b) for b in encode(code, [0, 1, 0, 0])]
+    received = list(word)
+    received[0] = None
+    assert word[0] == 1
+    # {0, 4} is not a check of grid(2): its columns do not XOR to zero
+    for support in ((0, 4), (0, 0), (0, 1, 9), (-9, 0, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"support {support}")):
+            repair_symbol(code, received, 0, vectors=[RepairVector(support)])
+        with pytest.raises(ValueError, match="not a dual codeword"):
+            repair_symbol(code, _NoReads(received), 0,
+                          vectors=[RepairVector((0, 1, 2)), RepairVector(support)])
+    # a bad vector that does not cover the symbol is never considered
+    out = repair_symbol(code, received, 0,
+                        vectors=[RepairVector((1, 4)), RepairVector((0, 3, 6))])
+    assert out.value == word[0] and out.vector.support == (0, 3, 6)
 
 
 def test_repair_symbol_blocked_raises():
