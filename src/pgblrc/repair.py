@@ -26,18 +26,19 @@ starts.  Either way the checks are filed in one per-symbol table
 
 ``repair_symbol`` and ``simulate_availability`` apply one repair rule:
 the least-weight check whose helpers are all available, ties to the
-lowest line index.  ``repair_symbol`` scans ``_repair_order`` with
-``_first_open``; the simulator applies the same rule to whole chunks of
-cases at once (``_availability_counts``).  So the simulator estimates
-the success of the executor itself.
+lowest line index.  ``repair_symbol`` scans ``_repair_order``, reading
+only the symbol and the helpers of the checks it tries; the simulator
+applies the rule to whole chunks of cases at once (``_availability_counts``).
+So the simulator estimates the success of the executor itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -385,14 +386,10 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
 # ----------------------------------------------------------------------
 # repair execution: one rule for the executor and the simulator
 
-def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None = None
-                  ) -> Iterator[tuple[frozenset[int], RepairVector]]:
+def _repair_order(code: BlrcCode, i: int,
+                  vectors: Iterable[RepairVector] | None = None) -> list[RepairVector]:
     """The checks covering i (by default its line checks) in the order a
-    repair tries them: weight, then line index (lines first), then support.
-
-    Each comes as a (helpers, check) pair whose helper set is built only
-    when the pair is drawn, so a scan that stops early builds few of them.
-    """
+    repair tries them: weight, then line index (lines first), then support."""
     if vectors is None:
         candidates = line_repair_sets(code, i)
     else:
@@ -402,21 +399,10 @@ def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None
                     or not all(0 <= c < code.n for c in v.support)
                     or _xor_cols(code.gen_cols, v.support)):
                 raise ValueError(f"support {v.support} is not a dual codeword of this code")
-    ordered = sorted(
+    return sorted(
         candidates,
         key=lambda v: (v.weight, v.line if v.line is not None else math.inf, v.support),
     )
-    return ((frozenset(v.support).difference((i,)), v) for v in ordered)
-
-
-def _first_open(order: Iterable[tuple[frozenset[int], RepairVector]],
-                unavailable: set[int]) -> tuple[frozenset[int], RepairVector] | None:
-    """The first (helpers, check) pair whose helpers avoid ``unavailable``.
-    Helper sets never hold the symbol under repair, so it never blocks itself."""
-    for pair in order:
-        if pair[0].isdisjoint(unavailable):
-            return pair
-    return None
 
 
 @dataclass(frozen=True)
@@ -438,26 +424,33 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     Candidate checks default to the line alternatives; pass ``vectors``
     (for example from ``omega_r``) to widen the search.  The executor
     takes the first check in ``_repair_order`` (least weight, then lowest
-    line index) with no blocked helper, the rule
-    ``simulate_availability`` counts.  A given vector covering i must be
-    a dual codeword: distinct coordinates whose generator columns XOR to
-    zero.  One that is not raises ValueError before any symbol is read.
+    line index) whose helpers are all available and present, the rule
+    ``simulate_availability`` counts; it reads only symbol i and the
+    helpers of the checks it tries, and the helpers it XORs must be bits.
+    A given vector covering i must be a dual codeword: distinct
+    coordinates whose generator columns XOR to zero.  One that is not
+    raises ValueError before any symbol is read.
     """
     _check_coord(code, i)
     if len(received) != code.n:
         raise ValueError(f"received word must have length {code.n}")
     order = _repair_order(code, i, vectors)
     unavailable = set(unavailable)
-    erased = {j for j, v in enumerate(received) if v is None}
-    if i not in erased and i not in unavailable:
+    if received[i] is not None and i not in unavailable:
         raise ValueError(f"symbol {i} is present and available; nothing to repair")
-    hit = _first_open(order, unavailable | erased)
-    if hit is None:
+    for v in order:
+        helpers = v.helpers(i)
+        if all(j not in unavailable and received[j] is not None for j in helpers):
+            break
+    else:
         raise NotLocallyRepairableError("not locally repairable under this availability")
-    helpers, v = hit
     value = 0
     for j in helpers:
-        value ^= int(received[j])
+        bit = int(received[j])
+        if bit not in (0, 1):
+            raise ValueError(f"received entries must be bits, got {received[j]!r} "
+                             f"at coordinate {j}")
+        value ^= bit
     return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
 
 
@@ -520,12 +513,12 @@ def _availability_counts(code: BlrcCode, unavailable_sets: Iterable[Sequence[int
     """Count, over the given unavailable sets, the cases in which each symbol
     has an open line check and the symbols those repairs read.
 
-    Returns (succ, retrieved, cases, all_ok_cases).  This is the rule of
-    ``_repair_order`` and ``_first_open`` on line checks, applied to a
-    chunk of cases at once, one column per case: count the unavailable
-    points of each line; line l through i is open when that count is at
-    most [i unavailable] (i never blocks itself), and i takes its first
-    open line in (weight, line index) order.
+    Returns (succ, retrieved, cases, all_ok_cases).  This is the rule
+    ``repair_symbol`` applies to line checks, on a chunk of cases at once,
+    one column per case: count the unavailable points of each line; line
+    l through i is open when that count is at most [i unavailable] (i
+    never blocks itself), and i takes its first open line in (weight,
+    line index) order.
     """
     geo = code.geometry
     n, num_lines = code.n, geo.num_lines
@@ -591,6 +584,10 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     """
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
+    try:
+        seed, u, trials = map(operator.index, (seed, u, trials))
+    except TypeError:
+        raise ParameterError("seed, u and trials must be integers") from None
     if not 0 <= seed < 1 << 128:
         # the Philox key is 128 bits wide: a larger seed would alias a smaller one
         raise ParameterError("seed must lie in [0, 2**128)")

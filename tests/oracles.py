@@ -6,29 +6,31 @@ a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
 pair-by-pair partial-geometry check, the column-sweep elimination,
 the bit-by-bit transpose, encoder and message read-out, the
-symbol-by-symbol dual-support search, the subset-by-subset MDS test and
-the case-by-case availability simulator.
+symbol-by-symbol dual-support search, the subset-by-subset MDS test,
+the whole-word repair scan and the case-by-case availability simulator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from pgblrc.algebra import BitMatrix, bitrow_rank, solve2
-from pgblrc.errors import DegenerateCodeError, ParameterError, PgValidationError
+from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
+                           ParameterError, PgValidationError)
 from pgblrc.geometry import PgParams, _classify, incidence_matrix
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     AVAILABILITY_MODELS,
     AvailabilityReport,
+    RepairOutcome,
     RepairProfile,
     RepairVector,
-    _first_open,
-    _repair_order,
     _trial_rng,
     minimum_hitting_set,
 )
@@ -483,17 +485,70 @@ def is_mds_scan(code) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the availability simulator that the chunked kernel replaced: one
-# _first_open scan over each symbol's _repair_order, case by case
+# the repair scan that the plain one replaced: a set of every erased
+# position, unioned with the unavailable ones, and one frozenset of
+# helpers per check, tested for the first open one
+
+
+def repair_symbol_first_open(code, received: Sequence[int | None], i: int,
+                             unavailable: Iterable[int] = (),
+                             vectors: Sequence[RepairVector] | None = None) -> RepairOutcome:
+    """``repair_symbol`` by the first check, in (weight, line index with
+    lines first, support) order, whose helper set avoids every erased or
+    unavailable position."""
+    if not 0 <= i < code.n:
+        raise ValueError(f"coordinate {i} out of range for length {code.n}")
+    if len(received) != code.n:
+        raise ValueError(f"received word must have length {code.n}")
+    geo = code.geometry
+    if vectors is None:
+        candidates = [RepairVector(geo.lines[ln], line=ln) for ln in geo.lines_through[i]]
+    else:
+        candidates = [v for v in vectors if i in v.support]
+        for v in candidates:
+            if (len(set(v.support)) != len(v.support)
+                    or not all(0 <= c < code.n for c in v.support)
+                    or functools.reduce(operator.xor, (code.gen_cols[c] for c in v.support))):
+                raise ValueError(f"support {v.support} is not a dual codeword of this code")
+    ordered = sorted(candidates, key=lambda v: (
+        len(v.support), math.inf if v.line is None else v.line, v.support))
+    erased = {j for j, value in enumerate(received) if value is None}
+    blocked = set(unavailable) | erased
+    if i not in blocked:
+        raise ValueError(f"symbol {i} is present and available; nothing to repair")
+    for v in ordered:
+        helpers = frozenset(v.support) - {i}
+        if helpers.isdisjoint(blocked):
+            break
+    else:
+        raise NotLocallyRepairableError("not locally repairable under this availability")
+    value = 0
+    for j in sorted(helpers):
+        bit = int(received[j])
+        if bit not in (0, 1):
+            raise ValueError(f"received entries must be bits, got {received[j]!r} "
+                             f"at coordinate {j}")
+        value ^= bit
+    return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
+
+
+# ----------------------------------------------------------------------
+# the availability simulator that the chunked kernel replaced: each
+# symbol's lines, ordered by (size, index), scanned case by case
 
 
 def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
                                  u: int = 0, trials: int = 1000,
                                  seed: int = 0) -> AvailabilityReport:
     """``simulate_availability`` with the same draws, counted one case and
-    one symbol at a time by the executor's own scan."""
+    one symbol at a time: a symbol is repaired by its first line, in
+    (size, index) order, whose other points are all available."""
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
+    try:
+        seed, u, trials = map(operator.index, (seed, u, trials))
+    except TypeError:
+        raise ParameterError("seed, u and trials must be integers") from None
     if not 0 <= seed < 1 << 128:
         # the Philox key is 128 bits wide: a larger seed would alias a smaller one
         raise ParameterError("seed must lie in [0, 2**128)")
@@ -515,7 +570,9 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
         unavailable_sets = (set(_trial_rng(seed, trial).choice(n, size=u, replace=False).tolist())
                             for trial in range(trials))
 
-    orders = [list(_repair_order(code, i)) for i in range(n)]
+    lines = code.geometry.lines
+    orders = [sorted(through, key=lambda ln: (len(lines[ln]), ln))
+              for through in code.geometry.lines_through]
     succ = [0] * n
     retrieved = [0] * n
     cases = all_ok_cases = 0
@@ -523,12 +580,13 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
         cases += 1
         all_ok = True
         for i, order in enumerate(orders):
-            hit = _first_open(order, unavailable)
-            if hit is None:
+            line = next((lines[ln] for ln in order
+                         if all(j == i or j not in unavailable for j in lines[ln])), None)
+            if line is None:
                 all_ok = False
             else:
                 succ[i] += 1
-                retrieved[i] += len(hit[0])
+                retrieved[i] += len(line) - 1
         all_ok_cases += all_ok
 
     per_success = tuple(succ[i] / cases for i in range(n))

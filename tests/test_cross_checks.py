@@ -6,10 +6,12 @@ count, the exhaustive metrics come from one meet-in-the-middle census
 of low-weight dual codewords, and ``is_mds`` is derived rather than
 scanned; each must agree with the pairwise scans, the column-sweep
 elimination, the hitting-set search, the symbol-by-symbol dual-support
-search and the subset-by-subset MDS test they replace.  The availability
-simulator counts chunks of cases at once; it must agree with the
-case-by-case scan it replaced and, on line checks, with the exact
-availability that the disjoint line helper sets give.
+search and the subset-by-subset MDS test they replace.  ``repair_symbol``
+reads only the helpers of the checks it tries; it must agree with the
+whole-word scan it replaced.  The availability simulator counts chunks
+of cases at once; it must agree with the case-by-case scan it replaced
+and, on line checks, with the exact availability that the disjoint line
+helper sets give.
 """
 
 import json
@@ -31,7 +33,8 @@ from pgblrc.algebra import (
     solve2,
 )
 from pgblrc.code import BlrcCode, build_code, encode, is_mds, reconstruct
-from pgblrc.errors import DegenerateCodeError, PgValidationError
+from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
+                           ParameterError, PgValidationError)
 from pgblrc.geometry import (
     IncidenceStructure,
     PgParams,
@@ -50,6 +53,7 @@ from pgblrc.repair import (
     minimum_hitting_set,
     omega_r,
     repair_profile,
+    repair_symbol,
     simulate_availability,
 )
 
@@ -64,6 +68,7 @@ from oracles import (
     repair_degree_per_symbol,
     repair_profile_per_symbol,
     reconstruct_bitwise,
+    repair_symbol_first_open,
     rref2_column_sweep,
     simulate_availability_scalar,
     transpose_bitwise,
@@ -447,6 +452,58 @@ def test_exhaustive_profile_equals_geometric_on_ladder(name):
         set(sets) for sets in designed.repair_sets]
 
 
+def repair_or_error(repair_fn, *args, **kwargs):
+    try:
+        return repair_fn(*args, **kwargs)
+    except (ValueError, NotLocallyRepairableError) as exc:
+        return type(exc)
+
+
+def degraded_reads(code, seed, reads, p=0.2):
+    """Seeded (received, i, unavailable) reads: each symbol erased and each
+    node unavailable with probability p, the symbol read usually erased,
+    and now and then one symbol that is not a bit."""
+    rng = np.random.default_rng(seed)
+    for _ in range(reads):
+        received = encode(code, rng.integers(0, 2, code.k)).tolist()
+        for j in np.flatnonzero(rng.random(code.n) < p).tolist():
+            received[j] = None
+        if rng.random() < 0.1:
+            received[int(rng.integers(code.n))] = 2
+        i = int(rng.integers(code.n))
+        if rng.random() < 0.9:
+            received[i] = None
+        yield received, i, set(np.flatnonzero(rng.random(code.n) < p).tolist())
+
+
+@pytest.mark.parametrize("name", ["grid8", "symplectic4", "elliptic3", "hyperoval8"])
+def test_repair_symbol_matches_the_first_open_scan_on_ladder(name):
+    code = ladder_code(name)
+    outcomes = set()
+    for received, i, unavailable in degraded_reads(code, seed=8, reads=300):
+        got = repair_or_error(repair_symbol, code, received, i, unavailable)
+        assert got == repair_or_error(repair_symbol_first_open, code, received, i, unavailable)
+        outcomes.add(got if isinstance(got, type) else got.vector.line is not None)
+    # every way a read can end shows up: a line repair, a blocked symbol,
+    # and a symbol that is present, or a helper that is not a bit
+    assert outcomes == {True, NotLocallyRepairableError, ValueError}
+
+
+@pytest.mark.parametrize("make", [lambda: small_code("grid3"),
+                                  lambda: small_code("symplectic2"),
+                                  mixed_weight_code], ids=["grid3", "symplectic2", "mixed_weight"])
+def test_repair_symbol_matches_the_first_open_scan_on_omega(make):
+    code = make()
+    vectors = [omega_r(code, i, code.pg.s) for i in range(code.n)]
+    outcomes = set()
+    for received, i, unavailable in degraded_reads(code, seed=9, reads=300):
+        got = repair_or_error(repair_symbol, code, received, i, unavailable, vectors[i])
+        assert got == repair_or_error(repair_symbol_first_open,
+                                      code, received, i, unavailable, vectors[i])
+        outcomes.add(got if isinstance(got, type) else got.vector.line is not None)
+    assert NotLocallyRepairableError in outcomes and True in outcomes
+
+
 # ------------------------------------------------------------- simulation
 
 TOP_SEED = 2**128 - 1
@@ -487,6 +544,26 @@ def test_simulation_matches_the_case_by_case_scan(name):
         got = simulate_availability(code, trials=200, **kwargs)
         want = simulate_availability_scalar(code, trials=200, **kwargs)
         assert report_text(got) == report_text(want), kwargs
+
+
+@pytest.mark.parametrize("simulate", [simulate_availability, simulate_availability_scalar])
+def test_simulators_take_only_integer_seed_u_and_trials(simulate):
+    code = small_code("grid2")
+    for kwargs in (dict(model="iid", p=0.5, seed=1.5),
+                   dict(model="iid", p=0.5, trials=10.0),
+                   dict(model="adversarial", u=2.5),
+                   dict(model="adversarial", u="2")):
+        with pytest.raises(ParameterError, match="must be integers"):
+            simulate(code, **kwargs)
+    # numpy integers run as the Python ints they equal, and the report
+    # holds Python ints, so it serializes
+    for kwargs, same in ((dict(model="iid", p=0.5, trials=np.int32(20), seed=np.int64(3)),
+                          dict(model="iid", p=0.5, trials=20, seed=3)),
+                         (dict(model="adversarial", u=np.uint8(2), seed=np.int16(5)),
+                          dict(model="adversarial", u=2, seed=5))):
+        report = simulate(code, **kwargs)
+        assert type(report.seed) is int
+        assert report_text(report) == report_text(simulate(code, **same))
 
 
 @pytest.mark.parametrize("cases_per_chunk", [1, 7])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections.abc import Sequence
 
 import pytest
 
@@ -375,6 +376,58 @@ def test_repair_symbol_rejects_vectors_that_are_not_dual_codewords():
     out = repair_symbol(code, received, 0,
                         vectors=[RepairVector((1, 4)), RepairVector((0, 3, 6))])
     assert out.value == word[0] and out.vector.support == (0, 3, 6)
+
+
+class _RecordingWord(Sequence):
+    """A received word that records every position it is asked for."""
+
+    def __init__(self, symbols):
+        self.symbols = list(symbols)
+        self.asked = set()
+
+    def __len__(self):
+        return len(self.symbols)
+
+    def __getitem__(self, j):
+        self.asked.add(j)
+        return self.symbols[j]
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_repair_symbol_reads_only_the_helpers_of_the_checks_it_tries(wide):
+    code = make_code("q2")
+    word = [int(b) for b in encode(code, [1, 0, 1, 1, 0, 1])]
+    vectors = omega_r(code, 0, code.pg.s) if wide else None
+    checks = line_repair_sets(code, 0)
+    # the first check is blocked, the second has an erased helper, the
+    # third is open: the read may touch symbol 0 and these helpers only
+    unavailable = {checks[0].helpers(0)[1]}
+    received = list(word)
+    received[0] = received[checks[1].helpers(0)[0]] = None
+    recorded = _RecordingWord(received)
+    out = repair_symbol(code, recorded, 0, unavailable=unavailable, vectors=vectors)
+    assert out.vector == checks[2] and out.value == word[0]
+    assert unavailable == {checks[0].helpers(0)[1]}
+    tried = {0}.union(*(v.helpers(0) for v in checks[:3]))
+    assert set(checks[2].helpers(0)) <= recorded.asked <= tried
+    # a read that finds no open check has still touched only their helpers
+    recorded = _RecordingWord(received)
+    blocked = {v.helpers(0)[0] for v in checks}
+    with pytest.raises(NotLocallyRepairableError):
+        repair_symbol(code, recorded, 0, unavailable=blocked, vectors=vectors)
+    assert recorded.asked <= {0}.union(*(v.helpers(0) for v in checks))
+
+
+def test_repair_symbol_rejects_helpers_that_are_not_bits():
+    code = make_code("grid2")
+    received = [int(b) for b in encode(code, [1, 0, 1, 0])]
+    received[0] = None
+    received[1] = 2
+    with pytest.raises(ValueError, match="received entries must be bits, got 2 at coordinate 1"):
+        repair_symbol(code, received, 0)
+    # only the helpers that are read are checked: line 1 avoids symbol 1
+    out = repair_symbol(code, received, 0, unavailable={1})
+    assert out.vector.line == 1 and 1 not in out.vector.helpers(0)
 
 
 def test_repair_symbol_blocked_raises():
