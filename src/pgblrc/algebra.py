@@ -171,6 +171,20 @@ def _pack(bits: np.ndarray) -> list[int]:
             for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
+def _words(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Bit rows as a len(rows) x ceil(cols/64) array of little-endian
+    uint64 words: column c is bit c % 64 of word c // 64."""
+    width = (cols + 63) // 64
+    return np.frombuffer(
+        b"".join(row.to_bytes(8 * width, "little") for row in rows), dtype="<u8"
+    ).reshape(len(rows), width)
+
+
+def _unwords(words: np.ndarray) -> list[int]:
+    """The rows of a little-endian uint64 word array as bit rows."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
 # Rows are unpacked to one byte per bit a block at a time: unpacking a
 # whole n = 4096 matrix at once takes several MB, and that transient
 # raised the peak memory of a whole ``pgblrc analyze`` run.

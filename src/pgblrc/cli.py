@@ -90,6 +90,35 @@ def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
     return _build_geometry(args.geometry, args.s, args.q, args.dual)
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """Exactly ``json.dumps(obj, indent=2)`` for objects with string keys.
+
+    json's C encoder has no indented form, so ``indent=2`` falls back to
+    the pure-Python encoder, which formats every int of an analyze
+    payload's repair sets one call at a time.  This walks dicts, lists
+    and tuples the same way, leaves keys and scalars to ``json.dumps``
+    (so NaN, null, floats and non-ASCII text come out as before), and
+    writes each list of plain ints with one join.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([f"{json.dumps(key)}: {_dumps(value, inner)}"
+                                     for key, value in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    return json.dumps(obj)
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -140,7 +169,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     params = geometry.validate_pg(inc)
     payload = {"schema_version": 1, "valid": True}
     payload.update(_geometry_dict(inc, params))
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(_dumps(payload), args.output)
     return EXIT_OK
 
 
@@ -224,7 +253,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "text":
         _emit(_analyze_text(payload), args.output)
     else:
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
     return EXIT_OK
 
 
@@ -246,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(report.to_csv(), args.output)
     else:
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.output)
+        _emit(_dumps(report.to_json_dict()), args.output)
     return EXIT_OK
 
 
@@ -266,7 +295,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 for row in rows
             ],
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
     else:
         _emit(bounds.bounds_table_csv(rows), args.output)
     return EXIT_OK
@@ -332,7 +361,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "estimator": args.estimator,
             "entries": [_catalog_entry_dict(e) for e in entries],
         }
-        _emit(json.dumps(payload, indent=2), args.output)
+        _emit(_dumps(payload), args.output)
     return EXIT_OK
 
 

@@ -99,16 +99,18 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
 
 
 def _as_bits(values: Sequence[int], expected: int, what: str) -> int:
+    """The values as one bit row; every entry must equal 0 or 1."""
     vals = list(values)
     if len(vals) != expected:
         raise ValueError(f"{what} must have length {expected}, got {len(vals)}")
-    bits = 0
-    for j, v in enumerate(vals):
-        iv = int(v)
-        if iv not in (0, 1):
-            raise ValueError(f"{what} entries must be bits, got {v!r}")
-        bits |= iv << j
-    return bits
+    try:
+        ok = {0, 1}.issuperset(vals)
+    except TypeError:  # some entry is unhashable, so no bit
+        ok = False
+    if not ok:
+        bad = next(v for v in vals if v.__hash__ is None or v not in (0, 1))
+        raise ValueError(f"{what} entries must be bits, got {bad!r}")
+    return algebra._pack(np.array([vals], dtype=np.uint8))[0]
 
 
 def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:

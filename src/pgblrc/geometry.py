@@ -7,10 +7,12 @@ distinct lines share at most one point, and for every non-incident pair
 ``validate_pg`` certifies all four axioms and returns the parameters.  It
 works point by point: axiom 3 is a popcount of the union of the lines
 through each point, and alpha a counting certificate (Bose 1963) over the
-points collinear with it.  Only a structure that fails one of these tests
-pays for a scan of line pairs or point/line pairs, which names the first
-offending pair as the witness.  The constructors below produce the
-standard families used for code building.
+points collinear with it.  Both read one collinearity table, packed as
+uint64 words and counted with ``np.bitwise_count``.  Only a structure
+that fails one of these tests pays for a scan of line pairs or
+point/line pairs, which names the first offending pair as the witness.
+The constructors below produce the standard families used for code
+building.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
+from . import algebra
 from .algebra import BitMatrix, small_field
 from .errors import IncidenceFileError, ParameterError, PgValidationError
 
@@ -208,6 +213,40 @@ def _first_alpha_mismatch(inc: IncidenceStructure,
     raise AssertionError("counting certificate failed but every pair agrees")
 
 
+def _collinearity_table(inc: IncidenceStructure) -> np.ndarray:
+    """col(p) for every point p, packed as an n x ceil(n/64) uint64 array.
+
+    Every point must lie on the same number of lines."""
+    lines = algebra._words(inc.line_masks, inc.num_points)
+    through = np.array(inc.lines_through, dtype=np.intp)
+    table = lines[through[:, 0]]
+    for column in through.T[1:]:
+        table |= lines[column]
+    return table
+
+
+def _bose_sums(inc: IncidenceStructure, table: np.ndarray) -> list[int]:
+    """For each point p, the sum of |col(q) & col(p)| over the points q != p
+    of each line through p.
+
+    Every pair of points on a line is counted once, for both points, one
+    pair of line positions at a time over all lines; so each step holds a
+    few arrays the size of the line table.  Every line must carry the same
+    number of points."""
+    lines = np.array(inc.lines, dtype=np.intp)
+    sums = np.zeros(lines.shape, dtype=np.int64)
+    for i in range(lines.shape[1]):
+        rows = table[lines[:, i]]
+        for j in range(i + 1, lines.shape[1]):
+            shared = np.bitwise_count(rows & table[lines[:, j]])
+            shared = shared.sum(axis=1, dtype=np.int64)
+            sums[:, i] += shared
+            sums[:, j] += shared
+    out = np.zeros(inc.num_points, dtype=np.int64)
+    np.add.at(out, lines, sums)
+    return out.tolist()
+
+
 def validate_pg(inc: IncidenceStructure) -> PgParams:
     """Certify the partial-geometry axioms; raise PgValidationError with a witness.
 
@@ -222,11 +261,14 @@ def validate_pg(inc: IncidenceStructure) -> PgParams:
       the sum over the points q != p of col(p) of |col(q) & col(p)| - (s+1).
       b is constant, and equal to alpha, iff M sum b^2 = (sum b)^2.
 
-    Only when a test fails does the scan of every line pair, or of every
-    non-incident point/line pair, run; it names the same first witness a
-    direct check of every pair would.  A structure with more points than
-    incidences is rejected before any per-point table is built.
-    The result is kept on ``inc``; a rejection is raised on every call.
+    Both tests read col(p) from one n x ceil(n/64) table of uint64 words,
+    built once the degrees and line sizes are certified, and count its
+    bits with ``np.bitwise_count``.  Only when a test fails does the scan
+    of every line pair, or of every non-incident point/line pair, run; it
+    names the same first witness a direct check of every pair would.  A
+    structure with more points than incidences is rejected before any
+    per-point table is built.  The result is kept on ``inc``; a rejection
+    is raised on every call.
     """
     return inc._certificate
 
@@ -270,32 +312,22 @@ def _certify(inc: IncidenceStructure) -> PgParams:
         )
     s, t = s_plus_1 - 1, t_plus_1 - 1
 
-    masks = inc.line_masks
-    collinear = []
-    for through in inc.lines_through:
-        acc = 0
-        for ln in through:
-            acc |= masks[ln]
-        collinear.append(acc)
-    if any(c.bit_count() != (t + 1) * s + 1 for c in collinear):
+    table = _collinearity_table(inc)
+    if (np.bitwise_count(table).sum(axis=1) != (t + 1) * s + 1).any():
         raise _first_big_intersection(inc)
 
     missing = inc.num_lines - t_plus_1
     if missing == 0:
         raise PgValidationError("alpha", "no non-incident point/line pair exists")
     sum_b = s * t * (t + 1)
-    for p, cmask in enumerate(collinear):
-        sum_bb = -(t + 1) * s * (s + 1)
-        for ln in inc.lines_through[p]:
-            for q in inc.lines[ln]:
-                if q != p:
-                    sum_bb += (collinear[q] & cmask).bit_count()
-        if missing * (sum_bb + sum_b) != sum_b * sum_b:
-            raise _first_alpha_mismatch(inc, collinear)
+    offset = sum_b - (t + 1) * s * (s + 1)
+    if any(missing * (shared + offset) != sum_b * sum_b
+           for shared in _bose_sums(inc, table)):
+        raise _first_alpha_mismatch(inc, algebra._unwords(table))
     # b is constant and sum b > 0, so alpha >= 1
     alpha = sum_b // missing
     if alpha > min(s + 1, t + 1):
-        first_line = next(b for b, m in enumerate(masks) if not m & 1)
+        first_line = next(b for b, m in enumerate(inc.line_masks) if not m & 1)
         raise PgValidationError(
             "alpha",
             f"alpha={alpha} exceeds min(s+1, t+1)={min(s + 1, t + 1)}",

@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -446,11 +446,10 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
         raise NotLocallyRepairableError("not locally repairable under this availability")
     value = 0
     for j in helpers:
-        bit = int(received[j])
-        if bit not in (0, 1):
+        if received[j] not in (0, 1):
             raise ValueError(f"received entries must be bits, got {received[j]!r} "
                              f"at coordinate {j}")
-        value ^= bit
+        value ^= int(received[j])
     return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
 
 
@@ -497,10 +496,22 @@ class AvailabilityReport:
         return "\n".join(out) + "\n"
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # counter-based: trial index keyed into the counter block, so draws
-    # are independent of evaluation order and splittable across trials
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 192))
+def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed for each trial in turn.
+
+    Counter-based: the trial index sits in the top word of the Philox
+    counter block, so trial j draws what ``Philox(key=seed, counter=j << 192)``
+    draws, whatever the evaluation order.  Setting the state of one bit
+    generator costs less than building a new one per trial.  Each yielded
+    generator must be drawn from before the next one is taken.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    for trial in range(trials):
+        fresh["state"]["counter"][3] = trial
+        bit_generator.state = fresh
+        yield rng
 
 
 # the availability kernel's arrays are (points or lines) x cases: a chunk
@@ -548,8 +559,9 @@ def _availability_counts(code: BlrcCode, unavailable_sets: Iterable[Sequence[int
     pending = iter(unavailable_sets)
     while chunk := list(itertools.islice(pending, chunk_size)):
         unavailable = np.zeros((n + 1, len(chunk)), dtype=np.uint8)
-        for case, unavailable_points in enumerate(chunk):
-            unavailable[unavailable_points, case] = 1
+        # an empty case set concatenates as float: cast the indices
+        unavailable[np.concatenate(chunk).astype(np.intp, copy=False),
+                    np.repeat(np.arange(len(chunk)), [len(c) for c in chunk])] = 1
         blocked = np.zeros((num_lines + 1, len(chunk)), dtype=count_type)
         for row in points:
             blocked[:-1] += unavailable.take(row, axis=0)
@@ -603,11 +615,11 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     if not sampled:
         unavailable_sets: Iterable[Sequence[int]] = itertools.combinations(range(n), u)
     elif model == "iid":
-        unavailable_sets = (np.flatnonzero(_trial_rng(seed, trial).random(n) < p)
-                            for trial in range(trials))
+        unavailable_sets = (np.flatnonzero(rng.random(n) < p)
+                            for rng in _trial_rngs(seed, trials))
     else:
-        unavailable_sets = (_trial_rng(seed, trial).choice(n, size=u, replace=False)
-                            for trial in range(trials))
+        unavailable_sets = (rng.choice(n, size=u, replace=False)
+                            for rng in _trial_rngs(seed, trials))
     succ, retrieved, cases, all_ok_cases = _availability_counts(code, unavailable_sets)
 
     per_success = tuple(succ[i] / cases for i in range(n))

@@ -4,16 +4,19 @@ The first group recomputes results with a different algorithm and a
 different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
-pair-by-pair partial-geometry check, the column-sweep elimination,
-the bit-by-bit transpose, encoder and message read-out, the
-symbol-by-symbol dual-support search, the subset-by-subset MDS test,
-the whole-word repair scan and the case-by-case availability simulator.
+pair-by-pair partial-geometry check, the big-int counting certificate,
+the column-sweep elimination, the bit-by-bit transpose, encoder and
+message read-out, the symbol-by-symbol dual-support search, the
+subset-by-subset MDS test, the whole-word repair scan, the
+case-by-case availability simulator with a new generator per trial,
+and json's own indented encoder.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +26,9 @@ import numpy as np
 from pgblrc.algebra import BitMatrix, bitrow_rank, solve2
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
-from pgblrc.geometry import PgParams, _classify, incidence_matrix
+from pgblrc.geometry import (PgParams, _classify, _first_alpha_mismatch,
+                             _first_big_intersection, _require_covered,
+                             incidence_matrix)
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     AVAILABILITY_MODELS,
@@ -31,7 +36,6 @@ from pgblrc.repair import (
     RepairOutcome,
     RepairProfile,
     RepairVector,
-    _trial_rng,
     minimum_hitting_set,
 )
 
@@ -145,12 +149,13 @@ def brute_repair_degree(gen_cols: list[int], k: int, i: int,
 
 # ----------------------------------------------------------------------
 # the direct forms of the package's fast paths: every line pair, every
-# point/line pair, and the column-sweep elimination
+# point/line pair, the certificate on big-int rows, and the column-sweep
+# elimination
 
 
-def validate_pg_pairwise(inc) -> PgParams:
-    """The partial-geometry axioms checked pair by pair: axiom 3 on every
-    pair of lines and alpha on every non-incident point/line pair."""
+def _checked_shape(inc) -> tuple[int, int]:
+    """(s, t) once every point lies on t+1 >= 2 lines and every line
+    carries s+1 >= 2 points."""
     if inc.num_lines == 0:
         raise PgValidationError("point-degree", "structure has no lines")
 
@@ -186,6 +191,42 @@ def validate_pg_pairwise(inc) -> PgParams:
             f"every line must carry at least 2 points (s >= 1), found {s_plus_1}",
             witness=0,
         )
+    return s_plus_1 - 1, t_plus_1 - 1
+
+
+def _counted_params(inc, s: int, t: int, alpha: int) -> PgParams:
+    """The parameters once the point and line counts match (s, t, alpha)."""
+    expected_points = (s + 1) * (s * t + alpha)
+    expected_lines = (t + 1) * (s * t + alpha)
+    if expected_points % alpha or inc.num_points != expected_points // alpha:
+        raise PgValidationError(
+            "cardinality",
+            f"point count {inc.num_points} does not match "
+            f"(s+1)(st+alpha)/alpha = {expected_points}/{alpha}",
+        )
+    if expected_lines % alpha or inc.num_lines != expected_lines // alpha:
+        raise PgValidationError(
+            "cardinality",
+            f"line count {inc.num_lines} does not match "
+            f"(t+1)(st+alpha)/alpha = {expected_lines}/{alpha}",
+        )
+
+    pg_class, degenerate = _classify(s, t, alpha)
+    return PgParams(
+        s=s,
+        t=t,
+        alpha=alpha,
+        num_points=inc.num_points,
+        num_lines=inc.num_lines,
+        pg_class=pg_class,
+        grid_degenerate=degenerate,
+    )
+
+
+def validate_pg_pairwise(inc) -> PgParams:
+    """The partial-geometry axioms checked pair by pair: axiom 3 on every
+    pair of lines and alpha on every non-incident point/line pair."""
+    s, t = _checked_shape(inc)
 
     masks = inc.line_masks
     for i, j in itertools.combinations(range(inc.num_lines), 2):
@@ -234,39 +275,55 @@ def validate_pg_pairwise(inc) -> PgParams:
             witness=first_pair,
         )
 
-    s, t = s_plus_1 - 1, t_plus_1 - 1
     if alpha > min(s + 1, t + 1):
         raise PgValidationError(
             "alpha",
             f"alpha={alpha} exceeds min(s+1, t+1)={min(s + 1, t + 1)}",
             witness=first_pair,
         )
+    return _counted_params(inc, s, t, alpha)
 
-    expected_points = (s + 1) * (s * t + alpha)
-    expected_lines = (t + 1) * (s * t + alpha)
-    if expected_points % alpha or inc.num_points != expected_points // alpha:
-        raise PgValidationError(
-            "cardinality",
-            f"point count {inc.num_points} does not match "
-            f"(s+1)(st+alpha)/alpha = {expected_points}/{alpha}",
-        )
-    if expected_lines % alpha or inc.num_lines != expected_lines // alpha:
-        raise PgValidationError(
-            "cardinality",
-            f"line count {inc.num_lines} does not match "
-            f"(t+1)(st+alpha)/alpha = {expected_lines}/{alpha}",
-        )
 
-    pg_class, degenerate = _classify(s, t, alpha)
-    return PgParams(
-        s=s,
-        t=t,
-        alpha=alpha,
-        num_points=inc.num_points,
-        num_lines=inc.num_lines,
-        pg_class=pg_class,
-        grid_degenerate=degenerate,
-    )
+def certify_bigint(inc) -> PgParams:
+    """``validate_pg``'s certificate on big-int bit rows: col(p) as one
+    Python int per point, and each point's Bose sum one ``bit_count`` per
+    point of the lines through it."""
+    if inc.num_lines == 0:
+        raise PgValidationError("point-degree", "structure has no lines")
+    _require_covered(inc)
+    s, t = _checked_shape(inc)
+
+    masks = inc.line_masks
+    collinear = []
+    for through in inc.lines_through:
+        acc = 0
+        for ln in through:
+            acc |= masks[ln]
+        collinear.append(acc)
+    if any(c.bit_count() != (t + 1) * s + 1 for c in collinear):
+        raise _first_big_intersection(inc)
+
+    missing = inc.num_lines - (t + 1)
+    if missing == 0:
+        raise PgValidationError("alpha", "no non-incident point/line pair exists")
+    sum_b = s * t * (t + 1)
+    for p, cmask in enumerate(collinear):
+        sum_bb = -(t + 1) * s * (s + 1)
+        for ln in inc.lines_through[p]:
+            for q in inc.lines[ln]:
+                if q != p:
+                    sum_bb += (collinear[q] & cmask).bit_count()
+        if missing * (sum_bb + sum_b) != sum_b * sum_b:
+            raise _first_alpha_mismatch(inc, collinear)
+    alpha = sum_b // missing
+    if alpha > min(s + 1, t + 1):
+        first_line = next(b for b, m in enumerate(masks) if not m & 1)
+        raise PgValidationError(
+            "alpha",
+            f"alpha={alpha} exceeds min(s+1, t+1)={min(s + 1, t + 1)}",
+            witness=(0, first_line),
+        )
+    return _counted_params(inc, s, t, alpha)
 
 
 def _reduce_row(row: int, pivots: dict[int, int]) -> int:
@@ -524,17 +581,23 @@ def repair_symbol_first_open(code, received: Sequence[int | None], i: int,
         raise NotLocallyRepairableError("not locally repairable under this availability")
     value = 0
     for j in sorted(helpers):
-        bit = int(received[j])
-        if bit not in (0, 1):
+        if received[j] not in (0, 1):
             raise ValueError(f"received entries must be bits, got {received[j]!r} "
                              f"at coordinate {j}")
-        value ^= bit
+        value ^= int(received[j])
     return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
 
 
 # ----------------------------------------------------------------------
-# the availability simulator that the chunked kernel replaced: each
-# symbol's lines, ordered by (size, index), scanned case by case
+# the availability simulator that the chunked kernel replaced: a new
+# generator per trial, and each symbol's lines, ordered by (size,
+# index), scanned case by case
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """A new generator for one trial, keyed by (seed, trial): the draws
+    the simulator's one re-keyed generator must reproduce."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 192))
 
 
 def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
@@ -564,10 +627,10 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
     if not sampled:
         unavailable_sets: Iterable[set[int]] = map(set, itertools.combinations(range(n), u))
     elif model == "iid":
-        unavailable_sets = (set(np.flatnonzero(_trial_rng(seed, trial).random(n) < p).tolist())
+        unavailable_sets = (set(np.flatnonzero(trial_rng(seed, trial).random(n) < p).tolist())
                             for trial in range(trials))
     else:
-        unavailable_sets = (set(_trial_rng(seed, trial).choice(n, size=u, replace=False).tolist())
+        unavailable_sets = (set(trial_rng(seed, trial).choice(n, size=u, replace=False).tolist())
                             for trial in range(trials))
 
     lines = code.geometry.lines
@@ -606,3 +669,12 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
         all_symbols_success=all_ok_cases / cases,
         mean_retrieved=(sum(retrieved) / total_succ) if total_succ else float("nan"),
     )
+
+
+# ----------------------------------------------------------------------
+# the indented JSON that the command line's writer reproduces
+
+
+def dumps_indented(obj) -> str:
+    """json's pure-Python indented encoding."""
+    return json.dumps(obj, indent=2)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from pgblrc import __version__
+from pgblrc import __version__, cli
 from pgblrc.cli import build_parser, main
+
+from oracles import dumps_indented
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -397,3 +399,46 @@ def test_an_untyped_value_error_is_not_a_validation_failure(capsys, monkeypatch)
     monkeypatch.setattr(pgblrc.repair, "repair_profile", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["analyze", "--geometry", "grid", "--s", "2"])
+
+
+# ------------------------------------------------------------ JSON writer
+
+WRITTEN = [
+    *(f"analyze --geometry {rung}" for rung in (
+        "grid --s 8", "symplectic --q 4", "elliptic --q 3", "hyperoval --q 8",
+        "elliptic --q 2 --dual")),
+    # grid(8) is left out here: its exhaustive census takes tens of seconds
+    *(f"analyze --exhaustive --geometry {rung}" for rung in (
+        "symplectic --q 4", "elliptic --q 3", "elliptic --q 2 --dual")),
+    # p = 1 leaves no symbol repairable, so the mean retrieved counts are NaN
+    "simulate --geometry grid --s 2 --p 1 --trials 3",
+    "bounds --format json",
+    "catalog",
+]
+
+
+@pytest.mark.parametrize("command", WRITTEN)
+def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch, command):
+    payloads = []
+    writer = cli._dumps
+
+    def recording(obj, indent=""):
+        if not indent:
+            payloads.append(obj)
+        return writer(obj, indent)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and len(payloads) == 1
+    assert out == dumps_indented(payloads[0]) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, None, [[]], {"a": {}}, (), [None, True, False, 0, -1, 2.5],
+    [float("nan"), float("inf"), -float("inf"), 1e300, 0.1],
+    {"label": "géométrie — \U0001d53d", "quote\"d": "tab\there"},
+    {"repair_sets": [[], [[]], [[], [0, 1]], ([2], (3, 4))]},
+    [1, True], [True, 1], [1, 2.0], [[1, 2], 3],
+])
+def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
+    assert cli._dumps(obj) == dumps_indented(obj)

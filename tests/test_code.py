@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from pgblrc.geometry import (
     load,
     symplectic_gq,
 )
+from pgblrc.repair import line_repair_sets, repair_symbol
 
 from oracles import np_rank2
 
@@ -140,6 +142,26 @@ def test_encode_validates_input():
         encode(code, [1, 0])
     with pytest.raises(ValueError, match="must be bits"):
         encode(code, [1, 0, 2, 0])
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.9, "1"])
+def test_entries_that_only_truncate_to_bits_are_refused(bad):
+    code = build_code(grid(2))
+    got = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"message entries must be bits, got {got}$"):
+        encode(code, [bad, 0, 1, 1])
+    coords = list(code.info_set)
+    with pytest.raises(ValueError, match=f"values entries must be bits, got {got}$"):
+        reconstruct(code, coords, [0, 1, bad, 1])
+    received = [int(b) for b in encode(code, [1, 0, 1, 1])]
+    helper = line_repair_sets(code, 0)[0].helpers(0)[0]
+    received[0], received[helper] = None, bad
+    with pytest.raises(ValueError,
+                       match=f"received entries must be bits, got {got} at coordinate {helper}$"):
+        repair_symbol(code, received, 0)
+    # entries equal to 0 or 1 of any numeric type are bits
+    word = encode(code, [True, np.uint8(0), 1.0, np.int64(1)])
+    assert [int(word[i]) for i in code.info_set] == [1, 0, 1, 1]
 
 
 def test_every_codeword_satisfies_every_incidence_row():

@@ -1,15 +1,17 @@
 """The package's fast paths against the direct forms kept in ``oracles``.
 
-Validation runs a per-point union test and a counting certificate, code
-building runs one elimination, geometric tolerance is read off the line
-count, the exhaustive metrics come from one meet-in-the-middle census
-of low-weight dual codewords, and ``is_mds`` is derived rather than
-scanned; each must agree with the pairwise scans, the column-sweep
-elimination, the hitting-set search, the symbol-by-symbol dual-support
-search and the subset-by-subset MDS test they replace.  ``repair_symbol``
+Validation runs a per-point union test and a counting certificate on
+packed words, code building runs one elimination, geometric tolerance
+is read off the line count, the exhaustive metrics come from one
+meet-in-the-middle census of low-weight dual codewords, and ``is_mds``
+is derived rather than scanned; each must agree with the pairwise scans
+and the big-int certificate, the column-sweep elimination, the
+hitting-set search, the symbol-by-symbol dual-support search and the
+subset-by-subset MDS test they replace.  ``repair_symbol``
 reads only the helpers of the checks it tries; it must agree with the
-whole-word scan it replaced.  The availability simulator counts chunks
-of cases at once; it must agree with the case-by-case scan it replaced
+whole-word scan it replaced.  The availability simulator re-keys one
+generator per trial and counts chunks of cases at once; it must agree
+with the case-by-case scan, with a new generator per trial, it replaced
 and, on line checks, with the exact availability that the disjoint line
 helper sets give.
 """
@@ -60,6 +62,7 @@ from pgblrc.repair import (
 from oracles import (
     bits_to_array,
     build_code_parts,
+    certify_bigint,
     encode_bitwise,
     independent_row_indices_greedy,
     is_mds_scan,
@@ -111,7 +114,7 @@ def outcome(validate, inc):
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_validate_pg_matches_pairwise_scan_on_ladder(name):
     inc = ladder(name)
-    assert validate_pg(inc) == validate_pg_pairwise(inc)
+    assert validate_pg(inc) == validate_pg_pairwise(inc) == certify_bigint(inc)
 
 
 def _move_one_incidence(rng, lines, num_points):
@@ -152,7 +155,7 @@ def test_validate_pg_matches_pairwise_scan_on_mutations(name, make):
             continue
         inc = IncidenceStructure(base.num_points, tuple(lines))
         got = outcome(validate_pg, inc)
-        assert got == outcome(validate_pg_pairwise, inc)
+        assert got == outcome(validate_pg_pairwise, inc) == outcome(certify_bigint, inc)
         rejected += isinstance(got, tuple)
     assert rejected > 60
 

@@ -2,17 +2,21 @@
 
 Each command runs in process through ``cli.main`` and its stdout is hashed.
 The digests were recorded before the repair metrics, the simulator's case
-loop and the catalog's grid family were restructured, so any change in
-the bytes a user sees fails here.  No command draws from a random stream
-(the simulation is an exhaustive adversarial one), so a numpy upgrade
-cannot move them.
+loop and the catalog's grid family were restructured, and the JSON ones
+before the indented JSON writer replaced ``json.dumps``, so any change
+in the bytes a user sees fails here.  No output depends on a random
+stream (the adversarial simulations are exhaustive, and the iid one has
+p = 1), so a numpy upgrade cannot move them.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from pgblrc.cli import main
+
+REPO = Path(__file__).parent.parent
 
 GOLDEN = [
     ("analyze --geometry grid --s 2",
@@ -41,11 +45,22 @@ GOLDEN = [
      "c784b5415dd3f69af970942c919c2ac8866f320c3245ab4aab698557239ee7eb"),
     ("simulate --geometry grid --s 3 --model adversarial --u 2 --format csv",
      "6720f93deb383142e417bc7cf328aebf88e7782538c40fd655e28677191a61f1"),
+    ("simulate --geometry grid --s 3 --model adversarial --u 2 --format json",
+     "0d0710db079af70fe14cf897ceadb30133b409a229b134f019d661af47816d42"),
+    # every symbol is unavailable, so the mean retrieved counts are NaN
+    ("simulate --geometry grid --s 2 --p 1 --trials 3 --format json",
+     "c52fc484701c0491d9507b0a69dbae79e2803abec7f54c7bb0e2d36b43034f74"),
+    ("bounds --format json",
+     "6681dc18753602ce388cf823623687d02778cb1d694cbb3b4b0276b37a28ab7f"),
+    ("validate --file tests/fixtures/fano.txt",
+     "a7c33405a92f49bd960205081aa38736a3ff45dabebc6520bfe61725c022c431"),
 ]
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_cli_output_bytes_are_pinned(capsys, command, digest):
-    assert main(command.split()) == 0
+    argv = [str(REPO / arg) if arg.startswith("tests/") else arg
+            for arg in command.split()]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
