@@ -180,11 +180,6 @@ def _words(rows: Sequence[int], cols: int) -> np.ndarray:
     ).reshape(len(rows), width)
 
 
-def _unwords(words: np.ndarray) -> list[int]:
-    """The rows of a little-endian uint64 word array as bit rows."""
-    return [int.from_bytes(row.tobytes(), "little") for row in words]
-
-
 # Rows are unpacked to one byte per bit a block at a time: unpacking a
 # whole n = 4096 matrix at once takes several MB, and that transient
 # raised the peak memory of a whole ``pgblrc analyze`` run.

@@ -86,21 +86,22 @@ def _check_ra(r: int, a: int) -> None:
 
 
 def rate_lower(r: int, a: int) -> Fraction:
-    """Rate achievable by any pg code with repair degree r and alternativity a."""
+    """Rate achievable by any pg code with repair degree r and alternativity a:
+    the general lower bound at (s, t, alpha) = (r, a-1, 1), which is
+    r^2 / ((a+r-1)(r+1))."""
     _check_ra(r, a)
-    return Fraction(r * r, (a + r - 1) * (r + 1))
+    return rate_lower_general(r, a - 1, 1)
 
 
 def rate_upper(r: int, a: int) -> Fraction | None:
-    """Rate ceiling for (r, a) pg codes; None when r + a - 1 is odd
-    (the underlying rank lower bound needs even parity)."""
+    """Rate ceiling for (r, a) pg codes: the general upper bound at
+    (s, t, alpha) = (r, a-1, 1), which is
+    (a(r^2-r+1) - (r-1)^2) / ((a+r-1)(r(a-1)+1)); None when r + a - 1 is
+    odd (the underlying rank lower bound needs even parity)."""
     _check_ra(r, a)
-    if (r + a - 1) % 2:
+    if rank_bounds(r, a - 1, 1)[0] is None:
         return None
-    return Fraction(
-        a * (r * r - r + 1) - (r - 1) ** 2,
-        (a + r - 1) * (r * (a - 1) + 1),
-    )
+    return rate_upper_general(r, a - 1, 1)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ class PgValidationError(ValueError):
     """A partial-geometry axiom failed.
 
     ``kind`` names the failed check (point-degree, line-size,
-    line-intersection, alpha, cardinality) and ``witness`` points at the
-    offending point/line indices when there is one.
+    line-intersection, alpha) and ``witness`` points at the offending
+    point/line indices when there is one.
     """
 
     def __init__(self, kind: str, message: str, witness=None):

@@ -8,9 +8,8 @@ distinct lines share at most one point, and for every non-incident pair
 works point by point: axiom 3 is a popcount of the union of the lines
 through each point, and alpha a counting certificate (Bose 1963) over the
 points collinear with it.  Both read one collinearity table, packed as
-uint64 words and counted with ``np.bitwise_count``.  Only a structure
-that fails one of these tests pays for a scan of line pairs or
-point/line pairs, which names the first offending pair as the witness.
+uint64 words and counted with ``np.bitwise_count``, and decide alone; a
+witness is read off the same words at the points a failing test flagged.
 The constructors below produce the standard families used for code
 building.
 """
@@ -169,55 +168,55 @@ def _require_covered(inc: IncidenceStructure) -> None:
     )
 
 
-def _first_big_intersection(inc: IncidenceStructure) -> PgValidationError:
+def _first_big_intersection(inc: IncidenceStructure, lines: np.ndarray,
+                            flagged: list[int]) -> PgValidationError:
     """The error naming the first line pair, in index order, that shares
-    more than one point."""
-    masks = inc.line_masks
-    for i, j in itertools.combinations(range(inc.num_lines), 2):
-        if (masks[i] & masks[j]).bit_count() > 1:
-            return PgValidationError(
-                "line-intersection",
-                f"lines {i} and {j} share more than one point",
-                witness=(i, j),
-            )
-    raise AssertionError("per-point union test failed but no line pair overlaps")
+    more than one point, read off the packed ``lines``.  Two lines that
+    share u and v both pass through u, which fails the union test; so
+    only the lines through each ``flagged`` point are paired."""
+    pairs = []
+    for u in flagged:
+        through = inc.lines_through[u]
+        rows = lines[list(through)]
+        for k in range(len(through) - 1):
+            hits = np.flatnonzero(np.bitwise_count(rows[k + 1:] & rows[k]).sum(axis=1) > 1)
+            if hits.size:
+                pairs.append((through[k], through[k + 1 + int(hits[0])]))
+                break
+    i, j = min(pairs)
+    return PgValidationError(
+        "line-intersection",
+        f"lines {i} and {j} share more than one point",
+        witness=(i, j),
+    )
 
 
-def _first_alpha_mismatch(inc: IncidenceStructure,
-                          collinear: list[int]) -> PgValidationError:
+def _first_alpha_mismatch(inc: IncidenceStructure, lines: np.ndarray,
+                          table: np.ndarray, p: int) -> PgValidationError:
     """The error naming the first non-incident (point, line) pair whose
-    bridge count differs from that of the first such pair.
-
-    With axiom 3 certified, the bridges of a non-incident (P, B) are the
-    points of B collinear with P, so one popcount per pair suffices.
-    """
-    masks = inc.line_masks
-    alpha = None
-    first_pair = None
-    for p in range(inc.num_points):
-        pbit = 1 << p
-        cmask = collinear[p]
-        for b in range(inc.num_lines):
-            if masks[b] & pbit:
-                continue
-            bridges = (cmask & masks[b]).bit_count()
-            if alpha is None:
-                alpha, first_pair = bridges, (p, b)
-            elif bridges != alpha:
-                return PgValidationError(
-                    "alpha",
-                    f"non-uniform alpha: pair (point {p}, line {b}) has "
-                    f"{bridges} bridges, pair {first_pair} has {alpha}",
-                    witness=(p, b),
-                )
-    raise AssertionError("counting certificate failed but every pair agrees")
+    bridge count differs from that of the first such pair, given the
+    first point p that fails the counting certificate.  With axiom 3
+    certified, the bridges of (P, B) are the points of B collinear with P;
+    a point that passes has s t (t+1) / M of them on every line missing
+    it, so the first pair that differs lies on p."""
+    first_line = next(b for b, line in enumerate(inc.lines) if line[0] != 0)
+    alpha = int(np.bitwise_count(lines[first_line] & table[0]).sum())
+    bridges = np.bitwise_count(lines & table[p]).sum(axis=1)
+    bridges[list(inc.lines_through[p])] = alpha
+    b = int(np.flatnonzero(bridges != alpha)[0])
+    return PgValidationError(
+        "alpha",
+        f"non-uniform alpha: pair (point {p}, line {b}) has "
+        f"{bridges[b]} bridges, pair {(0, first_line)} has {alpha}",
+        witness=(p, b),
+    )
 
 
-def _collinearity_table(inc: IncidenceStructure) -> np.ndarray:
-    """col(p) for every point p, packed as an n x ceil(n/64) uint64 array.
+def _collinearity_table(inc: IncidenceStructure, lines: np.ndarray) -> np.ndarray:
+    """col(p) for every point p, packed as an n x ceil(n/64) uint64 array,
+    from the lines packed the same way.
 
     Every point must lie on the same number of lines."""
-    lines = algebra._words(inc.line_masks, inc.num_points)
     through = np.array(inc.lines_through, dtype=np.intp)
     table = lines[through[:, 0]]
     for column in through.T[1:]:
@@ -263,17 +262,24 @@ def validate_pg(inc: IncidenceStructure) -> PgParams:
 
     Both tests read col(p) from one n x ceil(n/64) table of uint64 words,
     built once the degrees and line sizes are certified, and count its
-    bits with ``np.bitwise_count``.  Only when a test fails does the scan
-    of every line pair, or of every non-incident point/line pair, run; it
-    names the same first witness a direct check of every pair would.  A
-    structure with more points than incidences is rejected before any
-    per-point table is built.  The result is kept on ``inc``; a rejection
-    is raised on every call.
+    bits with ``np.bitwise_count``.  They decide alone: alpha's range and
+    the point and line counts follow.  A rejection names the first witness
+    a direct check of every pair would, reading the same words only at the
+    points the failing test flagged.  A structure with more points than
+    incidences is rejected before any per-point table is built.  The
+    result is kept on ``inc``; a rejection is raised on every call.
     """
     return inc._certificate
 
 
 def _certify(inc: IncidenceStructure) -> PgParams:
+    """``validate_pg``'s checks.  Once both tests pass, the rest holds:
+    M = L - (t+1) >= 1, or every point would lie on all t+1 >= 2 lines,
+    which would then repeat; 1 <= alpha <= min(s+1, t+1), as b is constant
+    with sum b = s t (t+1) > 0, b(B) <= |B| = s+1, and under axiom 3
+    distinct bridges on B lie on distinct lines through p; and n and L are
+    (s+1)(st+alpha)/alpha and (t+1)(st+alpha)/alpha, from alpha M =
+    s t (t+1), L = t+1 + M and, counting incidences, n (t+1) = L (s+1)."""
     if inc.num_lines == 0:
         raise PgValidationError("point-degree", "structure has no lines")
     _require_covered(inc)
@@ -312,42 +318,20 @@ def _certify(inc: IncidenceStructure) -> PgParams:
         )
     s, t = s_plus_1 - 1, t_plus_1 - 1
 
-    table = _collinearity_table(inc)
-    if (np.bitwise_count(table).sum(axis=1) != (t + 1) * s + 1).any():
-        raise _first_big_intersection(inc)
+    lines = algebra._words(inc.line_masks, inc.num_points)
+    table = _collinearity_table(inc, lines)
+    flagged = np.bitwise_count(table).sum(axis=1) != (t + 1) * s + 1
+    if flagged.any():
+        raise _first_big_intersection(inc, lines, np.flatnonzero(flagged).tolist())
 
     missing = inc.num_lines - t_plus_1
-    if missing == 0:
-        raise PgValidationError("alpha", "no non-incident point/line pair exists")
     sum_b = s * t * (t + 1)
     offset = sum_b - (t + 1) * s * (s + 1)
-    if any(missing * (shared + offset) != sum_b * sum_b
-           for shared in _bose_sums(inc, table)):
-        raise _first_alpha_mismatch(inc, algebra._unwords(table))
-    # b is constant and sum b > 0, so alpha >= 1
+    failing = next((p for p, shared in enumerate(_bose_sums(inc, table))
+                    if missing * (shared + offset) != sum_b * sum_b), None)
+    if failing is not None:
+        raise _first_alpha_mismatch(inc, lines, table, failing)
     alpha = sum_b // missing
-    if alpha > min(s + 1, t + 1):
-        first_line = next(b for b, m in enumerate(inc.line_masks) if not m & 1)
-        raise PgValidationError(
-            "alpha",
-            f"alpha={alpha} exceeds min(s+1, t+1)={min(s + 1, t + 1)}",
-            witness=(0, first_line),
-        )
-
-    expected_points = (s + 1) * (s * t + alpha)
-    expected_lines = (t + 1) * (s * t + alpha)
-    if expected_points % alpha or inc.num_points != expected_points // alpha:
-        raise PgValidationError(
-            "cardinality",
-            f"point count {inc.num_points} does not match "
-            f"(s+1)(st+alpha)/alpha = {expected_points}/{alpha}",
-        )
-    if expected_lines % alpha or inc.num_lines != expected_lines // alpha:
-        raise PgValidationError(
-            "cardinality",
-            f"line count {inc.num_lines} does not match "
-            f"(t+1)(st+alpha)/alpha = {expected_lines}/{alpha}",
-        )
 
     pg_class, degenerate = _classify(s, t, alpha)
     return PgParams(

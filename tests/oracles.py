@@ -4,8 +4,9 @@ The first group recomputes results with a different algorithm and a
 different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
-pair-by-pair partial-geometry check, the big-int counting certificate,
-the column-sweep elimination, the bit-by-bit transpose, encoder and
+pair-by-pair partial-geometry check, the big-int counting certificate
+with its whole scans for a witness, the closed-form rate bounds, the
+column-sweep elimination, the bit-by-bit transpose, encoder and
 message read-out, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
@@ -19,6 +20,7 @@ import itertools
 import json
 import math
 import operator
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,8 +28,7 @@ import numpy as np
 from pgblrc.algebra import BitMatrix, bitrow_rank, solve2
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
-from pgblrc.geometry import (PgParams, _classify, _first_alpha_mismatch,
-                             _first_big_intersection, _require_covered,
+from pgblrc.geometry import (PgParams, _classify, _require_covered,
                              incidence_matrix)
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
@@ -282,6 +283,49 @@ def validate_pg_pairwise(inc) -> PgParams:
             witness=first_pair,
         )
     return _counted_params(inc, s, t, alpha)
+
+
+def _first_big_intersection(inc) -> PgValidationError:
+    """The error naming the first line pair, in index order, that shares
+    more than one point."""
+    masks = inc.line_masks
+    for i, j in itertools.combinations(range(inc.num_lines), 2):
+        if (masks[i] & masks[j]).bit_count() > 1:
+            return PgValidationError(
+                "line-intersection",
+                f"lines {i} and {j} share more than one point",
+                witness=(i, j),
+            )
+    raise AssertionError("per-point union test failed but no line pair overlaps")
+
+
+def _first_alpha_mismatch(inc, collinear: list[int]) -> PgValidationError:
+    """The error naming the first non-incident (point, line) pair whose
+    bridge count differs from that of the first such pair.
+
+    With axiom 3 certified, the bridges of a non-incident (P, B) are the
+    points of B collinear with P, so one popcount per pair suffices.
+    """
+    masks = inc.line_masks
+    alpha = None
+    first_pair = None
+    for p in range(inc.num_points):
+        pbit = 1 << p
+        cmask = collinear[p]
+        for b in range(inc.num_lines):
+            if masks[b] & pbit:
+                continue
+            bridges = (cmask & masks[b]).bit_count()
+            if alpha is None:
+                alpha, first_pair = bridges, (p, b)
+            elif bridges != alpha:
+                return PgValidationError(
+                    "alpha",
+                    f"non-uniform alpha: pair (point {p}, line {b}) has "
+                    f"{bridges} bridges, pair {first_pair} has {alpha}",
+                    witness=(p, b),
+                )
+    raise AssertionError("counting certificate failed but every pair agrees")
 
 
 def certify_bigint(inc) -> PgParams:
@@ -678,3 +722,23 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
 def dumps_indented(obj) -> str:
     """json's pure-Python indented encoding."""
     return json.dumps(obj, indent=2)
+
+
+# ----------------------------------------------------------------------
+# the closed forms of the rate bounds at (s, t, alpha) = (r, a-1, 1)
+
+
+def rate_lower_closed(r: int, a: int) -> Fraction:
+    """r^2 / ((a+r-1)(r+1))."""
+    return Fraction(r * r, (a + r - 1) * (r + 1))
+
+
+def rate_upper_closed(r: int, a: int) -> Fraction | None:
+    """(a(r^2-r+1) - (r-1)^2) / ((a+r-1)(r(a-1)+1)); None when r + a - 1
+    is odd."""
+    if (r + a - 1) % 2:
+        return None
+    return Fraction(
+        a * (r * r - r + 1) - (r - 1) ** 2,
+        (a + r - 1) * (r * (a - 1) + 1),
+    )

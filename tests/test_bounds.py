@@ -31,6 +31,8 @@ from pgblrc.geometry import (
     symplectic_gq,
 )
 
+from oracles import rate_lower_closed, rate_upper_closed
+
 F = Fraction
 
 
@@ -149,10 +151,12 @@ def test_rate_bound_validation():
 
 
 def test_bounds_reduce_to_the_general_forms_at_alpha_one():
-    for r in range(2, 11):
-        for a in range(2, 11):
+    for r in range(2, 41):
+        for a in range(2, 41):
             assert rate_lower(r, a) == rate_lower_general(r, a - 1, 1)
+            assert rate_lower(r, a) == rate_lower_closed(r, a)
             upper = rate_upper(r, a)
+            assert upper == rate_upper_closed(r, a)
             if upper is not None:
                 assert upper == rate_upper_general(r, a - 1, 1)
 

@@ -1,7 +1,8 @@
 """The package's fast paths against the direct forms kept in ``oracles``.
 
 Validation runs a per-point union test and a counting certificate on
-packed words, code building runs one elimination, geometric tolerance
+packed words and reads a rejection's witness only at the points they
+flag, code building runs one elimination, geometric tolerance
 is read off the line count, the exhaustive metrics come from one
 meet-in-the-middle census of low-weight dual codewords, and ``is_mds``
 is derived rather than scanned; each must agree with the pairwise scans
@@ -137,13 +138,26 @@ def _swap_between_lines(rng, lines, num_points):
     lines[j] = tuple(sorted(set(lines[j]) - {q} | {p}))
 
 
+def _assert_counts_follow(pg):
+    """The conditions ``validate_pg`` derives rather than checks."""
+    s, t, alpha = pg.s, pg.t, pg.alpha
+    assert 1 <= alpha <= min(s + 1, t + 1)
+    assert pg.num_points * alpha == (s + 1) * (s * t + alpha)
+    assert pg.num_lines * alpha == (t + 1) * (s * t + alpha)
+
+
 @pytest.mark.parametrize("name, make", [
     ("grid4", lambda: grid(4)),
     ("symplectic3", lambda: symplectic_gq(3)),
     ("fano", lambda: load(FIXTURES / "fano.txt")),
+    ("symplectic2", lambda: symplectic_gq(2)),
+    ("dual_elliptic2", lambda: dual(elliptic_quadric_gq(2))),
+    ("hyperoval4", lambda: hyperoval_gq(4)),
+    ("ag23", lambda: load(FIXTURES / "ag23.txt")),
 ])
 def test_validate_pg_matches_pairwise_scan_on_mutations(name, make):
     base = make()
+    _assert_counts_follow(validate_pg(base))
     rng = random.Random(f"mutations:{name}")
     rejected = 0
     for trial in range(120):
@@ -156,8 +170,28 @@ def test_validate_pg_matches_pairwise_scan_on_mutations(name, make):
         inc = IncidenceStructure(base.num_points, tuple(lines))
         got = outcome(validate_pg, inc)
         assert got == outcome(validate_pg_pairwise, inc) == outcome(certify_bigint, inc)
+        if isinstance(got, PgParams):
+            _assert_counts_follow(got)
         rejected += isinstance(got, tuple)
     assert rejected > 60
+
+
+@pytest.mark.parametrize("p, q, kind", [
+    (497, 506, "line-intersection"),
+    (503, 511, "alpha"),
+])
+def test_validate_pg_matches_pairwise_scan_on_a_late_swap(p, q, kind):
+    """hyperoval(8) with point p of its second-to-last line and point q of
+    its last line swapped: the witness lies far from the first pairs."""
+    base = ladder("hyperoval8")
+    lines = list(base.lines)
+    assert p in lines[-2] and q in lines[-1]
+    lines[-2] = tuple(sorted(set(lines[-2]) - {p} | {q}))
+    lines[-1] = tuple(sorted(set(lines[-1]) - {q} | {p}))
+    inc = IncidenceStructure(base.num_points, tuple(lines))
+    got = outcome(validate_pg, inc)
+    assert got[0] == kind
+    assert got == outcome(validate_pg_pairwise, inc) == outcome(certify_bigint, inc)
 
 
 # ------------------------------------------------------------ elimination
