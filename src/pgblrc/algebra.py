@@ -1,15 +1,18 @@
 """Exact linear algebra over GF(2), plus small finite fields GF(q), q <= 16.
 
 Binary matrices are bit-packed: each row is a Python int whose bit ``j``
-(least significant first) holds the entry in column ``j``, so a row
-operation is a single word-level XOR no matter how wide the matrix is.
-Everything here is immutable after construction and safe to share.
+(least significant first) holds the entry in column ``j``.  Elimination
+packs the rows once more, into little-endian uint64 words, and reduces
+them with numpy against pivot rows it keeps fully reduced, so that one
+pass gives the reduced row echelon form, the rank and the rows
+independent of those above them.  Everything here is immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,6 +159,26 @@ def _set_bits(x: int) -> list[int]:
     return out
 
 
+def _words(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Bit rows as a len(rows) x ceil(cols/64) array of little-endian
+    uint64 words: column c is bit c % 64 of word c // 64."""
+    width = (cols + 63) // 64
+    return np.frombuffer(
+        b"".join(row.to_bytes(8 * width, "little") for row in rows), dtype="<u8"
+    ).reshape(len(rows), width)
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """Rows of little-endian uint64 words as bit rows; undoes ``_words``."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+def _bits(words: np.ndarray, cols: int) -> np.ndarray:
+    """The first cols columns of rows of little-endian uint64 words as a
+    uint8 array, one byte per bit."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little")
+
+
 def _unpack(rows: Sequence[int], cols: int) -> np.ndarray:
     """Bit rows as a len(rows) x cols uint8 array."""
     width = (cols + 7) // 8
@@ -171,15 +194,6 @@ def _pack(bits: np.ndarray) -> list[int]:
             for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
-def _words(rows: Sequence[int], cols: int) -> np.ndarray:
-    """Bit rows as a len(rows) x ceil(cols/64) array of little-endian
-    uint64 words: column c is bit c % 64 of word c // 64."""
-    width = (cols + 63) // 64
-    return np.frombuffer(
-        b"".join(row.to_bytes(8 * width, "little") for row in rows), dtype="<u8"
-    ).reshape(len(rows), width)
-
-
 # Rows are unpacked to one byte per bit a block at a time: unpacking a
 # whole n = 4096 matrix at once takes several MB, and that transient
 # raised the peak memory of a whole ``pgblrc analyze`` run.
@@ -188,47 +202,64 @@ _BLOCK = 64
 
 def _transpose(rows: Sequence[int], cols: int) -> list[int]:
     """The cols columns of bit rows as bit rows: bit r of column c is
-    rows[r] at c.  Each block of _BLOCK columns is cut out of every row,
-    unpacked, transposed and packed."""
+    rows[r] at c.  The rows are packed into words once; each word column,
+    64 matrix columns, is unpacked, transposed and packed."""
+    words = _words(rows, cols)
     out: list[int] = []
-    for lo in range(0, cols, _BLOCK):
-        size = min(_BLOCK, cols - lo)
-        mask = (1 << size) - 1
-        out.extend(_pack(_unpack([(row >> lo) & mask for row in rows], size).T))
+    for w in range(words.shape[1]):
+        bits = _bits(words[:, w:w + 1], min(64, cols - 64 * w))
+        out.extend(_pack(np.ascontiguousarray(bits.T)))  # packbits is slow on a strided view
     return out
 
 
 # ----------------------------------------------------------------------
 # elimination
 #
-# One kernel serves every elimination here: a forward pass that pivots
-# each row on its leftmost column, then back-substitution from the
-# rightmost pivot column back.  The reduced row echelon form of a row
-# space is unique, so the result equals the textbook left-to-right column
-# sweep.  The forward pass works on mirrored rows, with column c at bit
-# cols-1-c, so the pivot column of a row is its ``bit_length``.
+# One kernel, ``_eliminate``, serves every elimination here.  It reads
+# the rows top down as packed uint64 words (``_words``) and keeps its
+# pivot rows fully reduced: each is zero at every other pivot column.
+# An incoming row is reduced in one step, by XORing in the pivot rows
+# whose pivot columns it has set; since each of those is zero at the
+# other pivot columns, the sum creates no fill-in there.  A row left
+# nonzero is independent of the rows above it.  It pivots on its lowest
+# set bit and is XORed into the pivot rows set at that column, which
+# keeps them reduced.  The pivot rows are then the reduced row echelon
+# form, which is unique, with no back-substitution.
 
 
-def _mirror(row: int, cols: int) -> int:
-    """The row with column c moved to bit cols-1-c; its own inverse."""
-    return int(format(row, f"0{cols}b")[::-1], 2)
-
-
-def _forward(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
-    """Pivot rows keyed by their bit length, and the indices of the input
-    rows that were independent of the rows before them."""
-    pivots: dict[int, int] = {}
+def _eliminate(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """The reduced pivot rows of packed rows, ordered by pivot column,
+    their pivot columns, and the indices of the input rows that were
+    independent of the rows before them."""
+    nrows, width = words.shape
+    most = min(nrows, 64 * width)
+    reduced = np.empty((most, width), dtype="<u8")
+    # pivot row i's pivot column is bit at_mask[i] of word at_word[i]
+    at_word = np.empty(most, dtype=np.intp)
+    at_mask = np.empty(most, dtype=np.uint64)
+    pivots: list[int] = []
     keep = []
-    for idx, row in enumerate(rows):
-        while row:
-            top = row.bit_length()
-            prow = pivots.get(top)
-            if prow is None:
-                pivots[top] = row
-                keep.append(idx)
-                break
-            row ^= prow
-    return pivots, keep
+    for idx, row in enumerate(words):
+        rank = len(pivots)
+        hits = np.flatnonzero(row[at_word[:rank]] & at_mask[:rank])
+        if hits.size:
+            row = row ^ np.bitwise_xor.reduce(reduced[hits])
+        nonzero = np.flatnonzero(row)
+        if not nonzero.size:
+            continue
+        w = int(nonzero[0])
+        low = int(row[w])
+        bit = low & -low
+        holders = np.flatnonzero(reduced[:rank, w] & bit)
+        if holders.size:
+            reduced[holders, w:] ^= row[w:]  # row is zero in the words before w
+        reduced[rank] = row
+        at_word[rank] = w
+        at_mask[rank] = bit
+        pivots.append(64 * w + bit.bit_length() - 1)
+        keep.append(idx)
+    order = np.argsort(pivots)
+    return reduced[order], [pivots[i] for i in order], keep
 
 
 @dataclass(frozen=True)
@@ -250,6 +281,11 @@ class Echelon:
         pivot_set = set(self.pivots)
         return [c for c in range(self.cols) if c not in pivot_set]
 
+    @cached_property
+    def _packed(self) -> np.ndarray:
+        """The reduced rows as ``_words``; ``echelon`` stores the kernel's own."""
+        return _words(self.rows, self.cols)
+
     def nullspace(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Null-space basis rows, systematic on the free columns, and the
         same basis by column: bit j of column c is basis row j at c.
@@ -257,43 +293,34 @@ class Echelon:
         Basis row j is free column j plus, at each pivot column, the
         reduced row's entry in free column j.  So a pivot column is its
         reduced row cut down to the free columns, and the basis rows are
-        those cuts transposed.  The cuts are read off the reduced rows a
-        block of rows at a time, unpacked to one byte per bit.
+        those cuts transposed.  The cuts are read off the packed reduced
+        rows a block of rows at a time, unpacked to one byte per bit.
         """
         free = self.free_columns()
         by_col = [0] * self.cols
         for j, f in enumerate(free):
             by_col[f] = 1 << j
+        take = np.array(free, dtype=np.intp)
         for lo in range(0, len(self.pivots), _BLOCK):
-            cut = _unpack(self.rows[lo:lo + _BLOCK], self.cols)[:, free]
+            cut = np.take(_bits(self._packed[lo:lo + _BLOCK], self.cols), take, axis=1)
             for p, bits in zip(self.pivots[lo:lo + _BLOCK], _pack(cut)):
                 by_col[p] = bits
         return tuple(_transpose(by_col, len(free))), tuple(by_col)
 
 
 def echelon(m: BitMatrix) -> Echelon:
-    """Forward pass on mirrored rows, then back-substitution."""
-    cols = m.cols
-    pivots, keep = _forward(_mirror(row, cols) for row in m.data)
-    tops = sorted(pivots)
-    pivot_mask = sum(1 << (top - 1) for top in tops)
-    for top in tops:
-        row = pivots[top]
-        for b in _set_bits((row & pivot_mask) ^ (1 << (top - 1))):
-            row ^= pivots[b + 1]
-        pivots[top] = row
-    tops.reverse()
-    return Echelon(
-        tuple(_mirror(pivots[top], cols) for top in tops),
-        tuple(cols - top for top in tops),
-        tuple(keep),
-        cols,
-    )
+    """The reduced row echelon form of the rows, by ``_eliminate``."""
+    reduced, pivots, keep = _eliminate(_words(m.data, m.cols))
+    ech = Echelon(tuple(_ints(reduced)), tuple(pivots), tuple(keep), m.cols)
+    ech.__dict__["_packed"] = reduced  # fills the cached property
+    return ech
 
 
 def bitrow_rank(rows: Iterable[int]) -> int:
-    """Rank of bit-packed rows (pivoting on the highest bit suffices)."""
-    return len(_forward(rows)[0])
+    """Rank of bit-packed rows, which may differ in bit length."""
+    rows = list(rows)
+    cols = max((row.bit_length() for row in rows), default=0)
+    return len(_eliminate(_words(rows, cols))[1])
 
 
 def rank2(m: BitMatrix) -> int:
@@ -308,7 +335,7 @@ def independent_row_indices(m: BitMatrix) -> tuple[int, ...]:
     kept rows above it, so the result is the first spanning subset in
     row order.
     """
-    return tuple(_forward(m.data)[1])
+    return tuple(_eliminate(_words(m.data, m.cols))[2])
 
 
 def rref2(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
@@ -340,14 +367,14 @@ def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
     n = m.cols
     if rhs_bits < 0 or (n < rhs_bits.bit_length()):
         raise ValueError("right-hand side has bits outside the row range")
-    aug = BitMatrix.from_bitrows(
-        (row | (((rhs_bits >> r) & 1) << n) for r, row in enumerate(m.data)),
-        n + 1,
-    )
-    ech = echelon(aug)
-    if len(ech.pivots) < n or (ech.pivots and ech.pivots[-1] == n):
+    aug = _words(m.data, n + 1).copy()
+    aug[:, n // 64] |= _unpack([rhs_bits], n)[0].astype(np.uint64) << (n % 64)
+    reduced, pivots, _ = _eliminate(aug)
+    if len(pivots) < n or (pivots and pivots[-1] == n):
         return None
-    return sum(((row >> n) & 1) << p for row, p in zip(ech.rows, ech.pivots))
+    # pivot i is column i, so row i ends in x_i
+    x = (reduced[:, n // 64] >> (n % 64)) & 1
+    return _pack(x.astype(np.uint8)[None, :])[0]
 
 
 # ----------------------------------------------------------------------

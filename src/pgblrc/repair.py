@@ -84,8 +84,14 @@ class RepairVector:
         return len(self.support)
 
     def helpers(self, i: int) -> tuple[int, ...]:
-        """Coordinates read when repairing i with this check."""
-        return tuple(c for c in self.support if c != i)
+        """Coordinates read when repairing i with this check: the support
+        without i, or the whole support when i is not in it."""
+        support = self.support
+        try:
+            j = support.index(i)
+        except ValueError:
+            return support
+        return support[:j] + support[j + 1:]
 
 
 def _check_coord(code: BlrcCode, i: int) -> None:

@@ -6,7 +6,8 @@ a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
 pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
-column-sweep elimination, the bit-by-bit transpose, encoder and
+column-sweep elimination, the big-int elimination on mirrored rows
+with back-substitution, the bit-by-bit transpose, encoder and
 message read-out, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import BitMatrix, bitrow_rank, solve2
+from pgblrc.algebra import BitMatrix, Echelon, _set_bits, bitrow_rank, solve2
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (PgParams, _classify, _require_covered,
@@ -368,6 +369,48 @@ def certify_bigint(inc) -> PgParams:
             witness=(0, first_line),
         )
     return _counted_params(inc, s, t, alpha)
+
+
+def _mirror(row: int, cols: int) -> int:
+    """The row with column c moved to bit cols-1-c; its own inverse."""
+    return int(format(row, f"0{cols}b")[::-1], 2)
+
+
+def _forward(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
+    """Pivot rows keyed by their bit length, and the indices of the input
+    rows that were independent of the rows before them."""
+    pivots: dict[int, int] = {}
+    keep = []
+    for idx, row in enumerate(rows):
+        while row:
+            top = row.bit_length()
+            prow = pivots.get(top)
+            if prow is None:
+                pivots[top] = row
+                keep.append(idx)
+                break
+            row ^= prow
+    return pivots, keep
+
+
+def echelon_bigint(m: BitMatrix) -> Echelon:
+    """Forward pass on mirrored rows, then back-substitution."""
+    cols = m.cols
+    pivots, keep = _forward(_mirror(row, cols) for row in m.data)
+    tops = sorted(pivots)
+    pivot_mask = sum(1 << (top - 1) for top in tops)
+    for top in tops:
+        row = pivots[top]
+        for b in _set_bits((row & pivot_mask) ^ (1 << (top - 1))):
+            row ^= pivots[b + 1]
+        pivots[top] = row
+    tops.reverse()
+    return Echelon(
+        tuple(_mirror(pivots[top], cols) for top in tops),
+        tuple(cols - top for top in tops),
+        tuple(keep),
+        cols,
+    )
 
 
 def _reduce_row(row: int, pivots: dict[int, int]) -> int:

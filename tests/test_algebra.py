@@ -15,7 +15,7 @@ from pgblrc.algebra import (
     solve2,
 )
 
-from oracles import np_nullspace2, np_rank2, np_rref2
+from oracles import bits_to_array, np_nullspace2, np_rank2, np_rref2
 
 
 def random_bitmatrix(rng, rows, cols, density=0.5):
@@ -147,6 +147,38 @@ def test_nullspace_matches_oracle_on_random_matrices():
         assert basis.to_lists() == expected.tolist()
         # basis rows are independent
         assert bitrow_rank(basis.data) == basis.rows
+
+
+def test_bitrow_rank_takes_a_generator_of_ragged_rows():
+    rng = random.Random(1938)
+    assert bitrow_rank(row for row in ()) == 0
+    assert bitrow_rank([0, 0]) == 0
+    for trial in range(60):
+        rows = [rng.getrandbits(rng.choice([0, 1, 5, 63, 64, 65, 130]))
+                for _ in range(rng.randrange(1, 40))]
+        width = max(row.bit_length() for row in rows)
+        arr = np.array([bits_to_array(row, width) for row in rows]).reshape(len(rows), width)
+        assert bitrow_rank(row for row in rows) == np_rank2(arr)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_solve2_across_a_word_boundary(n):
+    """The right-hand side is column n of the augmented system: the last
+    bit of a word at n = 63, the first of a new word at n = 64 and 128."""
+    rng = random.Random(n)
+    while True:
+        m = random_bitmatrix(rng, n, n)
+        if rank2(m) == n:
+            break
+    x = rng.getrandbits(n)
+    rhs = sum(((row & x).bit_count() & 1) << r for r, row in enumerate(m.data))
+    assert solve2(m, rhs) == x
+    # row 1 repeats row 0: singular, and inconsistent when their bits differ
+    singular = BitMatrix(n, n, (m.data[0], m.data[0]) + m.data[2:])
+    assert rank2(singular) < n
+    for rhs in (rng.getrandbits(n) & ~0b11, rng.getrandbits(n) | 0b11,
+                (rng.getrandbits(n) & ~0b11) | 0b01):
+        assert solve2(singular, rhs) is None
 
 
 def test_solve2_recovers_random_solutions():

@@ -2,11 +2,12 @@
 
 Validation runs a per-point union test and a counting certificate on
 packed words and reads a rejection's witness only at the points they
-flag, code building runs one elimination, geometric tolerance
-is read off the line count, the exhaustive metrics come from one
-meet-in-the-middle census of low-weight dual codewords, and ``is_mds``
-is derived rather than scanned; each must agree with the pairwise scans
-and the big-int certificate, the column-sweep elimination, the
+flag, code building runs one packed elimination that keeps its pivot
+rows reduced, geometric tolerance is read off the line count, the
+exhaustive metrics come from one meet-in-the-middle census of
+low-weight dual codewords, and ``is_mds`` is derived rather than
+scanned; each must agree with the pairwise scans and the big-int
+certificate, the big-int and column-sweep eliminations, the
 hitting-set search, the symbol-by-symbol dual-support search and the
 subset-by-subset MDS test they replace.  ``repair_symbol``
 reads only the helpers of the checks it tries; it must agree with the
@@ -29,6 +30,7 @@ import pytest
 
 from pgblrc.algebra import (
     BitMatrix,
+    echelon,
     independent_row_indices,
     nullspace2,
     rank2,
@@ -45,6 +47,7 @@ from pgblrc.geometry import (
     elliptic_quadric_gq,
     grid,
     hyperoval_gq,
+    incidence_matrix,
     load,
     symplectic_gq,
     validate_pg,
@@ -64,6 +67,7 @@ from oracles import (
     bits_to_array,
     build_code_parts,
     certify_bigint,
+    echelon_bigint,
     encode_bitwise,
     independent_row_indices_greedy,
     is_mds_scan,
@@ -198,6 +202,15 @@ def test_validate_pg_matches_pairwise_scan_on_a_late_swap(p, q, kind):
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
+def test_echelon_matches_bigint_elimination_on_ladder(name):
+    nmat = incidence_matrix(ladder(name))
+    ech, expected = echelon(nmat), echelon_bigint(nmat)
+    assert ech == expected
+    # the null space read off the kernel's packed rows and off the int rows
+    assert ech.nullspace() == expected.nullspace()
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
 def test_build_code_matches_separate_passes_on_ladder(name):
     code = ladder_code(name)
     parity, generator, info_set, gen_cols = build_code_parts(ladder(name))
@@ -236,6 +249,20 @@ def _random_bitmatrix(rng, rows, cols):
     )
 
 
+def _edge_bitmatrix(rng, rows, cols):
+    """A random matrix with all-zero columns, all-zero rows and repeats of
+    earlier rows mixed in."""
+    live = rng.getrandbits(cols) if cols else 0
+    data = [row & live for row in _random_bitmatrix(rng, rows, cols).data]
+    for r in range(rows):
+        pick = rng.random()
+        if pick < 0.15:
+            data[r] = 0
+        elif pick < 0.3 and r:
+            data[r] = data[rng.randrange(r)]
+    return BitMatrix(rows, cols, tuple(data))
+
+
 def _augment(m, rhs):
     """The system solve2 reduces: M with the right-hand side as a last column."""
     return BitMatrix.from_bitrows(
@@ -256,7 +283,12 @@ def test_elimination_matches_column_sweep_on_random_matrices():
     for _ in range(6):
         # wide enough to span several of the kernel's unpacking blocks
         cases.append(_random_bitmatrix(rng, rng.randrange(60, 160), rng.randrange(100, 260)))
+    for cols in (0, 1, 63, 64, 65, 128):
+        # no rows, fewer rows than columns and more, across word boundaries
+        for rows in (0, 1, cols // 2, cols + 3, 2 * cols + 5):
+            cases.append(_edge_bitmatrix(rng, rows, cols))
     for m in cases:
+        assert echelon(m) == echelon_bigint(m)
         assert rref2(m) == rref2_column_sweep(m)
         assert nullspace2(m) == nullspace2_column_sweep(m)
         assert independent_row_indices(m) == independent_row_indices_greedy(m)

@@ -75,6 +75,8 @@ def test_line_repair_sets_grid2():
     assert [v.support for v in vecs] == [(0, 1, 2), (0, 3, 6)]
     assert [v.line for v in vecs] == [0, 1]
     assert vecs[0].helpers(0) == (1, 2)
+    assert vecs[0].helpers(1) == (0, 2) and vecs[0].helpers(2) == (0, 1)
+    assert vecs[0].helpers(3) == (0, 1, 2)  # not in the support: every point is read
     assert vecs[0].weight == 3
 
 
