@@ -11,7 +11,11 @@ points collinear with it.  Both read one collinearity table, packed as
 uint64 words and counted with ``np.bitwise_count``, and decide alone; a
 witness is read off the same words at the points a failing test flagged.
 The constructors below produce the standard families used for code
-building.
+building.  Each quadrangle reads its lines off the geometry: a
+generalized quadrangle has no triangles, so the line through collinear
+points u and v of W(q) or Q-(5, q) is u, v and the points collinear with
+both; and GF(2^m) addition is XOR, so the lines of T2*(O) with one
+direction are the XOR cosets of that direction's multiples.
 """
 
 from __future__ import annotations
@@ -371,42 +375,23 @@ def _projective_points(field, dim: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def _normalize(field, vec: tuple[int, ...]) -> tuple[int, ...]:
-    lead = next((c for c in vec if c), 0)
-    if lead == 0:
-        raise ValueError("cannot normalize the zero vector")
-    if lead == 1:
-        return tuple(vec)
-    scale = field.inv(lead)
-    return tuple(field.mul(scale, c) for c in vec)
-
-
-def _vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def _vec_scale(field, lam, u):
-    return tuple(field.mul(lam, c) for c in u)
-
-
-def _line_points(field, u, v) -> list[tuple[int, ...]]:
-    """All q+1 normalized points of the projective line spanned by u and v."""
-    pts = [_normalize(field, u)]
-    for lam in field.elements():
-        pts.append(_normalize(field, _vec_add(field, v, _vec_scale(field, lam, u))))
-    return pts
-
-
-def _polar_lines(field, points, orthogonal, label: str) -> IncidenceStructure:
+def _polar_lines(points, orthogonal, label: str) -> IncidenceStructure:
     """The given projective points with every line spanned by two of them
-    that ``orthogonal`` accepts (the totally isotropic or singular lines)."""
-    index = {p: i for i, p in enumerate(points)}
-    lines = set()
-    for u, v in itertools.combinations(points, 2):
+    that ``orthogonal`` accepts (the totally isotropic or singular lines).
+
+    The structure is a generalized quadrangle, which has no triangles: for
+    collinear u != v, the points collinear with both are exactly the other
+    points of the line uv.  So one scan over the point pairs finds every
+    point's collinear set, and each line is a pair and their intersection.
+    """
+    perp: list[set[int]] = [set() for _ in points]
+    for (i, u), (j, v) in itertools.combinations(enumerate(points), 2):
         if orthogonal(u, v):
-            lines.add(frozenset(index[p] for p in _line_points(field, u, v)))
-    sorted_lines = sorted(tuple(sorted(l)) for l in lines)
-    return IncidenceStructure(len(points), tuple(sorted_lines), label=label)
+            perp[i].add(j)
+            perp[j].add(i)
+    lines = {tuple(sorted({i, j} | (perp[i] & perp[j])))
+             for i, collinear in enumerate(perp) for j in collinear if i < j}
+    return IncidenceStructure(len(points), tuple(sorted(lines)), label=label)
 
 
 def symplectic_gq(q: int) -> IncidenceStructure:
@@ -422,7 +407,7 @@ def symplectic_gq(q: int) -> IncidenceStructure:
         b = field.add(field.mul(u[1], v[0]), field.mul(u[3], v[2]))
         return field.sub(a, b) == 0
 
-    return _polar_lines(field, _projective_points(field, 4), orthogonal,
+    return _polar_lines(_projective_points(field, 4), orthogonal,
                         f"symplectic-gq({q})")
 
 
@@ -446,11 +431,12 @@ def elliptic_quadric_gq(q: int) -> IncidenceStructure:
             tail = field.add(tail, field.mul(x[4], x[5]))
         return field.add(head, tail)
 
+    # the points are singular, so B(u, v) = Q(u+v) - Q(u) - Q(v) = Q(u+v)
     def orthogonal(u, v):
-        return field.sub(field.sub(quad(_vec_add(field, u, v)), quad(u)), quad(v)) == 0
+        return quad(tuple(map(field.add, u, v))) == 0
 
     points = [p for p in _projective_points(field, 6) if quad(p) == 0]
-    return _polar_lines(field, points, orthogonal, f"elliptic-quadric-gq({q})")
+    return _polar_lines(points, orthogonal, f"elliptic-quadric-gq({q})")
 
 
 def hyperoval_gq(q: int) -> IncidenceStructure:
@@ -467,29 +453,20 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     directions = [(t, 1, field.mul(t, t)) for t in field.elements()]
     directions += [(0, 0, 1), (1, 0, 0)]
 
+    # Elements of GF(2^m) are bit vectors, so addition is XOR, and so is the
+    # addition of points (x, y, z) = x q^2 + y q + z.  The line through p
+    # with direction d is p XOR each multiple of d: one coset of the steps
+    # per line, kept at its least point.
     qq = q * q
-    num_points = q * qq
+    points = np.arange(q * qq)
     lines = []
-    for d in directions:
-        steps = [_vec_scale(field, lam, d) for lam in field.elements()]
-        covered = bytearray(num_points)
-        for x in range(q):
-            for y in range(q):
-                for z in range(q):
-                    i0 = x * qq + y * q + z
-                    if covered[i0]:
-                        continue
-                    pts = []
-                    for st in steps:
-                        px = field.add(x, st[0])
-                        py = field.add(y, st[1])
-                        pz = field.add(z, st[2])
-                        pi = px * qq + py * q + pz
-                        pts.append(pi)
-                        covered[pi] = 1
-                    lines.append(tuple(sorted(pts)))
+    for x, y, z in directions:
+        steps = [field.mul(lam, x) * qq + field.mul(lam, y) * q + field.mul(lam, z)
+                 for lam in field.elements()]
+        cosets = np.sort(points[:, None] ^ steps, axis=1)
+        lines += cosets[cosets[:, 0] == points].tolist()
     return IncidenceStructure(
-        num_points, tuple(sorted(lines)), label=f"hyperoval-gq({q})"
+        q * qq, tuple(sorted(map(tuple, lines))), label=f"hyperoval-gq({q})"
     )
 
 

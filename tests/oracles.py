@@ -11,7 +11,9 @@ with back-substitution, the bit-by-bit transpose, encoder and
 message read-out, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
-and json's own indented encoder.
+json's own indented encoder, and the quadrangle constructors that
+normalize the whole span of every collinear pair and walk every affine
+point through ``SmallField.add``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import BitMatrix, Echelon, _set_bits, bitrow_rank, solve2
+from pgblrc.algebra import (BitMatrix, Echelon, _set_bits, bitrow_rank,
+                            small_field, solve2)
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
-from pgblrc.geometry import (PgParams, _classify, _require_covered,
+from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
+                             _projective_points, _require_covered,
                              incidence_matrix)
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
@@ -765,6 +769,123 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
 def dumps_indented(obj) -> str:
     """json's pure-Python indented encoding."""
     return json.dumps(obj, indent=2)
+
+
+# ----------------------------------------------------------------------
+# the quadrangle constructors: every collinear pair spans and normalizes
+# its whole line, and the hyperoval walks every point one field addition
+# at a time
+
+
+def _normalize(field, vec: tuple[int, ...]) -> tuple[int, ...]:
+    lead = next((c for c in vec if c), 0)
+    if lead == 0:
+        raise ValueError("cannot normalize the zero vector")
+    if lead == 1:
+        return tuple(vec)
+    scale = field.inv(lead)
+    return tuple(field.mul(scale, c) for c in vec)
+
+
+def _vec_add(field, u, v):
+    return tuple(field.add(a, b) for a, b in zip(u, v))
+
+
+def _vec_scale(field, lam, u):
+    return tuple(field.mul(lam, c) for c in u)
+
+
+def _line_points(field, u, v) -> list[tuple[int, ...]]:
+    """All q+1 normalized points of the projective line spanned by u and v."""
+    pts = [_normalize(field, u)]
+    for lam in field.elements():
+        pts.append(_normalize(field, _vec_add(field, v, _vec_scale(field, lam, u))))
+    return pts
+
+
+def _polar_lines(field, points, orthogonal, label: str) -> IncidenceStructure:
+    """The given projective points with every line spanned by two of them
+    that ``orthogonal`` accepts (the totally isotropic or singular lines)."""
+    index = {p: i for i, p in enumerate(points)}
+    lines = set()
+    for u, v in itertools.combinations(points, 2):
+        if orthogonal(u, v):
+            lines.add(frozenset(index[p] for p in _line_points(field, u, v)))
+    sorted_lines = sorted(tuple(sorted(l)) for l in lines)
+    return IncidenceStructure(len(points), tuple(sorted_lines), label=label)
+
+
+def symplectic_gq_by_spans(q: int) -> IncidenceStructure:
+    """``geometry.symplectic_gq`` with each isotropic pair's span normalized."""
+    field = small_field(q)
+
+    def orthogonal(u, v):
+        a = field.add(field.mul(u[0], v[1]), field.mul(u[2], v[3]))
+        b = field.add(field.mul(u[1], v[0]), field.mul(u[3], v[2]))
+        return field.sub(a, b) == 0
+
+    return _polar_lines(field, _projective_points(field, 4), orthogonal,
+                        f"symplectic-gq({q})")
+
+
+def elliptic_quadric_gq_by_spans(q: int) -> IncidenceStructure:
+    """``geometry.elliptic_quadric_gq`` with each singular pair's span
+    normalized and the full polar form Q(u+v) - Q(u) - Q(v)."""
+    if q not in (2, 3):
+        raise ParameterError("elliptic quadric construction supports q in {2, 3}")
+    field = small_field(q)
+    # x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
+    # q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square).
+    gb = 1 if q == 2 else 0
+
+    def quad(x):
+        head = field.add(field.mul(x[0], x[1]), field.mul(x[2], x[3]))
+        tail = field.add(field.mul(x[4], x[4]), field.mul(x[5], x[5]))
+        if gb:
+            tail = field.add(tail, field.mul(x[4], x[5]))
+        return field.add(head, tail)
+
+    def orthogonal(u, v):
+        return field.sub(field.sub(quad(_vec_add(field, u, v)), quad(u)), quad(v)) == 0
+
+    points = [p for p in _projective_points(field, 6) if quad(p) == 0]
+    return _polar_lines(field, points, orthogonal, f"elliptic-quadric-gq({q})")
+
+
+def hyperoval_gq_by_steps(q: int) -> IncidenceStructure:
+    """``geometry.hyperoval_gq`` walking every uncovered point along each
+    direction, one ``SmallField.add`` per coordinate."""
+    if q not in (4, 8, 16):
+        raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
+    field = small_field(q)
+    # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
+    directions = [(t, 1, field.mul(t, t)) for t in field.elements()]
+    directions += [(0, 0, 1), (1, 0, 0)]
+
+    qq = q * q
+    num_points = q * qq
+    lines = []
+    for d in directions:
+        steps = [_vec_scale(field, lam, d) for lam in field.elements()]
+        covered = bytearray(num_points)
+        for x in range(q):
+            for y in range(q):
+                for z in range(q):
+                    i0 = x * qq + y * q + z
+                    if covered[i0]:
+                        continue
+                    pts = []
+                    for st in steps:
+                        px = field.add(x, st[0])
+                        py = field.add(y, st[1])
+                        pz = field.add(z, st[2])
+                        pi = px * qq + py * q + pz
+                        pts.append(pi)
+                        covered[pi] = 1
+                    lines.append(tuple(sorted(pts)))
+    return IncidenceStructure(
+        num_points, tuple(sorted(lines)), label=f"hyperoval-gq({q})"
+    )
 
 
 # ----------------------------------------------------------------------

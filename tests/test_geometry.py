@@ -110,7 +110,8 @@ def test_hyperoval_parameters(q):
 
 
 def test_hyperoval_largest_supported_order():
-    # n = 4096: validation is per point, so the top rung takes about a second
+    # n = 4096: the lines are XOR cosets and validation is per point, so the
+    # top rung builds in about 0.04 s and validates in about 0.25 s
     params = validate_pg(hyperoval_gq(16))
     assert (params.s, params.t, params.alpha) == (15, 17, 1)
     assert params.num_points == 4096

@@ -2,11 +2,13 @@
 
 Each command runs in process through ``cli.main`` and its stdout is hashed.
 The digests were recorded before the repair metrics, the simulator's case
-loop and the catalog's grid family were restructured, and the JSON ones
-before the indented JSON writer replaced ``json.dumps``, so any change
-in the bytes a user sees fails here.  No output depends on a random
-stream (the adversarial simulations are exhaustive, and the iid one has
-p = 1), so a numpy upgrade cannot move them.
+loop and the catalog's grid family were restructured, the JSON ones
+before the indented JSON writer replaced ``json.dumps``, and the
+``construct`` ones before the quadrangle constructors read their lines
+off the geometry, so any change in the bytes a user sees fails here.
+No output depends on a random stream (the adversarial simulations are
+exhaustive, and the iid one has p = 1), so a numpy upgrade cannot move
+them.
 """
 
 import hashlib
@@ -19,6 +21,18 @@ from pgblrc.cli import main
 REPO = Path(__file__).parent.parent
 
 GOLDEN = [
+    ("construct grid --s 8",
+     "9f84db3431110964e7301f2115eecd46840a87a954283791ccfb477c235b98b2"),
+    ("construct symplectic --q 4",
+     "8cc094a6a6a804e68e45552416098d758e9f0b2f39c1fe23b99171de5bd9eb3a"),
+    ("construct elliptic --q 3",
+     "52067e7d15de8a1a05a65de0063224cd100897a83a69c2025ab1013b4050a825"),
+    ("construct elliptic --q 2 --dual",
+     "03a66cde8829b3b1a04498fcc9685bba26fd64de8eeda974f7bcdbee257ce1e3"),
+    ("construct hyperoval --q 8",
+     "d44eaf676961795d0fa662fba4694458021588aff49929e7f871a844ad2d8a70"),
+    ("construct hyperoval --q 16",
+     "d5eed46e71d0b8bfdfec10da71a22a5c4fb581f2b302835f592a9fadb17ce281"),
     ("analyze --geometry grid --s 2",
      "7ce4751f1fd406be4574b7d6755ec7ecfda4db7af6217dd62d9f46e793c28fca"),
     ("analyze --geometry symplectic --q 3",
