@@ -1,12 +1,13 @@
 """Exact linear algebra over GF(2), plus small finite fields GF(q), q <= 16.
 
 Binary matrices are bit-packed: each row is a Python int whose bit ``j``
-(least significant first) holds the entry in column ``j``.  Elimination
-packs the rows once more, into little-endian uint64 words, and reduces
-them with numpy against pivot rows it keeps fully reduced, so that one
-pass gives the reduced row echelon form, the rank and the rows
-independent of those above them.  Everything here is immutable after
-construction and safe to share.
+(least significant first) holds the entry in column ``j``.  Bit rows are
+packed for numpy one way only, into little-endian uint64 words: the
+elimination reduces those words against pivot rows it keeps fully
+reduced, so that one pass gives the reduced row echelon form, the rank
+and the rows independent of those above them, and every array of bits
+is unpacked from them.  Everything here is immutable after construction
+and safe to share.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class BitMatrix:
                     f"row {r} has bits outside columns 0..{self.cols - 1}"
                 )
 
-    # ------------------------------------------------------------------
-    # constructors
-
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> BitMatrix:
         """Build from nested 0/1 entries (lists, tuples, arrays)."""
@@ -83,50 +81,11 @@ class BitMatrix:
         data = tuple(bitrows)
         return cls(len(data), cols, data)
 
-    @classmethod
-    def from_array(cls, arr) -> BitMatrix:
-        a = np.asarray(arr)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls.from_rows(a.astype(int).tolist(), cols=a.shape[1])
-
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, (0,) * rows)
-
-    # ------------------------------------------------------------------
-    # accessors
-
-    def get(self, r: int, c: int) -> int:
-        if not 0 <= c < self.cols:
-            raise IndexError(f"column {c} out of range")
-        return (self.data[r] >> c) & 1
-
-    def row_support(self, r: int) -> tuple[int, ...]:
-        return tuple(_set_bits(self.data[r]))
-
-    def row_weight(self, r: int) -> int:
-        return self.data[r].bit_count()
-
-    def to_lists(self) -> list[list[int]]:
-        return self.to_array().tolist()
-
     def to_array(self) -> np.ndarray:
-        return _unpack(self.data, self.cols)
+        return _bits(_words(self.data, self.cols), self.cols)
 
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.cols, self.rows, tuple(_transpose(self.data, self.cols)))
-
-    def mul_vector_bits(self, v: int) -> int:
-        """M v^T for a bit-packed vector; result bit r is row r of the product."""
-        out = 0
-        for r, row in enumerate(self.data):
-            out |= ((row & v).bit_count() & 1) << r
-        return out
 
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
@@ -139,13 +98,12 @@ class BitMatrix:
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
 
 # ----------------------------------------------------------------------
 # the bit-row codec: every conversion between bit rows and arrays,
-# supports or columns in the package goes through these
+# supports or columns in the package goes through these.  Bit rows are
+# packed one way, as uint64 words (``_words``); arrays of bits are
+# unpacked from the words (``_bits``) and packed back with ``_pack``.
 
 
 def _set_bits(x: int) -> list[int]:
@@ -177,15 +135,6 @@ def _bits(words: np.ndarray, cols: int) -> np.ndarray:
     """The first cols columns of rows of little-endian uint64 words as a
     uint8 array, one byte per bit."""
     return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little")
-
-
-def _unpack(rows: Sequence[int], cols: int) -> np.ndarray:
-    """Bit rows as a len(rows) x cols uint8 array."""
-    width = (cols + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8
-    ).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -367,9 +316,8 @@ def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
     n = m.cols
     if rhs_bits < 0 or (n < rhs_bits.bit_length()):
         raise ValueError("right-hand side has bits outside the row range")
-    aug = _words(m.data, n + 1).copy()
-    aug[:, n // 64] |= _unpack([rhs_bits], n)[0].astype(np.uint64) << (n % 64)
-    reduced, pivots, _ = _eliminate(aug)
+    aug = [row | ((rhs_bits >> r) & 1) << n for r, row in enumerate(m.data)]
+    reduced, pivots, _ = _eliminate(_words(aug, n + 1))
     if len(pivots) < n or (pivots and pivots[-1] == n):
         return None
     # pivot i is column i, so row i ends in x_i

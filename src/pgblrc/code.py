@@ -120,7 +120,7 @@ def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:
     word = 0
     for j in algebra._set_bits(bits):
         word ^= rows[j]
-    return algebra._unpack([word], code.n)[0]
+    return algebra._bits(algebra._words([word], code.n), code.n)[0]
 
 
 def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
@@ -145,7 +145,7 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
     solution = algebra.solve2(system, rhs)
     if solution is None:
         raise NotInformationSetError("not an information set")
-    return algebra._unpack([solution], code.k)[0]
+    return algebra._bits(algebra._words([solution], code.k), code.k)[0]
 
 
 def is_mds(code: BlrcCode) -> bool:

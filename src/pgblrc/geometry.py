@@ -283,7 +283,11 @@ def _certify(inc: IncidenceStructure) -> PgParams:
     with sum b = s t (t+1) > 0, b(B) <= |B| = s+1, and under axiom 3
     distinct bridges on B lie on distinct lines through p; and n and L are
     (s+1)(st+alpha)/alpha and (t+1)(st+alpha)/alpha, from alpha M =
-    s t (t+1), L = t+1 + M and, counting incidences, n (t+1) = L (s+1)."""
+    s t (t+1), L = t+1 + M and, counting incidences, n (t+1) = L (s+1).
+    Nor is s >= 1 checked: once every point lies on t+1 >= 2 lines and
+    every line has s+1 points, s+1 = 1 would put each point p on two
+    lines that both equal (p,), and ``IncidenceStructure`` refuses
+    duplicate lines (and empty ones)."""
     if inc.num_lines == 0:
         raise PgValidationError("point-degree", "structure has no lines")
     _require_covered(inc)
@@ -314,12 +318,6 @@ def _certify(inc: IncidenceStructure) -> PgParams:
                 f"line 0 has {s_plus_1}",
                 witness=idx,
             )
-    if s_plus_1 < 2:
-        raise PgValidationError(
-            "line-size",
-            f"every line must carry at least 2 points (s >= 1), found {s_plus_1}",
-            witness=0,
-        )
     s, t = s_plus_1 - 1, t_plus_1 - 1
 
     lines = algebra._words(inc.line_masks, inc.num_points)

@@ -238,7 +238,7 @@ def test_criterion_9_property_suites():
         rng = random.Random(900913)
         for inc, s, t in oracle_instances():
             built = build_code(inc)
-            assert (built.generator @ built.parity_check.transpose()).is_zero()
+            assert not any((built.generator @ built.parity_check.transpose()).data)
             inc_rows = incidence_matrix(inc).data
             for _ in range(500):
                 message = [rng.randrange(2) for _ in range(built.k)]

@@ -31,12 +31,12 @@ def random_bitmatrix(rng, rows, cols, density=0.5):
 def test_bitmatrix_round_trips():
     m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     assert m.rows == 2 and m.cols == 3
-    assert m.to_lists() == [[1, 0, 1], [0, 1, 1]]
-    assert m.get(0, 0) == 1 and m.get(0, 1) == 0
-    assert m.row_support(1) == (1, 2)
-    assert m.row_weight(0) == 2
+    assert m.to_array().tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert (m.data[0] >> 0) & 1 == 1 and (m.data[0] >> 1) & 1 == 0
+    assert [c for c in range(m.cols) if (m.data[1] >> c) & 1] == [1, 2]
+    assert m.data[0].bit_count() == 2
     assert np.array_equal(m.to_array(), np.array([[1, 0, 1], [0, 1, 1]]))
-    assert BitMatrix.from_array(m.to_array()) == m
+    assert BitMatrix.from_rows(m.to_array(), cols=m.cols) == m
     assert m.transpose().transpose() == m
 
 
@@ -49,22 +49,26 @@ def test_bitmatrix_validation():
         BitMatrix.from_rows([])
     with pytest.raises(ValueError):
         BitMatrix(rows=1, cols=2, data=(4,))  # bit set outside the columns
+    with pytest.raises(ValueError, match="non-negative"):
+        BitMatrix(-1, 2, ())
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        BitMatrix(2, 2, (1,))
     assert BitMatrix.from_rows([], cols=3).rows == 0
 
 
 def test_bitmatrix_matmul():
     a = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
     b = BitMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
-    assert (a @ b).to_lists() == [[0, 1], [1, 0]]
+    assert (a @ b).to_array().tolist() == [[0, 1], [1, 0]]
     with pytest.raises(ValueError, match="shape mismatch"):
         _ = b @ b
 
 
 def test_identity_and_zeros():
-    eye = BitMatrix.identity(3)
-    z = BitMatrix.zeros(2, 3)
-    assert eye.to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert z.is_zero() and not eye.is_zero()
+    eye = BitMatrix.from_bitrows((1 << i for i in range(3)), 3)
+    z = BitMatrix.from_bitrows((0, 0), 3)
+    assert eye.to_array().tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert not any(z.data) and any(eye.data)
     m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
     assert m @ eye == m
 
@@ -75,20 +79,20 @@ def test_identity_and_zeros():
 def test_rank2_hand_examples():
     assert rank2(BitMatrix.from_rows([[1, 0], [0, 1]])) == 2
     assert rank2(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
-    assert rank2(BitMatrix.zeros(3, 4)) == 0
+    assert rank2(BitMatrix.from_bitrows((0, 0, 0), 4)) == 0
     # three rows summing to zero: rank drops to 2
     assert rank2(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
 
 
 def test_rref2_hand_example():
     reduced, pivots = rref2(BitMatrix.from_rows([[1, 1, 0], [1, 1, 1]]))
-    assert reduced.to_lists() == [[1, 1, 0], [0, 0, 1]]
+    assert reduced.to_array().tolist() == [[1, 1, 0], [0, 0, 1]]
     assert pivots == (0, 2)
 
 
 def test_nullspace2_parity_check():
     basis = nullspace2(BitMatrix.from_rows([[1, 1]]))
-    assert basis.to_lists() == [[1, 1]]
+    assert basis.to_array().tolist() == [[1, 1]]
 
 
 def test_independent_row_indices_prefers_earliest():
@@ -111,6 +115,10 @@ def test_solve2_hand_examples():
     assert solve2(singular, 0b00) is None  # underdetermined
     with pytest.raises(ValueError, match="square"):
         solve2(BitMatrix.from_rows([[1, 0, 1]]), 0b1)
+    with pytest.raises(ValueError, match="outside the row range"):
+        solve2(m, 0b100)  # a bit beyond n = 2
+    with pytest.raises(ValueError, match="outside the row range"):
+        solve2(m, -1)
 
 
 def test_elimination_matches_oracle_on_random_matrices():
@@ -127,7 +135,7 @@ def test_elimination_matches_oracle_on_random_matrices():
 
         reduced, pivots = rref2(m)
         expected, expected_pivots = np_rref2(arr)
-        assert reduced.to_lists() == expected.tolist()
+        assert reduced.to_array().tolist() == expected.tolist()
         assert list(pivots) == expected_pivots
         again, again_pivots = rref2(reduced)
         assert again == reduced and again_pivots == pivots
@@ -142,9 +150,9 @@ def test_nullspace_matches_oracle_on_random_matrices():
         basis = nullspace2(m)
         assert basis.rows == cols - rank2(m)
         for brow in basis.data:
-            assert m.mul_vector_bits(brow) == 0
+            assert all((row & brow).bit_count() % 2 == 0 for row in m.data)
         expected = np_nullspace2(m.to_array())
-        assert basis.to_lists() == expected.tolist()
+        assert basis.to_array().tolist() == expected.tolist()
         # basis rows are independent
         assert bitrow_rank(basis.data) == basis.rows
 

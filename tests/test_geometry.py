@@ -4,11 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from pgblrc.cli import main
+from pgblrc.code import build_code
 from pgblrc.errors import IncidenceFileError, PgValidationError
 from pgblrc.geometry import (
     CLASS_GQ,
+    CLASS_NET,
+    CLASS_PROPER,
     CLASS_STEINER,
     IncidenceStructure,
+    _classify,
     dual,
     elliptic_quadric_gq,
     from_text,
@@ -21,6 +26,7 @@ from pgblrc.geometry import (
     to_text,
     validate_pg,
 )
+from pgblrc.repair import repair_profile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,6 +174,49 @@ def test_affine_plane_fixture_is_a_steiner_geometry():
     assert (params.num_points, params.num_lines) == (9, 12)
 
 
+# -------------------------------------------------------------------- nets
+
+
+def latin_square_net(m):
+    """The 3-net of the cyclic Latin square of order m: points (r, c) of
+    Z_m^2 as r m + c, lines the rows, the columns and the sets r + c = v."""
+    def parallel_class(key):
+        return [[r * m + c for r in range(m) for c in range(m) if key(r, c) == v]
+                for v in range(m)]
+    lines = (parallel_class(lambda r, c: r) + parallel_class(lambda r, c: c)
+             + parallel_class(lambda r, c: (r + c) % m))
+    return IncidenceStructure.build(m * m, lines, label=f"net({m})")
+
+
+@pytest.mark.parametrize("m, k, geometric, exhaustive", [
+    # order 4: the census finds 7 checks of weight <= 4 per symbol, more
+    # than the t + 1 = 3 lines through it
+    (4, 7, (3, 3, 3), (3, 7, 3)),
+    (5, 12, (4, 3, 3), (4, 3, 3)),
+])
+def test_latin_square_net_runs_through_the_pipeline(m, k, geometric, exhaustive,
+                                                     capsys, tmp_path):
+    inc = latin_square_net(m)
+    params = validate_pg(inc)
+    assert (params.s, params.t, params.alpha) == (m - 1, 2, 2)
+    assert params.pg_class == CLASS_NET and not params.grid_degenerate
+    assert (params.num_points, params.num_lines) == (m * m, 3 * m)
+    code = build_code(inc)
+    assert (code.n, code.k) == (m * m, k)
+    for mode, want in (("geometric", geometric), ("exhaustive", exhaustive)):
+        profile = repair_profile(code, mode=mode)
+        assert (profile.r, profile.a, profile.delta) == want
+        assert profile.balanced
+    path = tmp_path / "net.txt"
+    save(inc, path)
+    assert main(["validate", "--file", str(path)]) == 0
+    assert '"class": "net"' in capsys.readouterr().out
+
+
+def test_classify_names_a_proper_geometry():
+    assert _classify(5, 5, 2) == (CLASS_PROPER, False)
+
+
 # ------------------------------------------------------- validator rejects
 
 
@@ -177,6 +226,10 @@ def test_validator_rejects_uneven_point_degree():
     with pytest.raises(PgValidationError, match="non-uniform point degree") as ei:
         validate_pg(clipped)
     assert ei.value.kind == "point-degree"
+    # uniform, but every point on a single line
+    with pytest.raises(PgValidationError, match="at least 2 lines") as ei:
+        validate_pg(IncidenceStructure(4, ((0, 1), (2, 3))))
+    assert (ei.value.kind, ei.value.witness) == ("point-degree", 0)
 
 
 def test_validator_rejects_uneven_line_size():
