@@ -9,6 +9,7 @@ exception propagates), 4 search guard exceeded, 5 file I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -90,43 +91,66 @@ def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
     return _build_geometry(args.geometry, args.s, args.q, args.dual)
 
 
-def _dumps(obj, indent: str = "") -> str:
-    """Exactly ``json.dumps(obj, indent=2)`` for objects with string keys.
+def _json_chunks(obj, indent: str = ""):
+    """Yield ``json.dumps(obj, indent=2)`` in pieces, for objects with
+    string keys.
 
     json's C encoder has no indented form, so ``indent=2`` falls back to
     the pure-Python encoder, which formats every int of an analyze
     payload's repair sets one call at a time.  This walks dicts, lists
     and tuples the same way, leaves keys and scalars to ``json.dumps``
     (so NaN, null, floats and non-ASCII text come out as before), and
-    writes each list of plain ints with one join.
+    fills each list of plain ints into one cached ``%d`` template.  No
+    piece is larger than one list of scalars, so the document is never
+    held whole.
     """
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         inner = indent + "  "
-        body = (",\n" + inner).join([f"{json.dumps(key)}: {_dumps(value, inner)}"
-                                     for key, value in obj.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(obj, (list, tuple)):
+        opening = "{\n" + inner
+        for key, value in obj.items():
+            yield f"{opening}{json.dumps(key)}: "
+            yield from _json_chunks(value, inner)
+            opening = ",\n" + inner
+        yield f"\n{indent}}}"
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        inner = indent + "  "
-        if set(map(type, obj)) == {int}:
-            body = (",\n" + inner).join(map(int.__repr__, obj))
+            yield "[]"
+        elif set(map(type, obj)) == {int}:
+            yield _int_list_template(len(obj), indent) % tuple(obj)
         else:
-            body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(obj)
+            inner = indent + "  "
+            opening = "[\n" + inner
+            for value in obj:
+                yield opening
+                yield from _json_chunks(value, inner)
+                opening = ",\n" + inner
+            yield f"\n{indent}]"
+    else:
+        yield json.dumps(obj)
 
 
-def _emit(text: str, output: str | None) -> None:
+@functools.lru_cache(maxsize=64)
+def _int_list_template(length: int, indent: str) -> str:
+    inner = indent + "  "
+    return f"[\n{inner}" + (",\n" + inner).join(["%d"] * length) + f"\n{indent}]"
+
+
+def _emit(chunks, output: str | None) -> None:
+    """Write each text chunk as it comes: to the ``output`` file, or to
+    stdout with a final newline unless the last chunk ends with one."""
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        write = sys.stdout.write
+        last = ""
+        for last in chunks:
+            write(last)
+        if not last.endswith("\n"):
+            write("\n")
 
 
 def _add_geometry_source(parser: argparse.ArgumentParser) -> None:
@@ -160,7 +184,7 @@ def _geometry_dict(inc: geometry.IncidenceStructure,
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     inc = _build_geometry(args.kind, args.s, args.q, args.dual)
-    _emit(geometry.to_text(inc), args.output)
+    _emit([geometry.to_text(inc)], args.output)
     return EXIT_OK
 
 
@@ -169,7 +193,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     params = geometry.validate_pg(inc)
     payload = {"schema_version": 1, "valid": True}
     payload.update(_geometry_dict(inc, params))
-    _emit(_dumps(payload), args.output)
+    _emit(_json_chunks(payload), args.output)
     return EXIT_OK
 
 
@@ -247,13 +271,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "rate_decimal": float(rate),
             "info_set": list(built.info_set),
         },
-        "metrics": profile.to_json_dict(),
+        "metrics": profile._json_fields(),
         "conformance": _conformance_dict(params, built, profile),
     }
     if args.format == "text":
-        _emit(_analyze_text(payload), args.output)
+        _emit([_analyze_text(payload)], args.output)
     else:
-        _emit(_dumps(payload), args.output)
+        _emit(_json_chunks(payload), args.output)
     return EXIT_OK
 
 
@@ -273,9 +297,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.format == "csv":
-        _emit(report.to_csv(), args.output)
+        _emit([report.to_csv()], args.output)
     else:
-        _emit(_dumps(report.to_json_dict()), args.output)
+        _emit(_json_chunks(report.to_json_dict()), args.output)
     return EXIT_OK
 
 
@@ -295,9 +319,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 for row in rows
             ],
         }
-        _emit(_dumps(payload), args.output)
+        _emit(_json_chunks(payload), args.output)
     else:
-        _emit(bounds.bounds_table_csv(rows), args.output)
+        _emit([bounds.bounds_table_csv(rows)], args.output)
     return EXIT_OK
 
 
@@ -352,7 +376,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         estimator=args.estimator,
     )
     if args.format == "text":
-        _emit(_catalog_text(entries), args.output)
+        _emit([_catalog_text(entries)], args.output)
     else:
         payload = {
             "schema_version": 1,
@@ -361,7 +385,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "estimator": args.estimator,
             "entries": [_catalog_entry_dict(e) for e in entries],
         }
-        _emit(_dumps(payload), args.output)
+        _emit(_json_chunks(payload), args.output)
     return EXIT_OK
 
 

@@ -316,7 +316,9 @@ class RepairProfile:
         """
         return self.delta - 1
 
-    def to_json_dict(self) -> dict:
+    def _json_fields(self) -> dict:
+        """The JSON fields in order, with the profile's own tuples as the
+        per-symbol columns and repair sets; the CLI writes this directly."""
         return {
             "schema_version": 1,
             "mode": self.mode,
@@ -327,14 +329,19 @@ class RepairProfile:
             "safe_unavailability": self.safe_unavailability,
             "balanced": self.balanced,
             "per_symbol": {
-                "r": list(self.per_symbol_r),
-                "a": list(self.per_symbol_a),
-                "delta": list(self.per_symbol_delta),
+                "r": self.per_symbol_r,
+                "a": self.per_symbol_a,
+                "delta": self.per_symbol_delta,
             },
-            "repair_sets": [
-                [list(helpers) for helpers in sets] for sets in self.repair_sets
-            ],
+            "repair_sets": self.repair_sets,
         }
+
+    def to_json_dict(self) -> dict:
+        """``_json_fields`` with lists for tuples, as ``json.loads`` reads it."""
+        doc = self._json_fields()
+        doc["per_symbol"] = {key: list(column) for key, column in doc["per_symbol"].items()}
+        doc["repair_sets"] = [[list(helpers) for helpers in sets] for sets in self.repair_sets]
+        return doc
 
 
 def repair_profile(code: BlrcCode, mode: str = "exhaustive",

@@ -1,4 +1,7 @@
+import enum
 import json
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +11,10 @@ from pgblrc.cli import build_parser, main
 from oracles import dumps_indented
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
 
 
 def run(capsys, *argv):
@@ -417,17 +424,23 @@ WRITTEN = [
 ]
 
 
-@pytest.mark.parametrize("command", WRITTEN)
-def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch, command):
+def record_payloads(monkeypatch) -> list:
+    """Record each top-level object handed to the JSON writer."""
     payloads = []
-    writer = cli._dumps
+    writer = cli._json_chunks
 
     def recording(obj, indent=""):
         if not indent:
             payloads.append(obj)
         return writer(obj, indent)
 
-    monkeypatch.setattr(cli, "_dumps", recording)
+    monkeypatch.setattr(cli, "_json_chunks", recording)
+    return payloads
+
+
+@pytest.mark.parametrize("command", WRITTEN)
+def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch, command):
+    payloads = record_payloads(monkeypatch)
     code, out, _ = run(capsys, *command.split())
     assert code == 0 and len(payloads) == 1
     assert out == dumps_indented(payloads[0]) + "\n"
@@ -439,6 +452,48 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     {"label": "géométrie — \U0001d53d", "quote\"d": "tab\there"},
     {"repair_sets": [[], [[]], [[], [0, 1]], ([2], (3, 4))]},
     [1, True], [True, 1], [1, 2.0], [[1, 2], 3],
+    0, -(2**70), [0], [0, -1, -17, 10**30, -(2**70)], (10**30, -(2**70)),
+    list(range(-2500, 2500)),
+    # one int-list length at two depths: the templates are cached per indent
+    [[1, 2, 3], {"deeper": [[4, 5, 6], (7, 8, 9)]}, [10, 11, 12]],
+    [True, False], [Level.HIGH], [1, Level.HIGH], [[Level.HIGH, 2], [1, 2]],
 ])
 def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
-    assert cli._dumps(obj) == dumps_indented(obj)
+    assert "".join(cli._json_chunks(obj)) == dumps_indented(obj)
+
+
+def test_analyze_json_is_written_in_pieces(monkeypatch):
+    payloads = record_payloads(monkeypatch)
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["analyze", "--geometry", "hyperoval", "--q", "8"]) == 0
+    document = dumps_indented(payloads[0])
+    chunks = list(cli._json_chunks(payloads[0]))
+    assert "".join(chunks) == document
+    assert writes == chunks + ["\n"]
+    # no piece comes near the whole document, which runs to about 660 kB
+    assert max(map(len, chunks)) < len(document) / 10
+
+
+@pytest.mark.parametrize("command", [
+    "analyze --geometry hyperoval --q 4",
+    "simulate --geometry grid --s 2 --p 0.2 --trials 16",
+    f"validate --file {FIXTURES}/fano.txt",
+    "bounds --format json",
+    "catalog",
+])
+def test_output_file_holds_the_stdout_bytes_but_the_last_newline(capfdbinary, tmp_path, command):
+    path = tmp_path / "out.json"
+    assert main([*command.split(), "--output", str(path)]) == 0
+    assert capfdbinary.readouterr().out == b""
+    assert main(command.split()) == 0
+    sys.stdout.flush()
+    assert path.read_bytes() + b"\n" == capfdbinary.readouterr().out
+
+
+def test_guard_exceeded_writes_no_output_file(capsys, tmp_path):
+    path = tmp_path / "out.json"
+    code, out, _ = run(capsys, "analyze", "--geometry", "grid", "--s", "2",
+                       "--exhaustive", "--guard", "1", "--output", str(path))
+    assert code == 4 and out == ""
+    assert not path.exists()

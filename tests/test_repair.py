@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -283,6 +284,8 @@ def test_profile_json_shape():
     assert doc["balanced"] is True
     assert doc["per_symbol"]["delta"] == [2] * 9
     assert doc["repair_sets"][0] == [[1, 2], [3, 6]]
+    # the CLI writes the fields with the profile's own tuples
+    assert json.loads(json.dumps(prof._json_fields())) == doc
 
 
 def test_geometric_profile_uses_design_values():
