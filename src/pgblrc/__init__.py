@@ -12,160 +12,21 @@ Typical use:
     >>> profile = pgblrc.repair_profile(code, mode="exhaustive")
     >>> (profile.r, profile.a, profile.delta, profile.balanced)
     (2, 2, 2, True)
+
+The public names are those listed in the ``__all__`` of the modules
+``algebra``, ``bounds``, ``code``, ``errors``, ``geometry`` and
+``repair``; the package's ``__all__`` is their sorted union.
 """
 
-from .algebra import (
-    BitMatrix,
-    SUPPORTED_FIELD_ORDERS,
-    SmallField,
-    independent_row_indices,
-    nullspace2,
-    rank2,
-    rref2,
-    small_field,
-    solve2,
-)
-from .bounds import (
-    CatalogEntry,
-    ESTIMATORS,
-    GRID_FAMILY_KEY,
-    RateBounds,
-    bounds_table,
-    bounds_table_csv,
-    catalog,
-    known_gq_parameters,
-    rank_bounds,
-    rate_lower,
-    rate_lower_general,
-    rate_upper,
-    rate_upper_general,
-    surviving_keys,
-    vartheta,
-)
-from .code import (
-    BlrcCode,
-    build_code,
-    encode,
-    export_code,
-    footprint,
-    is_mds,
-    rate,
-    reconstruct,
-)
-from .errors import (
-    DegenerateCodeError,
-    GuardExceededError,
-    IncidenceFileError,
-    NotInformationSetError,
-    NotLocallyRepairableError,
-    ParameterError,
-    PgValidationError,
-)
-from .geometry import (
-    CLASS_GQ,
-    CLASS_NET,
-    CLASS_PROPER,
-    CLASS_STEINER,
-    IncidenceStructure,
-    PgParams,
-    dual,
-    elliptic_quadric_gq,
-    from_text,
-    grid,
-    hyperoval_gq,
-    incidence_matrix,
-    load,
-    save,
-    symplectic_gq,
-    to_text,
-    validate_pg,
-)
-from .repair import (
-    AVAILABILITY_MODELS,
-    AvailabilityReport,
-    DEFAULT_SEARCH_GUARD,
-    RepairOutcome,
-    RepairProfile,
-    RepairVector,
-    blocking_set,
-    line_repair_sets,
-    minimum_hitting_set,
-    omega_r,
-    repair_profile,
-    repair_symbol,
-    simulate_availability,
-)
+from . import algebra, bounds, code, errors, geometry, repair
+from .algebra import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .code import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .repair import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AVAILABILITY_MODELS",
-    "AvailabilityReport",
-    "BitMatrix",
-    "BlrcCode",
-    "CLASS_GQ",
-    "CLASS_NET",
-    "CLASS_PROPER",
-    "CLASS_STEINER",
-    "CatalogEntry",
-    "DEFAULT_SEARCH_GUARD",
-    "DegenerateCodeError",
-    "ESTIMATORS",
-    "GRID_FAMILY_KEY",
-    "GuardExceededError",
-    "IncidenceFileError",
-    "IncidenceStructure",
-    "NotInformationSetError",
-    "NotLocallyRepairableError",
-    "ParameterError",
-    "PgParams",
-    "PgValidationError",
-    "RateBounds",
-    "RepairOutcome",
-    "RepairProfile",
-    "RepairVector",
-    "SUPPORTED_FIELD_ORDERS",
-    "SmallField",
-    "blocking_set",
-    "bounds_table",
-    "bounds_table_csv",
-    "build_code",
-    "catalog",
-    "dual",
-    "elliptic_quadric_gq",
-    "encode",
-    "export_code",
-    "footprint",
-    "from_text",
-    "grid",
-    "hyperoval_gq",
-    "incidence_matrix",
-    "independent_row_indices",
-    "is_mds",
-    "known_gq_parameters",
-    "line_repair_sets",
-    "load",
-    "minimum_hitting_set",
-    "nullspace2",
-    "omega_r",
-    "rank2",
-    "rank_bounds",
-    "rate",
-    "rate_lower",
-    "rate_lower_general",
-    "rate_upper",
-    "rate_upper_general",
-    "reconstruct",
-    "repair_profile",
-    "repair_symbol",
-    "rref2",
-    "save",
-    "simulate_availability",
-    "small_field",
-    "solve2",
-    "surviving_keys",
-    "symplectic_gq",
-    "to_text",
-    "validate_pg",
-    "vartheta",
-]
+__all__ = sorted({name for module in (algebra, bounds, code, errors, geometry, repair)
+                  for name in module.__all__})

@@ -23,10 +23,7 @@ from .errors import ParameterError
 __all__ = [
     "SUPPORTED_FIELD_ORDERS",
     "BitMatrix",
-    "Echelon",
     "SmallField",
-    "bitrow_rank",
-    "echelon",
     "independent_row_indices",
     "nullspace2",
     "rank2",
@@ -62,14 +59,14 @@ class BitMatrix:
         packed = []
         width = cols
         for row in rows:
-            entries = [int(e) for e in row]
+            entries = list(row)
             if width is None:
                 width = len(entries)
             elif len(entries) != width:
                 raise ValueError("rows have inconsistent lengths")
-            for e in entries:
-                if e not in (0, 1):
-                    raise ValueError(f"matrix entry {e!r} is not a bit")
+            bad = _first_non_bit(entries)
+            if bad is not None:
+                raise ValueError(f"matrix entry {entries[bad]!r} is not a bit")
             packed.append(entries)
         if width is None:
             raise ValueError("cannot infer column count from an empty row iterable")
@@ -104,6 +101,27 @@ class BitMatrix:
 # supports or columns in the package goes through these.  Bit rows are
 # packed one way, as uint64 words (``_words``); arrays of bits are
 # unpacked from the words (``_bits``) and packed back with ``_pack``.
+# A caller's bits are accepted by one rule, ``_first_non_bit``: an entry
+# equal to 0 or 1, of any type, is a bit, and no other entry is.
+
+_BITS = frozenset((0, 1))
+
+
+def _first_non_bit(values: Sequence) -> int | None:
+    """Index of the first entry that does not equal 0 or 1, or None when
+    every entry does.  An unhashable entry is no bit."""
+    try:
+        if _BITS.issuperset(values):  # the common case, in one C loop
+            return None
+    except TypeError:  # an unhashable entry, which the scan finds
+        pass
+    for j, v in enumerate(values):
+        try:
+            if v not in _BITS:
+                return j
+        except TypeError:  # unhashable
+            return j
+    return None
 
 
 def _set_bits(x: int) -> list[int]:

@@ -38,9 +38,9 @@ __all__ = [
 
 def _check_pg_params(s: int, t: int, alpha: int) -> None:
     if s < 1 or t < 1:
-        raise ValueError("require s >= 1 and t >= 1")
+        raise ParameterError("require s >= 1 and t >= 1")
     if not 1 <= alpha <= min(s + 1, t + 1):
-        raise ValueError(
+        raise ParameterError(
             f"alpha must lie in [1, min(s+1, t+1)] = [1, {min(s + 1, t + 1)}]"
         )
 

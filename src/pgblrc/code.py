@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import BitMatrix
-from .errors import DegenerateCodeError, NotInformationSetError
+from .errors import DegenerateCodeError, NotInformationSetError, ParameterError
 from .geometry import IncidenceStructure, PgParams, incidence_matrix, validate_pg
 
 __all__ = [
@@ -98,18 +98,19 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
     )
 
 
+def _check_coord(code: BlrcCode, i: int) -> None:
+    if not 0 <= i < code.n:
+        raise ParameterError(f"coordinate {i} out of range for length {code.n}")
+
+
 def _as_bits(values: Sequence[int], expected: int, what: str) -> int:
     """The values as one bit row; every entry must equal 0 or 1."""
     vals = list(values)
     if len(vals) != expected:
         raise ValueError(f"{what} must have length {expected}, got {len(vals)}")
-    try:
-        ok = {0, 1}.issuperset(vals)
-    except TypeError:  # some entry is unhashable, so no bit
-        ok = False
-    if not ok:
-        bad = next(v for v in vals if v.__hash__ is None or v not in (0, 1))
-        raise ValueError(f"{what} entries must be bits, got {bad!r}")
+    bad = algebra._first_non_bit(vals)
+    if bad is not None:
+        raise ValueError(f"{what} entries must be bits, got {vals[bad]!r}")
     return algebra._pack(np.array([vals], dtype=np.uint8))[0]
 
 
@@ -138,8 +139,7 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
     if len(set(coords)) != len(coords):
         raise ValueError("coordinates must be distinct")
     for c in coords:
-        if not 0 <= c < code.n:
-            raise ValueError(f"coordinate {c} out of range for length {code.n}")
+        _check_coord(code, c)
     rhs = _as_bits(values, code.k, "values")
     system = BitMatrix.from_bitrows((code.gen_cols[c] for c in coords), code.k)
     solution = algebra.solve2(system, rhs)

@@ -42,7 +42,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .code import BlrcCode
+from .algebra import _first_non_bit
+from .code import BlrcCode, _check_coord
 from .errors import (DegenerateCodeError, GuardExceededError,
                      NotLocallyRepairableError, ParameterError)
 
@@ -94,19 +95,14 @@ class RepairVector:
         return support[:j] + support[j + 1:]
 
 
-def _check_coord(code: BlrcCode, i: int) -> None:
-    if not 0 <= i < code.n:
-        raise ValueError(f"coordinate {i} out of range for length {code.n}")
-
-
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
+        raise ParameterError(f"unknown mode {mode!r}; choose from {_MODES}")
 
 
 def _check_degree_bound(r: int) -> None:
     if r < 0:
-        raise ValueError("repair degree bound must be non-negative")
+        raise ParameterError("repair degree bound must be non-negative")
 
 
 def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
@@ -457,12 +453,14 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
             break
     else:
         raise NotLocallyRepairableError("not locally repairable under this availability")
+    values = [received[j] for j in helpers]
+    bad = _first_non_bit(values)
+    if bad is not None:
+        raise ValueError(f"received entries must be bits, got {values[bad]!r} "
+                         f"at coordinate {helpers[bad]}")
     value = 0
-    for j in helpers:
-        if received[j] not in (0, 1):
-            raise ValueError(f"received entries must be bits, got {received[j]!r} "
-                             f"at coordinate {j}")
-        value ^= int(received[j])
+    for bit in values:
+        value ^= int(bit)
     return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
 
 

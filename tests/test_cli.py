@@ -23,6 +23,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_same_document(got, want) -> None:
+    """Assert got == want for documents (str or bytes) or lists of pieces.
+
+    A mismatch reports the first line or piece that differs, by number,
+    with both versions, where pytest would diff the whole documents with
+    difflib, which takes minutes on thousands of differing lines.
+    """
+    if got == want:
+        return
+    kind = "piece"
+    if not isinstance(got, list):
+        kind = "line"
+        got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    j = next((j for j, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    pytest.fail(f"documents differ first at {kind} {j + 1}:\n"
+                f"  got:  {got[j] if j < len(got) else 'end of document'!r}\n"
+                f"  want: {want[j] if j < len(want) else 'end of document'!r}")
+
+
 # --------------------------------------------------------------- construct
 
 
@@ -443,7 +462,7 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     payloads = record_payloads(monkeypatch)
     code, out, _ = run(capsys, *command.split())
     assert code == 0 and len(payloads) == 1
-    assert out == dumps_indented(payloads[0]) + "\n"
+    assert_same_document(out, dumps_indented(payloads[0]) + "\n")
 
 
 @pytest.mark.parametrize("obj", [
@@ -459,7 +478,7 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     [True, False], [Level.HIGH], [1, Level.HIGH], [[Level.HIGH, 2], [1, 2]],
 ])
 def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
-    assert "".join(cli._json_chunks(obj)) == dumps_indented(obj)
+    assert_same_document("".join(cli._json_chunks(obj)), dumps_indented(obj))
 
 
 def test_analyze_json_is_written_in_pieces(monkeypatch):
@@ -469,8 +488,8 @@ def test_analyze_json_is_written_in_pieces(monkeypatch):
     assert main(["analyze", "--geometry", "hyperoval", "--q", "8"]) == 0
     document = dumps_indented(payloads[0])
     chunks = list(cli._json_chunks(payloads[0]))
-    assert "".join(chunks) == document
-    assert writes == chunks + ["\n"]
+    assert_same_document("".join(chunks), document)
+    assert_same_document(writes, chunks + ["\n"])
     # no piece comes near the whole document, which runs to about 660 kB
     assert max(map(len, chunks)) < len(document) / 10
 
@@ -488,7 +507,7 @@ def test_output_file_holds_the_stdout_bytes_but_the_last_newline(capfdbinary, tm
     assert capfdbinary.readouterr().out == b""
     assert main(command.split()) == 0
     sys.stdout.flush()
-    assert path.read_bytes() + b"\n" == capfdbinary.readouterr().out
+    assert_same_document(path.read_bytes() + b"\n", capfdbinary.readouterr().out)
 
 
 def test_guard_exceeded_writes_no_output_file(capsys, tmp_path):

@@ -146,10 +146,14 @@ def test_encode_validates_input():
         encode(code, [1, 0, [1], 0])  # an unhashable entry
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.9, "1"])
+@pytest.mark.parametrize("bad", [1.5, 1.9, 0.7, -0.5, "1"])
 def test_entries_that_only_truncate_to_bits_are_refused(bad):
     code = build_code(grid(2))
     got = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=f"matrix entry {got} is not a bit$"):
+        BitMatrix.from_rows([[1, 0], [0, bad]])
+    with pytest.raises(ValueError, match=f"matrix entry {got} is not a bit$"):
+        BitMatrix.from_rows([[bad, 1]], cols=2)
     with pytest.raises(ValueError, match=f"message entries must be bits, got {got}$"):
         encode(code, [bad, 0, 1, 1])
     coords = list(code.info_set)
@@ -164,6 +168,7 @@ def test_entries_that_only_truncate_to_bits_are_refused(bad):
     # entries equal to 0 or 1 of any numeric type are bits
     word = encode(code, [True, np.uint8(0), 1.0, np.int64(1)])
     assert [int(word[i]) for i in code.info_set] == [1, 0, 1, 1]
+    assert BitMatrix.from_rows([[True, np.uint8(0), 1.0, np.int64(1)]]).data == (0b1101,)
 
 
 def test_every_codeword_satisfies_every_incidence_row():

@@ -45,6 +45,10 @@ GOLDEN = [
      "467615f4a3f9fa88f60763fd62a81b4902928fa8165216abb74dee6b33faf665"),
     ("analyze --geometry grid --s 4 --exhaustive",
      "6ed10073bd3a602fe9e2d7800b278a41b1df612ff7f9f7e3d34ff4afdd50774e"),
+    ("analyze --geometry symplectic --q 4 --exhaustive",
+     "8cb0062d5a1eaa9ac2d0b08be253196fac3ee83d5e455e26c15101c59edafe7d"),
+    ("analyze --geometry elliptic --q 3 --exhaustive",
+     "ac46ba5489b5d16c8c972b0dc86d5fef35044535854b19f89b6fd69ff20982d5"),
     ("analyze --geometry elliptic --q 2 --dual --exhaustive --format text",
      "37a8d4d8ff0c3d3c8f1a1cc02009163b696b85e4367d64d159b9b6cd0df34097"),
     ("catalog",

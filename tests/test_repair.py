@@ -8,8 +8,9 @@ from collections.abc import Sequence
 import pytest
 
 from pgblrc.algebra import BitMatrix
-from pgblrc.code import BlrcCode, build_code, encode
-from pgblrc.errors import GuardExceededError, NotLocallyRepairableError
+from pgblrc.bounds import rank_bounds, vartheta
+from pgblrc.code import BlrcCode, build_code, encode, reconstruct
+from pgblrc.errors import GuardExceededError, NotLocallyRepairableError, ParameterError
 from pgblrc.geometry import (
     IncidenceStructure,
     PgParams,
@@ -169,6 +170,23 @@ def test_negative_repair_degree_bound_is_rejected(mode):
         repair_profile(code, mode=mode, r=-1)
     with pytest.raises(ValueError, match="non-negative"):
         blocking_set(code, 0, -1, mode=mode)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda code: omega_r(code, 9, 2), "coordinate 9 out of range for length 9"),
+    (lambda code: line_repair_sets(code, -1), "coordinate -1 out of range"),
+    (lambda code: repair_symbol(code, [None] * 9, 9), "coordinate 9 out of range"),
+    (lambda code: reconstruct(code, [0, 1, 2, 99], [0, 0, 1, 1]), "coordinate 99 out of range"),
+    (lambda code: repair_profile(code, mode="fast"), "unknown mode 'fast'"),
+    (lambda code: blocking_set(code, 0, 2, mode="fast"), "unknown mode 'fast'"),
+    (lambda code: omega_r(code, 0, -1), "repair degree bound must be non-negative"),
+    (lambda code: vartheta(0, 1, 1), "require s >= 1 and t >= 1"),
+    (lambda code: rank_bounds(2, 2, 4), "alpha must lie in"),
+], ids=["omega_r", "line_repair_sets", "repair_symbol", "reconstruct", "repair_profile",
+        "blocking_set", "degree_bound", "vartheta", "rank_bounds"])
+def test_out_of_range_arguments_raise_parameter_error(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call(make_code("grid2"))
 
 
 # ------------------------------------------------- alternativity, tolerance
