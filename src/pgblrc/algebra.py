@@ -13,7 +13,7 @@ and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -229,70 +229,34 @@ def _eliminate(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
     return reduced[order], [pivots[i] for i in order], keep
 
 
-@dataclass(frozen=True)
-class Echelon:
-    """Reduced row echelon form of a matrix's row space.
+def _nullspace(reduced: np.ndarray, pivots: Sequence[int], cols: int
+               ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The free columns of ``_eliminate``'s reduced rows, a null-space
+    basis systematic on them, and the same basis by column: bit j of
+    column c is basis row j at c.
 
-    rows:        the nonzero reduced rows, ordered by pivot column
-    pivots:      pivot column of each reduced row (its lowest set bit)
-    independent: indices of the input rows kept by a top-down greedy scan
-    cols:        column count of the input
+    Basis row j is free column j plus, at each pivot column, the reduced
+    row's entry in free column j.  So a pivot column is its reduced row
+    cut down to the free columns, and the basis rows are those cuts
+    transposed.  The cuts are read off the packed reduced rows a block of
+    rows at a time, unpacked to one byte per bit.
     """
-
-    rows: tuple[int, ...]
-    pivots: tuple[int, ...]
-    independent: tuple[int, ...]
-    cols: int
-
-    def free_columns(self) -> list[int]:
-        pivot_set = set(self.pivots)
-        return [c for c in range(self.cols) if c not in pivot_set]
-
-    @cached_property
-    def _packed(self) -> np.ndarray:
-        """The reduced rows as ``_words``; ``echelon`` stores the kernel's own."""
-        return _words(self.rows, self.cols)
-
-    def nullspace(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Null-space basis rows, systematic on the free columns, and the
-        same basis by column: bit j of column c is basis row j at c.
-
-        Basis row j is free column j plus, at each pivot column, the
-        reduced row's entry in free column j.  So a pivot column is its
-        reduced row cut down to the free columns, and the basis rows are
-        those cuts transposed.  The cuts are read off the packed reduced
-        rows a block of rows at a time, unpacked to one byte per bit.
-        """
-        free = self.free_columns()
-        by_col = [0] * self.cols
-        for j, f in enumerate(free):
-            by_col[f] = 1 << j
-        take = np.array(free, dtype=np.intp)
-        for lo in range(0, len(self.pivots), _BLOCK):
-            cut = np.take(_bits(self._packed[lo:lo + _BLOCK], self.cols), take, axis=1)
-            for p, bits in zip(self.pivots[lo:lo + _BLOCK], _pack(cut)):
-                by_col[p] = bits
-        return tuple(_transpose(by_col, len(free))), tuple(by_col)
-
-
-def echelon(m: BitMatrix) -> Echelon:
-    """The reduced row echelon form of the rows, by ``_eliminate``."""
-    reduced, pivots, keep = _eliminate(_words(m.data, m.cols))
-    ech = Echelon(tuple(_ints(reduced)), tuple(pivots), tuple(keep), m.cols)
-    ech.__dict__["_packed"] = reduced  # fills the cached property
-    return ech
-
-
-def bitrow_rank(rows: Iterable[int]) -> int:
-    """Rank of bit-packed rows, which may differ in bit length."""
-    rows = list(rows)
-    cols = max((row.bit_length() for row in rows), default=0)
-    return len(_eliminate(_words(rows, cols))[1])
+    pivot_set = set(pivots)
+    free = tuple(c for c in range(cols) if c not in pivot_set)
+    by_col = [0] * cols
+    for j, f in enumerate(free):
+        by_col[f] = 1 << j
+    take = np.array(free, dtype=np.intp)
+    for lo in range(0, len(pivots), _BLOCK):
+        cut = np.take(_bits(reduced[lo:lo + _BLOCK], cols), take, axis=1)
+        for p, bits in zip(pivots[lo:lo + _BLOCK], _pack(cut)):
+            by_col[p] = bits
+    return free, tuple(_transpose(by_col, len(free))), tuple(by_col)
 
 
 def rank2(m: BitMatrix) -> int:
     """GF(2) rank of the matrix."""
-    return bitrow_rank(m.data)
+    return len(_eliminate(_words(m.data, m.cols))[1])
 
 
 def independent_row_indices(m: BitMatrix) -> tuple[int, ...]:
@@ -311,9 +275,9 @@ def rref2(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     The nonzero rows come first in pivot column order, then the zero
     rows, so the shape is that of the input.
     """
-    ech = echelon(m)
-    data = ech.rows + (0,) * (m.rows - len(ech.rows))
-    return BitMatrix(m.rows, m.cols, data), ech.pivots
+    reduced, pivots, _ = _eliminate(_words(m.data, m.cols))
+    data = _ints(reduced) + [0] * (m.rows - len(pivots))
+    return BitMatrix(m.rows, m.cols, tuple(data)), tuple(pivots)
 
 
 def nullspace2(m: BitMatrix) -> BitMatrix:
@@ -323,7 +287,8 @@ def nullspace2(m: BitMatrix) -> BitMatrix:
     rref2(m) and 0 in every other free column, so the basis is systematic
     on the free columns and ordered by free column index.
     """
-    basis, _ = echelon(m).nullspace()
+    reduced, pivots, _ = _eliminate(_words(m.data, m.cols))
+    basis = _nullspace(reduced, pivots, m.cols)[1]
     return BitMatrix(len(basis), m.cols, basis)
 
 

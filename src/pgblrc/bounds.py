@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import code as code_mod
 from . import geometry
-from .errors import ParameterError
+from .errors import ParameterError, _as_index
 
 __all__ = [
     "CatalogEntry",
@@ -37,9 +37,9 @@ __all__ = [
 
 
 def _check_pg_params(s: int, t: int, alpha: int) -> None:
-    if s < 1 or t < 1:
+    if _as_index(s, "s") < 1 or _as_index(t, "t") < 1:
         raise ParameterError("require s >= 1 and t >= 1")
-    if not 1 <= alpha <= min(s + 1, t + 1):
+    if not 1 <= _as_index(alpha, "alpha") <= min(s + 1, t + 1):
         raise ParameterError(
             f"alpha must lie in [1, min(s+1, t+1)] = [1, {min(s + 1, t + 1)}]"
         )
@@ -81,7 +81,7 @@ def rate_upper_general(s: int, t: int, alpha: int) -> Fraction:
 
 
 def _check_ra(r: int, a: int) -> None:
-    if r < 2 or a < 2:
+    if _as_index(r, "r") < 2 or _as_index(a, "a") < 2:
         raise ParameterError("bounds require repair degree >= 2 and alternativity >= 2")
 
 

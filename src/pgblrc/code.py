@@ -16,8 +16,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import BitMatrix
-from .errors import DegenerateCodeError, NotInformationSetError, ParameterError
-from .geometry import IncidenceStructure, PgParams, incidence_matrix, validate_pg
+from .errors import DegenerateCodeError, NotInformationSetError, ParameterError, _as_index
+from .geometry import IncidenceStructure, PgParams, validate_pg
 
 __all__ = [
     "BlrcCode",
@@ -51,13 +51,11 @@ class BlrcCode:
     gen_cols: tuple[int, ...]
 
 
-def _forced_zero_symbol(reduced: Sequence[int], pivots: tuple[int, ...]) -> int | None:
-    """Column index pinned to zero by a weight-1 parity check, if any.
-
-    In reduced form such a check is a row supported on its pivot alone;
-    the redundancy part of that row is all zero.
-    """
-    return next((p for row, p in zip(reduced, pivots) if row == 1 << p), None)
+def _forced_zero_symbol(reduced: np.ndarray, pivots: Sequence[int]) -> int | None:
+    """Column index pinned to zero by a weight-1 parity check, if any: in
+    reduced form, a packed row (``algebra._eliminate``'s) of popcount 1."""
+    ones = np.flatnonzero(np.bitwise_count(reduced).sum(axis=1) == 1)
+    return pivots[ones[0]] if ones.size else None
 
 
 def build_code(inc: IncidenceStructure) -> BlrcCode:
@@ -65,33 +63,31 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
 
     The geometry is certified by ``validate_pg``, which computes its
     result once per structure, so a caller that validated ``inc`` first
-    does not pay for a second pass.  One elimination of the incidence
-    matrix then gives everything: the independent line checks that form
+    does not pay for a second pass.  One elimination of the packed line
+    masks then gives everything: the independent line checks that form
     the parity-check matrix, the reduced form whose non-pivot columns are
     the information set, and the generator read off the reduced rows, by
     row and by column.
     """
     pg = validate_pg(inc)
     n = inc.num_points
-    nmat = incidence_matrix(inc)
-    ech = algebra.echelon(nmat)
-    k = n - len(ech.rows)
+    reduced, pivots, independent = algebra._eliminate(algebra._words(inc.line_masks, n))
+    k = n - len(pivots)
     if k == 0:
         raise DegenerateCodeError("degenerate code (full-rank incidence)")
-    parity = BitMatrix.from_bitrows((nmat.data[i] for i in ech.independent), n)
-    forced = _forced_zero_symbol(ech.rows, ech.pivots)
+    forced = _forced_zero_symbol(reduced, pivots)
     if forced is not None:
         raise DegenerateCodeError(
             f"all-zero row in the redundancy part of the parity checks: "
             f"symbol {forced} is forced to zero in every codeword"
         )
-    basis, gen_cols = ech.nullspace()
+    info_set, basis, gen_cols = algebra._nullspace(reduced, pivots, n)
     return BlrcCode(
         n=n,
         k=k,
-        parity_check=parity,
+        parity_check=BitMatrix.from_bitrows((inc.line_masks[i] for i in independent), n),
         generator=BitMatrix(k, n, basis),
-        info_set=tuple(ech.free_columns()),
+        info_set=info_set,
         geometry=inc,
         pg=pg,
         gen_cols=gen_cols,
@@ -99,7 +95,7 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
 
 
 def _check_coord(code: BlrcCode, i: int) -> None:
-    if not 0 <= i < code.n:
+    if not 0 <= _as_index(i, "coordinate") < code.n:
         raise ParameterError(f"coordinate {i} out of range for length {code.n}")
 
 
@@ -131,15 +127,13 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
     coordinates ascending.  Raises NotInformationSetError when the chosen
     coordinates do not determine the message.
     """
-    if isinstance(coords, (set, frozenset)):
-        coords = sorted(coords)
-    coords = [int(c) for c in coords]
+    coords = sorted(coords) if isinstance(coords, (set, frozenset)) else list(coords)
     if len(coords) != code.k:
         raise ValueError(f"need exactly k={code.k} coordinates, got {len(coords)}")
-    if len(set(coords)) != len(coords):
-        raise ValueError("coordinates must be distinct")
     for c in coords:
         _check_coord(code, c)
+    if len(set(coords)) != len(coords):
+        raise ValueError("coordinates must be distinct")
     rhs = _as_bits(values, code.k, "values")
     system = BitMatrix.from_bitrows((code.gen_cols[c] for c in coords), code.k)
     solution = algebra.solve2(system, rhs)

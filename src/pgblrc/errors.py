@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 __all__ = [
     "DegenerateCodeError",
     "GuardExceededError",
@@ -43,6 +45,15 @@ class DegenerateCodeError(ValueError):
 
 class ParameterError(ValueError):
     """An argument lies outside the range a constructor or routine accepts."""
+
+
+def _as_index(value, name: str) -> int:
+    """value by ``operator.index``: a float or a string is no integer, even
+    one that ``int`` would truncate or parse."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 class NotInformationSetError(ValueError):

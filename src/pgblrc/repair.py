@@ -45,7 +45,7 @@ import numpy as np
 from .algebra import _first_non_bit
 from .code import BlrcCode, _check_coord
 from .errors import (DegenerateCodeError, GuardExceededError,
-                     NotLocallyRepairableError, ParameterError)
+                     NotLocallyRepairableError, ParameterError, _as_index)
 
 __all__ = [
     "AVAILABILITY_MODELS",
@@ -101,7 +101,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_degree_bound(r: int) -> None:
-    if r < 0:
+    if _as_index(r, "r") < 0:
         raise ParameterError("repair degree bound must be non-negative")
 
 

@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import (BitMatrix, Echelon, _set_bits, bitrow_rank,
-                            small_field, solve2)
+from pgblrc.algebra import BitMatrix, _set_bits, rank2, small_field, solve2
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
@@ -397,8 +396,10 @@ def _forward(rows: Iterable[int]) -> tuple[dict[int, int], list[int]]:
     return pivots, keep
 
 
-def echelon_bigint(m: BitMatrix) -> Echelon:
-    """Forward pass on mirrored rows, then back-substitution."""
+def echelon_bigint(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Forward pass on mirrored rows, then back-substitution: the nonzero
+    reduced rows ordered by pivot column, their pivot columns, and the
+    indices of the input rows kept by a top-down greedy scan."""
     cols = m.cols
     pivots, keep = _forward(_mirror(row, cols) for row in m.data)
     tops = sorted(pivots)
@@ -409,11 +410,10 @@ def echelon_bigint(m: BitMatrix) -> Echelon:
             row ^= pivots[b + 1]
         pivots[top] = row
     tops.reverse()
-    return Echelon(
+    return (
         tuple(_mirror(pivots[top], cols) for top in tops),
         tuple(cols - top for top in tops),
         tuple(keep),
-        cols,
     )
 
 
@@ -627,7 +627,7 @@ def repair_profile_per_symbol(code, r: int | None = None) -> RepairProfile:
 def is_mds_scan(code) -> bool:
     """True iff every k-subset of coordinates is an information set."""
     for combo in itertools.combinations(range(code.n), code.k):
-        if bitrow_rank(code.gen_cols[c] for c in combo) < code.k:
+        if rank2(BitMatrix.from_bitrows((code.gen_cols[c] for c in combo), code.k)) < code.k:
             return False
     return True
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgblrc.algebra import BitMatrix, bitrow_rank, rank2, rref2
+from pgblrc.algebra import BitMatrix, _eliminate, _words, rank2
 from pgblrc.code import (
     BlrcCode,
     _forced_zero_symbol,
@@ -61,7 +61,7 @@ def test_grid2_code_shape():
     # H spans the same row space as the full incidence matrix
     N = incidence_matrix(code.geometry)
     assert rank2(N) == 5
-    assert bitrow_rank(code.parity_check.data + N.data) == 5
+    assert rank2(BitMatrix.from_bitrows(code.parity_check.data + N.data, code.n)) == 5
     # H is made of incidence rows, scanned in canonical order
     assert all(row in N.data for row in code.parity_check.data)
 
@@ -110,11 +110,21 @@ def test_full_rank_incidence_is_rejected():
         build_code(inc)
 
 
+def forced_zero_symbol(rows, cols):
+    """``_forced_zero_symbol`` on the kernel's packed reduced rows."""
+    reduced, pivots, _ = _eliminate(_words(rows, cols))
+    return _forced_zero_symbol(reduced, pivots)
+
+
 def test_forced_zero_symbol_detector():
-    reduced, pivots = rref2(BitMatrix.from_rows([[1, 0, 0], [0, 1, 1]]))
-    assert _forced_zero_symbol(reduced.data, pivots) == 0
-    reduced, pivots = rref2(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))
-    assert _forced_zero_symbol(reduced.data, pivots) is None
+    assert forced_zero_symbol([0b001, 0b110], 3) == 0
+    assert forced_zero_symbol([0b011, 0b110], 3) is None
+    # the weight-1 row is the second reduced row, after 0b011
+    assert forced_zero_symbol([0b011, 0b100], 3) == 2
+    # past column 63 the weight-1 row sits in the second uint64 word
+    assert forced_zero_symbol([0b11, 1 << 65], 70) == 65
+    # one bit in each word is weight 2, not two weight-1 words
+    assert forced_zero_symbol([(1 << 3) | (1 << 64)], 70) is None
 
 
 def test_code_is_immutable():
@@ -202,7 +212,7 @@ def test_reconstruct_from_random_information_sets():
     hits = misses = 0
     for _ in range(120):
         coords = sorted(rng.sample(range(code.n), code.k))
-        subrank = bitrow_rank(code.gen_cols[c] for c in coords)
+        subrank = rank2(BitMatrix.from_bitrows((code.gen_cols[c] for c in coords), code.k))
         if subrank == code.k:
             got = reconstruct(code, coords, [word[c] for c in coords])
             assert got.tolist() == [1, 0, 0, 1]
@@ -274,5 +284,5 @@ def test_generator_rows_are_independent():
     for make in (lambda: grid(3), lambda: symplectic_gq(2),
                  lambda: elliptic_quadric_gq(2)):
         code = build_code(make())
-        assert bitrow_rank(code.generator.data) == code.k
+        assert rank2(code.generator) == code.k
         assert not any((code.generator @ code.parity_check.transpose()).data)

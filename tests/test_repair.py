@@ -5,10 +5,11 @@ import random
 import re
 from collections.abc import Sequence
 
+import numpy as np
 import pytest
 
 from pgblrc.algebra import BitMatrix
-from pgblrc.bounds import rank_bounds, vartheta
+from pgblrc.bounds import rank_bounds, rate_lower, vartheta
 from pgblrc.code import BlrcCode, build_code, encode, reconstruct
 from pgblrc.errors import GuardExceededError, NotLocallyRepairableError, ParameterError
 from pgblrc.geometry import (
@@ -182,11 +183,38 @@ def test_negative_repair_degree_bound_is_rejected(mode):
     (lambda code: omega_r(code, 0, -1), "repair degree bound must be non-negative"),
     (lambda code: vartheta(0, 1, 1), "require s >= 1 and t >= 1"),
     (lambda code: rank_bounds(2, 2, 4), "alpha must lie in"),
+    # operator.index refuses non-integers, even those int() would truncate or parse
+    (lambda code: reconstruct(code, [4.5, 5.5, 7.5, 8.5], [0, 0, 1, 1]),
+     "coordinate must be an integer, got 4.5"),
+    (lambda code: reconstruct(code, ["4", "5", "7", "8"], [0, 0, 1, 1]),
+     "coordinate must be an integer, got '4'"),
+    (lambda code: repair_profile(code, r=1.5), "r must be an integer, got 1.5"),
+    (lambda code: omega_r(code, 0, 1.5), "r must be an integer, got 1.5"),
+    (lambda code: line_repair_sets(code, 1.5), "coordinate must be an integer, got 1.5"),
+    (lambda code: repair_symbol(code, [None] * 9, 1.0), "coordinate must be an integer, got 1.0"),
+    (lambda code: vartheta(1.5, 1, 1), "s must be an integer, got 1.5"),
+    (lambda code: rate_lower(2.5, 3), "r must be an integer, got 2.5"),
 ], ids=["omega_r", "line_repair_sets", "repair_symbol", "reconstruct", "repair_profile",
-        "blocking_set", "degree_bound", "vartheta", "rank_bounds"])
+        "blocking_set", "degree_bound", "vartheta", "rank_bounds",
+        "reconstruct_float", "reconstruct_str", "repair_profile_float_r", "omega_r_float_r",
+        "line_repair_sets_float", "repair_symbol_float", "vartheta_float", "rate_lower_float"])
 def test_out_of_range_arguments_raise_parameter_error(call, message):
     with pytest.raises(ParameterError, match=message):
         call(make_code("grid2"))
+
+
+def test_numpy_integer_arguments_are_accepted():
+    code = make_code("grid2")
+    word = encode(code, [1, 0, 0, 1])
+    coords = list(np.array(code.info_set))
+    assert reconstruct(code, coords, [word[c] for c in coords]).tolist() == [1, 0, 0, 1]
+    received = [None] + [int(b) for b in word[1:]]
+    assert repair_symbol(code, received, np.int64(0)) == repair_symbol(code, received, 0)
+    assert line_repair_sets(code, np.int32(3)) == line_repair_sets(code, 3)
+    assert omega_r(code, np.int64(0), np.int64(2)) == omega_r(code, 0, 2)
+    assert repair_profile(code, r=np.int64(2)) == repair_profile(code, r=2)
+    assert vartheta(np.int64(2), np.int64(2), np.int64(1)) == vartheta(2, 2, 1)
+    assert rate_lower(np.int64(2), np.int64(3)) == rate_lower(2, 3)
 
 
 # ------------------------------------------------- alternativity, tolerance
