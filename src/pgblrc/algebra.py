@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _as_index
 
 __all__ = [
     "SUPPORTED_FIELD_ORDERS",
@@ -335,6 +335,7 @@ class SmallField:
     """
 
     def __init__(self, q: int):
+        q = _as_index(q, "q")
         if q in _PRIMES:
             p, m, reduction = q, 1, ()
         elif q in _REDUCTIONS:
@@ -429,7 +430,7 @@ class SmallField:
         return f"SmallField(q={self.q})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def small_field(q: int) -> SmallField:
-    """Cached field instance for a supported order q."""
+    """Cached field instance for a supported order q; typed, so 4.0 is refused, not read as 4."""
     return SmallField(q)

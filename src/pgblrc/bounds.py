@@ -265,6 +265,7 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
     """
     if estimator not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+    max_n = _as_index(max_n, "max_n")
     if max_n < 0:
         raise ParameterError("max_n must be non-negative")
     min_rate = Fraction(min_rate)

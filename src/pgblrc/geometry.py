@@ -11,16 +11,17 @@ points collinear with it.  Both read one collinearity table, packed as
 uint64 words and counted with ``np.bitwise_count``, and decide alone; a
 witness is read off the same words at the points a failing test flagged.
 The constructors below produce the standard families used for code
-building.  Each quadrangle reads its lines off the geometry: a
-generalized quadrangle has no triangles, so the line through collinear
-points u and v of W(q) or Q-(5, q) is u, v and the points collinear with
-both; and GF(2^m) addition is XOR, so the lines of T2*(O) with one
-direction are the XOR cosets of that direction's multiples.
+building, on GF(q)'s addition and multiplication tables read as arrays.
+Each quadrangle reads its lines off the geometry: a generalized
+quadrangle has no triangles, so the line through collinear points u and
+v of W(q) or Q-(5, q) is the meet of their rows of collinear points, one
+row per point from the form applied to all points at once; and GF(2^m)
+addition is XOR, so the lines of T2*(O) with one direction are the XOR
+cosets of that direction's multiples.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import BitMatrix, small_field
-from .errors import IncidenceFileError, ParameterError, PgValidationError
+from .errors import IncidenceFileError, ParameterError, PgValidationError, _as_index
 
 __all__ = [
     "CLASS_GQ",
@@ -355,6 +356,7 @@ def grid(s: int) -> IncidenceStructure:
 
     A pg(s, 1, 1): every point lies on one row and one column.
     """
+    s = _as_index(s, "s")
     if s < 1:
         raise ParameterError("grid requires s >= 1")
     w = s + 1
@@ -363,33 +365,28 @@ def grid(s: int) -> IncidenceStructure:
     return IncidenceStructure(w * w, tuple(sorted(lines)), label=f"grid({s})")
 
 
-def _projective_points(field, dim: int) -> list[tuple[int, ...]]:
-    """Normalized representatives (first nonzero coordinate 1), in lex order."""
-    pts = []
-    for vec in itertools.product(range(field.q), repeat=dim):
-        lead = next((c for c in vec if c), 0)
-        if lead == 1:
-            pts.append(vec)
-    return pts
+def _projective_points(q: int, dim: int) -> np.ndarray:
+    """Normalized representatives (first nonzero coordinate 1), one per row in lex order."""
+    vecs = np.indices((q,) * dim).reshape(dim, -1).T
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    return vecs[lead == 1]
 
 
 def _polar_lines(points, orthogonal, label: str) -> IncidenceStructure:
     """The given projective points with every line spanned by two of them
     that ``orthogonal`` accepts (the totally isotropic or singular lines).
 
-    The structure is a generalized quadrangle, which has no triangles: for
-    collinear u != v, the points collinear with both are exactly the other
-    points of the line uv.  So one scan over the point pairs finds every
-    point's collinear set, and each line is a pair and their intersection.
+    ``orthogonal`` takes coordinate-first arrays that broadcast, so one call
+    per point gives its row of collinear points, itself included.  A
+    generalized quadrangle has no triangles: for collinear u != v, the points
+    collinear with both are the points of the line uv, the meet of two rows.
     """
-    perp: list[set[int]] = [set() for _ in points]
-    for (i, u), (j, v) in itertools.combinations(enumerate(points), 2):
-        if orthogonal(u, v):
-            perp[i].add(j)
-            perp[j].add(i)
-    lines = {tuple(sorted({i, j} | (perp[i] & perp[j])))
-             for i, collinear in enumerate(perp) for j in collinear if i < j}
-    return IncidenceStructure(len(points), tuple(sorted(lines)), label=label)
+    coords, n = points.T, len(points)
+    collinear = np.fromiter((orthogonal(u[:, None], coords) for u in points),
+                            dtype=(bool, n), count=n)
+    lines = {tuple(np.flatnonzero(row & collinear[v]).tolist())
+             for u, row in enumerate(collinear) for v in np.flatnonzero(row[u + 1:]) + u + 1}
+    return IncidenceStructure(n, tuple(sorted(lines)), label=label)
 
 
 def symplectic_gq(q: int) -> IncidenceStructure:
@@ -399,14 +396,12 @@ def symplectic_gq(q: int) -> IncidenceStructure:
     A pg(q, q, 1) on (q+1)(q^2+1) points and as many lines.
     """
     field = small_field(q)
+    add, mul = np.array(field._add, np.uint8), np.array(field._mul, np.uint8)
 
     def orthogonal(u, v):
-        a = field.add(field.mul(u[0], v[1]), field.mul(u[2], v[3]))
-        b = field.add(field.mul(u[1], v[0]), field.mul(u[3], v[2]))
-        return field.sub(a, b) == 0
+        return add[mul[u[0], v[1]], mul[u[2], v[3]]] == add[mul[u[1], v[0]], mul[u[3], v[2]]]
 
-    return _polar_lines(_projective_points(field, 4), orthogonal,
-                        f"symplectic-gq({q})")
+    return _polar_lines(_projective_points(q, 4), orthogonal, f"symplectic-gq({q})")
 
 
 def elliptic_quadric_gq(q: int) -> IncidenceStructure:
@@ -418,23 +413,24 @@ def elliptic_quadric_gq(q: int) -> IncidenceStructure:
     if q not in (2, 3):
         raise ParameterError("elliptic quadric construction supports q in {2, 3}")
     field = small_field(q)
+    add, mul = np.array(field._add, np.uint8), np.array(field._mul, np.uint8)
     # x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
     # q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square).
     gb = 1 if q == 2 else 0
 
     def quad(x):
-        head = field.add(field.mul(x[0], x[1]), field.mul(x[2], x[3]))
-        tail = field.add(field.mul(x[4], x[4]), field.mul(x[5], x[5]))
+        head = add[mul[x[0], x[1]], mul[x[2], x[3]]]
+        tail = add[mul[x[4], x[4]], mul[x[5], x[5]]]
         if gb:
-            tail = field.add(tail, field.mul(x[4], x[5]))
-        return field.add(head, tail)
+            tail = add[tail, mul[x[4], x[5]]]
+        return add[head, tail]
 
     # the points are singular, so B(u, v) = Q(u+v) - Q(u) - Q(v) = Q(u+v)
     def orthogonal(u, v):
-        return quad(tuple(map(field.add, u, v))) == 0
+        return quad(add[u, v]) == 0
 
-    points = [p for p in _projective_points(field, 6) if quad(p) == 0]
-    return _polar_lines(points, orthogonal, f"elliptic-quadric-gq({q})")
+    points = _projective_points(q, 6)
+    return _polar_lines(points[quad(points.T) == 0], orthogonal, f"elliptic-quadric-gq({q})")
 
 
 def hyperoval_gq(q: int) -> IncidenceStructure:
@@ -446,10 +442,10 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     """
     if q not in (4, 8, 16):
         raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
-    field = small_field(q)
+    # intp, as a multiple scaled by q^2 below overflows uint8
+    mul = np.array(small_field(q)._mul, dtype=np.intp)
     # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
-    directions = [(t, 1, field.mul(t, t)) for t in field.elements()]
-    directions += [(0, 0, 1), (1, 0, 0)]
+    directions = [(t, 1, mul[t, t]) for t in range(q)] + [(0, 0, 1), (1, 0, 0)]
 
     # Elements of GF(2^m) are bit vectors, so addition is XOR, and so is the
     # addition of points (x, y, z) = x q^2 + y q + z.  The line through p
@@ -459,13 +455,11 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     points = np.arange(q * qq)
     lines = []
     for x, y, z in directions:
-        steps = [field.mul(lam, x) * qq + field.mul(lam, y) * q + field.mul(lam, z)
-                 for lam in field.elements()]
+        steps = mul[:, x] * qq + mul[:, y] * q + mul[:, z]
         cosets = np.sort(points[:, None] ^ steps, axis=1)
         lines += cosets[cosets[:, 0] == points].tolist()
-    return IncidenceStructure(
-        q * qq, tuple(sorted(map(tuple, lines))), label=f"hyperoval-gq({q})"
-    )
+    return IncidenceStructure(q * qq, tuple(sorted(map(tuple, lines))),
+                              label=f"hyperoval-gq({q})")
 
 
 def dual(inc: IncidenceStructure) -> IncidenceStructure:

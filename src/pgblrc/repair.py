@@ -616,7 +616,11 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
         raise ParameterError("seed must lie in [0, 2**128)")
     n = code.n
     if model == "iid":
-        if not 0.0 <= p <= 1.0:
+        try:
+            in_range = 0.0 <= p <= 1.0
+        except TypeError:   # a string or None: no probability
+            in_range = False
+        if not in_range:
             raise ParameterError("p must lie in [0, 1]")
     elif not 0 <= u <= n:
         raise ParameterError(f"u must lie in [0, {n}]")

@@ -12,8 +12,9 @@ message read-out, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
 json's own indented encoder, and the quadrangle constructors that
-normalize the whole span of every collinear pair and walk every affine
-point through ``SmallField.add``.
+normalize the whole span of every collinear pair, test every point
+pair through ``SmallField`` and walk every affine point through
+``SmallField.add``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from pgblrc.algebra import BitMatrix, _set_bits, rank2, small_field, solve2
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
-                             _projective_points, _require_covered,
-                             incidence_matrix)
+                             _require_covered, incidence_matrix)
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     AVAILABILITY_MODELS,
@@ -773,8 +773,19 @@ def dumps_indented(obj) -> str:
 
 # ----------------------------------------------------------------------
 # the quadrangle constructors: every collinear pair spans and normalizes
-# its whole line, and the hyperoval walks every point one field addition
-# at a time
+# its whole line, or every point pair is tested through ``SmallField``
+# and the line through a collinear pair is read off the collinear sets;
+# and the hyperoval walks every point one field addition at a time
+
+
+def _projective_points(field, dim: int) -> list[tuple[int, ...]]:
+    """Normalized representatives (first nonzero coordinate 1), in lex order."""
+    pts = []
+    for vec in itertools.product(range(field.q), repeat=dim):
+        lead = next((c for c in vec if c), 0)
+        if lead == 1:
+            pts.append(vec)
+    return pts
 
 
 def _normalize(field, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -815,27 +826,36 @@ def _polar_lines(field, points, orthogonal, label: str) -> IncidenceStructure:
     return IncidenceStructure(len(points), tuple(sorted_lines), label=label)
 
 
-def symplectic_gq_by_spans(q: int) -> IncidenceStructure:
-    """``geometry.symplectic_gq`` with each isotropic pair's span normalized."""
-    field = small_field(q)
+def _polar_lines_by_pairs(points, orthogonal, label: str) -> IncidenceStructure:
+    """``_polar_lines`` with one scan over the point pairs into a collinear
+    set per point, each line a collinear pair and the points collinear
+    with both (a generalized quadrangle has no triangles)."""
+    perp: list[set[int]] = [set() for _ in points]
+    for (i, u), (j, v) in itertools.combinations(enumerate(points), 2):
+        if orthogonal(u, v):
+            perp[i].add(j)
+            perp[j].add(i)
+    lines = {tuple(sorted({i, j} | (perp[i] & perp[j])))
+             for i, collinear in enumerate(perp) for j in collinear if i < j}
+    return IncidenceStructure(len(points), tuple(sorted(lines)), label=label)
 
+
+def _symplectic_form(field):
+    """Whether x1 y2 - x2 y1 + x3 y4 - x4 y3 vanishes on a pair of points."""
     def orthogonal(u, v):
         a = field.add(field.mul(u[0], v[1]), field.mul(u[2], v[3]))
         b = field.add(field.mul(u[1], v[0]), field.mul(u[3], v[2]))
         return field.sub(a, b) == 0
 
-    return _polar_lines(field, _projective_points(field, 4), orthogonal,
-                        f"symplectic-gq({q})")
+    return orthogonal
 
 
-def elliptic_quadric_gq_by_spans(q: int) -> IncidenceStructure:
-    """``geometry.elliptic_quadric_gq`` with each singular pair's span
-    normalized and the full polar form Q(u+v) - Q(u) - Q(v)."""
+def _elliptic_quadric(q: int):
+    """GF(q) and x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
+    q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square)."""
     if q not in (2, 3):
         raise ParameterError("elliptic quadric construction supports q in {2, 3}")
     field = small_field(q)
-    # x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
-    # q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square).
     gb = 1 if q == 2 else 0
 
     def quad(x):
@@ -845,11 +865,45 @@ def elliptic_quadric_gq_by_spans(q: int) -> IncidenceStructure:
             tail = field.add(tail, field.mul(x[4], x[5]))
         return field.add(head, tail)
 
+    return field, quad
+
+
+def symplectic_gq_by_spans(q: int) -> IncidenceStructure:
+    """``geometry.symplectic_gq`` with each isotropic pair's span normalized."""
+    field = small_field(q)
+    return _polar_lines(field, _projective_points(field, 4), _symplectic_form(field),
+                        f"symplectic-gq({q})")
+
+
+def symplectic_gq_by_pairs(q: int) -> IncidenceStructure:
+    """``geometry.symplectic_gq`` testing every point pair through ``SmallField``."""
+    field = small_field(q)
+    return _polar_lines_by_pairs(_projective_points(field, 4), _symplectic_form(field),
+                                 f"symplectic-gq({q})")
+
+
+def elliptic_quadric_gq_by_spans(q: int) -> IncidenceStructure:
+    """``geometry.elliptic_quadric_gq`` with each singular pair's span
+    normalized and the full polar form Q(u+v) - Q(u) - Q(v)."""
+    field, quad = _elliptic_quadric(q)
+
     def orthogonal(u, v):
         return field.sub(field.sub(quad(_vec_add(field, u, v)), quad(u)), quad(v)) == 0
 
     points = [p for p in _projective_points(field, 6) if quad(p) == 0]
     return _polar_lines(field, points, orthogonal, f"elliptic-quadric-gq({q})")
+
+
+def elliptic_quadric_gq_by_pairs(q: int) -> IncidenceStructure:
+    """``geometry.elliptic_quadric_gq`` testing every singular point pair
+    through ``SmallField`` by Q(u+v) = 0, as the points are singular."""
+    field, quad = _elliptic_quadric(q)
+
+    def orthogonal(u, v):
+        return quad(_vec_add(field, u, v)) == 0
+
+    points = [p for p in _projective_points(field, 6) if quad(p) == 0]
+    return _polar_lines_by_pairs(points, orthogonal, f"elliptic-quadric-gq({q})")
 
 
 def hyperoval_gq_by_steps(q: int) -> IncidenceStructure:

@@ -1,9 +1,10 @@
 """The package's fast paths against the direct forms kept in ``oracles``.
 
-The quadrangle constructors read each line off the geometry, as a
-collinear pair and the points collinear with both or as an XOR coset;
-they must build the very structures that normalizing every pair's span
-and walking every point one field addition at a time built.
+The quadrangle constructors read each line off the geometry, as the
+meet of two points' rows of collinear points or as an XOR coset; they
+must build the very structures that normalizing every pair's span,
+testing every point pair through ``SmallField`` and walking every point
+one field addition at a time built.
 
 Validation runs a per-point union test and a counting certificate on
 packed words and reads a rejection's witness only at the points they
@@ -76,6 +77,7 @@ from oracles import (
     build_code_parts,
     certify_bigint,
     echelon_bigint,
+    elliptic_quadric_gq_by_pairs,
     elliptic_quadric_gq_by_spans,
     encode_bitwise,
     hyperoval_gq_by_steps,
@@ -89,6 +91,7 @@ from oracles import (
     repair_symbol_first_open,
     rref2_column_sweep,
     simulate_availability_scalar,
+    symplectic_gq_by_pairs,
     symplectic_gq_by_spans,
     transpose_bitwise,
     validate_pg_pairwise,
@@ -127,8 +130,10 @@ def outcome(validate, inc):
 # ------------------------------------------------------------ constructors
 
 @pytest.mark.parametrize("build, oracle, q", [
-    *[(symplectic_gq, symplectic_gq_by_spans, q) for q in (2, 3, 4, 5)],
-    *[(elliptic_quadric_gq, elliptic_quadric_gq_by_spans, q) for q in (2, 3)],
+    *[(symplectic_gq, oracle, q) for oracle in (symplectic_gq_by_spans, symplectic_gq_by_pairs)
+      for q in (2, 3, 4, 5)],
+    *[(elliptic_quadric_gq, oracle, q)
+      for oracle in (elliptic_quadric_gq_by_spans, elliptic_quadric_gq_by_pairs) for q in (2, 3)],
     *[(hyperoval_gq, hyperoval_gq_by_steps, q) for q in (4, 8, 16)],
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_quadrangle_constructors_match_the_span_and_step_oracles(build, oracle, q):

@@ -25,6 +25,12 @@ GOLDEN = [
      "9f84db3431110964e7301f2115eecd46840a87a954283791ccfb477c235b98b2"),
     ("construct symplectic --q 4",
      "8cc094a6a6a804e68e45552416098d758e9f0b2f39c1fe23b99171de5bd9eb3a"),
+    ("construct symplectic --q 7",
+     "d137d7c4c792f0f0d4e9a5348fb170ba0d3e09e92234fb77872677815ca58c8a"),
+    ("construct symplectic --q 8",
+     "d0259fd75f206c61dee4737f09d5c37f86967104e696b9ad70fab9224f40b7e4"),
+    ("construct symplectic --q 9",
+     "ff1c61402c13641cf69ba8b385a492312b59b7fd3e4062cb36a07fd429cfd07c"),
     ("construct elliptic --q 3",
      "52067e7d15de8a1a05a65de0063224cd100897a83a69c2025ab1013b4050a825"),
     ("construct elliptic --q 2 --dual",

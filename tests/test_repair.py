@@ -8,8 +8,8 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from pgblrc.algebra import BitMatrix
-from pgblrc.bounds import rank_bounds, rate_lower, vartheta
+from pgblrc.algebra import BitMatrix, small_field
+from pgblrc.bounds import catalog, rank_bounds, rate_lower, vartheta
 from pgblrc.code import BlrcCode, build_code, encode, reconstruct
 from pgblrc.errors import GuardExceededError, NotLocallyRepairableError, ParameterError
 from pgblrc.geometry import (
@@ -17,6 +17,7 @@ from pgblrc.geometry import (
     PgParams,
     elliptic_quadric_gq,
     grid,
+    hyperoval_gq,
     symplectic_gq,
 )
 from pgblrc.repair import (
@@ -194,10 +195,21 @@ def test_negative_repair_degree_bound_is_rejected(mode):
     (lambda code: repair_symbol(code, [None] * 9, 1.0), "coordinate must be an integer, got 1.0"),
     (lambda code: vartheta(1.5, 1, 1), "s must be an integer, got 1.5"),
     (lambda code: rate_lower(2.5, 3), "r must be an integer, got 2.5"),
+    (lambda code: grid(2.5), "s must be an integer, got 2.5"),
+    (lambda code: grid("2"), "s must be an integer, got '2'"),
+    # small_field(3) may be cached already: 3.0 must not be read as 3
+    (lambda code: symplectic_gq(3.0), "q must be an integer, got 3.0"),
+    (lambda code: elliptic_quadric_gq(2.0), "q must be an integer, got 2.0"),
+    (lambda code: hyperoval_gq(8.0), "q must be an integer, got 8.0"),
+    (lambda code: small_field(4.0), "q must be an integer, got 4.0"),
+    (lambda code: catalog(max_n=2.5), "max_n must be an integer, got 2.5"),
+    (lambda code: catalog(max_n="9"), "max_n must be an integer, got '9'"),
 ], ids=["omega_r", "line_repair_sets", "repair_symbol", "reconstruct", "repair_profile",
         "blocking_set", "degree_bound", "vartheta", "rank_bounds",
         "reconstruct_float", "reconstruct_str", "repair_profile_float_r", "omega_r_float_r",
-        "line_repair_sets_float", "repair_symbol_float", "vartheta_float", "rate_lower_float"])
+        "line_repair_sets_float", "repair_symbol_float", "vartheta_float", "rate_lower_float",
+        "grid_float", "grid_str", "symplectic_float", "elliptic_float", "hyperoval_float",
+        "small_field_float", "catalog_float", "catalog_str"])
 def test_out_of_range_arguments_raise_parameter_error(call, message):
     with pytest.raises(ParameterError, match=message):
         call(make_code("grid2"))
@@ -215,6 +227,12 @@ def test_numpy_integer_arguments_are_accepted():
     assert repair_profile(code, r=np.int64(2)) == repair_profile(code, r=2)
     assert vartheta(np.int64(2), np.int64(2), np.int64(1)) == vartheta(2, 2, 1)
     assert rate_lower(np.int64(2), np.int64(3)) == rate_lower(2, 3)
+    assert grid(np.int64(2)) == grid(2)
+    assert symplectic_gq(np.int64(2)) == symplectic_gq(2)
+    assert elliptic_quadric_gq(np.int32(2)) == elliptic_quadric_gq(2)
+    assert hyperoval_gq(np.int64(4)) == hyperoval_gq(4)
+    assert small_field(np.int64(9)).q == 9
+    assert catalog(max_n=np.int64(40)) == catalog(max_n=40)
 
 
 # ------------------------------------------------- alternativity, tolerance
@@ -619,6 +637,9 @@ def test_simulation_validation():
         simulate_availability(code, model="chaos")
     with pytest.raises(ValueError, match="p must lie"):
         simulate_availability(code, model="iid", p=1.5)
+    for p in ("0.5", None):
+        with pytest.raises(ParameterError, match="p must lie"):
+            simulate_availability(code, model="iid", p=p)
     with pytest.raises(ValueError, match="u must lie"):
         simulate_availability(code, model="adversarial", u=10)
     with pytest.raises(ValueError, match="trials must be positive"):
