@@ -28,8 +28,10 @@ starts.  Either way the checks are filed in one per-symbol table
 the least-weight check whose helpers are all available, ties to the
 lowest line index.  ``repair_symbol`` scans ``_repair_order``, reading
 only the symbol and the helpers of the checks it tries; the simulator
-applies the rule to whole chunks of cases at once (``_availability_counts``).
-So the simulator estimates the success of the executor itself.
+applies the rule to chunks of cases, 64 to a ``uint64`` word, counting
+each line's unavailable points up to two in a pair of bit-sliced words
+(``_availability_counts``).  So the simulator estimates the success of
+the executor itself.
 """
 
 from __future__ import annotations
@@ -525,67 +527,112 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
-# the availability kernel's arrays are (points or lines) x cases: a chunk
-# of cases keeps each under this many cells, which bounds its memory
-_CHUNK_CELLS = 1 << 16
+# A chunk holds at most this many cells of cases x max(points, lines).
+# Its largest array is the iid draws, 8 bytes a cell for each case and
+# point, so no chunk array exceeds 1.25 MB; 256 cases make a chunk on
+# hyperoval(8) and 2022 on grid(8).
+_CHUNK_CELLS = 5 << 15
 
 
-def _availability_counts(code: BlrcCode, unavailable_sets: Iterable[Sequence[int]]
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """Each entry's place within its run, for runs of the given lengths."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
                          ) -> tuple[list[int], list[int], int, int]:
-    """Count, over the given unavailable sets, the cases in which each symbol
-    has an open line check and the symbols those repairs read.
+    """Count, over chunks of cases, the cases in which each symbol has an
+    open line check and the symbols those repairs read.
 
-    Returns (succ, retrieved, cases, all_ok_cases).  This is the rule
-    ``repair_symbol`` applies to line checks, on a chunk of cases at once,
-    one column per case: count the unavailable points of each line; line
-    l through i is open when that count is at most [i unavailable] (i
-    never blocks itself), and i takes its first open line in (weight,
-    line index) order.
+    Each chunk is a boolean cases x n array marking the unavailable
+    symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is the
+    rule ``repair_symbol`` applies to line checks, on 64 cases per
+    ``uint64`` word: line l through i is open when at most [i
+    unavailable] of its points are unavailable (i never blocks itself),
+    and i takes its first open line in (weight, line index) order.  Two
+    bit-sliced words per line count its unavailable points up to two,
+    one point of every line at a time: ``twice |= once & x`` and then
+    ``once |= x``.  So l is open for i exactly where ``~twice & (~once |
+    u_i)``, and the lines through i are tried in repair order: the first
+    one open in a case where i is not yet repaired sets the symbols read.
     """
     geo = code.geometry
     n, num_lines = code.n, geo.num_lines
-    sizes = [len(line) for line in geo.lines]
+    sizes = np.fromiter(map(len, geo.lines), np.intp, num_lines)
+    points_flat = np.fromiter(itertools.chain.from_iterable(geo.lines), np.intp,
+                              int(sizes.sum()))
+    lines_flat = np.repeat(np.arange(num_lines), sizes)
     # row k holds the k-th point of every line; shorter lines are padded
     # with the point n, which is never unavailable
-    depth = max(sizes, default=0)
-    points = np.full((depth, num_lines), n, dtype=np.intp)
-    for ln, line in enumerate(geo.lines):
-        points[:len(line), ln] = line
-    # row j holds every symbol's j-th line in repair order; a symbol on
-    # fewer lines is padded with the line num_lines, whose count of 2
-    # never opens
-    width = max(map(len, geo.lines_through), default=0)
-    order = np.full((width, n), num_lines, dtype=np.intp)
-    helpers = np.zeros((width, n), dtype=np.int64)
-    for i, through in enumerate(geo.lines_through):
-        ranked = sorted(through, key=lambda ln: (sizes[ln], ln))
-        order[:len(ranked), i] = ranked
-        helpers[:len(ranked), i] = [sizes[ln] - 1 for ln in ranked]
-    count_type = np.min_scalar_type(max(depth, 2))  # no count can overflow
+    points = np.full((sizes.max(initial=0), num_lines), n, dtype=np.intp)
+    points[_ranks(sizes), lines_flat] = points_flat
+    # row j holds every symbol's j-th line in repair order: the stable
+    # sorts keep line order within a size.  A symbol on fewer lines is
+    # padded with the line num_lines, whose twice word is all ones
+    by_symbol = np.lexsort((sizes[lines_flat], points_flat))
+    degrees = np.bincount(points_flat, minlength=n)
+    order = np.full((degrees.max(initial=0), n), num_lines, dtype=np.intp)
+    order[_ranks(degrees), points_flat[by_symbol]] = lines_flat[by_symbol]
+    helpers = np.append(sizes - 1, 0)[order]
 
     succ = np.zeros(n, dtype=np.int64)
     retrieved = np.zeros(n, dtype=np.int64)
     cases = all_ok_cases = 0
-    chunk_size = max(1, _CHUNK_CELLS // max(n, num_lines))
-    pending = iter(unavailable_sets)
-    while chunk := list(itertools.islice(pending, chunk_size)):
-        unavailable = np.zeros((n + 1, len(chunk)), dtype=np.uint8)
-        # an empty case set concatenates as float: cast the indices
-        unavailable[np.concatenate(chunk).astype(np.intp, copy=False),
-                    np.repeat(np.arange(len(chunk)), [len(c) for c in chunk])] = 1
-        blocked = np.zeros((num_lines + 1, len(chunk)), dtype=count_type)
+    for chunk in chunks:
+        size = len(chunk)
+        words, used = -(-size // 64), -(-size // 8)
+        # row j holds symbol j's unavailability, case c at bit c; the
+        # row of the padding point n stays zero
+        packed = np.zeros((n + 1, 8 * words), dtype=np.uint8)
+        packed[:n, :used] = np.packbits(chunk, axis=0, bitorder="little").T
+        unavailable = packed.view(np.uint64)
+        valid = np.packbits(np.arange(64 * words) < size, bitorder="little").view(np.uint64)
+        once = np.zeros((num_lines + 1, words), dtype=np.uint64)
+        twice = np.zeros_like(once)
+        twice[-1] = ~np.uint64(0)
         for row in points:
-            blocked[:-1] += unavailable.take(row, axis=0)
-        blocked[-1] = 2
-        ok = np.zeros((n, len(chunk)), dtype=bool)
-        for j in range(width):
-            open_j = blocked.take(order[j], axis=0) <= unavailable[:n]
-            retrieved += np.count_nonzero(open_j & ~ok, axis=1) * helpers[j]
+            x = unavailable.take(row, axis=0)
+            twice[:-1] |= once[:-1] & x
+            once[:-1] |= x
+        not_once, not_twice = ~once, ~twice
+        # the unused bits of the last word start out repaired, so they
+        # are never a first open line; they are masked off the counts
+        ok = np.tile(~valid, (n, 1))
+        for j, lines in enumerate(order):
+            open_j = ((not_once.take(lines, axis=0) | unavailable[:n])
+                      & not_twice.take(lines, axis=0))
+            retrieved += np.bitwise_count(open_j & ~ok).sum(axis=1, dtype=np.int64) * helpers[j]
             ok |= open_j
-        succ += np.count_nonzero(ok, axis=1)
-        cases += len(chunk)
-        all_ok_cases += int(np.count_nonzero(ok.all(axis=0)))
+        succ += np.bitwise_count(ok & valid).sum(axis=1, dtype=np.int64)
+        cases += size
+        all_ok_cases += int(np.bitwise_count(np.bitwise_and.reduce(ok, axis=0) & valid).sum())
     return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
+
+
+def _iid_chunks(seed: int, trials: int, n: int, p: float,
+                size: int) -> Iterator[np.ndarray]:
+    """Each trial's n draws filled into its row of a chunk of ``size``
+    trials, compared with p once per chunk: the unavailable symbols."""
+    draws = np.empty((min(size, trials), n))
+    rngs = _trial_rngs(seed, trials)
+    for start in range(0, trials, size):
+        rows = draws[:min(size, trials - start)]
+        for row, rng in zip(rows, rngs):
+            rng.random(out=row)
+        yield rows < p
+
+
+def _set_chunks(sets: Iterable[Sequence[int]], n: int, u: int,
+                size: int) -> Iterator[np.ndarray]:
+    """Chunks of ``size`` unavailable sets of u symbols each, scattered
+    once per chunk into a cases x n mask."""
+    pending = iter(sets)
+    while chunk := list(itertools.islice(pending, size)):
+        mask = np.zeros((len(chunk), n), dtype=bool)
+        mask[np.arange(len(chunk))[:, None],
+             np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
+                         len(chunk) * u).reshape(len(chunk), u)] = True
+        yield mask
 
 
 def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
@@ -603,7 +650,10 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     ``repair_symbol`` would repair it from its line checks: some line
     through it has every helper available (the symbol itself never
     blocks), and the first such line in ``_repair_order`` sets the symbols
-    read.  The cases are counted in chunks by ``_availability_counts``.
+    read.  Each trial's draws fill its row of a chunk of cases, and
+    ``_availability_counts`` counts a chunk 64 cases to a word: one pass
+    per point of the lines sets ``twice |= once & x`` and ``once |= x``,
+    and line l is then open for symbol i where ``~twice & (~once | u_i)``.
     """
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
@@ -627,15 +677,15 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT
     if sampled and trials < 1:
         raise ParameterError("trials must be positive")
+    size = max(1, _CHUNK_CELLS // max(n, code.geometry.num_lines))
     if not sampled:
-        unavailable_sets: Iterable[Sequence[int]] = itertools.combinations(range(n), u)
+        chunks = _set_chunks(itertools.combinations(range(n), u), n, u, size)
     elif model == "iid":
-        unavailable_sets = (np.flatnonzero(rng.random(n) < p)
-                            for rng in _trial_rngs(seed, trials))
+        chunks = _iid_chunks(seed, trials, n, p, size)
     else:
-        unavailable_sets = (rng.choice(n, size=u, replace=False)
-                            for rng in _trial_rngs(seed, trials))
-    succ, retrieved, cases, all_ok_cases = _availability_counts(code, unavailable_sets)
+        chunks = _set_chunks((rng.choice(n, size=u, replace=False)
+                              for rng in _trial_rngs(seed, trials)), n, u, size)
+    succ, retrieved, cases, all_ok_cases = _availability_counts(code, chunks)
 
     per_success = tuple(succ[i] / cases for i in range(n))
     per_retrieved = tuple(

@@ -11,7 +11,8 @@ with back-substitution, the bit-by-bit transpose, encoder and
 message read-out, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
-json's own indented encoder, and the quadrangle constructors that
+the availability kernel with one byte per line and case, json's own
+indented encoder, and the quadrangle constructors that
 normalize the whole span of every collinear pair, test every point
 pair through ``SmallField`` and walk every affine point through
 ``SmallField.add``.
@@ -760,6 +761,73 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
         all_symbols_success=all_ok_cases / cases,
         mean_retrieved=(sum(retrieved) / total_succ) if total_succ else float("nan"),
     )
+
+
+# ----------------------------------------------------------------------
+# the chunked availability kernel that the bit-sliced one replaced: one
+# uint8 count of unavailable points per (line, case), with the repair
+# order tables re-derived by a sort per symbol
+
+# the kernel's arrays are (points or lines) x cases: a chunk of cases
+# keeps each under this many cells, which bounds its memory
+BYTEWISE_CHUNK_CELLS = 1 << 16
+
+
+def availability_counts_bytewise(code, unavailable_sets: Iterable[Sequence[int]]
+                                 ) -> tuple[list[int], list[int], int, int]:
+    """Count, over the given unavailable sets, the cases in which each symbol
+    has an open line check and the symbols those repairs read.
+
+    Returns (succ, retrieved, cases, all_ok_cases), as
+    ``repair._availability_counts`` does, one column per case: count the
+    unavailable points of each line; line l through i is open when that
+    count is at most [i unavailable] (i never blocks itself), and i takes
+    its first open line in (weight, line index) order.
+    """
+    geo = code.geometry
+    n, num_lines = code.n, geo.num_lines
+    sizes = [len(line) for line in geo.lines]
+    # row k holds the k-th point of every line; shorter lines are padded
+    # with the point n, which is never unavailable
+    depth = max(sizes, default=0)
+    points = np.full((depth, num_lines), n, dtype=np.intp)
+    for ln, line in enumerate(geo.lines):
+        points[:len(line), ln] = line
+    # row j holds every symbol's j-th line in repair order; a symbol on
+    # fewer lines is padded with the line num_lines, whose count of 2
+    # never opens
+    width = max(map(len, geo.lines_through), default=0)
+    order = np.full((width, n), num_lines, dtype=np.intp)
+    helpers = np.zeros((width, n), dtype=np.int64)
+    for i, through in enumerate(geo.lines_through):
+        ranked = sorted(through, key=lambda ln: (sizes[ln], ln))
+        order[:len(ranked), i] = ranked
+        helpers[:len(ranked), i] = [sizes[ln] - 1 for ln in ranked]
+    count_type = np.min_scalar_type(max(depth, 2))  # no count can overflow
+
+    succ = np.zeros(n, dtype=np.int64)
+    retrieved = np.zeros(n, dtype=np.int64)
+    cases = all_ok_cases = 0
+    chunk_size = max(1, BYTEWISE_CHUNK_CELLS // max(n, num_lines))
+    pending = iter(unavailable_sets)
+    while chunk := list(itertools.islice(pending, chunk_size)):
+        unavailable = np.zeros((n + 1, len(chunk)), dtype=np.uint8)
+        # an empty case set concatenates as float: cast the indices
+        unavailable[np.concatenate(chunk).astype(np.intp, copy=False),
+                    np.repeat(np.arange(len(chunk)), [len(c) for c in chunk])] = 1
+        blocked = np.zeros((num_lines + 1, len(chunk)), dtype=count_type)
+        for row in points:
+            blocked[:-1] += unavailable.take(row, axis=0)
+        blocked[-1] = 2
+        ok = np.zeros((n, len(chunk)), dtype=bool)
+        for j in range(width):
+            open_j = blocked.take(order[j], axis=0) <= unavailable[:n]
+            retrieved += np.count_nonzero(open_j & ~ok, axis=1) * helpers[j]
+            ok |= open_j
+        succ += np.count_nonzero(ok, axis=1)
+        cases += len(chunk)
+        all_ok_cases += int(np.count_nonzero(ok.all(axis=0)))
+    return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
 
 
 # ----------------------------------------------------------------------

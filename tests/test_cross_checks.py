@@ -18,12 +18,14 @@ hitting-set search, the symbol-by-symbol dual-support search and the
 subset-by-subset MDS test they replace.  ``repair_symbol``
 reads only the helpers of the checks it tries; it must agree with the
 whole-word scan it replaced.  The availability simulator re-keys one
-generator per trial and counts chunks of cases at once; it must agree
-with the case-by-case scan, with a new generator per trial, it replaced
-and, on line checks, with the exact availability that the disjoint line
-helper sets give.
+generator per trial and counts chunks of cases at once, 64 to a word;
+it must agree with the case-by-case scan, with a new generator per
+trial, it replaced, its kernel with the one-byte-per-case counts it
+replaced and, on line checks, with the exact availability that the
+disjoint line helper sets give.
 """
 
+import itertools
 import json
 import math
 import random
@@ -73,6 +75,7 @@ from pgblrc.repair import (
 )
 
 from oracles import (
+    availability_counts_bytewise,
     bits_to_array,
     build_code_parts,
     certify_bigint,
@@ -94,6 +97,7 @@ from oracles import (
     symplectic_gq_by_pairs,
     symplectic_gq_by_spans,
     transpose_bitwise,
+    trial_rng,
     validate_pg_pairwise,
 )
 from test_repair import unbalanced_code
@@ -669,17 +673,58 @@ def test_simulators_take_only_integer_seed_u_and_trials(simulate):
         assert report_text(report) == report_text(simulate(code, **same))
 
 
-@pytest.mark.parametrize("cases_per_chunk", [1, 7])
+CHUNK_RUNS = (dict(model="iid", p=0.35, trials=200, seed=7),
+              dict(model="adversarial", u=2))
+
+
+@lru_cache(maxsize=None)
+def scanned_reports(name):
+    code = SIM_CODES[name]()
+    return [report_text(simulate_availability_scalar(code, **kwargs)) for kwargs in CHUNK_RUNS]
+
+
+@pytest.mark.parametrize("cases_per_chunk", [1, 7, 63, 64, 65])
 def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chunk):
-    # by default 809 cases make a chunk here: one chunk for the iid run,
-    # four full ones and a remainder for the 3240 pairs
-    code = ladder_code("grid8")
-    runs = [dict(model="iid", p=0.35, trials=200, seed=7),
-            dict(model="adversarial", u=2)]
-    want = [report_text(simulate_availability(code, **kwargs)) for kwargs in runs]
-    monkeypatch.setattr(repair, "_CHUNK_CELLS",
-                        cases_per_chunk * max(code.n, code.geometry.num_lines))
-    assert [report_text(simulate_availability(code, **kwargs)) for kwargs in runs] == want
+    # by default 2022 cases make a chunk on grid(8): one chunk for the iid
+    # run, one full one and a remainder for the 3240 pairs.  Chunks of 63,
+    # 64 and 65 cases end a uint64 word early, on its last bit and one
+    # case into the next.  mixed_weight's lines of 3 and 2 points and its
+    # symbols on 2 and 1 lines pad both tables.  Every chunking must give
+    # the case-by-case scan's report, so neither the unused bits of a
+    # word nor the padding point or line may count
+    for name in ("grid8", "mixed_weight"):
+        code = SIM_CODES[name]()
+        monkeypatch.setattr(repair, "_CHUNK_CELLS",
+                            cases_per_chunk * max(code.n, code.geometry.num_lines))
+        got = [report_text(simulate_availability(code, **kwargs)) for kwargs in CHUNK_RUNS]
+        assert got == scanned_reports(name), name
+
+
+def unavailable_sets(code, p=None, u=None, trials=200, seed=7):
+    """Seeded iid sets when p is given, else every u-set when there are at
+    most ``_EXHAUSTIVE_LIMIT`` of them, else ``trials`` sampled u-sets."""
+    n = code.n
+    if u is None:
+        return [np.flatnonzero(trial_rng(seed, trial).random(n) < p)
+                for trial in range(trials)]
+    if math.comb(n, u) <= _EXHAUSTIVE_LIMIT:
+        return [np.array(c, dtype=np.intp) for c in itertools.combinations(range(n), u)]
+    return [trial_rng(seed, trial).choice(n, size=u, replace=False)
+            for trial in range(trials)]
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
+    code = SIM_CODES[name]()
+    size = max(1, repair._CHUNK_CELLS // max(code.n, code.geometry.num_lines))
+    for kwargs in (dict(p=0.0), dict(p=0.35), dict(p=1.0), dict(u=0), dict(u=1), dict(u=2)):
+        sets = unavailable_sets(code, **kwargs)
+        mask = np.zeros((len(sets), code.n), dtype=bool)
+        for case, unavailable in enumerate(sets):
+            mask[case, unavailable] = True
+        chunks = np.split(mask, range(size, len(sets), size))
+        want = availability_counts_bytewise(code, sets)
+        assert repair._availability_counts(code, chunks) == want, kwargs
 
 
 @pytest.mark.parametrize("name", ["grid3", "grid8", "symplectic2", "symplectic3", "elliptic2"])
@@ -697,10 +742,12 @@ def test_adversarial_success_is_the_inclusion_exclusion_count(name, u):
     assert report.per_symbol_success == (avoiding / math.comb(n, u),) * n
 
 
-def test_iid_success_is_near_the_line_availability_probability():
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_iid_success_is_near_the_line_availability_probability(name):
     # a line through i is open with probability (1-p)^s, independently of
-    # the other t lines (their helper sets are disjoint)
-    code = ladder_code("hyperoval8")
+    # the other t lines (their helper sets are disjoint): one more line
+    # per symbol, at s more helpers, is one more chance of a local repair
+    code = ladder_code(name)
     p, trials = 0.3, 1000
     exact = 1 - (1 - (1 - p) ** code.pg.s) ** (code.pg.t + 1)
     report = simulate_availability(code, model="iid", p=p, trials=trials, seed=2024)
