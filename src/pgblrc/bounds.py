@@ -48,16 +48,16 @@ def _check_pg_params(s: int, t: int, alpha: int) -> None:
 def vartheta(s: int, t: int, alpha: int) -> Fraction:
     """Rank estimate for the incidence matrix of a pg(s, t, alpha).
 
-    The GF(2) rank is at most vartheta + 1, and at least vartheta when
-    s + t + 1 - alpha is even (see ``rank_bounds``).
+    The GF(2) rank is at most vartheta + 1; ``rank_bounds``' lower end,
+    vartheta, is an estimate, not a proven floor (hyperoval(8): 299 < 315).
     """
     _check_pg_params(s, t, alpha)
     return Fraction(s * t * (s + 1) * (t + 1), alpha * (t + s + 1 - alpha))
 
 
 def rank_bounds(s: int, t: int, alpha: int) -> tuple[Fraction | None, Fraction]:
-    """(lower, upper) bracket for the GF(2) incidence rank; lower is None
-    when the parity condition s + t + 1 - alpha even does not hold."""
+    """(lower, upper) ends for the GF(2) incidence rank; lower, the estimate
+    vartheta, is None when s + t + 1 - alpha is odd (see ``vartheta``)."""
     theta = vartheta(s, t, alpha)
     lower = theta if (s + t + 1 - alpha) % 2 == 0 else None
     return lower, theta + 1
@@ -73,7 +73,7 @@ def rate_lower_general(s: int, t: int, alpha: int) -> Fraction:
 
 
 def rate_upper_general(s: int, t: int, alpha: int) -> Fraction:
-    """Rate ceiling when the incidence rank is at its minimum vartheta.
+    """Rate ceiling when the incidence rank is at the estimate vartheta.
 
     Only binding when s + t + 1 - alpha is even; evaluable regardless.
     """

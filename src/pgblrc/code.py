@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +50,12 @@ class BlrcCode:
     geometry: IncidenceStructure
     pg: PgParams
     gen_cols: tuple[int, ...]
+
+    @cached_property
+    def _line_table(self) -> tuple:
+        """``repair._line_table(self)``, built once per code."""
+        from .repair import _line_table
+        return _line_table(self)
 
 
 def _forced_zero_symbol(reduced: np.ndarray, pivots: Sequence[int]) -> int | None:

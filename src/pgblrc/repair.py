@@ -26,16 +26,16 @@ starts.  Either way the checks are filed in one per-symbol table
 
 ``repair_symbol`` and ``simulate_availability`` apply one repair rule:
 the least-weight check whose helpers are all available, ties to the
-lowest line index.  ``repair_symbol`` scans ``_repair_order``, reading
-only the symbol and the helpers of the checks it tries; the simulator
-applies the rule to chunks of cases, 64 to a ``uint64`` word, counting
-each line's unavailable points up to two in a pair of bit-sliced words
-(``_availability_counts``).  So the simulator estimates the success of
-the executor itself.
+lowest line index.  ``_line_table`` lists every symbol's line checks in
+that order, once per code, and the executor, the geometric profile and
+the simulator all read it; the simulator counts chunks of cases, 64 to a
+``uint64`` word (``_availability_counts``).  So the simulator estimates
+the success of the executor itself.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -107,15 +107,41 @@ def _check_degree_bound(r: int) -> None:
         raise ParameterError("repair degree bound must be non-negative")
 
 
+def _line_table(code: BlrcCode) -> tuple:
+    """Every symbol's line checks in the one repair order, weight then
+    line index, as (rows, points, order, helpers); the code keeps it.
+
+    One pass over the lines in that order (a stable sort by size) files
+    one vector per line under each of its points, so row i lists the
+    checks on i in repair order with no per-symbol sort.  The simulator
+    reads the arrays: row k of ``points`` holds every line's k-th point,
+    padded with the point n, which is never unavailable, and row j of
+    ``order`` every symbol's j-th line, padded with the line num_lines,
+    whose twice word is all ones; ``helpers`` counts what each reads.
+    """
+    n, lines = code.n, code.geometry.lines
+    rows: list[list[RepairVector]] = [[] for _ in range(n)]
+    file_under = [row.append for row in rows]
+    for ln in sorted(range(len(lines)), key=lambda ln: len(lines[ln])):
+        vector = RepairVector(lines[ln], line=ln)
+        for i in lines[ln]:
+            file_under[i](vector)
+    ids = itertools.zip_longest(*([v.line for v in row] for row in rows), fillvalue=len(lines))
+    order = np.array(list(ids), dtype=np.intp).reshape(-1, n)
+    points = np.array(list(itertools.zip_longest(*lines, fillvalue=n)), np.intp)
+    helpers = np.array([len(line) - 1 for line in lines] + [0], np.intp)[order]
+    return tuple(map(tuple, rows)), points.reshape(-1, len(lines)), order, helpers
+
+
 def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
-    """The t+1 line checks through coordinate i, in line index order.
+    """The t+1 line checks through coordinate i, in repair order: weight,
+    then line index (``_line_table``'s row i).
 
     Distinct lines through a point meet only at that point, so the helper
     sets of these vectors are pairwise disjoint.
     """
     _check_coord(code, i)
-    geo = code.geometry
-    return [RepairVector(geo.lines[ln], line=ln) for ln in geo.lines_through[i]]
+    return list(code._line_table[0][i])
 
 
 def _census_work(n: int, max_weight: int) -> int:
@@ -168,36 +194,29 @@ def _dual_census(code: BlrcCode, max_weight: int,
     return found
 
 
-def _checks(code: BlrcCode, mode: str, max_weight: int, guard: int,
-            symbols: Sequence[int] | None = None) -> list[list[RepairVector]]:
-    """Omega_r(i) for every symbol i in ``symbols`` (default: all), with
-    max_weight = r+1: the checks of weight at most max_weight that cover i.
+def _checks(code: BlrcCode, mode: str, max_weight: int,
+            guard: int) -> list[Sequence[RepairVector]]:
+    """Omega_r(i) for every symbol i, with max_weight = r+1: the checks of
+    weight at most max_weight that cover i.
 
-    Geometric mode takes the lines through i, in line order, building
-    vectors only for the lines through the symbols asked for.  Exhaustive
-    mode takes the census (see ``_dual_census``), which covers every
-    symbol, and files each support, as one vector shared by the symbols it
-    covers, under every symbol in it, so each list keeps census order; a
-    support that is a line carries its line index.
+    Geometric mode takes the rows of the line table (see ``_line_table``),
+    in repair order.  Exhaustive mode takes the census (see
+    ``_dual_census``) and files each support, as one vector shared by the
+    symbols it covers, under every symbol in it, so each list keeps census
+    order; a support that is a line carries its line index.
     """
-    geo = code.geometry
     if mode == "geometric":
-        wanted = (range(geo.num_lines) if symbols is None else
-                  {ln for i in symbols for ln in geo.lines_through[i]})
-        symbols = range(code.n) if symbols is None else symbols
-        lines: list[RepairVector | None] = [None] * geo.num_lines
-        for ln in wanted:
-            if len(geo.lines[ln]) <= max_weight:
-                lines[ln] = RepairVector(geo.lines[ln], line=ln)
-        return [[lines[ln] for ln in geo.lines_through[i] if lines[ln] is not None]
-                for i in symbols]
-    line_index = {line: ln for ln, line in enumerate(geo.lines)}
+        # a row is in weight order, so its light enough checks are a prefix
+        weight = operator.attrgetter("weight")
+        return [row[:bisect.bisect_right(row, max_weight, key=weight)]
+                for row in code._line_table[0]]
+    line_index = {line: ln for ln, line in enumerate(code.geometry.lines)}
     table: list[list[RepairVector]] = [[] for _ in range(code.n)]
     for support in _dual_census(code, max_weight, guard):
         vector = RepairVector(support, line=line_index.get(support))
         for i in support:
             table[i].append(vector)
-    return table if symbols is None else [table[i] for i in symbols]
+    return table
 
 
 def _helper_sets(i: int, checks: Iterable[RepairVector]) -> list[frozenset[int]]:
@@ -221,7 +240,7 @@ def omega_r(code: BlrcCode, i: int, r: int,
     """
     _check_coord(code, i)
     _check_degree_bound(r)
-    return _checks(code, "exhaustive", r + 1, guard, (i,))[0]
+    return _checks(code, "exhaustive", r + 1, guard)[i]
 
 
 def minimum_hitting_set(sets: Sequence[frozenset[int]]) -> frozenset[int]:
@@ -287,7 +306,7 @@ def blocking_set(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
     _check_coord(code, i)
     _check_mode(mode)
     _check_degree_bound(r)
-    return minimum_hitting_set(_helper_sets(i, _checks(code, mode, r + 1, guard, (i,))[0]))
+    return minimum_hitting_set(_helper_sets(i, _checks(code, mode, r + 1, guard)[i]))
 
 
 @dataclass(frozen=True)
@@ -397,19 +416,19 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
 # ----------------------------------------------------------------------
 # repair execution: one rule for the executor and the simulator
 
-def _repair_order(code: BlrcCode, i: int,
-                  vectors: Iterable[RepairVector] | None = None) -> list[RepairVector]:
-    """The checks covering i (by default its line checks) in the order a
-    repair tries them: weight, then line index (lines first), then support."""
+def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None = None
+                  ) -> Sequence[RepairVector]:
+    """The checks covering i in the order a repair tries them: by default
+    its row of the line table (see ``_line_table``); given vectors are
+    sorted by weight, then line index (lines first), then support."""
     if vectors is None:
-        candidates = line_repair_sets(code, i)
-    else:
-        candidates = [v for v in vectors if i in v.support]
-        for v in candidates:
-            if (len(set(v.support)) != v.weight
-                    or not all(0 <= c < code.n for c in v.support)
-                    or _xor_cols(code.gen_cols, v.support)):
-                raise ValueError(f"support {v.support} is not a dual codeword of this code")
+        return code._line_table[0][i]
+    candidates = [v for v in vectors if i in v.support]
+    for v in candidates:
+        if (len(set(v.support)) != v.weight
+                or not all(0 <= c < code.n for c in v.support)
+                or _xor_cols(code.gen_cols, v.support)):
+            raise ValueError(f"support {v.support} is not a dual codeword of this code")
     return sorted(
         candidates,
         key=lambda v: (v.weight, v.line if v.line is not None else math.inf, v.support),
@@ -527,16 +546,11 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
-# A chunk holds at most this many cells of cases x max(points, lines).
-# Its largest array is the iid draws, 8 bytes a cell for each case and
-# point, so no chunk array exceeds 1.25 MB; 256 cases make a chunk on
-# hyperoval(8) and 2022 on grid(8).
+# A chunk holds at most this many cells of cases x max(points, lines), in
+# whole uint64 words of 64 cases and at least one; its largest array, the
+# iid draws at 8 bytes a cell, stays within 1.25 MB above that floor: 256
+# cases on hyperoval(8), 1984 on grid(8), 64 (2 MB) on hyperoval(16).
 _CHUNK_CELLS = 5 << 15
-
-
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """Each entry's place within its run, for runs of the given lengths."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
@@ -545,36 +559,17 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
     open line check and the symbols those repairs read.
 
     Each chunk is a boolean cases x n array marking the unavailable
-    symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is the
-    rule ``repair_symbol`` applies to line checks, on 64 cases per
-    ``uint64`` word: line l through i is open when at most [i
-    unavailable] of its points are unavailable (i never blocks itself),
-    and i takes its first open line in (weight, line index) order.  Two
-    bit-sliced words per line count its unavailable points up to two,
-    one point of every line at a time: ``twice |= once & x`` and then
-    ``once |= x``.  So l is open for i exactly where ``~twice & (~once |
-    u_i)``, and the lines through i are tried in repair order: the first
-    one open in a case where i is not yet repaired sets the symbols read.
+    symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is
+    ``repair_symbol``'s rule on the arrays of the code's line table (see
+    ``_line_table``), 64 cases to a ``uint64`` word.  Two bit-sliced words
+    per line count its unavailable points up to two, one point of every
+    line at a time: ``twice |= once & x`` and then ``once |= x``.  Line l
+    is open for i exactly where ``~twice & (~once | u_i)`` (i never blocks
+    itself), and the first line open in a case where i is not yet
+    repaired, in the row's order, sets the symbols read.
     """
-    geo = code.geometry
-    n, num_lines = code.n, geo.num_lines
-    sizes = np.fromiter(map(len, geo.lines), np.intp, num_lines)
-    points_flat = np.fromiter(itertools.chain.from_iterable(geo.lines), np.intp,
-                              int(sizes.sum()))
-    lines_flat = np.repeat(np.arange(num_lines), sizes)
-    # row k holds the k-th point of every line; shorter lines are padded
-    # with the point n, which is never unavailable
-    points = np.full((sizes.max(initial=0), num_lines), n, dtype=np.intp)
-    points[_ranks(sizes), lines_flat] = points_flat
-    # row j holds every symbol's j-th line in repair order: the stable
-    # sorts keep line order within a size.  A symbol on fewer lines is
-    # padded with the line num_lines, whose twice word is all ones
-    by_symbol = np.lexsort((sizes[lines_flat], points_flat))
-    degrees = np.bincount(points_flat, minlength=n)
-    order = np.full((degrees.max(initial=0), n), num_lines, dtype=np.intp)
-    order[_ranks(degrees), points_flat[by_symbol]] = lines_flat[by_symbol]
-    helpers = np.append(sizes - 1, 0)[order]
-
+    _, points, order, helpers = code._line_table
+    n, num_lines = code.n, code.geometry.num_lines
     succ = np.zeros(n, dtype=np.int64)
     retrieved = np.zeros(n, dtype=np.int64)
     cases = all_ok_cases = 0
@@ -647,13 +642,11 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     model="adversarial": every unavailable set of exactly u nodes is tried
     when there are at most ``_EXHAUSTIVE_LIMIT`` (100 000) of them,
     otherwise ``trials`` sets are sampled.  A symbol counts as repaired when
-    ``repair_symbol`` would repair it from its line checks: some line
-    through it has every helper available (the symbol itself never
-    blocks), and the first such line in ``_repair_order`` sets the symbols
-    read.  Each trial's draws fill its row of a chunk of cases, and
-    ``_availability_counts`` counts a chunk 64 cases to a word: one pass
-    per point of the lines sets ``twice |= once & x`` and ``once |= x``,
-    and line l is then open for symbol i where ``~twice & (~once | u_i)``.
+    ``repair_symbol`` would repair it from its line checks: the first line
+    in its row of the line table (see ``_line_table``) with every helper
+    available (the symbol itself never blocks) sets the symbols read.
+    Each trial's draws fill its row of a chunk of whole ``uint64`` words
+    of cases, which ``_availability_counts`` counts.
     """
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
@@ -677,7 +670,7 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT
     if sampled and trials < 1:
         raise ParameterError("trials must be positive")
-    size = max(1, _CHUNK_CELLS // max(n, code.geometry.num_lines))
+    size = 64 * max(1, _CHUNK_CELLS // (64 * max(n, code.geometry.num_lines)))
     if not sampled:
         chunks = _set_chunks(itertools.combinations(range(n), u), n, u, size)
     elif model == "iid":

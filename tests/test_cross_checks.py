@@ -67,6 +67,7 @@ from pgblrc import geometry, repair
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     blocking_set,
+    line_repair_sets,
     minimum_hitting_set,
     omega_r,
     repair_profile,
@@ -583,7 +584,7 @@ def degraded_reads(code, seed, reads, p=0.2):
         yield received, i, set(np.flatnonzero(rng.random(code.n) < p).tolist())
 
 
-@pytest.mark.parametrize("name", ["grid8", "symplectic4", "elliptic3", "hyperoval8"])
+@pytest.mark.parametrize("name", sorted(LADDER))
 def test_repair_symbol_matches_the_first_open_scan_on_ladder(name):
     code = ladder_code(name)
     outcomes = set()
@@ -609,6 +610,34 @@ def test_repair_symbol_matches_the_first_open_scan_on_omega(make):
                                       code, received, i, unavailable, vectors[i])
         outcomes.add(got if isinstance(got, type) else got.vector.line is not None)
     assert NotLocallyRepairableError in outcomes and True in outcomes
+
+
+def test_line_checks_are_tried_lightest_first_where_that_is_not_line_order():
+    # symbol 0 lies on line 0 (weight 3) and line 1 (weight 2): the
+    # executor, line_repair_sets and the geometric profile all read the
+    # one table, so all three put line 1 first
+    code = mixed_weight_code()
+    assert repair_symbol(code, [None, 0, 0, 0], 0).vector.line == 1
+    assert [v.line for v in line_repair_sets(code, 0)] == [1, 0]
+    assert repair_profile(code, mode="geometric").repair_sets[0] == ((1,), (2, 3))
+
+
+def test_the_line_table_is_built_once_per_code(monkeypatch):
+    builds = []
+    build = repair._line_table
+    monkeypatch.setattr(repair, "_line_table", lambda code: builds.append(code) or build(code))
+    code = build_code(grid(3))
+    repair_profile(code)  # the exhaustive profile reads the census instead
+    assert builds == []
+    received = encode(code, [0] * code.k).tolist()
+    received[0] = None
+    repair_symbol(code, received, 0)
+    line_repair_sets(code, 1)
+    repair_profile(code, mode="geometric")
+    blocking_set(code, 2, code.pg.s, mode="geometric")
+    simulate_availability(code, model="iid", p=0.3, trials=50)
+    simulate_availability(code, model="adversarial", u=2)
+    assert len(builds) == 1
 
 
 # ------------------------------------------------------------- simulation
@@ -683,21 +712,29 @@ def scanned_reports(name):
     return [report_text(simulate_availability_scalar(code, **kwargs)) for kwargs in CHUNK_RUNS]
 
 
-@pytest.mark.parametrize("cases_per_chunk", [1, 7, 63, 64, 65])
+@pytest.mark.parametrize("cases_per_chunk", [1, 7, 63, 64, 65, 128, 200])
 def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chunk):
-    # by default 2022 cases make a chunk on grid(8): one chunk for the iid
-    # run, one full one and a remainder for the 3240 pairs.  Chunks of 63,
-    # 64 and 65 cases end a uint64 word early, on its last bit and one
-    # case into the next.  mixed_weight's lines of 3 and 2 points and its
-    # symbols on 2 and 1 lines pad both tables.  Every chunking must give
-    # the case-by-case scan's report, so neither the unused bits of a
-    # word nor the padding point or line may count
+    # a budget of c cases a chunk makes chunks of whole uint64 words, at
+    # least one: 64 cases up to c = 127, 128 at c = 128 and 192 at 200.
+    # Only the last chunk of a run ends a word early: 200 trials end 8
+    # cases into a word and grid(8)'s 3240 pairs 40 (the kernel test below
+    # takes chunks of any size).  mixed_weight's lines of 3 and 2 points
+    # and its symbols on 2 and 1 lines pad both tables.  Every chunking
+    # must give the case-by-case scan's report, so neither the unused bits
+    # of a word nor the padding point or line may count
+    sizes = []
+    count = repair._availability_counts
+    monkeypatch.setattr(repair, "_availability_counts", lambda code, chunks: count(
+        code, (sizes.append(len(chunk)) or chunk for chunk in chunks)))
+    size = 64 * max(1, cases_per_chunk // 64)
     for name in ("grid8", "mixed_weight"):
         code = SIM_CODES[name]()
         monkeypatch.setattr(repair, "_CHUNK_CELLS",
                             cases_per_chunk * max(code.n, code.geometry.num_lines))
-        got = [report_text(simulate_availability(code, **kwargs)) for kwargs in CHUNK_RUNS]
-        assert got == scanned_reports(name), name
+        for kwargs, want in zip(CHUNK_RUNS, scanned_reports(name)):
+            sizes.clear()
+            assert report_text(simulate_availability(code, **kwargs)) == want, (name, kwargs)
+            assert set(sizes[:-1]) <= {size} and 0 < sizes[-1] <= size, (name, kwargs)
 
 
 def unavailable_sets(code, p=None, u=None, trials=200, seed=7):
@@ -715,16 +752,19 @@ def unavailable_sets(code, p=None, u=None, trials=200, seed=7):
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
 def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
+    # the simulator's chunk size, and chunks that end a uint64 word early,
+    # on its last bit and one case into the next
     code = SIM_CODES[name]()
-    size = max(1, repair._CHUNK_CELLS // max(code.n, code.geometry.num_lines))
+    default = 64 * max(1, repair._CHUNK_CELLS // (64 * max(code.n, code.geometry.num_lines)))
     for kwargs in (dict(p=0.0), dict(p=0.35), dict(p=1.0), dict(u=0), dict(u=1), dict(u=2)):
         sets = unavailable_sets(code, **kwargs)
         mask = np.zeros((len(sets), code.n), dtype=bool)
         for case, unavailable in enumerate(sets):
             mask[case, unavailable] = True
-        chunks = np.split(mask, range(size, len(sets), size))
         want = availability_counts_bytewise(code, sets)
-        assert repair._availability_counts(code, chunks) == want, kwargs
+        for size in (default, 1, 7, 63, 64, 65):
+            chunks = np.split(mask, range(size, len(sets), size))
+            assert repair._availability_counts(code, chunks) == want, (kwargs, size)
 
 
 @pytest.mark.parametrize("name", ["grid3", "grid8", "symplectic2", "symplectic3", "elliptic2"])
