@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -91,19 +92,41 @@ def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
     return _build_geometry(args.geometry, args.s, args.q, args.dual)
 
 
+# the size, in characters, from which the walk's pieces are joined into
+# one write: about 520 writes for hyperoval(16)'s 19 MB document
+_PIECE_CHARS = 32 * 1024
+
+
 def _json_chunks(obj, indent: str = ""):
     """Yield ``json.dumps(obj, indent=2)`` in pieces, for objects with
     string keys.
 
     json's C encoder has no indented form, so ``indent=2`` falls back to
     the pure-Python encoder, which formats every int of an analyze
-    payload's repair sets one call at a time.  This walks dicts, lists
-    and tuples the same way, leaves keys and scalars to ``json.dumps``
-    (so NaN, null, floats and non-ASCII text come out as before), and
-    fills each list of plain ints into one cached ``%d`` template.  No
-    piece is larger than one list of scalars, so the document is never
-    held whole.
+    payload's repair sets one call at a time.  ``_json_walk`` walks
+    dicts, lists and tuples the same way and fills each list of plain
+    ints, or block of equal-length rows of them, into one cached ``%d``
+    template; this joins its pieces until they reach ``_PIECE_CHARS``.
+    So a piece is at most about 32 KiB plus one int list or block (one
+    symbol's repair sets), and the document is never held whole.
     """
+    pieces: list[str] = []
+    size = 0
+    for piece in _json_walk(obj, indent):
+        pieces.append(piece)
+        size += len(piece)
+        if size >= _PIECE_CHARS:
+            yield "".join(pieces)
+            pieces.clear()
+            size = 0
+    if pieces:
+        yield "".join(pieces)
+
+
+def _json_walk(obj, indent: str):
+    """Yield ``json.dumps(obj, indent=2)`` at ``indent`` in small pieces,
+    leaving keys and scalars to ``json.dumps`` (so NaN, null, floats and
+    non-ASCII text come out as before)."""
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -112,22 +135,33 @@ def _json_chunks(obj, indent: str = ""):
         opening = "{\n" + inner
         for key, value in obj.items():
             yield f"{opening}{json.dumps(key)}: "
-            yield from _json_chunks(value, inner)
+            yield from _json_walk(value, inner)
             opening = ",\n" + inner
         yield f"\n{indent}}}"
     elif isinstance(obj, (list, tuple)):
         if not obj:
             yield "[]"
-        elif set(map(type, obj)) == {int}:
+            return
+        first = obj[0]
+        if type(first) is int and set(map(type, obj)) == {int}:
             yield _int_list_template(len(obj), indent) % tuple(obj)
-        else:
-            inner = indent + "  "
-            opening = "[\n" + inner
-            for value in obj:
-                yield opening
-                yield from _json_chunks(value, inner)
-                opening = ",\n" + inner
-            yield f"\n{indent}]"
+            return
+        if isinstance(first, (list, tuple)) and first and type(first[0]) is int:
+            # a block: rows of plain ints, all of one length; the first
+            # row's first item is checked before flattening, so an outer
+            # list of blocks is never flattened
+            if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
+                flat = tuple(itertools.chain.from_iterable(obj))
+                if set(map(type, flat)) == {int}:
+                    yield _block_template(len(obj), len(first), indent) % flat
+                    return
+        inner = indent + "  "
+        opening = "[\n" + inner
+        for value in obj:
+            yield opening
+            yield from _json_walk(value, inner)
+            opening = ",\n" + inner
+        yield f"\n{indent}]"
     else:
         yield json.dumps(obj)
 
@@ -138,9 +172,18 @@ def _int_list_template(length: int, indent: str) -> str:
     return f"[\n{inner}" + (",\n" + inner).join(["%d"] * length) + f"\n{indent}]"
 
 
+@functools.lru_cache(maxsize=64)
+def _block_template(rows: int, length: int, indent: str) -> str:
+    inner = indent + "  "
+    row = _int_list_template(length, inner)
+    return f"[\n{inner}" + (",\n" + inner).join([row] * rows) + f"\n{indent}]"
+
+
 def _emit(chunks, output: str | None) -> None:
-    """Write each text chunk as it comes: to the ``output`` file, or to
-    stdout with a final newline unless the last chunk ends with one."""
+    """Write each text chunk as it comes, one write a chunk (for JSON, a
+    piece of about 32 KiB from ``_json_chunks``): to the ``output`` file,
+    or to stdout with a final newline unless the last chunk ends with
+    one."""
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)

@@ -57,6 +57,13 @@ class BlrcCode:
         from .repair import _line_table
         return _line_table(self)
 
+    @cached_property
+    def _line_arrays(self) -> tuple:
+        """``repair._line_arrays(self)``, built once per code, by the
+        simulator only."""
+        from .repair import _line_arrays
+        return _line_arrays(self)
+
 
 def _forced_zero_symbol(reduced: np.ndarray, pivots: Sequence[int]) -> int | None:
     """Column index pinned to zero by a weight-1 parity check, if any: in

@@ -29,8 +29,9 @@ the least-weight check whose helpers are all available, ties to the
 lowest line index.  ``_line_table`` lists every symbol's line checks in
 that order, once per code, and the executor, the geometric profile and
 the simulator all read it; the simulator counts chunks of cases, 64 to a
-``uint64`` word (``_availability_counts``).  So the simulator estimates
-the success of the executor itself.
+``uint64`` word (``_availability_counts``), on arrays that
+``_line_arrays`` reads off the table when it first needs them.  So the
+simulator estimates the success of the executor itself.
 """
 
 from __future__ import annotations
@@ -107,17 +108,13 @@ def _check_degree_bound(r: int) -> None:
         raise ParameterError("repair degree bound must be non-negative")
 
 
-def _line_table(code: BlrcCode) -> tuple:
+def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
     """Every symbol's line checks in the one repair order, weight then
-    line index, as (rows, points, order, helpers); the code keeps it.
+    line index, one row per symbol; the code keeps it.
 
     One pass over the lines in that order (a stable sort by size) files
     one vector per line under each of its points, so row i lists the
-    checks on i in repair order with no per-symbol sort.  The simulator
-    reads the arrays: row k of ``points`` holds every line's k-th point,
-    padded with the point n, which is never unavailable, and row j of
-    ``order`` every symbol's j-th line, padded with the line num_lines,
-    whose twice word is all ones; ``helpers`` counts what each reads.
+    checks on i in repair order with no per-symbol sort.
     """
     n, lines = code.n, code.geometry.lines
     rows: list[list[RepairVector]] = [[] for _ in range(n)]
@@ -126,11 +123,25 @@ def _line_table(code: BlrcCode) -> tuple:
         vector = RepairVector(lines[ln], line=ln)
         for i in lines[ln]:
             file_under[i](vector)
-    ids = itertools.zip_longest(*([v.line for v in row] for row in rows), fillvalue=len(lines))
+    return tuple(map(tuple, rows))
+
+
+def _line_arrays(code: BlrcCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The simulator's (points, order, helpers) arrays, read off the rows
+    of the line table; the code keeps them.
+
+    Row k of ``points`` holds every line's k-th point, padded with the
+    point n, which is never unavailable, and row j of ``order`` every
+    symbol's j-th line in repair order, padded with the line num_lines,
+    whose twice word is all ones; ``helpers`` counts what each reads.
+    """
+    n, lines = code.n, code.geometry.lines
+    ids = itertools.zip_longest(*([v.line for v in row] for row in code._line_table),
+                                fillvalue=len(lines))
     order = np.array(list(ids), dtype=np.intp).reshape(-1, n)
     points = np.array(list(itertools.zip_longest(*lines, fillvalue=n)), np.intp)
     helpers = np.array([len(line) - 1 for line in lines] + [0], np.intp)[order]
-    return tuple(map(tuple, rows)), points.reshape(-1, len(lines)), order, helpers
+    return points.reshape(-1, len(lines)), order, helpers
 
 
 def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
@@ -141,7 +152,7 @@ def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
     sets of these vectors are pairwise disjoint.
     """
     _check_coord(code, i)
-    return list(code._line_table[0][i])
+    return list(code._line_table[i])
 
 
 def _census_work(n: int, max_weight: int) -> int:
@@ -209,7 +220,7 @@ def _checks(code: BlrcCode, mode: str, max_weight: int,
         # a row is in weight order, so its light enough checks are a prefix
         weight = operator.attrgetter("weight")
         return [row[:bisect.bisect_right(row, max_weight, key=weight)]
-                for row in code._line_table[0]]
+                for row in code._line_table]
     line_index = {line: ln for ln, line in enumerate(code.geometry.lines)}
     table: list[list[RepairVector]] = [[] for _ in range(code.n)]
     for support in _dual_census(code, max_weight, guard):
@@ -422,7 +433,7 @@ def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None
     its row of the line table (see ``_line_table``); given vectors are
     sorted by weight, then line index (lines first), then support."""
     if vectors is None:
-        return code._line_table[0][i]
+        return code._line_table[i]
     candidates = [v for v in vectors if i in v.support]
     for v in candidates:
         if (len(set(v.support)) != v.weight
@@ -560,15 +571,16 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
 
     Each chunk is a boolean cases x n array marking the unavailable
     symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is
-    ``repair_symbol``'s rule on the arrays of the code's line table (see
-    ``_line_table``), 64 cases to a ``uint64`` word.  Two bit-sliced words
-    per line count its unavailable points up to two, one point of every
-    line at a time: ``twice |= once & x`` and then ``once |= x``.  Line l
-    is open for i exactly where ``~twice & (~once | u_i)`` (i never blocks
-    itself), and the first line open in a case where i is not yet
-    repaired, in the row's order, sets the symbols read.
+    ``repair_symbol``'s rule on the arrays read off the code's line table
+    (see ``_line_arrays``), 64 cases to a ``uint64`` word.  Two
+    bit-sliced words per line count its unavailable points up to two, one
+    point of every line at a time: ``twice |= once & x`` and then
+    ``once |= x``.  Line l is open for i exactly where
+    ``~twice & (~once | u_i)`` (i never blocks itself), and the first line
+    open in a case where i is not yet repaired, in the row's order, sets
+    the symbols read.
     """
-    _, points, order, helpers = code._line_table
+    points, order, helpers = code._line_arrays
     n, num_lines = code.n, code.geometry.num_lines
     succ = np.zeros(n, dtype=np.int64)
     retrieved = np.zeros(n, dtype=np.int64)

@@ -476,6 +476,15 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     # one int-list length at two depths: the templates are cached per indent
     [[1, 2, 3], {"deeper": [[4, 5, 6], (7, 8, 9)]}, [10, 11, 12]],
     [True, False], [Level.HIGH], [1, Level.HIGH], [[Level.HIGH, 2], [1, 2]],
+    # a block is rows of plain ints, all of one non-zero length
+    [[1, 2], [3]], [[1], []], [[], []], [[1, 2], [3, True]], [[1, 2], [Level.HIGH, 4]],
+    [[1, 2], [3, 4.0]], [[1, 2], [3, None]], [[1, 2], 3], [[1, 2], [[3], 4]], [[1, 2], "ab"],
+    ((1, 2), (3, 4)), ([1, 2], (3, 4)), [[7]], ((-(2**70),),),
+    [[[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10], [11, 12]]],
+    # one block shape at two depths: the templates are cached per indent
+    [[[1, 2], [3, 4]], {"deeper": [[[5, 6], [7, 8]]]}, [[9, 10], [11, 12]]],
+    # more than one 32 KiB piece, with blocks and lists on both sides of a join
+    {"sets": [[[i, i + 1, i + 2]] * 3 for i in range(3000)], "after": list(range(5000))},
 ])
 def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
     assert_same_document("".join(cli._json_chunks(obj)), dumps_indented(obj))
@@ -492,6 +501,17 @@ def test_analyze_json_is_written_in_pieces(monkeypatch):
     assert_same_document(writes, chunks + ["\n"])
     # no piece comes near the whole document, which runs to about 660 kB
     assert max(map(len, chunks)) < len(document) / 10
+
+
+def test_analyze_json_reaches_stdout_in_about_32_kib_writes(monkeypatch):
+    payloads = record_payloads(monkeypatch)
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["analyze", "--geometry", "hyperoval", "--q", "8"]) == 0
+    document = dumps_indented(payloads[0])
+    assert_same_document("".join(writes), document + "\n")
+    # one write a piece of about 32 KiB, and one for the final newline
+    assert len(writes) <= -(-len(document) // (32 * 1024)) + 2
 
 
 @pytest.mark.parametrize("command", [

@@ -626,6 +626,10 @@ def test_the_line_table_is_built_once_per_code(monkeypatch):
     builds = []
     build = repair._line_table
     monkeypatch.setattr(repair, "_line_table", lambda code: builds.append(code) or build(code))
+    array_builds = []
+    build_arrays = repair._line_arrays
+    monkeypatch.setattr(repair, "_line_arrays",
+                        lambda code: array_builds.append(code) or build_arrays(code))
     code = build_code(grid(3))
     repair_profile(code)  # the exhaustive profile reads the census instead
     assert builds == []
@@ -635,9 +639,12 @@ def test_the_line_table_is_built_once_per_code(monkeypatch):
     line_repair_sets(code, 1)
     repair_profile(code, mode="geometric")
     blocking_set(code, 2, code.pg.s, mode="geometric")
+    # only the simulator reads the arrays, so nothing above builds them
+    assert array_builds == []
     simulate_availability(code, model="iid", p=0.3, trials=50)
     simulate_availability(code, model="adversarial", u=2)
     assert len(builds) == 1
+    assert array_builds == [code]
 
 
 # ------------------------------------------------------------- simulation
