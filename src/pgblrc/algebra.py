@@ -230,10 +230,9 @@ def _eliminate(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
 
 
 def _nullspace(reduced: np.ndarray, pivots: Sequence[int], cols: int
-               ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The free columns of ``_eliminate``'s reduced rows, a null-space
-    basis systematic on them, and the same basis by column: bit j of
-    column c is basis row j at c.
+               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The free columns of ``_eliminate``'s reduced rows and a null-space
+    basis systematic on them.
 
     Basis row j is free column j plus, at each pivot column, the reduced
     row's entry in free column j.  So a pivot column is its reduced row
@@ -251,7 +250,7 @@ def _nullspace(reduced: np.ndarray, pivots: Sequence[int], cols: int
         cut = np.take(_bits(reduced[lo:lo + _BLOCK], cols), take, axis=1)
         for p, bits in zip(pivots[lo:lo + _BLOCK], _pack(cut)):
             by_col[p] = bits
-    return free, tuple(_transpose(by_col, len(free))), tuple(by_col)
+    return free, tuple(_transpose(by_col, len(free)))
 
 
 def rank2(m: BitMatrix) -> int:

@@ -270,16 +270,10 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
         raise ParameterError("max_n must be non-negative")
     min_rate = Fraction(min_rate)
 
-    base = known_gq_parameters(max_z=max(2, math.isqrt(max_n) + 2))
-    primal = set(base)
-    oriented: dict[tuple[int, int], bool] = {}
-    for s, t in base:
-        oriented.setdefault((s, t), False)
-        if (t, s) not in primal:
-            oriented.setdefault((t, s), True)
+    primal = set(known_gq_parameters(max_z=max(2, math.isqrt(max_n) + 2)))
 
     entries: list[CatalogEntry] = []
-    for (s, t) in sorted(oriented):
+    for (s, t) in sorted(primal | {(t, s) for s, t in primal}):
         if s < 2:
             continue
         n = (s + 1) * (s * t + 1)
@@ -295,7 +289,7 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
         else:
             exclusion = None
         entries.append(CatalogEntry(
-            r=s, a=t + 1, s=s, t=t, via_dual=oriented[(s, t)], n=n,
+            r=s, a=t + 1, s=s, t=t, via_dual=(s, t) not in primal, n=n,
             rate_estimate=rate_est, estimator=est_used,
             passes_filter=exclusion is None, exclusion=exclusion,
         ))

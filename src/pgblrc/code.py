@@ -33,23 +33,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlrcCode:
-    """A binary code with locality inherited from a partial geometry.
+    """A binary code with locality inherited from a partial geometry, built
+    from five parts; n, k and ``gen_cols`` are read off the generator.
 
-    n, k:         length and dimension
     parity_check: (n-k) x n full-rank matrix of independent line checks
     generator:    k x n matrix, identity on the info_set columns
     info_set:     coordinates that carry the message symbols verbatim
-    gen_cols:     generator columns as k-bit masks (bit j = row j)
+    geometry:     the partial geometry whose lines are the checks
+    pg:           its parameters (s, t, alpha, ...)
     """
 
-    n: int
-    k: int
     parity_check: BitMatrix
     generator: BitMatrix
     info_set: tuple[int, ...]
     geometry: IncidenceStructure
     pg: PgParams
-    gen_cols: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        """Length: the generator's column count."""
+        return self.generator.cols
+
+    @property
+    def k(self) -> int:
+        """Dimension: the generator's row count."""
+        return self.generator.rows
+
+    @cached_property
+    def gen_cols(self) -> tuple[int, ...]:
+        """Generator columns as k-bit masks (bit j = row j), transposed on
+        first use by the census, ``reconstruct``, ``is_mds`` or a check of
+        given repair vectors."""
+        return self.generator.transpose().data
 
     @cached_property
     def _line_table(self) -> tuple:
@@ -80,8 +95,7 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
     does not pay for a second pass.  One elimination of the packed line
     masks then gives everything: the independent line checks that form
     the parity-check matrix, the reduced form whose non-pivot columns are
-    the information set, and the generator read off the reduced rows, by
-    row and by column.
+    the information set, and the generator read off the reduced rows.
     """
     pg = validate_pg(inc)
     n = inc.num_points
@@ -95,16 +109,13 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
             f"all-zero row in the redundancy part of the parity checks: "
             f"symbol {forced} is forced to zero in every codeword"
         )
-    info_set, basis, gen_cols = algebra._nullspace(reduced, pivots, n)
+    info_set, basis = algebra._nullspace(reduced, pivots, n)
     return BlrcCode(
-        n=n,
-        k=k,
         parity_check=BitMatrix.from_bitrows((inc.line_masks[i] for i in independent), n),
         generator=BitMatrix(k, n, basis),
         info_set=info_set,
         geometry=inc,
         pg=pg,
-        gen_cols=gen_cols,
     )
 
 

@@ -108,22 +108,26 @@ def _check_degree_bound(r: int) -> None:
         raise ParameterError("repair degree bound must be non-negative")
 
 
-def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
-    """Every symbol's line checks in the one repair order, weight then
-    line index, one row per symbol; the code keeps it.
+def _repair_key(v: RepairVector) -> tuple:
+    """The one repair order: weight, then line index (lines first), then support."""
+    return (v.weight, v.line if v.line is not None else math.inf, v.support)
 
-    One pass over the lines in that order (a stable sort by size) files
-    one vector per line under each of its points, so row i lists the
-    checks on i in repair order with no per-symbol sort.
-    """
-    n, lines = code.n, code.geometry.lines
+
+def _file(n: int, vectors: Iterable[RepairVector]) -> list[list[RepairVector]]:
+    """One list per symbol of the vectors on it, each in the given order."""
     rows: list[list[RepairVector]] = [[] for _ in range(n)]
     file_under = [row.append for row in rows]
-    for ln in sorted(range(len(lines)), key=lambda ln: len(lines[ln])):
-        vector = RepairVector(lines[ln], line=ln)
-        for i in lines[ln]:
+    for vector in vectors:
+        for i in vector.support:
             file_under[i](vector)
-    return tuple(map(tuple, rows))
+    return rows
+
+
+def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
+    """Every symbol's line checks in repair order (``_repair_key``), one
+    row per symbol, filed from one sort of the lines; the code keeps it."""
+    vectors = (RepairVector(line, line=ln) for ln, line in enumerate(code.geometry.lines))
+    return tuple(map(tuple, _file(code.n, sorted(vectors, key=_repair_key))))
 
 
 def _line_arrays(code: BlrcCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,7 +189,7 @@ def _dual_census(code: BlrcCode, max_weight: int,
     """
     n = code.n
     work = _census_work(n, max_weight)
-    if work > guard:
+    if work > _as_index(guard, "guard"):
         raise GuardExceededError(
             f"the census of dual codewords of weight <= {max_weight} on "
             f"n = {n} symbols needs {work} half-supports, over the search "
@@ -211,10 +215,10 @@ def _checks(code: BlrcCode, mode: str, max_weight: int,
     weight at most max_weight that cover i.
 
     Geometric mode takes the rows of the line table (see ``_line_table``),
-    in repair order.  Exhaustive mode takes the census (see
-    ``_dual_census``) and files each support, as one vector shared by the
-    symbols it covers, under every symbol in it, so each list keeps census
-    order; a support that is a line carries its line index.
+    in repair order.  Exhaustive mode files the census (see
+    ``_dual_census``), one vector per support shared by the symbols it
+    covers, so each list keeps census order; a support that is a line
+    carries its line index.
     """
     if mode == "geometric":
         # a row is in weight order, so its light enough checks are a prefix
@@ -222,18 +226,14 @@ def _checks(code: BlrcCode, mode: str, max_weight: int,
         return [row[:bisect.bisect_right(row, max_weight, key=weight)]
                 for row in code._line_table]
     line_index = {line: ln for ln, line in enumerate(code.geometry.lines)}
-    table: list[list[RepairVector]] = [[] for _ in range(code.n)]
-    for support in _dual_census(code, max_weight, guard):
-        vector = RepairVector(support, line=line_index.get(support))
-        for i in support:
-            table[i].append(vector)
-    return table
+    return _file(code.n, (RepairVector(support, line=line_index.get(support))
+                          for support in _dual_census(code, max_weight, guard)))
 
 
 def _helper_sets(i: int, checks: Iterable[RepairVector]) -> list[frozenset[int]]:
     """The helper sets of the checks covering i: the family a blocking set
     of i must hit.  An empty one means symbol i is zero in every codeword."""
-    family = [frozenset(v.support).difference((i,)) for v in checks]
+    family = [frozenset(v.helpers(i)) for v in checks]
     if not all(family):
         raise DegenerateCodeError(f"symbol {i} is forced to zero in every codeword")
     return family
@@ -429,9 +429,9 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
 
 def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None = None
                   ) -> Sequence[RepairVector]:
-    """The checks covering i in the order a repair tries them: by default
-    its row of the line table (see ``_line_table``); given vectors are
-    sorted by weight, then line index (lines first), then support."""
+    """The checks covering i in the order a repair tries them
+    (``_repair_key``): by default its row of the line table (see
+    ``_line_table``), else the given vectors sorted."""
     if vectors is None:
         return code._line_table[i]
     candidates = [v for v in vectors if i in v.support]
@@ -440,10 +440,7 @@ def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None
                 or not all(0 <= c < code.n for c in v.support)
                 or _xor_cols(code.gen_cols, v.support)):
             raise ValueError(f"support {v.support} is not a dual codeword of this code")
-    return sorted(
-        candidates,
-        key=lambda v: (v.weight, v.line if v.line is not None else math.inf, v.support),
-    )
+    return sorted(candidates, key=_repair_key)
 
 
 @dataclass(frozen=True)

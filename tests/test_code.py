@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -131,6 +132,16 @@ def test_code_is_immutable():
     code = build_code(grid(2))
     with pytest.raises(AttributeError):
         code.k = 3
+
+
+def test_a_code_is_its_five_parts():
+    # n, k and the generator columns are read off the generator, so a
+    # hand-built code cannot be given a length that disagrees with it
+    parts = ["parity_check", "generator", "info_set", "geometry", "pg"]
+    assert [field.name for field in dataclasses.fields(BlrcCode)] == parts
+    code = build_code(grid(2))
+    with pytest.raises(TypeError):
+        BlrcCode(n=6, **{name: getattr(code, name) for name in parts})
 
 
 # --------------------------------------------------------- encode and dual

@@ -66,6 +66,7 @@ from pgblrc.geometry import (
 from pgblrc import geometry, repair
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
+    RepairVector,
     blocking_set,
     line_repair_sets,
     minimum_hitting_set,
@@ -236,15 +237,13 @@ def test_validate_pg_matches_pairwise_scan_on_a_late_swap(p, q, kind):
 def assert_kernel_matches_oracles(m):
     """The kernel's packed rows, pivots and kept rows against the big-int
     elimination, and the null space read off the packed rows against the
-    column sweep's basis and its bitwise transpose."""
+    column sweep's basis."""
     reduced, pivots, independent = _eliminate(_words(m.data, m.cols))
     expected = echelon_bigint(m)
     assert (tuple(_ints(reduced)), tuple(pivots), tuple(independent)) == expected
-    free, basis, by_col = _nullspace(reduced, pivots, m.cols)
-    expected_basis = nullspace2_column_sweep(m)
+    free, basis = _nullspace(reduced, pivots, m.cols)
     assert free == tuple(c for c in range(m.cols) if c not in expected[1])
-    assert basis == expected_basis.data
-    assert by_col == transpose_bitwise(expected_basis).data
+    assert basis == nullspace2_column_sweep(m).data
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -405,11 +404,8 @@ def code_from_generator(generator):
     n = generator.cols
     pg = PgParams(s=1, t=0, alpha=1, num_points=n, num_lines=0,
                   pg_class="proper", grid_degenerate=False)
-    return BlrcCode(
-        n=n, k=generator.rows, parity_check=nullspace2(generator),
-        generator=generator, info_set=(), geometry=IncidenceStructure(n, ()),
-        pg=pg, gen_cols=generator.transpose().data,
-    )
+    return BlrcCode(parity_check=nullspace2(generator), generator=generator,
+                    info_set=(), geometry=IncidenceStructure(n, ()), pg=pg)
 
 
 def test_is_mds_matches_the_subset_scan():
@@ -475,11 +471,8 @@ def zero_column_code(s):
     parity = BitMatrix.from_rows([[1, 1, 1, 0], [0, 0, 0, 1]])
     pg = PgParams(s=s, t=0, alpha=1, num_points=4, num_lines=1,
                   pg_class="proper", grid_degenerate=False)
-    return BlrcCode(
-        n=4, k=2, parity_check=parity, generator=generator, info_set=(0, 2),
-        geometry=IncidenceStructure(4, ((0, 1, 2),)), pg=pg,
-        gen_cols=generator.transpose().data,
-    )
+    return BlrcCode(parity_check=parity, generator=generator, info_set=(0, 2),
+                    geometry=IncidenceStructure(4, ((0, 1, 2),)), pg=pg)
 
 
 def mixed_weight_code():
@@ -489,11 +482,8 @@ def mixed_weight_code():
     parity = BitMatrix.from_rows([[1, 0, 1, 1], [1, 1, 0, 0]])
     pg = PgParams(s=2, t=1, alpha=1, num_points=4, num_lines=2,
                   pg_class="proper", grid_degenerate=False)
-    return BlrcCode(
-        n=4, k=2, parity_check=parity, generator=generator, info_set=(0, 3),
-        geometry=IncidenceStructure(4, ((0, 2, 3), (0, 1))), pg=pg,
-        gen_cols=generator.transpose().data,
-    )
+    return BlrcCode(parity_check=parity, generator=generator, info_set=(0, 3),
+                    geometry=IncidenceStructure(4, ((0, 2, 3), (0, 1))), pg=pg)
 
 
 def test_census_finds_a_weight_one_dual_word_like_per_symbol_search():
@@ -645,6 +635,32 @@ def test_the_line_table_is_built_once_per_code(monkeypatch):
     simulate_availability(code, model="adversarial", u=2)
     assert len(builds) == 1
     assert array_builds == [code]
+
+
+@pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])
+def test_given_lines_are_tried_in_the_line_table_order(name):
+    # one key orders the table the code keeps and the vectors a caller
+    # gives, whatever order they come in
+    code = ladder_code(name) if name in LADDER else mixed_weight_code()
+    lines = [RepairVector(line, line=ln) for ln, line in enumerate(code.geometry.lines)]
+    for i in range(code.n):
+        assert tuple(repair._repair_order(code, i, lines[::-1])) == code._line_table[i]
+
+
+def test_generator_columns_are_read_off_the_generator_on_first_use():
+    code = build_code(ladder("hyperoval8"))
+    repair_profile(code, mode="geometric")
+    simulate_availability(code, model="iid", p=0.1, trials=64)
+    word = encode(code, [1] * code.k)
+    received = word.tolist()
+    received[0] = None
+    repair_symbol(code, received, 0)
+    assert "gen_cols" not in vars(code)
+    assert reconstruct(code, code.info_set, word[list(code.info_set)]).tolist() == [1] * code.k
+    assert code.gen_cols == code.generator.transpose().data
+    for name in LADDER:
+        code = ladder_code(name)
+        assert (code.n, code.k) == (code.generator.cols, code.generator.rows)
 
 
 # ------------------------------------------------------------- simulation

@@ -63,11 +63,8 @@ def unbalanced_code():
     geometry = IncidenceStructure(5, ((0, 1, 2), (3, 4)))
     pg = PgParams(s=1, t=0, alpha=1, num_points=5, num_lines=2,
                   pg_class="proper", grid_degenerate=False)
-    return BlrcCode(
-        n=5, k=2, parity_check=parity, generator=generator,
-        info_set=(0, 3), geometry=geometry, pg=pg,
-        gen_cols=generator.transpose().data,
-    )
+    return BlrcCode(parity_check=parity, generator=generator,
+                    info_set=(0, 3), geometry=geometry, pg=pg)
 
 
 # -------------------------------------------------------------- line checks
@@ -204,12 +201,17 @@ def test_negative_repair_degree_bound_is_rejected(mode):
     (lambda code: small_field(4.0), "q must be an integer, got 4.0"),
     (lambda code: catalog(max_n=2.5), "max_n must be an integer, got 2.5"),
     (lambda code: catalog(max_n="9"), "max_n must be an integer, got '9'"),
+    (lambda code: repair_profile(code, "exhaustive", guard="x"),
+     "guard must be an integer, got 'x'"),
+    (lambda code: omega_r(code, 0, 2, guard=2.5), "guard must be an integer, got 2.5"),
+    (lambda code: blocking_set(code, 0, 2, guard=None), "guard must be an integer, got None"),
 ], ids=["omega_r", "line_repair_sets", "repair_symbol", "reconstruct", "repair_profile",
         "blocking_set", "degree_bound", "vartheta", "rank_bounds",
         "reconstruct_float", "reconstruct_str", "repair_profile_float_r", "omega_r_float_r",
         "line_repair_sets_float", "repair_symbol_float", "vartheta_float", "rate_lower_float",
         "grid_float", "grid_str", "symplectic_float", "elliptic_float", "hyperoval_float",
-        "small_field_float", "catalog_float", "catalog_str"])
+        "small_field_float", "catalog_float", "catalog_str", "repair_profile_str_guard",
+        "omega_r_float_guard", "blocking_set_none_guard"])
 def test_out_of_range_arguments_raise_parameter_error(call, message):
     with pytest.raises(ParameterError, match=message):
         call(make_code("grid2"))
@@ -225,6 +227,7 @@ def test_numpy_integer_arguments_are_accepted():
     assert line_repair_sets(code, np.int32(3)) == line_repair_sets(code, 3)
     assert omega_r(code, np.int64(0), np.int64(2)) == omega_r(code, 0, 2)
     assert repair_profile(code, r=np.int64(2)) == repair_profile(code, r=2)
+    assert repair_profile(code, guard=np.int64(10**6)) == repair_profile(code)
     assert vartheta(np.int64(2), np.int64(2), np.int64(1)) == vartheta(2, 2, 1)
     assert rate_lower(np.int64(2), np.int64(3)) == rate_lower(2, 3)
     assert grid(np.int64(2)) == grid(2)
