@@ -6,12 +6,16 @@ packed for numpy one way only, into little-endian uint64 words: the
 elimination reduces those words against pivot rows it keeps fully
 reduced, so that one pass gives the reduced row echelon form, the rank
 and the rows independent of those above them, and every array of bits
-is unpacked from them.  Everything here is immutable after construction
-and safe to share.
+is unpacked from them.  A small field keeps its addition, multiplication,
+negation and inverse tables as read-only integer arrays, built in one
+numpy pass over the base-p digits of all q elements, which the
+quadrangle constructors index directly.  Everything here is immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -310,117 +314,80 @@ def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
 # ----------------------------------------------------------------------
 # small finite fields
 
-SUPPORTED_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-
-_PRIMES = (2, 3, 5, 7, 11, 13)
-
-# Reduction rules x^m = c0 + c1 x + ... for the prime-power orders,
-# from the usual primitive polynomials: GF(4) x^2+x+1, GF(8) x^3+x+1,
-# GF(9) x^2+2x+2, GF(16) x^4+x+1.
-_REDUCTIONS = {
-    4: (2, 2, (1, 1)),
-    8: (2, 3, (1, 1, 0)),
-    9: (3, 2, (1, 1)),
-    16: (2, 4, (1, 1, 0, 0)),
+# GF(q) = GF(p)[x] / (x^m - c0 - c1 x - ... - c(m-1) x^(m-1)), given as
+# q: (p, m, (c0, ..., c(m-1))), from the usual primitive polynomials:
+# GF(4) x^2+x+1, GF(8) x^3+x+1, GF(9) x^2+2x+2, GF(16) x^4+x+1.  A prime
+# field is GF(p)[x] / (x), so its rule is x = 0.
+_FIELDS = {
+    2: (2, 1, (0,)), 3: (3, 1, (0,)), 4: (2, 2, (1, 1)), 5: (5, 1, (0,)),
+    7: (7, 1, (0,)), 8: (2, 3, (1, 1, 0)), 9: (3, 2, (1, 1)),
+    11: (11, 1, (0,)), 13: (13, 1, (0,)), 16: (2, 4, (1, 1, 0, 0)),
 }
+
+SUPPORTED_FIELD_ORDERS = tuple(sorted(_FIELDS))
 
 
 class SmallField:
     """Arithmetic tables for GF(q), q <= 16, with elements encoded 0..q-1.
 
-    Prime-power elements are base-p digit vectors over the polynomial
-    basis 1, x, ..., x^(m-1), so 0 encodes the zero element and 1 the
-    multiplicative identity for every supported order.
+    An element is the integer whose base-p digits are its coefficients
+    over the polynomial basis 1, x, ..., x^(m-1), so 0 encodes the zero
+    element and 1 the multiplicative identity for every supported order.
+    The tables ``_add``, ``_mul`` (q x q), ``_neg`` and ``_inv`` (q) are
+    read-only integer arrays, built in one pass over the digits of all q
+    elements: a sum adds digits mod p, and a product a b accumulates
+    a_j (x^j b) over j, where x^(j+1) b shifts the digits of x^j b up one
+    place and folds its x^m coefficient back through the reduction rule.
+    ``_inv[0]`` is 0.
     """
 
     def __init__(self, q: int):
         q = _as_index(q, "q")
-        if q in _PRIMES:
-            p, m, reduction = q, 1, ()
-        elif q in _REDUCTIONS:
-            p, m, reduction = _REDUCTIONS[q]
-        else:
+        if q not in _FIELDS:
             raise ParameterError(
                 f"unsupported field order {q}; supported orders: {SUPPORTED_FIELD_ORDERS}"
             )
-        self.q = q
-        self.p = p
-        self.m = m
-        self._reduction = reduction
+        p, m, reduction = _FIELDS[q]
+        self.q, self.p, self.m = q, p, m
+        powers = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // powers % p   # row e: the digits of e
+        # times x: digit i moves up to i + 1, and x^m folds back as the rule
+        times_x = np.eye(m, k=1, dtype=np.intp)
+        times_x[-1] = reduction
+        product = np.zeros((q, q, m), dtype=np.intp)
+        shifted = digits                                # row b: the digits of x^j b
+        for j in range(m):
+            product += digits[:, None, j, None] * shifted
+            shifted = shifted @ times_x % p
+        self._add = (digits[:, None] + digits) % p @ powers
+        self._mul = product % p @ powers
+        self._neg = -digits % p @ powers
+        self._inv = np.argmax(self._mul == 1, axis=1)
+        for table in (self._add, self._mul, self._neg, self._inv):
+            table.flags.writeable = False
 
-        digits = [self._digits(e) for e in range(q)]
-        self._add = tuple(
-            tuple(self._undigits([(a + b) % p for a, b in zip(digits[x], digits[y])])
-                  for y in range(q))
-            for x in range(q)
-        )
-        self._neg = tuple(self._undigits([(-a) % p for a in digits[x]]) for x in range(q))
-        self._mul = tuple(
-            tuple(self._poly_mul(digits[x], digits[y]) for y in range(q))
-            for x in range(q)
-        )
-        inv = [0] * q
-        for x in range(1, q):
-            inv[x] = next(y for y in range(1, q) if self._mul[x][y] == 1)
-        self._inv = tuple(inv)
-
-    def _digits(self, e: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(e % self.p)
-            e //= self.p
-        return out
-
-    def _undigits(self, digits: Sequence[int]) -> int:
-        e = 0
-        for d in reversed(digits):
-            e = e * self.p + d
-        return e
-
-    def _poly_mul(self, xd: Sequence[int], yd: Sequence[int]) -> int:
-        p, m = self.p, self.m
-        conv = [0] * (2 * m - 1)
-        for i, a in enumerate(xd):
-            if not a:
-                continue
-            for j, b in enumerate(yd):
-                conv[i + j] = (conv[i + j] + a * b) % p
-        for d in range(2 * m - 2, m - 1, -1):
-            coef = conv[d]
-            if coef:
-                conv[d] = 0
-                for i, rc in enumerate(self._reduction):
-                    conv[d - m + i] = (conv[d - m + i] + coef * rc) % p
-        return self._undigits(conv[:m])
-
-    def _check(self, x: int) -> None:
+    def _check(self, x: int) -> int:
         if not 0 <= x < self.q:
             raise ValueError(f"element {x!r} outside 0..{self.q - 1}")
+        return operator.index(x)
 
     def add(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        return self._add[x][y]
+        return int(self._add[self._check(x), self._check(y)])
 
     def neg(self, x: int) -> int:
-        self._check(x)
-        return self._neg[x]
+        return int(self._neg[self._check(x)])
 
     def sub(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        return self._add[x][self._neg[y]]
+        return int(self._add[self._check(x), self._neg[self._check(y)]])
 
     def mul(self, x: int, y: int) -> int:
-        self._check(x)
-        self._check(y)
-        return self._mul[x][y]
+        return int(self._mul[self._check(x), self._check(y)])
 
     def inv(self, x: int) -> int:
-        self._check(x)
+        x = self._check(x)
         if x == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self._inv[x]
+        return int(self._inv[x])
 
     def elements(self) -> range:
         return range(self.q)

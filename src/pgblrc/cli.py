@@ -56,22 +56,29 @@ def _parse_fraction(text: str) -> Fraction:
         raise _UsageError(f"cannot parse {text!r} as a rational number") from exc
 
 
+# ``bounds`` tabulates at most this many values of r or of a; each part's
+# count is checked before its range is expanded, so no list is built huge
+_MAX_LIST_VALUES = 1000
+
+
 def _parse_int_set(text: str) -> list[int]:
     """Parse '4', '2..10', or a comma list of either into sorted ints."""
     values: set[int] = set()
+    count = 0
     for part in text.split(","):
         part = part.strip()
         try:
-            if ".." in part:
-                lo_text, hi_text = part.split("..", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise _UsageError(f"empty range {part!r}")
-                values.update(range(lo, hi + 1))
-            else:
-                values.add(int(part))
+            lo_text, dots, hi_text = part.partition("..")
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
         except ValueError as exc:
             raise _UsageError(f"cannot parse {part!r} as an integer or range") from exc
+        if hi < lo:
+            raise _UsageError(f"empty range {part!r}")
+        count += hi - lo + 1
+        if count > _MAX_LIST_VALUES:
+            raise _UsageError(f"{text!r} lists more than {_MAX_LIST_VALUES} values")
+        values.update(range(lo, hi + 1))
     return sorted(values)
 
 

@@ -35,6 +35,8 @@ __all__ = [
 class BlrcCode:
     """A binary code with locality inherited from a partial geometry, built
     from five parts; n, k and ``gen_cols`` are read off the generator.
+    Parts that disagree on n, or an information set outside range(n), are
+    refused with ``ParameterError``.
 
     parity_check: (n-k) x n full-rank matrix of independent line checks
     generator:    k x n matrix, identity on the info_set columns
@@ -48,6 +50,16 @@ class BlrcCode:
     info_set: tuple[int, ...]
     geometry: IncidenceStructure
     pg: PgParams
+
+    def __post_init__(self) -> None:
+        n = self.generator.cols
+        if not self.geometry.num_points == self.parity_check.cols == n:
+            raise ParameterError(
+                f"the parts disagree on n: {self.geometry.num_points} points, "
+                f"{self.parity_check.cols} parity-check columns, {n} generator columns"
+            )
+        if not all(0 <= i < n for i in self.info_set):
+            raise ParameterError(f"info_set {self.info_set} lies outside range({n})")
 
     @property
     def n(self) -> int:

@@ -396,7 +396,7 @@ def symplectic_gq(q: int) -> IncidenceStructure:
     A pg(q, q, 1) on (q+1)(q^2+1) points and as many lines.
     """
     field = small_field(q)
-    add, mul = np.array(field._add, np.uint8), np.array(field._mul, np.uint8)
+    add, mul = field._add, field._mul
 
     def orthogonal(u, v):
         return add[mul[u[0], v[1]], mul[u[2], v[3]]] == add[mul[u[1], v[0]], mul[u[3], v[2]]]
@@ -413,7 +413,7 @@ def elliptic_quadric_gq(q: int) -> IncidenceStructure:
     if q not in (2, 3):
         raise ParameterError("elliptic quadric construction supports q in {2, 3}")
     field = small_field(q)
-    add, mul = np.array(field._add, np.uint8), np.array(field._mul, np.uint8)
+    add, mul = field._add, field._mul
     # x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
     # q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square).
     gb = 1 if q == 2 else 0
@@ -442,8 +442,7 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     """
     if q not in (4, 8, 16):
         raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
-    # intp, as a multiple scaled by q^2 below overflows uint8
-    mul = np.array(small_field(q)._mul, dtype=np.intp)
+    mul = small_field(q)._mul
     # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
     directions = [(t, 1, mul[t, t]) for t in range(q)] + [(0, 0, 1), (1, 0, 0)]
 

@@ -12,10 +12,10 @@ message read-out, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
 the availability kernel with one byte per line and case, json's own
-indented encoder, and the quadrangle constructors that
-normalize the whole span of every collinear pair, test every point
-pair through ``SmallField`` and walk every affine point through
-``SmallField.add``.
+indented encoder, GF(q) arithmetic one digit list at a time, and the
+quadrangle constructors that normalize the whole span of every
+collinear pair, test every point pair through ``SmallField`` and walk
+every affine point through ``SmallField.add``.
 """
 
 from __future__ import annotations
@@ -837,6 +837,78 @@ def availability_counts_bytewise(code, unavailable_sets: Iterable[Sequence[int]]
 def dumps_indented(obj) -> str:
     """json's pure-Python indented encoding."""
     return json.dumps(obj, indent=2)
+
+
+# ----------------------------------------------------------------------
+# GF(q) arithmetic one element at a time, on lists of base-p digits, with
+# its own copy of the orders and reduction rules
+
+
+_FIELD_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# Reduction rules x^m = c0 + c1 x + ... for the prime-power orders,
+# from the usual primitive polynomials: GF(4) x^2+x+1, GF(8) x^3+x+1,
+# GF(9) x^2+2x+2, GF(16) x^4+x+1.
+_FIELD_REDUCTIONS = {
+    4: (2, 2, (1, 1)),
+    8: (2, 3, (1, 1, 0)),
+    9: (3, 2, (1, 1)),
+    16: (2, 4, (1, 1, 0, 0)),
+}
+
+FIELD_ORDERS = tuple(sorted(_FIELD_PRIMES + tuple(_FIELD_REDUCTIONS)))
+
+
+def small_field_tables_by_digits(q: int):
+    """``SmallField(q)``'s ``_add``, ``_mul``, ``_neg`` and ``_inv`` as
+    nested tuples, each entry undigited from a digit list: a sum digit by
+    digit, a product by convolving the digits and reducing the high terms
+    one at a time, an inverse by searching its row of products."""
+    if q in _FIELD_PRIMES:
+        p, m, reduction = q, 1, ()
+    else:
+        p, m, reduction = _FIELD_REDUCTIONS[q]
+
+    def to_digits(e: int) -> list[int]:
+        out = []
+        for _ in range(m):
+            out.append(e % p)
+            e //= p
+        return out
+
+    def undigits(digits: Sequence[int]) -> int:
+        e = 0
+        for d in reversed(digits):
+            e = e * p + d
+        return e
+
+    def poly_mul(xd: Sequence[int], yd: Sequence[int]) -> int:
+        conv = [0] * (2 * m - 1)
+        for i, a in enumerate(xd):
+            if not a:
+                continue
+            for j, b in enumerate(yd):
+                conv[i + j] = (conv[i + j] + a * b) % p
+        for d in range(2 * m - 2, m - 1, -1):
+            coef = conv[d]
+            if coef:
+                conv[d] = 0
+                for i, rc in enumerate(reduction):
+                    conv[d - m + i] = (conv[d - m + i] + coef * rc) % p
+        return undigits(conv[:m])
+
+    digits = [to_digits(e) for e in range(q)]
+    add = tuple(
+        tuple(undigits([(a + b) % p for a, b in zip(digits[x], digits[y])])
+              for y in range(q))
+        for x in range(q)
+    )
+    neg = tuple(undigits([(-a) % p for a in digits[x]]) for x in range(q))
+    mul = tuple(tuple(poly_mul(digits[x], digits[y]) for y in range(q)) for x in range(q))
+    inv = [0] * q
+    for x in range(1, q):
+        inv[x] = next(y for y in range(1, q) if mul[x][y] == 1)
+    return add, mul, neg, tuple(inv)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from pgblrc.algebra import (
     solve2,
 )
 
-from oracles import bits_to_array, np_nullspace2, np_rank2, np_rref2
+from oracles import (FIELD_ORDERS, bits_to_array, np_nullspace2, np_rank2, np_rref2,
+                     small_field_tables_by_digits)
 
 
 def random_bitmatrix(rng, rows, cols, density=0.5):
@@ -228,6 +229,23 @@ def test_gf9_arithmetic():
     assert f.mul(3, 3) == 4          # x^2 = x + 1
     assert f.mul(f.inv(5), 5) == 1
     assert f.neg(1) == 2
+
+
+@pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
+def test_field_tables_match_the_digit_by_digit_oracle(q):
+    # the quadrangle oracles compute through small_field too, so only this
+    # test would see a wrong table
+    assert SUPPORTED_FIELD_ORDERS == FIELD_ORDERS
+    f = small_field(q)
+    tables = (f._add, f._mul, f._neg, f._inv)
+    for table, expected in zip(tables, small_field_tables_by_digits(q)):
+        assert np.array_equal(table, np.array(expected))
+        assert not table.flags.writeable   # the field is cached and shared
+    for x in f.elements():
+        values = [f.neg(x), *(g(x, y) for g in (f.add, f.sub, f.mul) for y in f.elements())]
+        if x:
+            values.append(f.inv(x))
+        assert all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)

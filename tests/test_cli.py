@@ -326,6 +326,18 @@ def test_bounds_rejects_bad_range(capsys):
     assert code == 2 and "empty range" in err
 
 
+def test_bounds_refuses_a_huge_range_before_building_it(capsys):
+    # 10^12 values: counted, not expanded, so this fails at once
+    code, out, err = run(capsys, "bounds", "--r", "2..1000000000000")
+    assert code == 2 and out == ""
+    assert err == "error: '2..1000000000000' lists more than 1000 values\n"
+    # the count spans the whole comma list; 1000 values are still accepted
+    code, _, err = run(capsys, "bounds", "--a", "1..600,2000..2400")
+    assert code == 2 and "lists more than 1000 values" in err
+    code, out, _ = run(capsys, "bounds", "--r", "2..1001", "--a", "2")
+    assert code == 0 and len(out.splitlines()) == 1001
+
+
 # ----------------------------------------------------------------- catalog
 
 

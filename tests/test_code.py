@@ -22,6 +22,7 @@ from pgblrc.code import (
 from pgblrc.errors import (
     DegenerateCodeError,
     NotInformationSetError,
+    ParameterError,
 )
 from pgblrc.geometry import (
     elliptic_quadric_gq,
@@ -142,6 +143,26 @@ def test_a_code_is_its_five_parts():
     code = build_code(grid(2))
     with pytest.raises(TypeError):
         BlrcCode(n=6, **{name: getattr(code, name) for name in parts})
+
+
+def test_parts_that_disagree_on_n_are_refused():
+    # grid(2) has 9 points, grid(3) 16: before the check, a grid(3)
+    # geometry under grid(2)'s matrices built, and repairs then raised a
+    # bare IndexError
+    small, big = build_code(grid(2)), build_code(grid(3))
+    with pytest.raises(ParameterError, match="disagree on n: 16 points, 9 parity-check"):
+        dataclasses.replace(small, geometry=big.geometry, pg=big.pg)
+    with pytest.raises(ParameterError, match="16 parity-check columns, 9 generator"):
+        dataclasses.replace(small, parity_check=big.parity_check)
+
+
+def test_an_info_set_outside_the_symbols_is_refused():
+    code = build_code(grid(2))
+    for info_set in [(0, 99), (-1, 0), (0, 9)]:
+        with pytest.raises(ParameterError, match=r"lies outside range\(9\)"):
+            dataclasses.replace(code, info_set=info_set)
+    # the information set's size is not checked: a bare code may leave it empty
+    assert dataclasses.replace(code, info_set=()).info_set == ()
 
 
 # --------------------------------------------------------- encode and dual

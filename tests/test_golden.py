@@ -25,6 +25,8 @@ GOLDEN = [
      "9f84db3431110964e7301f2115eecd46840a87a954283791ccfb477c235b98b2"),
     ("construct symplectic --q 4",
      "8cc094a6a6a804e68e45552416098d758e9f0b2f39c1fe23b99171de5bd9eb3a"),
+    ("construct symplectic --q 5",
+     "fd380c527be4a47c7a53110183f05a92ba38abfaa75a4a20868d54a3c15c6f83"),
     ("construct symplectic --q 7",
      "d137d7c4c792f0f0d4e9a5348fb170ba0d3e09e92234fb77872677815ca58c8a"),
     ("construct symplectic --q 8",
