@@ -79,6 +79,16 @@ class BlrcCode:
         return self.generator.transpose().data
 
     @cached_property
+    def _gen_words(self) -> np.ndarray:
+        """The generator packed as a read-only ceil(n/64) x k array of
+        uint64 words, column j holding row j, so that the rows a message
+        selects are one ``compress`` along a contiguous axis; built on
+        first use by ``encode``."""
+        words = np.ascontiguousarray(algebra._words(self.generator.data, self.n).T)
+        words.flags.writeable = False
+        return words
+
+    @cached_property
     def _line_table(self) -> tuple:
         """``repair._line_table(self)``, built once per code."""
         from .repair import _line_table
@@ -136,25 +146,27 @@ def _check_coord(code: BlrcCode, i: int) -> None:
         raise ParameterError(f"coordinate {i} out of range for length {code.n}")
 
 
-def _as_bits(values: Sequence[int], expected: int, what: str) -> int:
-    """The values as one bit row; every entry must equal 0 or 1."""
+def _as_bits(values: Sequence[int], expected: int, what: str) -> np.ndarray:
+    """The values as a uint8 array; there must be ``expected`` of them and
+    every entry must equal 0 or 1."""
     vals = list(values)
     if len(vals) != expected:
         raise ValueError(f"{what} must have length {expected}, got {len(vals)}")
     bad = algebra._first_non_bit(vals)
     if bad is not None:
         raise ValueError(f"{what} entries must be bits, got {vals[bad]!r}")
-    return algebra._pack(np.array([vals], dtype=np.uint8))[0]
+    return np.array(vals, dtype=np.uint8)
 
 
 def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:
-    """Codeword for a k-bit message; message bits reappear on info_set."""
-    bits = _as_bits(message, code.k, "message")
-    rows = code.generator.data
-    word = 0
-    for j in algebra._set_bits(bits):
-        word ^= rows[j]
-    return algebra._bits(algebra._words([word], code.n), code.n)[0]
+    """Codeword for a k-bit message; message bits reappear on info_set.
+
+    The codeword is the XOR of the generator rows the message selects,
+    taken as 64-bit words: one ``compress`` gathers the selected columns
+    of the packed generator and one reduction XORs them.
+    """
+    selected = np.compress(_as_bits(message, code.k, "message"), code._gen_words, axis=1)
+    return algebra._bits(np.bitwise_xor.reduce(selected, axis=1)[None], code.n)[0]
 
 
 def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
@@ -171,7 +183,7 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
         _check_coord(code, c)
     if len(set(coords)) != len(coords):
         raise ValueError("coordinates must be distinct")
-    rhs = _as_bits(values, code.k, "values")
+    rhs = algebra._pack(_as_bits(values, code.k, "values")[None])[0]
     system = BitMatrix.from_bitrows((code.gen_cols[c] for c in coords), code.k)
     solution = algebra.solve2(system, rhs)
     if solution is None:

@@ -8,7 +8,8 @@ pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
 column-sweep elimination, the big-int elimination on mirrored rows
 with back-substitution, the bit-by-bit transpose, encoder and
-message read-out, the symbol-by-symbol dual-support search, the
+message read-out, the encoder that XORs big-int generator rows at the
+message's set bits, the symbol-by-symbol dual-support search, the
 subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
 the availability kernel with one byte per line and case, json's own
@@ -30,7 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import BitMatrix, _set_bits, rank2, small_field, solve2
+from pgblrc.algebra import (BitMatrix, _bits, _pack, _set_bits, _words, rank2,
+                            small_field, solve2)
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
@@ -503,6 +505,18 @@ def encode_bitwise(code, message: Sequence[int]) -> np.ndarray:
         if int(message[j]):
             word ^= row
     return bits_to_array(word, code.n)
+
+
+def encode_by_int_rows(code, message: Sequence[int]) -> np.ndarray:
+    """The codeword from the generator's big-int rows: the message is
+    packed into one int, and the rows at its set bits are XORed one at a
+    time before the word is unpacked."""
+    bits = _pack(np.array([list(message)], dtype=np.uint8))[0]
+    rows = code.generator.data
+    word = 0
+    for j in _set_bits(bits):
+        word ^= rows[j]
+    return _bits(_words([word], code.n), code.n)[0]
 
 
 def reconstruct_bitwise(code, coords: Sequence[int], values: Sequence[int]) -> np.ndarray:

@@ -63,7 +63,7 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc import geometry, repair
+from pgblrc import cli, code as code_mod, geometry, repair
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     RepairVector,
@@ -85,6 +85,7 @@ from oracles import (
     elliptic_quadric_gq_by_pairs,
     elliptic_quadric_gq_by_spans,
     encode_bitwise,
+    encode_by_int_rows,
     hyperoval_gq_by_steps,
     independent_row_indices_greedy,
     is_mds_scan,
@@ -375,6 +376,36 @@ def test_bit_rows_match_bitwise_oracles_on_random_shapes():
         assert _same_array((m @ t).to_array(), product.astype(np.uint8))
 
 
+def assert_encode_matches_oracles(code, message):
+    """encode of the message as a list, a tuple, a uint8 array and a bool
+    array equals both oracles, as a uint8 array of shape (n,)."""
+    bits = np.asarray(message, dtype=np.uint8)
+    expected = encode_bitwise(code, bits)
+    assert expected.shape == (code.n,)
+    assert _same_array(encode_by_int_rows(code, bits), expected)
+    for given in (bits.tolist(), tuple(bits.tolist()), bits, bits.astype(bool)):
+        assert _same_array(encode(code, given), expected)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_encode_matches_the_int_row_and_bitwise_oracles_on_ladder(name):
+    code = ladder_code(name)
+    rng = np.random.default_rng(code.n + 25)
+    messages = [np.zeros(code.k, np.uint8), np.ones(code.k, np.uint8)]
+    messages += [rng.integers(0, 2, code.k, dtype=np.uint8) for _ in range(6)]
+    for message in messages:
+        assert_encode_matches_oracles(code, message)
+
+
+def test_encode_matches_the_oracles_on_unit_messages_and_on_k_0():
+    code = build_code(grid(2))
+    for message in np.eye(code.k, dtype=np.uint8):
+        assert_encode_matches_oracles(code, message)
+    empty = code_from_generator(BitMatrix(0, 5, ()))
+    assert_encode_matches_oracles(empty, [])
+    assert encode(empty, []).tolist() == [0] * 5
+
+
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_encode_and_reconstruct_match_bitwise_oracles_on_ladder(name):
     code = ladder_code(name)
@@ -661,6 +692,33 @@ def test_generator_columns_are_read_off_the_generator_on_first_use():
     for name in LADDER:
         code = ladder_code(name)
         assert (code.n, code.k) == (code.generator.cols, code.generator.rows)
+
+
+def test_the_packed_generator_is_built_on_the_first_encode(monkeypatch):
+    built = []
+    build = code_mod.build_code
+
+    def recording_build(inc):
+        built.append(build(inc))
+        return built[-1]
+
+    monkeypatch.setattr(code_mod, "build_code", recording_build)
+    assert cli.main(["analyze", "--geometry", "grid", "--s", "3"]) == 0
+    code = build_code(ladder("hyperoval8"))
+    repair_profile(code, mode="geometric")
+    simulate_availability(code, model="iid", p=0.1, trials=64)
+    received = [0] * code.n
+    received[0] = None
+    repair_symbol(code, received, 0)
+    assert len(built) == 1
+    for unused in (*built, code):
+        assert "_gen_words" not in vars(unused)
+    encode(code, [1] * code.k)
+    words = vars(code)["_gen_words"]
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert np.array_equal(words, _words(code.generator.data, code.n).T)
+    with pytest.raises(ValueError, match="read-only"):
+        words[0, 0] = 1
 
 
 # ------------------------------------------------------------- simulation
