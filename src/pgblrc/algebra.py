@@ -15,6 +15,7 @@ after construction and safe to share.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,9 +51,8 @@ class BitMatrix:
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.data) != self.rows:
             raise ValueError(f"expected {self.rows} rows, got {len(self.data)}")
-        mask = (1 << self.cols) - 1
         for r, row in enumerate(self.data):
-            if row < 0 or row & ~mask:
+            if row < 0 or row >> self.cols:
                 raise ValueError(
                     f"row {r} has bits outside columns 0..{self.cols - 1}"
                 )
@@ -103,8 +103,9 @@ class BitMatrix:
 # ----------------------------------------------------------------------
 # the bit-row codec: every conversion between bit rows and arrays,
 # supports or columns in the package goes through these.  Bit rows are
-# packed one way, as uint64 words (``_words``); arrays of bits are
-# unpacked from the words (``_bits``) and packed back with ``_pack``.
+# packed one way, as uint64 words (``_words``), and supports are
+# scattered straight into the same words (``_support_words``); arrays of
+# bits are unpacked from the words (``_bits``) and packed back with ``_pack``.
 # A caller's bits are accepted by one rule, ``_first_non_bit``: an entry
 # equal to 0 or 1, of any type, is a bit, and no other entry is.
 
@@ -146,6 +147,16 @@ def _words(rows: Sequence[int], cols: int) -> np.ndarray:
     return np.frombuffer(
         b"".join(row.to_bytes(8 * width, "little") for row in rows), dtype="<u8"
     ).reshape(len(rows), width)
+
+
+def _support_words(supports: Sequence[Sequence[int]], cols: int) -> np.ndarray:
+    """Supports, each a sequence of columns, laid out as ``_words`` lays
+    out bit rows, in one scatter of every column's bit into its word."""
+    rows = np.repeat(np.arange(len(supports)), [len(s) for s in supports])
+    at = np.fromiter(itertools.chain.from_iterable(supports), dtype=np.intp, count=rows.size)
+    words = np.zeros((len(supports), (cols + 63) // 64), dtype="<u8")
+    np.bitwise_or.at(words, (rows, at >> 6), np.uint64(1) << (at & 63).astype(np.uint64))
+    return words
 
 
 def _ints(words: np.ndarray) -> list[int]:

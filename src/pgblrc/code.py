@@ -114,14 +114,15 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
 
     The geometry is certified by ``validate_pg``, which computes its
     result once per structure, so a caller that validated ``inc`` first
-    does not pay for a second pass.  One elimination of the packed line
-    masks then gives everything: the independent line checks that form
-    the parity-check matrix, the reduced form whose non-pivot columns are
-    the information set, and the generator read off the reduced rows.
+    does not pay for a second pass.  One elimination of the lines, packed
+    from their points, gives everything: the independent line checks that
+    form the parity-check matrix, the reduced form whose non-pivot columns
+    are the information set, and the generator read off the reduced rows.
     """
     pg = validate_pg(inc)
     n = inc.num_points
-    reduced, pivots, independent = algebra._eliminate(algebra._words(inc.line_masks, n))
+    lines = algebra._support_words(inc.lines, n)
+    reduced, pivots, independent = algebra._eliminate(lines)
     k = n - len(pivots)
     if k == 0:
         raise DegenerateCodeError("degenerate code (full-rank incidence)")
@@ -133,7 +134,7 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
         )
     info_set, basis = algebra._nullspace(reduced, pivots, n)
     return BlrcCode(
-        parity_check=BitMatrix.from_bitrows((inc.line_masks[i] for i in independent), n),
+        parity_check=BitMatrix.from_bitrows(algebra._ints(lines[independent]), n),
         generator=BitMatrix(k, n, basis),
         info_set=info_set,
         geometry=inc,

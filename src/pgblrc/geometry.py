@@ -10,6 +10,7 @@ through each point, and alpha a counting certificate (Bose 1963) over the
 points collinear with it.  Both read one collinearity table, packed as
 uint64 words and counted with ``np.bitwise_count``, and decide alone; a
 witness is read off the same words at the points a failing test flagged.
+The lines are packed straight from their points and kept in no other form.
 The constructors below produce the standard families used for code
 building, on GF(q)'s addition and multiplication tables read as arrays.
 Each quadrangle reads its lines off the geometry: a generalized
@@ -122,11 +123,6 @@ class IncidenceStructure:
         """``validate_pg``'s result; a failure raises and is not kept."""
         return _certify(self)
 
-    @cached_property
-    def line_masks(self) -> tuple[int, ...]:
-        """Each line as a bit mask over points."""
-        return tuple(sum(1 << p for p in line) for line in self.lines)
-
     def canonical_lines(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.lines))
 
@@ -140,7 +136,8 @@ class IncidenceStructure:
 
 def incidence_matrix(inc: IncidenceStructure) -> BitMatrix:
     """Line-by-point incidence matrix (rows are lines)."""
-    return BitMatrix.from_bitrows(inc.line_masks, inc.num_points)
+    words = algebra._support_words(inc.lines, inc.num_points)
+    return BitMatrix.from_bitrows(algebra._ints(words), inc.num_points)
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +318,7 @@ def _certify(inc: IncidenceStructure) -> PgParams:
             )
     s, t = s_plus_1 - 1, t_plus_1 - 1
 
-    lines = algebra._words(inc.line_masks, inc.num_points)
+    lines = algebra._support_words(inc.lines, inc.num_points)
     table = _collinearity_table(inc, lines)
     flagged = np.bitwise_count(table).sum(axis=1) != (t + 1) * s + 1
     if flagged.any():

@@ -4,6 +4,7 @@ The first group recomputes results with a different algorithm and a
 different representation (numpy uint8 arrays, itertools search) so that
 a shared bug between package and test is unlikely.  The second group
 keeps the direct forms that the package's fast paths replaced: the
+lines as big-int masks, one shifted bit per point, the
 pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
 column-sweep elimination, the big-int elimination on mirrored rows
@@ -36,7 +37,7 @@ from pgblrc.algebra import (BitMatrix, _bits, _pack, _set_bits, _words, rank2,
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
-                             _require_covered, incidence_matrix)
+                             _require_covered)
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     AVAILABILITY_MODELS,
@@ -231,12 +232,19 @@ def _counted_params(inc, s: int, t: int, alpha: int) -> PgParams:
     )
 
 
+def line_masks_bigint(inc) -> tuple[int, ...]:
+    """Each line as a big-int bit mask over points, one shifted bit per
+    point: the form the package kept for its lines before it packed them
+    straight into words."""
+    return tuple(sum(1 << p for p in line) for line in inc.lines)
+
+
 def validate_pg_pairwise(inc) -> PgParams:
     """The partial-geometry axioms checked pair by pair: axiom 3 on every
     pair of lines and alpha on every non-incident point/line pair."""
     s, t = _checked_shape(inc)
 
-    masks = inc.line_masks
+    masks = line_masks_bigint(inc)
     for i, j in itertools.combinations(range(inc.num_lines), 2):
         if (masks[i] & masks[j]).bit_count() > 1:
             raise PgValidationError(
@@ -295,7 +303,7 @@ def validate_pg_pairwise(inc) -> PgParams:
 def _first_big_intersection(inc) -> PgValidationError:
     """The error naming the first line pair, in index order, that shares
     more than one point."""
-    masks = inc.line_masks
+    masks = line_masks_bigint(inc)
     for i, j in itertools.combinations(range(inc.num_lines), 2):
         if (masks[i] & masks[j]).bit_count() > 1:
             return PgValidationError(
@@ -313,7 +321,7 @@ def _first_alpha_mismatch(inc, collinear: list[int]) -> PgValidationError:
     With axiom 3 certified, the bridges of a non-incident (P, B) are the
     points of B collinear with P, so one popcount per pair suffices.
     """
-    masks = inc.line_masks
+    masks = line_masks_bigint(inc)
     alpha = None
     first_pair = None
     for p in range(inc.num_points):
@@ -344,7 +352,7 @@ def certify_bigint(inc) -> PgParams:
     _require_covered(inc)
     s, t = _checked_shape(inc)
 
-    masks = inc.line_masks
+    masks = line_masks_bigint(inc)
     collinear = []
     for through in inc.lines_through:
         acc = 0
@@ -531,7 +539,7 @@ def build_code_parts(inc):
     greedy independent rows, a column-sweep rref, a second column-sweep
     rref for the null space, and a transpose for the columns."""
     n = inc.num_points
-    nmat = incidence_matrix(inc)
+    nmat = BitMatrix.from_bitrows(line_masks_bigint(inc), n)
     keep = independent_row_indices_greedy(nmat)
     if n - len(keep) == 0:
         raise DegenerateCodeError("degenerate code (full-rank incidence)")

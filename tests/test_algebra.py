@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,13 +48,27 @@ def test_bitmatrix_validation():
         BitMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError, match="cannot infer column count"):
         BitMatrix.from_rows([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0 has bits outside columns 0..1"):
         BitMatrix(rows=1, cols=2, data=(4,))  # bit set outside the columns
+    for data in ((-1,), (0, 1 << 64), (1 << 200,)):   # a negative row, a bit at column 64
+        with pytest.raises(ValueError, match=rf"row {len(data) - 1} has bits outside columns 0..63"):
+            BitMatrix(len(data), 64, data)
+    assert BitMatrix(2, 64, (0, (1 << 64) - 1)).data[1] >> 63 == 1
     with pytest.raises(ValueError, match="non-negative"):
         BitMatrix(-1, 2, ())
     with pytest.raises(ValueError, match="expected 2 rows"):
         BitMatrix(2, 2, (1,))
     assert BitMatrix.from_rows([], cols=3).rows == 0
+
+
+def test_bitmatrix_checks_a_wide_row_without_a_mask_as_wide_as_the_matrix():
+    tracemalloc.start()
+    try:
+        BitMatrix(2, 10**7, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024   # a 10**7-bit mask alone is 1.25 MB
 
 
 def test_bitmatrix_matmul():

@@ -41,6 +41,7 @@ from pgblrc.algebra import (
     _eliminate,
     _ints,
     _nullspace,
+    _support_words,
     _words,
     independent_row_indices,
     nullspace2,
@@ -89,6 +90,7 @@ from oracles import (
     hyperoval_gq_by_steps,
     independent_row_indices_greedy,
     is_mds_scan,
+    line_masks_bigint,
     nullspace2_column_sweep,
     omega_r_per_symbol,
     repair_degree_per_symbol,
@@ -374,6 +376,38 @@ def test_bit_rows_match_bitwise_oracles_on_random_shapes():
         assert _same_array(m.to_array(), expected)
         product = expected.astype(int) @ expected.T.astype(int) % 2
         assert _same_array((m @ t).to_array(), product.astype(np.uint8))
+
+
+def assert_lines_pack_like_the_bigint_masks(inc):
+    """The lines packed straight from their points equal the big-int masks
+    packed by ``_words``, and the incidence matrix's rows are those masks."""
+    masks = line_masks_bigint(inc)
+    got = _support_words(inc.lines, inc.num_points)
+    expected = _words(masks, inc.num_points)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert incidence_matrix(inc).data == masks
+
+
+@pytest.mark.parametrize("name", [*sorted(LADDER), "hyperoval16"])
+def test_lines_pack_like_the_bigint_masks_on_ladder_and_duals(name):
+    inc = hyperoval_gq(16) if name == "hyperoval16" else ladder(name)
+    assert_lines_pack_like_the_bigint_masks(inc)
+    assert_lines_pack_like_the_bigint_masks(dual(inc))
+
+
+def test_lines_pack_like_the_bigint_masks_across_word_boundaries():
+    rng = random.Random(2604)
+    for n in (0, 1, 63, 64, 65, 128, 129):
+        assert_lines_pack_like_the_bigint_masks(IncidenceStructure(n, ()))
+        if not n:
+            continue
+        # lines of mixed sizes through the first and last column of a word
+        edges = tuple(sorted({0, 63, 64, n - 1} & set(range(n))))
+        lines = {edges, (0,), (n - 1,), tuple(range(n)), tuple(range((n - 1) % 3, n, 3))}
+        lines |= {tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+                  for _ in range(20)}
+        assert_lines_pack_like_the_bigint_masks(IncidenceStructure(n, tuple(sorted(lines))))
 
 
 def assert_encode_matches_oracles(code, message):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pgblrc import algebra
 from pgblrc.cli import main
 from pgblrc.code import build_code
 from pgblrc.errors import IncidenceFileError, PgValidationError
@@ -291,13 +292,19 @@ def test_validator_rejects_empty_structures():
         validate_pg(IncidenceStructure(3, ()))
 
 
-def test_huge_point_count_fails_before_any_per_point_table():
+def test_huge_point_count_fails_before_any_per_point_table(monkeypatch):
+    def refuse(supports, cols):
+        raise AssertionError(f"lines packed over {cols} columns")
+
+    monkeypatch.setattr(algebra, "_support_words", refuse)
     inc = IncidenceStructure(10**12, ((0, 1),))
     for call in (validate_pg, dual):
         with pytest.raises(PgValidationError, match="point 2 lies on no line") as ei:
             call(inc)
         assert (ei.value.kind, ei.value.witness) == ("point-degree", 2)
-    assert "lines_through" not in vars(inc) and "line_masks" not in vars(inc)
+    assert "lines_through" not in vars(inc)
+    with pytest.raises(AssertionError, match="lines packed over 9 columns"):
+        validate_pg(grid(2))   # the stand-in is the packer validation calls
 
 
 # -------------------------------------------------------------- text files
