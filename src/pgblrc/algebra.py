@@ -16,7 +16,6 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -378,9 +377,10 @@ class SmallField:
             table.flags.writeable = False
 
     def _check(self, x: int) -> int:
+        x = _as_index(x, "element")
         if not 0 <= x < self.q:
-            raise ValueError(f"element {x!r} outside 0..{self.q - 1}")
-        return operator.index(x)
+            raise ParameterError(f"element {x!r} outside 0..{self.q - 1}")
+        return x
 
     def add(self, x: int, y: int) -> int:
         return int(self._add[self._check(x), self._check(y)])

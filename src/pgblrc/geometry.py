@@ -23,6 +23,7 @@ cosets of that direction's multiples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -84,19 +85,9 @@ class IncidenceStructure:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        seen = set()
-        for idx, line in enumerate(self.lines):
-            if not line:
-                raise ValueError(f"line {idx} is empty")
-            if line[0] < 0 or line[-1] >= self.num_points:
-                raise ValueError(
-                    f"line {idx} references a point outside 0..{self.num_points - 1}"
-                )
-            if any(a >= b for a, b in zip(line, line[1:])):
-                raise ValueError(f"line {idx} is not strictly increasing")
-            if line in seen:
-                raise ValueError(f"line {idx} duplicates an earlier line")
-            seen.add(line)
+        fault = _line_fault(self.num_points, self.lines, range(len(self.lines)))
+        if fault:
+            raise ValueError(f"line {fault[0]}: {fault[2]}")
 
     @classmethod
     def build(cls, num_points: int, lines: Iterable[Iterable[int]],
@@ -132,6 +123,29 @@ class IncidenceStructure:
             self.num_points == other.num_points
             and self.canonical_lines() == other.canonical_lines()
         )
+
+
+def _line_fault(num_points: int, lines, numbers) -> tuple[int, int | None, str] | None:
+    """The line-record rule: the first record that is empty, not strictly
+    increasing integers (by ``operator.index``) in 0..num_points-1, or a
+    repeat, as (index, repeated index or None, reason); None if none is.
+    A repeat's reason calls the record it repeats ``numbers[earlier]``."""
+    earlier = {}
+    for idx, line in enumerate(lines):
+        try:
+            points = list(map(operator.index, line))
+        except TypeError:
+            return idx, None, "point indices must be integers"
+        if not points:
+            return idx, None, "empty line record"
+        if not all(map(operator.lt, points, points[1:])):
+            return idx, None, "point indices must be strictly increasing"
+        if points[0] < 0 or points[-1] >= num_points:
+            bad = next(p for p in points if not 0 <= p < num_points)
+            return idx, None, f"point index {bad} out of range, outside 0..{num_points - 1}"
+        first = earlier.setdefault(line, idx)
+        if first != idx:
+            return idx, first, f"duplicate of the line record at line {numbers[first]}"
 
 
 def incidence_matrix(inc: IncidenceStructure) -> BitMatrix:
@@ -463,13 +477,23 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
     are the pencils of lines through each original point.
 
     For a valid pg(s, t, alpha) the dual is a pg(t, s, alpha), and applying
-    dual twice returns the original structure.  A point on no line would
-    become an empty dual line, so a structure with more points than
-    incidences is rejected up front with a "point-degree" error.
+    dual twice returns the original structure.  A point on no line or two
+    points on the same lines, which would give an empty or a repeated dual
+    line, raise ``PgValidationError``; a structure with more points than
+    incidences is rejected before the pencils are built.
     """
     _require_covered(inc)
     label = f"dual({inc.label})" if inc.label else None
-    return IncidenceStructure(inc.num_lines, tuple(inc.lines_through), label=label)
+    pencils = inc.lines_through
+    try:
+        return IncidenceStructure(inc.num_lines, pencils, label=label)
+    except ValueError:
+        p, q, _ = _line_fault(inc.num_lines, pencils, range(inc.num_points))
+    if q is None:
+        raise PgValidationError("point-degree", f"point {p} lies on no line", witness=p)
+    kind = "line-intersection" if len(pencils[p]) > 1 else "point-degree"
+    raise PgValidationError(kind, f"points {q} and {p} lie on the same lines {pencils[p]}",
+                            witness=(q, p))
 
 
 # ----------------------------------------------------------------------
@@ -491,10 +515,11 @@ def to_text(inc: IncidenceStructure) -> str:
 
 
 def from_text(text: str) -> IncidenceStructure:
+    """Parse the text form; ``IncidenceStructure`` checks the line records."""
     label = None
     header = None
-    records: list[tuple[int, tuple[int, ...]]] = []
-    seen: dict[tuple[int, ...], int] = {}
+    records: list[tuple[int, ...]] = []
+    numbers: list[int] = []   # the line of text each record came from
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped:
@@ -511,49 +536,35 @@ def from_text(text: str) -> IncidenceStructure:
                     "expected header '<num_points> <num_lines>'", ln
                 )
             try:
-                counts = (int(parts[0]), int(parts[1]))
+                header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise IncidenceFileError(
                     "point and line counts must be integers", ln
                 ) from None
-            if counts[0] < 0 or counts[1] < 0:
+            if min(header) < 0:
                 raise IncidenceFileError("counts must be non-negative", ln)
-            header = counts
             continue
         if len(records) >= header[1]:
             raise IncidenceFileError(
                 f"more than the declared {header[1]} line records", ln
             )
         try:
-            idxs = tuple(int(tok) for tok in stripped.split())
+            records.append(tuple(map(int, stripped.split())))
         except ValueError:
             raise IncidenceFileError("point indices must be integers", ln) from None
-        for a, b in zip(idxs, idxs[1:]):
-            if a >= b:
-                raise IncidenceFileError(
-                    "point indices must be strictly increasing", ln
-                )
-        for ix in idxs:
-            if ix < 0 or ix >= header[0]:
-                raise IncidenceFileError(
-                    f"point index {ix} out of range for {header[0]} points", ln
-                )
-        if idxs in seen:
-            raise IncidenceFileError(
-                f"duplicate of the line record at line {seen[idxs]}", ln
-            )
-        seen[idxs] = ln
-        records.append((ln, idxs))
+        numbers.append(ln)
     if header is None:
         raise IncidenceFileError("missing header '<num_points> <num_lines>'")
+    try:
+        inc = IncidenceStructure(header[0], tuple(records), label=label)
+    except ValueError:
+        idx, _, reason = _line_fault(header[0], records, numbers)
+        raise IncidenceFileError(reason, numbers[idx]) from None
     if len(records) != header[1]:
         raise IncidenceFileError(
             f"expected {header[1]} line records, found {len(records)}"
         )
-    try:
-        return IncidenceStructure(header[0], tuple(r for _, r in records), label=label)
-    except ValueError as exc:
-        raise IncidenceFileError(str(exc)) from None
+    return inc
 
 
 def save(inc: IncidenceStructure, destination) -> None:
@@ -566,9 +577,16 @@ def save(inc: IncidenceStructure, destination) -> None:
 
 
 def load(source) -> IncidenceStructure:
-    """Read an incidence structure from a path or text file object."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    """Read an incidence structure from a path (UTF-8) or text file object;
+    text that cannot be decoded is an ``IncidenceFileError``."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IncidenceFileError(
+            f"not {exc.encoding} text: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start} cannot be decoded"
+        ) from None
     return from_text(text)

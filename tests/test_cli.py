@@ -112,6 +112,24 @@ def test_validate_malformed_file(capsys, tmp_path):
     assert "file error" in err
 
 
+def test_validate_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n4 1\n0 1\n")
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("file error: not utf-8 text: byte 0xe9 at offset 5")
+
+
+def test_validate_dual_of_two_points_on_the_same_lines(capsys, tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_text("3 2\n0 1 2\n0 1\n")
+    code, out, err = run(capsys, "validate", "--file", str(path), "--dual")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("validation error: points 0 and 1 lie on the same lines (0, 1)")
+
+
 def test_validate_fixture_with_dual(capsys):
     code, out, _ = run(capsys, "validate", "--file", f"{FIXTURES}/fano.txt",
                        "--dual")

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,21 @@ def test_dual_preserves_incidence_count():
     assert sum(len(b) for b in inc.lines) == sum(len(b) for b in d.lines)
     # transposed incidence matrices
     assert incidence_matrix(d) == incidence_matrix(inc).transpose()
+
+
+@pytest.mark.parametrize("num_points, lines, kind, message, witness", [
+    # points 0 and 1 both lie on lines 0 and 1 and nowhere else
+    (3, ((0, 1, 2), (0, 1)), "line-intersection",
+     "points 0 and 1 lie on the same lines (0, 1)", (0, 1)),
+    # points 1 and 2 lie on line 0 only
+    (4, ((0, 1, 2), (0, 3)), "point-degree", "points 1 and 2 lie on the same lines (0,)", (1, 2)),
+    # as many incidences as points, yet point 3 lies on no line
+    (4, ((0, 1), (0, 2)), "point-degree", "point 3 lies on no line", 3),
+], ids=["repeated-pencil", "repeated-one-line-pencil", "empty-pencil"])
+def test_dual_refuses_a_repeated_or_empty_pencil(num_points, lines, kind, message, witness):
+    with pytest.raises(PgValidationError, match=re.escape(message)) as ei:
+        dual(IncidenceStructure(num_points, lines))
+    assert (ei.value.kind, ei.value.witness) == (kind, witness)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -367,9 +383,33 @@ def test_from_text_reports_line_numbers(text, fragment):
     assert fragment in str(ei.value)
 
 
+@pytest.mark.parametrize("record, fragment", [
+    ("1 0", "point indices must be strictly increasing"),
+    ("0 9", "point index 9 out of range"),
+    ("0 1", "duplicate of the line record at line 5"),
+], ids=["order", "range", "repeat"])
+def test_from_text_refusals_land_on_the_record_line(record, fragment):
+    # record 1 sits on line 7 of the text, its predecessor on line 5
+    text = "# label: x\n\n4 2\n# comment\n0 1\n\n" + record + "\n"
+    with pytest.raises(IncidenceFileError) as ei:
+        from_text(text)
+    assert ei.value.line_number == 7
+    assert str(ei.value).startswith("line 7: " + fragment)
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load(tmp_path / "absent.txt")
+
+
+def test_load_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n4 1\n0 1\n")
+    with path.open(encoding="utf-8") as stream:
+        for source in (path, str(path), stream):
+            with pytest.raises(IncidenceFileError,
+                               match="not utf-8 text: byte 0xe9 at offset 5 cannot be decoded"):
+                load(source)
 
 
 # --------------------------------------------------- structure validation
@@ -384,6 +424,8 @@ def test_structure_rejects_malformed_lines():
         IncidenceStructure(4, ((),))
     with pytest.raises(ValueError, match="duplicate"):
         IncidenceStructure(4, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="line 0: point indices must be integers"):
+        IncidenceStructure.build(4, [(0, 1.5), (2, 3), (0, 2), (1, 3)])
 
 
 def test_build_sorts_within_lines():

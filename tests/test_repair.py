@@ -199,6 +199,9 @@ def test_negative_repair_degree_bound_is_rejected(mode):
     (lambda code: elliptic_quadric_gq(2.0), "q must be an integer, got 2.0"),
     (lambda code: hyperoval_gq(8.0), "q must be an integer, got 8.0"),
     (lambda code: small_field(4.0), "q must be an integer, got 4.0"),
+    (lambda code: small_field(4).add(2.5, 0), "element must be an integer, got 2.5"),
+    (lambda code: small_field(4).add("1", 0), "element must be an integer, got '1'"),
+    (lambda code: small_field(4).add(None, 0), "element must be an integer, got None"),
     (lambda code: catalog(max_n=2.5), "max_n must be an integer, got 2.5"),
     (lambda code: catalog(max_n="9"), "max_n must be an integer, got '9'"),
     (lambda code: repair_profile(code, "exhaustive", guard="x"),
@@ -210,7 +213,8 @@ def test_negative_repair_degree_bound_is_rejected(mode):
         "reconstruct_float", "reconstruct_str", "repair_profile_float_r", "omega_r_float_r",
         "line_repair_sets_float", "repair_symbol_float", "vartheta_float", "rate_lower_float",
         "grid_float", "grid_str", "symplectic_float", "elliptic_float", "hyperoval_float",
-        "small_field_float", "catalog_float", "catalog_str", "repair_profile_str_guard",
+        "small_field_float", "field_element_float", "field_element_str",
+        "field_element_none", "catalog_float", "catalog_str", "repair_profile_str_guard",
         "omega_r_float_guard", "blocking_set_none_guard"])
 def test_out_of_range_arguments_raise_parameter_error(call, message):
     with pytest.raises(ParameterError, match=message):
