@@ -99,41 +99,20 @@ def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
     return _build_geometry(args.geometry, args.s, args.q, args.dual)
 
 
-# the size, in characters, from which the walk's pieces are joined into
-# one write: about 520 writes for hyperoval(16)'s 19 MB document
-_PIECE_CHARS = 32 * 1024
-
-
-def _json_chunks(obj, indent: str = ""):
-    """Yield ``json.dumps(obj, indent=2)`` in pieces, for objects with
-    string keys.
+def _json_walk(obj, indent: str = ""):
+    """Yield ``json.dumps(obj, indent=2)`` at ``indent`` in pieces, for
+    objects with string keys, leaving keys and scalars to ``json.dumps``
+    (so NaN, null, floats and non-ASCII text come out as before).
 
     json's C encoder has no indented form, so ``indent=2`` falls back to
     the pure-Python encoder, which formats every int of an analyze
-    payload's repair sets one call at a time.  ``_json_walk`` walks
-    dicts, lists and tuples the same way and fills each list of plain
-    ints, or block of equal-length rows of them, into one cached ``%d``
-    template; this joins its pieces until they reach ``_PIECE_CHARS``.
-    So a piece is at most about 32 KiB plus one int list or block (one
-    symbol's repair sets), and the document is never held whole.
+    payload's repair sets one call at a time.  This walks dicts, lists and
+    tuples the same way but fills each list of plain ints, or block of
+    equal-length rows of them, into one cached ``_template``.  A piece is
+    at most one such list or block (one symbol's repair sets), so the
+    document is never held whole; an outer list of blocks is walked, not
+    flattened, for that reason.
     """
-    pieces: list[str] = []
-    size = 0
-    for piece in _json_walk(obj, indent):
-        pieces.append(piece)
-        size += len(piece)
-        if size >= _PIECE_CHARS:
-            yield "".join(pieces)
-            pieces.clear()
-            size = 0
-    if pieces:
-        yield "".join(pieces)
-
-
-def _json_walk(obj, indent: str):
-    """Yield ``json.dumps(obj, indent=2)`` at ``indent`` in small pieces,
-    leaving keys and scalars to ``json.dumps`` (so NaN, null, floats and
-    non-ASCII text come out as before)."""
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -151,7 +130,7 @@ def _json_walk(obj, indent: str):
             return
         first = obj[0]
         if type(first) is int and set(map(type, obj)) == {int}:
-            yield _int_list_template(len(obj), indent) % tuple(obj)
+            yield _template((len(obj),), indent) % tuple(obj)
             return
         if isinstance(first, (list, tuple)) and first and type(first[0]) is int:
             # a block: rows of plain ints, all of one length; the first
@@ -160,7 +139,7 @@ def _json_walk(obj, indent: str):
             if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
                 flat = tuple(itertools.chain.from_iterable(obj))
                 if set(map(type, flat)) == {int}:
-                    yield _block_template(len(obj), len(first), indent) % flat
+                    yield _template((len(obj), len(first)), indent) % flat
                     return
         inner = indent + "  "
         opening = "[\n" + inner
@@ -174,23 +153,18 @@ def _json_walk(obj, indent: str):
 
 
 @functools.lru_cache(maxsize=64)
-def _int_list_template(length: int, indent: str) -> str:
+def _template(shape: tuple[int, ...], indent: str) -> str:
+    """The ``%d`` template of a rectangular nest of ints at ``indent``:
+    ``(length,)`` for a list, ``(rows, length)`` for a block."""
     inner = indent + "  "
-    return f"[\n{inner}" + (",\n" + inner).join(["%d"] * length) + f"\n{indent}]"
-
-
-@functools.lru_cache(maxsize=64)
-def _block_template(rows: int, length: int, indent: str) -> str:
-    inner = indent + "  "
-    row = _int_list_template(length, inner)
-    return f"[\n{inner}" + (",\n" + inner).join([row] * rows) + f"\n{indent}]"
+    item = _template(shape[1:], inner) if len(shape) > 1 else "%d"
+    return f"[\n{inner}" + (",\n" + inner).join([item] * shape[0]) + f"\n{indent}]"
 
 
 def _emit(chunks, output: str | None) -> None:
-    """Write each text chunk as it comes, one write a chunk (for JSON, a
-    piece of about 32 KiB from ``_json_chunks``): to the ``output`` file,
-    or to stdout with a final newline unless the last chunk ends with
-    one."""
+    """Write each text chunk as it comes, one write a chunk (for JSON, one
+    piece from ``_json_walk``): to the ``output`` file, or to stdout with
+    a final newline unless the last chunk ends with one."""
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
@@ -243,7 +217,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     params = geometry.validate_pg(inc)
     payload = {"schema_version": 1, "valid": True}
     payload.update(_geometry_dict(inc, params))
-    _emit(_json_chunks(payload), args.output)
+    _emit(_json_walk(payload), args.output)
     return EXIT_OK
 
 
@@ -327,7 +301,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "text":
         _emit([_analyze_text(payload)], args.output)
     else:
-        _emit(_json_chunks(payload), args.output)
+        _emit(_json_walk(payload), args.output)
     return EXIT_OK
 
 
@@ -349,7 +323,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit([report.to_csv()], args.output)
     else:
-        _emit(_json_chunks(report.to_json_dict()), args.output)
+        _emit(_json_walk(report.to_json_dict()), args.output)
     return EXIT_OK
 
 
@@ -369,7 +343,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 for row in rows
             ],
         }
-        _emit(_json_chunks(payload), args.output)
+        _emit(_json_walk(payload), args.output)
     else:
         _emit([bounds.bounds_table_csv(rows)], args.output)
     return EXIT_OK
@@ -435,7 +409,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "estimator": args.estimator,
             "entries": [_catalog_entry_dict(e) for e in entries],
         }
-        _emit(_json_chunks(payload), args.output)
+        _emit(_json_walk(payload), args.output)
     return EXIT_OK
 
 

@@ -85,16 +85,20 @@ class IncidenceStructure:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        fault = _line_fault(self.num_points, self.lines, range(len(self.lines)))
+        num_points = _as_index(self.num_points, "num_points")
+        if num_points < 0:
+            raise ParameterError(f"num_points must be non-negative, got {num_points}")
+        object.__setattr__(self, "num_points", num_points)
+        fault = _line_fault(num_points, self.lines, range(len(self.lines)))
         if fault:
             raise ValueError(f"line {fault[0]}: {fault[2]}")
 
     @classmethod
     def build(cls, num_points: int, lines: Iterable[Iterable[int]],
               label: str | None = None) -> IncidenceStructure:
-        """Normalize arbitrary point iterables into sorted-tuple lines."""
-        normalized = tuple(tuple(sorted(line)) for line in lines)
-        return cls(num_points, normalized, label)
+        """Normalize arbitrary point iterables into sorted-tuple lines; a
+        line that cannot be sorted is left for the line-record rule to judge."""
+        return cls(num_points, tuple(map(_sorted_line, lines)), label)
 
     @property
     def num_lines(self) -> int:
@@ -123,6 +127,14 @@ class IncidenceStructure:
             self.num_points == other.num_points
             and self.canonical_lines() == other.canonical_lines()
         )
+
+
+def _sorted_line(line: Iterable[int]) -> tuple:
+    line = tuple(line)
+    try:
+        return tuple(sorted(line))
+    except TypeError:
+        return line
 
 
 def _line_fault(num_points: int, lines, numbers) -> tuple[int, int | None, str] | None:

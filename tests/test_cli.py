@@ -476,14 +476,14 @@ WRITTEN = [
 def record_payloads(monkeypatch) -> list:
     """Record each top-level object handed to the JSON writer."""
     payloads = []
-    writer = cli._json_chunks
+    writer = cli._json_walk
 
     def recording(obj, indent=""):
         if not indent:
             payloads.append(obj)
         return writer(obj, indent)
 
-    monkeypatch.setattr(cli, "_json_chunks", recording)
+    monkeypatch.setattr(cli, "_json_walk", recording)
     return payloads
 
 
@@ -513,11 +513,11 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     [[[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10], [11, 12]]],
     # one block shape at two depths: the templates are cached per indent
     [[[1, 2], [3, 4]], {"deeper": [[[5, 6], [7, 8]]]}, [[9, 10], [11, 12]]],
-    # more than one 32 KiB piece, with blocks and lists on both sides of a join
+    # a document of about 300 kB, with blocks and lists side by side in one dict
     {"sets": [[[i, i + 1, i + 2]] * 3 for i in range(3000)], "after": list(range(5000))},
 ])
 def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
-    assert_same_document("".join(cli._json_chunks(obj)), dumps_indented(obj))
+    assert_same_document("".join(cli._json_walk(obj)), dumps_indented(obj))
 
 
 def test_analyze_json_is_written_in_pieces(monkeypatch):
@@ -526,22 +526,41 @@ def test_analyze_json_is_written_in_pieces(monkeypatch):
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     assert main(["analyze", "--geometry", "hyperoval", "--q", "8"]) == 0
     document = dumps_indented(payloads[0])
-    chunks = list(cli._json_chunks(payloads[0]))
+    chunks = list(cli._json_walk(payloads[0]))
     assert_same_document("".join(chunks), document)
     assert_same_document(writes, chunks + ["\n"])
     # no piece comes near the whole document, which runs to about 660 kB
     assert max(map(len, chunks)) < len(document) / 10
 
 
-def test_analyze_json_reaches_stdout_in_about_32_kib_writes(monkeypatch):
+def int_nests(obj, depth=0):
+    """(depth, nest) for each list of ints, or list of int lists, in obj."""
+    def ints(items):
+        return all(type(x) is int for x in items)
+
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from int_nests(value, depth + 1)
+    elif isinstance(obj, (list, tuple)):
+        if ints(obj) or all(isinstance(x, (list, tuple)) and ints(x) for x in obj):
+            yield depth, obj
+        else:
+            for value in obj:
+                yield from int_nests(value, depth + 1)
+
+
+def test_analyze_json_writes_no_piece_longer_than_one_int_list_or_block(monkeypatch):
     payloads = record_payloads(monkeypatch)
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     assert main(["analyze", "--geometry", "hyperoval", "--q", "8"]) == 0
     document = dumps_indented(payloads[0])
     assert_same_document("".join(writes), document + "\n")
-    # one write a piece of about 32 KiB, and one for the final newline
-    assert len(writes) <= -(-len(document) // (32 * 1024)) + 2
+    # each nest is indented by two spaces a level on every line but its first
+    longest = max(len(text) + 2 * depth * text.count("\n")
+                  for depth, nest in int_nests(payloads[0])
+                  for text in [dumps_indented(nest)])
+    assert max(map(len, writes)) <= longest
 
 
 @pytest.mark.parametrize("command", [

@@ -3,12 +3,13 @@ import itertools
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pgblrc import algebra
 from pgblrc.cli import main
 from pgblrc.code import build_code
-from pgblrc.errors import IncidenceFileError, PgValidationError
+from pgblrc.errors import IncidenceFileError, ParameterError, PgValidationError
 from pgblrc.geometry import (
     CLASS_GQ,
     CLASS_NET,
@@ -426,6 +427,31 @@ def test_structure_rejects_malformed_lines():
         IncidenceStructure(4, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="line 0: point indices must be integers"):
         IncidenceStructure.build(4, [(0, 1.5), (2, 3), (0, 2), (1, 3)])
+    # a line that sorted() cannot order is left to the same rule
+    with pytest.raises(ValueError, match="line 0: point indices must be integers"):
+        IncidenceStructure.build(4, [(0, "a"), (2, 3)])
+
+
+SQUARE = ((0, 1), (2, 3), (0, 2), (1, 3))
+
+
+@pytest.mark.parametrize("num_points, lines, message", [
+    (4.0, SQUARE, "num_points must be an integer, got 4.0"),
+    ("4", SQUARE, "num_points must be an integer, got '4'"),
+    (-1, (), "num_points must be non-negative, got -1"),
+    (-1, ((0, 1),), "num_points must be non-negative, got -1"),
+])
+def test_structure_refuses_a_point_count_that_is_no_count(num_points, lines, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        IncidenceStructure(num_points, lines)
+
+
+def test_structure_takes_a_numpy_point_count_as_an_int():
+    inc = IncidenceStructure(np.int64(4), SQUARE)
+    assert type(inc.num_points) is int and inc.num_points == 4
+    assert to_text(inc).startswith("4 4\n")
+    assert from_text(to_text(inc)).structurally_equal(inc)
+    assert validate_pg(inc).num_points == 4
 
 
 def test_build_sorts_within_lines():
