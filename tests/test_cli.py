@@ -513,7 +513,7 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     [[[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10], [11, 12]]],
     # one block shape at two depths: the templates are cached per indent
     [[[1, 2], [3, 4]], {"deeper": [[[5, 6], [7, 8]]]}, [[9, 10], [11, 12]]],
-    # a document of about 300 kB, with blocks and lists side by side in one dict
+    # a document of about 600 kB, with blocks and lists side by side in one dict
     {"sets": [[[i, i + 1, i + 2]] * 3 for i in range(3000)], "after": list(range(5000))},
 ])
 def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
