@@ -1,9 +1,12 @@
 """Command line front end.
 
 Subcommands: construct, validate, analyze, simulate, bounds, catalog.
-Exit codes: 0 success, 2 usage (argparse), 3 validation failure or an
-out-of-range parameter (the package's typed errors only; any other
-exception propagates), 4 search guard exceeded, 5 file I/O failure.
+Each returns its document's text pieces; ``main`` alone writes them, to
+stdout or ``--output`` (``_emit``), and maps errors to exit codes: 0
+success, 2 usage (argparse), 3 validation failure or an out-of-range
+parameter (the package's typed errors only; any other exception
+propagates), 4 search guard exceeded, 5 file I/O failure, a failed
+write included.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__, bounds, code as code_mod, geometry, repair
 from .errors import (
@@ -42,11 +46,8 @@ class _UsageError(Exception):
 
 
 def _frac_str(f: Fraction | None) -> str | None:
-    if f is None:
-        return None
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """``str(f)``, which writes a whole Fraction as an integer; None stays None."""
+    return None if f is None else str(f)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -82,21 +83,16 @@ def _parse_int_set(text: str) -> list[int]:
     return sorted(values)
 
 
-def _build_geometry(kind: str, s: int | None, q: int | None,
-                    want_dual: bool) -> geometry.IncidenceStructure:
-    param_name, constructor = _CONSTRUCTORS[kind]
-    value = s if param_name == "s" else q
-    if value is None:
-        raise _UsageError(f"constructor {kind!r} needs --{param_name}")
-    inc = constructor(value)
-    return geometry.dual(inc) if want_dual else inc
-
-
 def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
     if getattr(args, "file", None):
         inc = geometry.load(args.file)
-        return geometry.dual(inc) if getattr(args, "dual", False) else inc
-    return _build_geometry(args.geometry, args.s, args.q, args.dual)
+    else:
+        param_name, constructor = _CONSTRUCTORS[args.geometry]
+        value = getattr(args, param_name)
+        if value is None:
+            raise _UsageError(f"constructor {args.geometry!r} needs --{param_name}")
+        inc = constructor(value)
+    return geometry.dual(inc) if args.dual else inc
 
 
 def _json_walk(obj, indent: str = ""):
@@ -161,7 +157,7 @@ def _template(shape: tuple[int, ...], indent: str) -> str:
     return f"[\n{inner}" + (",\n" + inner).join([item] * shape[0]) + f"\n{indent}]"
 
 
-def _emit(chunks, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
     """Write each text chunk as it comes, one write a chunk (for JSON, one
     piece from ``_json_walk``): to the ``output`` file, or to stdout with
     a final newline unless the last chunk ends with one."""
@@ -206,19 +202,14 @@ def _geometry_dict(inc: geometry.IncidenceStructure,
 # subcommands
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    inc = _build_geometry(args.kind, args.s, args.q, args.dual)
-    _emit([geometry.to_text(inc)], args.output)
-    return EXIT_OK
+def _cmd_construct(args: argparse.Namespace) -> Iterable[str]:
+    return [geometry.to_text(_load_geometry(args))]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> Iterable[str]:
     inc = _load_geometry(args)
     params = geometry.validate_pg(inc)
-    payload = {"schema_version": 1, "valid": True}
-    payload.update(_geometry_dict(inc, params))
-    _emit(_json_walk(payload), args.output)
-    return EXIT_OK
+    return _json_walk({"schema_version": 1, "valid": True, **_geometry_dict(inc, params)})
 
 
 def _conformance_dict(params: geometry.PgParams, built,
@@ -234,6 +225,10 @@ def _conformance_dict(params: geometry.PgParams, built,
         "rank_upper": _frac_str(rank_hi),
         "rank_within_bounds": (rank_lo is None or rank_lo <= rank) and rank <= rank_hi,
         "rate": _frac_str(rate),
+        # the rate bounds apply from r = a = 2 on
+        "rate_lower": None,
+        "rate_upper": None,
+        "rate_within_bounds": None,
     }
     if profile.r >= 2 and profile.a >= 2:
         lower = bounds.rate_lower(profile.r, profile.a)
@@ -241,10 +236,6 @@ def _conformance_dict(params: geometry.PgParams, built,
         out["rate_lower"] = _frac_str(lower)
         out["rate_upper"] = _frac_str(upper)
         out["rate_within_bounds"] = lower <= rate and (upper is None or rate <= upper)
-    else:
-        out["rate_lower"] = None
-        out["rate_upper"] = None
-        out["rate_within_bounds"] = None
     return out
 
 
@@ -278,7 +269,7 @@ def _analyze_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
     inc = _load_geometry(args)
     params = geometry.validate_pg(inc)
     built = code_mod.build_code(inc)
@@ -299,13 +290,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "conformance": _conformance_dict(params, built, profile),
     }
     if args.format == "text":
-        _emit([_analyze_text(payload)], args.output)
-    else:
-        _emit(_json_walk(payload), args.output)
-    return EXIT_OK
+        return [_analyze_text(payload)]
+    return _json_walk(payload)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Iterable[str]:
     if args.model == "iid" and args.p is None:
         raise _UsageError("the iid model needs --p")
     if args.model == "adversarial" and args.u is None:
@@ -321,32 +310,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.format == "csv":
-        _emit([report.to_csv()], args.output)
-    else:
-        _emit(_json_walk(report.to_json_dict()), args.output)
-    return EXIT_OK
+        return [report.to_csv()]
+    return _json_walk(report.to_json_dict())
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> Iterable[str]:
     rows = bounds.bounds_table(_parse_int_set(args.r), _parse_int_set(args.a))
-    if args.format == "json":
-        payload = {
-            "schema_version": 1,
-            "rows": [
-                {
-                    "r": row.r,
-                    "a": row.a,
-                    "rate_lower": _frac_str(row.lower),
-                    "rate_upper": _frac_str(row.upper),
-                    "applicable": row.applicable,
-                }
-                for row in rows
-            ],
-        }
-        _emit(_json_walk(payload), args.output)
-    else:
-        _emit([bounds.bounds_table_csv(rows)], args.output)
-    return EXIT_OK
+    if args.format == "csv":
+        return [bounds.bounds_table_csv(rows)]
+    return _json_walk({
+        "schema_version": 1,
+        "rows": [
+            {
+                "r": row.r,
+                "a": row.a,
+                "rate_lower": _frac_str(row.lower),
+                "rate_upper": _frac_str(row.upper),
+                "applicable": row.applicable,
+            }
+            for row in rows
+        ],
+    })
 
 
 def _catalog_entry_dict(entry: bounds.CatalogEntry) -> dict:
@@ -393,24 +377,21 @@ def _catalog_text(entries: list[bounds.CatalogEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_catalog(args: argparse.Namespace) -> int:
+def _cmd_catalog(args: argparse.Namespace) -> Iterable[str]:
     entries = bounds.catalog(
         max_n=args.max_n,
         min_rate=_parse_fraction(args.min_rate),
         estimator=args.estimator,
     )
     if args.format == "text":
-        _emit([_catalog_text(entries)], args.output)
-    else:
-        payload = {
-            "schema_version": 1,
-            "max_n": args.max_n,
-            "min_rate": args.min_rate,
-            "estimator": args.estimator,
-            "entries": [_catalog_entry_dict(e) for e in entries],
-        }
-        _emit(_json_walk(payload), args.output)
-    return EXIT_OK
+        return [_catalog_text(entries)]
+    return _json_walk({
+        "schema_version": 1,
+        "max_n": args.max_n,
+        "min_rate": args.min_rate,
+        "estimator": args.estimator,
+        "entries": [_catalog_entry_dict(e) for e in entries],
+    })
 
 
 # ----------------------------------------------------------------------
@@ -425,24 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write here instead of stdout, "
+                                         "without stdout's final newline")
+    add_parser = functools.partial(sub.add_parser, parents=[output])
 
-    p_construct = sub.add_parser(
+    p_construct = add_parser(
         "construct", help="build a geometry and write its incidence file")
-    p_construct.add_argument("kind", choices=sorted(_CONSTRUCTORS))
+    p_construct.add_argument("geometry", choices=sorted(_CONSTRUCTORS))
     p_construct.add_argument("--s", type=int, help="grid side parameter")
     p_construct.add_argument("--q", type=int, help="field order")
     p_construct.add_argument("--dual", action="store_true")
-    p_construct.add_argument("--output", help="write here instead of stdout")
     p_construct.set_defaults(func=_cmd_construct)
 
-    p_validate = sub.add_parser(
+    p_validate = add_parser(
         "validate", help="check the partial-geometry axioms of an incidence file")
     p_validate.add_argument("--file", required=True)
     p_validate.add_argument("--dual", action="store_true")
-    p_validate.add_argument("--output")
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_analyze = sub.add_parser(
+    p_analyze = add_parser(
         "analyze", help="build the code and report its repair metrics")
     _add_geometry_source(p_analyze)
     p_analyze.add_argument("--exhaustive", action="store_true",
@@ -454,10 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "half-supports: the sum over weights w up to "
                                 "r+1 of C(n, ceil(w/2)) + C(n, floor(w/2))")
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
-    p_analyze.add_argument("--output")
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_simulate = sub.add_parser(
+    p_simulate = add_parser(
         "simulate", help="estimate repair success under symbol unavailability")
     _add_geometry_source(p_simulate)
     p_simulate.add_argument("--model", choices=repair.AVAILABILITY_MODELS,
@@ -471,36 +453,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate.add_argument("--trials", type=int, default=1000)
     p_simulate.add_argument("--seed", type=int, default=0)
     p_simulate.add_argument("--format", choices=("json", "csv"), default="json")
-    p_simulate.add_argument("--output")
     p_simulate.set_defaults(func=_cmd_simulate)
 
-    p_bounds = sub.add_parser(
+    p_bounds = add_parser(
         "bounds", help="tabulate the rate bounds over ranges of (r, a)")
     p_bounds.add_argument("--r", default="2..10",
                           help="values like '4', '2..10', or '2,4..6'")
     p_bounds.add_argument("--a", default="2..10")
     p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bounds.add_argument("--output")
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_catalog = sub.add_parser(
+    p_catalog = add_parser(
         "catalog", help="list the practical (r, a) pairs from known quadrangles")
     p_catalog.add_argument("--max-n", type=int, default=100)
     p_catalog.add_argument("--min-rate", default="1/3")
     p_catalog.add_argument("--estimator", choices=bounds.ESTIMATORS,
                            default="theorem-upper-bound")
     p_catalog.add_argument("--format", choices=("json", "text"), default="json")
-    p_catalog.add_argument("--output")
     p_catalog.set_defaults(func=_cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.output)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,9 +89,10 @@ class IncidenceStructure:
         if num_points < 0:
             raise ParameterError(f"num_points must be non-negative, got {num_points}")
         object.__setattr__(self, "num_points", num_points)
-        fault = _line_fault(num_points, self.lines, range(len(self.lines)))
+        records, fault = _line_records(num_points, self.lines, range(len(self.lines)))
         if fault:
             raise ValueError(f"line {fault[0]}: {fault[2]}")
+        object.__setattr__(self, "lines", records)
 
     @classmethod
     def build(cls, num_points: int, lines: Iterable[Iterable[int]],
@@ -137,27 +138,30 @@ def _sorted_line(line: Iterable[int]) -> tuple:
         return line
 
 
-def _line_fault(num_points: int, lines, numbers) -> tuple[int, int | None, str] | None:
-    """The line-record rule: the first record that is empty, not strictly
-    increasing integers (by ``operator.index``) in 0..num_points-1, or a
-    repeat, as (index, repeated index or None, reason); None if none is.
-    A repeat's reason calls the record it repeats ``numbers[earlier]``."""
+def _line_records(num_points: int, lines, numbers) -> tuple[tuple, tuple | None]:
+    """The line-record rule: the records as tuples of ints and None, or ()
+    and the first record that is empty, not strictly increasing integers
+    (by ``operator.index``) in 0..num_points-1, or a repeat, as (index,
+    repeated index or None, reason).  A repeat's reason calls the record
+    it repeats ``numbers[earlier]``."""
     earlier = {}
     for idx, line in enumerate(lines):
         try:
-            points = list(map(operator.index, line))
+            points = tuple(map(operator.index, line))
         except TypeError:
-            return idx, None, "point indices must be integers"
+            return (), (idx, None, "point indices must be integers")
         if not points:
-            return idx, None, "empty line record"
+            return (), (idx, None, "empty line record")
         if not all(map(operator.lt, points, points[1:])):
-            return idx, None, "point indices must be strictly increasing"
+            return (), (idx, None, "point indices must be strictly increasing")
         if points[0] < 0 or points[-1] >= num_points:
             bad = next(p for p in points if not 0 <= p < num_points)
-            return idx, None, f"point index {bad} out of range, outside 0..{num_points - 1}"
-        first = earlier.setdefault(line, idx)
+            return (), (idx, None, f"point index {bad} out of range, outside 0..{num_points - 1}")
+        first = earlier.setdefault(points, idx)
         if first != idx:
-            return idx, first, f"duplicate of the line record at line {numbers[first]}"
+            return (), (idx, first, f"duplicate of the line record at line {numbers[first]}")
+    # no record repeats, so the keys are every record, in order
+    return tuple(earlier), None
 
 
 def incidence_matrix(inc: IncidenceStructure) -> BitMatrix:
@@ -500,7 +504,7 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
     try:
         return IncidenceStructure(inc.num_lines, pencils, label=label)
     except ValueError:
-        p, q, _ = _line_fault(inc.num_lines, pencils, range(inc.num_points))
+        p, q, _ = _line_records(inc.num_lines, pencils, range(inc.num_points))[1]
     if q is None:
         raise PgValidationError("point-degree", f"point {p} lies on no line", witness=p)
     kind = "line-intersection" if len(pencils[p]) > 1 else "point-degree"
@@ -570,7 +574,7 @@ def from_text(text: str) -> IncidenceStructure:
     try:
         inc = IncidenceStructure(header[0], tuple(records), label=label)
     except ValueError:
-        idx, _, reason = _line_fault(header[0], records, numbers)
+        idx, _, reason = _line_records(header[0], records, numbers)[1]
         raise IncidenceFileError(reason, numbers[idx]) from None
     if len(records) != header[1]:
         raise IncidenceFileError(

@@ -125,9 +125,13 @@ def _file(n: int, vectors: Iterable[RepairVector]) -> list[list[RepairVector]]:
 
 def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
     """Every symbol's line checks in repair order (``_repair_key``), one
-    row per symbol, filed from one sort of the lines; the code keeps it."""
-    vectors = (RepairVector(line, line=ln) for ln, line in enumerate(code.geometry.lines))
-    return tuple(map(tuple, _file(code.n, sorted(vectors, key=_repair_key))))
+    row per symbol: its pencil, which lists the lines by index, stable-
+    sorted by weight, with one vector per line; the code keeps it."""
+    lines = code.geometry.lines
+    vectors = [RepairVector(line, line=ln) for ln, line in enumerate(lines)]
+    weight = list(map(len, lines)).__getitem__
+    return tuple(tuple(map(vectors.__getitem__, sorted(pencil, key=weight)))
+                 for pencil in code.geometry.lines_through)
 
 
 def _line_arrays(code: BlrcCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -563,20 +563,37 @@ def test_analyze_json_writes_no_piece_longer_than_one_int_list_or_block(monkeypa
     assert max(map(len, writes)) <= longest
 
 
-@pytest.mark.parametrize("command", [
+# one command of each subcommand
+COMMANDS = [
+    "construct symplectic --q 3",
     "analyze --geometry hyperoval --q 4",
     "simulate --geometry grid --s 2 --p 0.2 --trials 16",
     f"validate --file {FIXTURES}/fano.txt",
     "bounds --format json",
     "catalog",
-])
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_output_file_holds_the_stdout_bytes_but_the_last_newline(capfdbinary, tmp_path, command):
     path = tmp_path / "out.json"
     assert main([*command.split(), "--output", str(path)]) == 0
     assert capfdbinary.readouterr().out == b""
     assert main(command.split()) == 0
     sys.stdout.flush()
-    assert_same_document(path.read_bytes() + b"\n", capfdbinary.readouterr().out)
+    # stdout adds a final newline only where the document has none: the
+    # incidence text of construct already ends in one
+    final = b"" if command.startswith("construct") else b"\n"
+    assert_same_document(path.read_bytes() + final, capfdbinary.readouterr().out)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_output_file_that_cannot_be_opened_exits_5(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *command.split(), "--output", str(path))
+    assert code == 5 and out == ""
+    assert err.startswith("file error: ") and str(path) in err
+    assert not path.parent.exists()
 
 
 def test_guard_exceeded_writes_no_output_file(capsys, tmp_path):

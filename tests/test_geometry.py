@@ -454,6 +454,28 @@ def test_structure_takes_a_numpy_point_count_as_an_int():
     assert validate_pg(inc).num_points == 4
 
 
+@pytest.mark.parametrize("lines", [
+    [[0, 1], [2, 3], [0, 2], [1, 3]],
+    np.array(SQUARE),
+    list(SQUARE),
+    [np.array(line, dtype=np.int64) for line in SQUARE],
+])
+def test_structure_stores_any_sequence_of_records_as_int_tuples(lines):
+    inc = IncidenceStructure(4, lines)
+    assert inc == IncidenceStructure(4, SQUARE)
+    assert type(inc.lines) is tuple
+    assert all(type(line) is tuple and set(map(type, line)) == {int} for line in inc.lines)
+    assert hash(inc) == hash(IncidenceStructure(4, SQUARE))
+    assert validate_pg(inc).pg_class == "generalized-quadrangle"
+
+
+def test_structure_refuses_a_repeated_record_given_as_lists():
+    with pytest.raises(ValueError, match="line 1: duplicate of the line record at line 0"):
+        IncidenceStructure(4, [[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="line 2: duplicate of the line record at line 0"):
+        IncidenceStructure(4, np.array([[0, 1], [2, 3], [0, 1]]))
+
+
 def test_build_sorts_within_lines():
     inc = IncidenceStructure.build(4, [(3, 1), (0, 2)])
     assert inc.lines == ((1, 3), (0, 2))
