@@ -164,10 +164,6 @@ ESTIMATORS = ("theorem-upper-bound", "theorem-lower-bound", "exact-rank")
 
 GRID_FAMILY_KEY = "(r,2)"
 
-_SPORADIC_GQ = (
-    (2, 2), (2, 4), (3, 3), (3, 9), (3, 5), (4, 4), (4, 6), (4, 8), (4, 16),
-)
-
 _PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
@@ -192,11 +188,12 @@ def _constructible_gq(s: int, t: int) -> geometry.IncidenceStructure | None:
 def known_gq_parameters(max_z: int = 16) -> list[tuple[int, int]]:
     """Parameter pairs (s, t) of known generalized quadrangles, primal only.
 
-    Sporadic pairs plus the classical families (1, z), (q-1, q+1), (q, q),
+    The classical families (1, z) for z <= max_z and (q-1, q+1), (q, q),
     (q, q^2), (q^2, q^3) over prime powers q <= 16; duals are handled by
-    the catalog itself.
+    the catalog itself.  The nine small pairs (2, 2) to (4, 16) sometimes
+    listed apart as sporadic are all members of these families.
     """
-    pairs = set(_SPORADIC_GQ)
+    pairs = set()
     for q in _PRIME_POWERS:
         pairs.add((q - 1, q + 1))
         pairs.add((q, q))
@@ -235,21 +232,20 @@ class CatalogEntry:
         return (self.r, self.a)
 
 
-def _estimate_rate(s: int, t: int, estimator: str) -> tuple[Fraction, str]:
-    """Rate estimate for the code of a pg(s, t, 1) and the estimator used."""
-    r_val, a_val = s, t + 1
-    if estimator == "exact-rank":
-        inc = _constructible_gq(s, t)
-        if inc is not None:
-            built = code_mod.build_code(inc)
-            return Fraction(built.k, built.n), "exact-rank"
-        estimator = "theorem-upper-bound"  # not constructible here, fall back
-    if estimator == "theorem-upper-bound":
-        upper = rate_upper(r_val, a_val)
-        if upper is not None:
-            return upper, "theorem-upper-bound"
-        return rate_lower(r_val, a_val), "theorem-lower-bound"
-    return rate_lower(r_val, a_val), "theorem-lower-bound"
+def _estimate_rate(s: int, t: int, estimator: str, fits: bool) -> tuple[Fraction, str]:
+    """Rate estimate for the code of a pg(s, t, 1) and the estimator used:
+    the exact rate where asked for, the quadrangle is constructible here
+    and ``fits`` (n <= max_n: nothing is built to be rejected on length),
+    else the upper bound where it applies and the lower one is not asked
+    for, else the lower bound."""
+    inc = _constructible_gq(s, t) if estimator == "exact-rank" and fits else None
+    if inc is not None:
+        built = code_mod.build_code(inc)
+        return Fraction(built.k, built.n), "exact-rank"
+    upper = None if estimator == "theorem-lower-bound" else rate_upper(s, t + 1)
+    if upper is not None:
+        return upper, "theorem-upper-bound"
+    return rate_lower(s, t + 1), "theorem-lower-bound"
 
 
 def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
@@ -277,14 +273,10 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
         if s < 2:
             continue
         n = (s + 1) * (s * t + 1)
-        big = n > max_n
-        # never build an instance just to reject it on length
-        est = "theorem-upper-bound" if (big and estimator == "exact-rank") else estimator
-        rate_est, est_used = _estimate_rate(s, t, est)
-        low_rate = rate_est <= min_rate
-        if big:
+        rate_est, est_used = _estimate_rate(s, t, estimator, n <= max_n)
+        if n > max_n:
             exclusion = f"n = {n} exceeds max_n = {max_n}"
-        elif low_rate:
+        elif rate_est <= min_rate:
             exclusion = f"rate estimate {rate_est} is not above {min_rate}"
         else:
             exclusion = None
@@ -307,12 +299,9 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
             n=max(e.n for e in surviving),
             family_r_range=(min(e.r for e in surviving), max(e.r for e in surviving)),
         )
-    entries.append(replace(family, r=None, s=None, via_dual=True))
-
-    entries.sort(
-        key=lambda e: (e.family_r_range is None, e.r if e.r is not None else 0, e.a)
-    )
-    return entries
+    # the family leads; the rest keep the order of the sorted (s, t)
+    # pairs, which is (r, a) order
+    return [replace(family, r=None, s=None, via_dual=True), *entries]
 
 
 def surviving_keys(entries: Iterable[CatalogEntry]) -> set:

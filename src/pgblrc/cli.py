@@ -102,29 +102,19 @@ def _json_walk(obj, indent: str = ""):
 
     json's C encoder has no indented form, so ``indent=2`` falls back to
     the pure-Python encoder, which formats every int of an analyze
-    payload's repair sets one call at a time.  This walks dicts, lists and
-    tuples the same way but fills each list of plain ints, or block of
-    equal-length rows of them, into one cached ``_template``.  A piece is
-    at most one such list or block (one symbol's repair sets), so the
-    document is never held whole; an outer list of blocks is walked, not
-    flattened, for that reason.
+    payload's repair sets one call at a time.  This fills each list of
+    plain ints, or block of equal-length rows of them, into one cached
+    ``_template``, and walks any other dict, list or tuple with one loop
+    over its (key prefix, value) pairs, the prefix empty for a list.  A
+    piece is at most one such list or block (one symbol's repair sets),
+    so the document is never held whole; an outer list of blocks is
+    walked, not flattened, for that reason.
     """
     if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        inner = indent + "  "
-        opening = "{\n" + inner
-        for key, value in obj.items():
-            yield f"{opening}{json.dumps(key)}: "
-            yield from _json_walk(value, inner)
-            opening = ",\n" + inner
-        yield f"\n{indent}}}"
+        left, right = "{}"
+        pairs = ((json.dumps(key) + ": ", value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        first = obj[0]
+        first = obj[0] if obj else None
         if type(first) is int and set(map(type, obj)) == {int}:
             yield _template((len(obj),), indent) % tuple(obj)
             return
@@ -137,15 +127,21 @@ def _json_walk(obj, indent: str = ""):
                 if set(map(type, flat)) == {int}:
                     yield _template((len(obj), len(first)), indent) % flat
                     return
-        inner = indent + "  "
-        opening = "[\n" + inner
-        for value in obj:
-            yield opening
-            yield from _json_walk(value, inner)
-            opening = ",\n" + inner
-        yield f"\n{indent}]"
+        left, right = "[]"
+        pairs = zip(itertools.repeat(""), obj)
     else:
         yield json.dumps(obj)
+        return
+    if not obj:
+        yield left + right
+        return
+    inner = indent + "  "
+    opening = left + "\n" + inner
+    for prefix, value in pairs:
+        yield opening + prefix
+        yield from _json_walk(value, inner)
+        opening = ",\n" + inner
+    yield f"\n{indent}{right}"
 
 
 @functools.lru_cache(maxsize=64)

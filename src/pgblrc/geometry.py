@@ -521,7 +521,14 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
 #                               strictly increasing 0-based indices)
 
 def to_text(inc: IncidenceStructure) -> str:
-    """Canonical text form: lines sorted lexicographically, bit-exact."""
+    """Canonical text form: lines sorted lexicographically, bit-exact.
+
+    A label that ``from_text`` would not read back unchanged (empty, with
+    leading or trailing whitespace, or split by ``str.splitlines``) is a
+    ``ParameterError``: written verbatim, it would end the comment line.
+    """
+    if inc.label is not None and str(inc.label).strip().splitlines() != [inc.label]:
+        raise ParameterError(f"label {inc.label!r} cannot be written on one comment line")
     out = []
     if inc.label:
         out.append(f"# label: {inc.label}")

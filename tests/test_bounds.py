@@ -318,12 +318,16 @@ def test_catalog_filter_is_strict():
     assert (4, 3) in keys and (5, 4) in keys
 
 
-def test_catalog_is_deterministic_and_ordered():
-    first = catalog()
-    second = catalog()
+@pytest.mark.parametrize("max_n", [100, 1100])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_catalog_is_deterministic_and_ordered(estimator, max_n):
+    first = catalog(max_n=max_n, estimator=estimator)
+    second = catalog(max_n=max_n, estimator=estimator)
     assert first == second
-    keyed = [(e.r if e.r is not None else 0, e.a) for e in first]
-    assert keyed == sorted(keyed, key=lambda x: (x[0] != 0, x))
+    # the grid family leads, then the pairs in (r, a) order
+    assert first[0].t == 1 and first[0].r is None
+    keyed = [(e.r, e.a) for e in first[1:]]
+    assert keyed == sorted(set(keyed))
 
 
 def test_catalog_rejects_unknown_estimator():

@@ -334,6 +334,27 @@ def test_to_text_is_canonical_and_stable():
     assert text == to_text(from_text(text))
 
 
+WRITABLE_LABELS = [None, "x", "grid(2)", "a b", "a\tb", "a#b", "label: y", "# label: z",
+                   "géométrie — \U0001d53d"]
+# empty, padded, or split by str.splitlines: from_text would read back
+# another label, or (after a line break) another structure
+UNWRITABLE_LABELS = ["", " ", "x ", " x", "\tx", "x\n", "x\n9 6\n5 8", "a\rb", "a\r\nb",
+                     "a\u2028b", "a\x85b", "a\x0bb", "a\x1cb", 7]
+
+
+@pytest.mark.parametrize("label", WRITABLE_LABELS + UNWRITABLE_LABELS)
+def test_to_text_writes_a_label_only_if_it_reads_back_unchanged(tmp_path, label):
+    inc = IncidenceStructure(3, ((0,), (0, 1), (1,), (2,)), label=label)
+    if label in WRITABLE_LABELS:
+        assert from_text(to_text(inc)) == inc
+        return
+    with pytest.raises(ParameterError, match="cannot be written on one comment line"):
+        to_text(inc)
+    with pytest.raises(ParameterError):
+        save(inc, tmp_path / "out.txt")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_save_and_load_path_round_trip(tmp_path):
     target = tmp_path / "geometry.txt"
     inc = symplectic_gq(2)
