@@ -8,13 +8,13 @@ output columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from . import code as code_mod
-from . import geometry
+from . import algebra, geometry
 from .errors import ParameterError, _as_index
 
 __all__ = [
@@ -164,37 +164,35 @@ ESTIMATORS = ("theorem-upper-bound", "theorem-lower-bound", "exact-rank")
 
 GRID_FAMILY_KEY = "(r,2)"
 
-_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+# the values at which the catalog builds each constructor (W(q) to q = 4)
+_CATALOG_VALUES = {
+    "grid": range(1, 32), "symplectic": (2, 3, 4),
+    "elliptic": (2, 3), "hyperoval": (4, 8, 16),
+}
+# (s, t) -> (constructor, value) of the quadrangle of that order built here
+_BUILT = {geometry._CONSTRUCTORS[name][2](value): (name, value)
+          for name, values in _CATALOG_VALUES.items() for value in values}
 
 
-def _constructible_gq(s: int, t: int) -> geometry.IncidenceStructure | None:
-    """The quadrangle of order (s, t) this package builds, or None: the grids
-    up to z = 31, W(q), Q-(5, q), T2*(O) and the duals of the last two."""
-    if t == 1 and 1 <= s <= 31:
-        return geometry.grid(s)
-    if s == t and s in (2, 3, 4):
-        return geometry.symplectic_gq(s)
-    if t == s * s and s in (2, 3):
-        return geometry.elliptic_quadric_gq(s)
-    if s == t * t and t in (2, 3):
-        return geometry.dual(geometry.elliptic_quadric_gq(t))
-    if t == s + 2 and s + 1 in (4, 8, 16):
-        return geometry.hyperoval_gq(s + 1)
-    if s == t + 2 and t + 1 in (4, 8, 16):
-        return geometry.dual(geometry.hyperoval_gq(t + 1))
-    return None
+@functools.cache
+def _incidence_rank(name: str, value: int) -> int:
+    """The GF(2) incidence rank of ``name`` built at ``value``, certified."""
+    inc = geometry._CONSTRUCTORS[name][1](value)
+    geometry.validate_pg(inc)
+    lines = algebra._support_words(inc.lines, inc.num_points)
+    return len(algebra._eliminate(lines)[1])
 
 
 def known_gq_parameters(max_z: int = 16) -> list[tuple[int, int]]:
     """Parameter pairs (s, t) of known generalized quadrangles, primal only.
 
     The classical families (1, z) for z <= max_z and (q-1, q+1), (q, q),
-    (q, q^2), (q^2, q^3) over prime powers q <= 16; duals are handled by
-    the catalog itself.  The nine small pairs (2, 2) to (4, 16) sometimes
-    listed apart as sporadic are all members of these families.
+    (q, q^2), (q^2, q^3) over the supported field orders q; duals are
+    handled by the catalog itself.  The nine small pairs (2, 2) to (4, 16)
+    sometimes listed apart as sporadic are all members of these families.
     """
     pairs = set()
-    for q in _PRIME_POWERS:
+    for q in algebra.SUPPORTED_FIELD_ORDERS:
         pairs.add((q - 1, q + 1))
         pairs.add((q, q))
         pairs.add((q, q * q))
@@ -232,16 +230,16 @@ class CatalogEntry:
         return (self.r, self.a)
 
 
-def _estimate_rate(s: int, t: int, estimator: str, fits: bool) -> tuple[Fraction, str]:
-    """Rate estimate for the code of a pg(s, t, 1) and the estimator used:
-    the exact rate where asked for, the quadrangle is constructible here
-    and ``fits`` (n <= max_n: nothing is built to be rejected on length),
-    else the upper bound where it applies and the lower one is not asked
-    for, else the lower bound."""
-    inc = _constructible_gq(s, t) if estimator == "exact-rank" and fits else None
-    if inc is not None:
-        built = code_mod.build_code(inc)
-        return Fraction(built.k, built.n), "exact-rank"
+def _estimate_rate(s: int, t: int, n: int, estimator: str, max_n: int) -> tuple[Fraction, str]:
+    """Rate estimate for the length-n code of a pg(s, t, 1) and the
+    estimator used: (n - rank) / n where asked for, n <= max_n (nothing is
+    built to be rejected on length) and a quadrangle of order (s, t) or
+    (t, s) is built here, whose rank serves both, since a dual's incidence
+    matrix is its primal's transpose; else the upper bound where it applies
+    and the lower one is not asked for; else the lower bound."""
+    built = _BUILT.get((s, t), _BUILT.get((t, s)))
+    if estimator == "exact-rank" and n <= max_n and built is not None:
+        return Fraction(n - _incidence_rank(*built), n), "exact-rank"
     upper = None if estimator == "theorem-lower-bound" else rate_upper(s, t + 1)
     if upper is not None:
         return upper, "theorem-upper-bound"
@@ -273,7 +271,7 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
         if s < 2:
             continue
         n = (s + 1) * (s * t + 1)
-        rate_est, est_used = _estimate_rate(s, t, estimator, n <= max_n)
+        rate_est, est_used = _estimate_rate(s, t, n, estimator, max_n)
         if n > max_n:
             exclusion = f"n = {n} exceeds max_n = {max_n}"
         elif rate_est <= min_rate:

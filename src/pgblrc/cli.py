@@ -33,13 +33,6 @@ EXIT_VALIDATION = 3
 EXIT_GUARD = 4
 EXIT_IO = 5
 
-_CONSTRUCTORS = {
-    "grid": ("s", geometry.grid),
-    "symplectic": ("q", geometry.symplectic_gq),
-    "elliptic": ("q", geometry.elliptic_quadric_gq),
-    "hyperoval": ("q", geometry.hyperoval_gq),
-}
-
 
 class _UsageError(Exception):
     """Bad argument combination caught after parsing."""
@@ -84,10 +77,10 @@ def _parse_int_set(text: str) -> list[int]:
 
 
 def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
-    if getattr(args, "file", None):
+    if getattr(args, "file", None) is not None:
         inc = geometry.load(args.file)
     else:
-        param_name, constructor = _CONSTRUCTORS[args.geometry]
+        param_name, constructor, _ = geometry._CONSTRUCTORS[args.geometry]
         value = getattr(args, param_name)
         if value is None:
             raise _UsageError(f"constructor {args.geometry!r} needs --{param_name}")
@@ -157,7 +150,7 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
     """Write each text chunk as it comes, one write a chunk (for JSON, one
     piece from ``_json_walk``): to the ``output`` file, or to stdout with
     a final newline unless the last chunk ends with one."""
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     else:
@@ -172,7 +165,7 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
 def _add_geometry_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--file", help="read the geometry from an incidence file")
-    group.add_argument("--geometry", choices=sorted(_CONSTRUCTORS),
+    group.add_argument("--geometry", choices=sorted(geometry._CONSTRUCTORS),
                        help="build a geometry by constructor name")
     parser.add_argument("--s", type=int, help="grid side parameter")
     parser.add_argument("--q", type=int, help="field order for the quadrangles")
@@ -409,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_construct = add_parser(
         "construct", help="build a geometry and write its incidence file")
-    p_construct.add_argument("geometry", choices=sorted(_CONSTRUCTORS))
+    p_construct.add_argument("geometry", choices=sorted(geometry._CONSTRUCTORS))
     p_construct.add_argument("--s", type=int, help="grid side parameter")
     p_construct.add_argument("--q", type=int, help="field order")
     p_construct.add_argument("--dual", action="store_true")

@@ -488,6 +488,15 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
                               label=f"hyperoval-gq({q})")
 
 
+# name: (parameter, constructor, order), order(value) the (s, t) built
+_CONSTRUCTORS = {
+    "grid": ("s", grid, lambda s: (s, 1)),
+    "symplectic": ("q", symplectic_gq, lambda q: (q, q)),
+    "elliptic": ("q", elliptic_quadric_gq, lambda q: (q, q * q)),
+    "hyperoval": ("q", hyperoval_gq, lambda q: (q - 1, q + 1)),
+}
+
+
 def dual(inc: IncidenceStructure) -> IncidenceStructure:
     """Swap point and line roles: dual point i is line i, and the dual lines
     are the pencils of lines through each original point.

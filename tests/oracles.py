@@ -17,7 +17,8 @@ the availability kernel with one byte per line and case, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
 collinear pair, test every point pair through ``SmallField`` and walk
-every affine point through ``SmallField.add``.
+every affine point through ``SmallField.add``, and the catalog's exact
+rates read off a full code built on each quadrangle, dual included.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ import numpy as np
 
 from pgblrc.algebra import (BitMatrix, _bits, _pack, _set_bits, _words, rank2,
                             small_field, solve2)
+from pgblrc.code import build_code
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
-                             _require_covered)
+                             _require_covered, dual, elliptic_quadric_gq, grid,
+                             hyperoval_gq, symplectic_gq)
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     AVAILABILITY_MODELS,
@@ -1122,3 +1125,31 @@ def rate_upper_closed(r: int, a: int) -> Fraction | None:
         a * (r * r - r + 1) - (r - 1) ** 2,
         (a + r - 1) * (r * (a - 1) + 1),
     )
+
+
+# ----------------------------------------------------------------------
+# the catalog's exact rates, each from a code built on its quadrangle
+
+
+def exact_rate_by_building(s: int, t: int) -> Fraction | None:
+    """k/n of the code built on the quadrangle of order (s, t) that the
+    exact-rank catalog rates, or None where it rates none: the grids up to
+    z = 31, W(q) for q <= 4, Q-(5, q), T2*(O) and the duals of the last
+    two, each structure built (a dual through ``dual``) and made into a
+    full code by ``build_code``."""
+    if t == 1 and 1 <= s <= 31:
+        inc = grid(s)
+    elif s == t and s in (2, 3, 4):
+        inc = symplectic_gq(s)
+    elif t == s * s and s in (2, 3):
+        inc = elliptic_quadric_gq(s)
+    elif s == t * t and t in (2, 3):
+        inc = dual(elliptic_quadric_gq(t))
+    elif t == s + 2 and s + 1 in (4, 8, 16):
+        inc = hyperoval_gq(s + 1)
+    elif s == t + 2 and t + 1 in (4, 8, 16):
+        inc = dual(hyperoval_gq(t + 1))
+    else:
+        return None
+    built = build_code(inc)
+    return Fraction(built.k, built.n)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pgblrc import bounds, code, geometry
 from pgblrc.algebra import rank2
 from pgblrc.bounds import (
     CatalogEntry,
-    _constructible_gq,
     ESTIMATORS,
     GRID_FAMILY_KEY,
     bounds_table,
@@ -31,7 +31,7 @@ from pgblrc.geometry import (
     symplectic_gq,
 )
 
-from oracles import rate_lower_closed, rate_upper_closed
+from oracles import exact_rate_by_building, rate_lower_closed, rate_upper_closed
 
 F = Fraction
 
@@ -228,28 +228,82 @@ def test_known_gq_parameters_cover_the_classical_families():
 
 
 def test_constructible_quadrangles_are_pinned():
-    # every (s, t) with s >= 2 that catalog(estimator="exact-rank") builds
-    expected = {(z, 1): f"grid({z})" for z in range(2, 32)}
+    # every (s, t) with s >= 2 that catalog(estimator="exact-rank") rates
+    # exactly: the label of the primal it builds, and whether (s, t) is
+    # that primal's transpose, whose rate it reads off the same rank
+    expected = {(z, 1): (f"grid({z})", False) for z in range(2, 32)}
     expected.update({
-        (2, 2): "symplectic-gq(2)", (3, 3): "symplectic-gq(3)",
-        (4, 4): "symplectic-gq(4)",
-        (2, 4): "elliptic-quadric-gq(2)", (3, 9): "elliptic-quadric-gq(3)",
-        (4, 2): "dual(elliptic-quadric-gq(2))",
-        (9, 3): "dual(elliptic-quadric-gq(3))",
-        (3, 5): "hyperoval-gq(4)", (7, 9): "hyperoval-gq(8)",
-        (15, 17): "hyperoval-gq(16)",
-        (5, 3): "dual(hyperoval-gq(4))", (9, 7): "dual(hyperoval-gq(8))",
-        (17, 15): "dual(hyperoval-gq(16))",
+        (2, 2): ("symplectic-gq(2)", False), (3, 3): ("symplectic-gq(3)", False),
+        (4, 4): ("symplectic-gq(4)", False),
+        (2, 4): ("elliptic-quadric-gq(2)", False),
+        (3, 9): ("elliptic-quadric-gq(3)", False),
+        (4, 2): ("elliptic-quadric-gq(2)", True),
+        (9, 3): ("elliptic-quadric-gq(3)", True),
+        (3, 5): ("hyperoval-gq(4)", False), (7, 9): ("hyperoval-gq(8)", False),
+        (15, 17): ("hyperoval-gq(16)", False),
+        (5, 3): ("hyperoval-gq(4)", True), (9, 7): ("hyperoval-gq(8)", True),
+        (17, 15): ("hyperoval-gq(16)", True),
     })
-    built = {}
+    found = {}
     for s in range(2, 41):
         for t in range(1, 41):
-            inc = _constructible_gq(s, t)
-            if inc is not None:
-                assert len(inc.lines[0]) == s + 1
-                assert len(inc.lines_through[0]) == t + 1
-                built[(s, t)] = inc.label
-    assert built == expected
+            transposed = (s, t) not in bounds._BUILT
+            built = bounds._BUILT.get((t, s) if transposed else (s, t))
+            if built is not None:
+                name, value = built
+                inc = geometry._CONSTRUCTORS[name][1](value)
+                points, lines = (t, s) if transposed else (s, t)
+                assert len(inc.lines[0]) == points + 1
+                assert len(inc.lines_through[0]) == lines + 1
+                found[(s, t)] = (inc.label, transposed)
+    assert found == expected
+
+
+def test_exact_rank_entries_equal_the_rates_of_built_codes():
+    # the catalog reads a dual's rate off its primal's rank; the oracle
+    # builds the dual and its code.  Up to n = 1100 that covers the duals
+    # of elliptic(2), elliptic(3), hyperoval(4) and hyperoval(8)
+    entries = catalog(max_n=1100, estimator="exact-rank")
+    duals = set()
+    for entry in entries[1:]:
+        oracle = exact_rate_by_building(entry.s, entry.t)
+        assert (entry.estimator == "exact-rank") == (oracle is not None and entry.n <= 1100)
+        if entry.estimator == "exact-rank":
+            assert entry.rate_estimate == oracle
+            if entry.via_dual:
+                duals.add((entry.s, entry.t))
+    assert duals == {(4, 2), (9, 3), (5, 3), (9, 7)}
+    # the grid family carries its worst rate, its smallest member's
+    family = entries[0]
+    assert family.estimator == "exact-rank"
+    assert family.rate_estimate == exact_rate_by_building(family.family_r_range[0], 1)
+
+
+def test_exact_rank_catalog_builds_no_dual_and_no_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog built a dual or a code")
+
+    monkeypatch.setattr(geometry, "dual", refuse)
+    monkeypatch.setattr(code, "build_code", refuse)
+    bounds._incidence_rank.cache_clear()
+    by_key = {e.key: e for e in catalog(max_n=4700, estimator="exact-rank")}
+    assert by_key[(17, 16)].estimator == "exact-rank"
+    assert by_key[(17, 16)].rate_estimate == F(445, 768)
+
+
+@pytest.mark.parametrize("max_n, dual_exact", [(4096, False), (4607, False), (4608, True)])
+def test_exact_rank_reads_each_entrys_own_length(max_n, dual_exact):
+    # T2*(O) at q = 16 has n = 4096, its dual n = 4608: between the two,
+    # the primal is rated exactly and the dual falls back to its bound
+    by_key = {e.key: e for e in catalog(max_n=max_n, estimator="exact-rank")}
+    primal, dual_entry = by_key[(15, 18)], by_key[(17, 16)]
+    assert (primal.estimator, primal.rate_estimate) == ("exact-rank", F(1079, 2048))
+    if dual_exact:
+        assert (dual_entry.estimator, dual_entry.rate_estimate) == ("exact-rank", F(445, 768))
+        assert dual_entry.rate_estimate == F(4608 - 1938, 4608)
+    else:
+        assert dual_entry.estimator == "theorem-upper-bound"
+        assert dual_entry.rate_estimate == F(257, 512)
 
 
 def test_catalog_reproduces_the_practical_pairs():

@@ -596,6 +596,26 @@ def test_an_output_file_that_cannot_be_opened_exits_5(capsys, tmp_path, command)
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_empty_output_path_is_a_path_and_exits_5(capsys, tmp_path, monkeypatch, command):
+    # "" names no file, and is not an absent --output: nothing goes to stdout
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command.split(), "--output", "")
+    assert code == 5 and out == ""
+    assert err.startswith("file error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "simulate --p 0.1"])
+def test_an_empty_file_path_is_a_path_and_exits_5(capsys, tmp_path, monkeypatch, command):
+    # "" is read as a path, the current directory, and not taken for an
+    # absent --file that falls through to the constructors
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command.split(), "--file", "")
+    assert code == 5 and out == ""
+    assert err.startswith("file error: ")
+
+
 def test_guard_exceeded_writes_no_output_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run(capsys, "analyze", "--geometry", "grid", "--s", "2",
