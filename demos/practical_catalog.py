@@ -35,7 +35,7 @@ for entry in dropped[:3]:
 print("\nwith a tighter budget of n <= 40:")
 print(f"  {sorted(surviving_keys(catalog(max_n=40)), key=str)}")
 
-# the default estimator is the optimistic rate ceiling; measuring the
+# the default estimator is the optimistic upper value; measuring the
 # real rank instead evicts the (2, 3) quadrangle, whose actual rate
 # lands exactly on the 1/3 floor
 w2 = build_code(symplectic_gq(2))

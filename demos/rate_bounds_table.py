@@ -3,8 +3,12 @@ What rate can a code with repair degree r and alternativity a reach?
 ====================================================================
 """
 
-# For each (r, a) pair the theory pins the achievable rate between a
-# guaranteed floor and, when r + a - 1 is even, a ceiling.  This script
+# For each (r, a) pair the theory gives a guaranteed rate floor and, when
+# r + a - 1 is even, an upper value: the rate at incidence rank vartheta,
+# so a ceiling only for codes of rank >= vartheta.  W(8), W(16),
+# hyperoval(8) and hyperoval(16) fall below that rank: W(8)'s rate 287/585
+# is above the upper value 29/65 at (r, a) = (8, 9).  The floor rests on
+# the proven rank ceiling vartheta + 1, so it stays a floor.  This script
 # prints the full table as CSV (the same output as `pgblrc bounds`) and
 # then a compact matrix of the floors to show the shape: the floor rises
 # with r and falls as more repair alternatives are demanded.

@@ -73,10 +73,8 @@ def rate_lower_general(s: int, t: int, alpha: int) -> Fraction:
 
 
 def rate_upper_general(s: int, t: int, alpha: int) -> Fraction:
-    """Rate ceiling when the incidence rank is at the estimate vartheta.
-
-    Only binding when s + t + 1 - alpha is even; evaluable regardless.
-    """
+    """Rate at incidence rank vartheta, an upper value only for ranks >=
+    vartheta; evaluable whatever the parity of s + t + 1 - alpha."""
     return 1 - vartheta(s, t, alpha) / _num_points(s, t, alpha)
 
 
@@ -94,10 +92,13 @@ def rate_lower(r: int, a: int) -> Fraction:
 
 
 def rate_upper(r: int, a: int) -> Fraction | None:
-    """Rate ceiling for (r, a) pg codes: the general upper bound at
-    (s, t, alpha) = (r, a-1, 1), which is
-    (a(r^2-r+1) - (r-1)^2) / ((a+r-1)(r(a-1)+1)); None when r + a - 1 is
-    odd (the underlying rank lower bound needs even parity)."""
+    """Rate of an (r, a) pg code of incidence rank >= vartheta: the general
+    upper value at (s, t, alpha) = (r, a-1, 1), which is (a(r^2-r+1) -
+    (r-1)^2) / ((a+r-1)(r(a-1)+1)); None when r + a - 1 is odd.  It is no
+    ceiling below that rank: W(8), W(16), hyperoval(8) and hyperoval(16)
+    fall below it, and W(8)'s rate 287/585 (rank 298 < vartheta = 324)
+    exceeds rate_upper(8, 9) = 29/65.  ``rate_lower`` rests on the proven
+    rank ceiling vartheta + 1, so it stays a floor."""
     _check_ra(r, a)
     if rank_bounds(r, a - 1, 1)[0] is None:
         return None
@@ -116,7 +117,7 @@ class RateBounds:
 
     @property
     def applicable(self) -> bool:
-        """Whether the upper bound holds for these parameters."""
+        """Whether the upper value is defined: r + a - 1 is even."""
         return self.upper is not None
 
 

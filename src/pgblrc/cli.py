@@ -162,17 +162,6 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
             write("\n")
 
 
-def _add_geometry_source(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--file", help="read the geometry from an incidence file")
-    group.add_argument("--geometry", choices=sorted(geometry._CONSTRUCTORS),
-                       help="build a geometry by constructor name")
-    parser.add_argument("--s", type=int, help="grid side parameter")
-    parser.add_argument("--q", type=int, help="field order for the quadrangles")
-    parser.add_argument("--dual", action="store_true",
-                        help="swap the roles of points and lines")
-
-
 def _geometry_dict(inc: geometry.IncidenceStructure,
                    params: geometry.PgParams) -> dict:
     return {
@@ -395,28 +384,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
+    families = sorted(geometry._CONSTRUCTORS)
+    output, file_only, source, params, dual = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
     output.add_argument("--output", help="write here instead of stdout, "
                                          "without stdout's final newline")
+    file_only.add_argument("--file", required=True)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--file", help="read the geometry from an incidence file")
+    group.add_argument("--geometry", choices=families,
+                       help="build a geometry by constructor name")
+    # one --<parameter> for each parameter in the constructor table
+    for param in dict.fromkeys(row[0] for row in geometry._CONSTRUCTORS.values()):
+        takers = [name for name, row in geometry._CONSTRUCTORS.items() if row[0] == param]
+        params.add_argument(f"--{param}", type=int, help="parameter of " + ", ".join(takers))
+    dual.add_argument("--dual", action="store_true", help="swap the roles of points and lines")
     add_parser = functools.partial(sub.add_parser, parents=[output])
 
     p_construct = add_parser(
-        "construct", help="build a geometry and write its incidence file")
-    p_construct.add_argument("geometry", choices=sorted(geometry._CONSTRUCTORS))
-    p_construct.add_argument("--s", type=int, help="grid side parameter")
-    p_construct.add_argument("--q", type=int, help="field order")
-    p_construct.add_argument("--dual", action="store_true")
+        "construct", help="build a geometry and write its incidence file",
+        parents=[output, params, dual])
+    p_construct.add_argument("geometry", choices=families)
     p_construct.set_defaults(func=_cmd_construct)
 
     p_validate = add_parser(
-        "validate", help="check the partial-geometry axioms of an incidence file")
-    p_validate.add_argument("--file", required=True)
-    p_validate.add_argument("--dual", action="store_true")
+        "validate", help="check the partial-geometry axioms of an incidence file",
+        parents=[output, file_only, dual])
     p_validate.set_defaults(func=_cmd_validate)
 
     p_analyze = add_parser(
-        "analyze", help="build the code and report its repair metrics")
-    _add_geometry_source(p_analyze)
+        "analyze", help="build the code and report its repair metrics",
+        parents=[output, source, params, dual])
     p_analyze.add_argument("--exhaustive", action="store_true",
                            help="measure the repair degree by search instead "
                                 "of taking the geometric value")
@@ -429,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_simulate = add_parser(
-        "simulate", help="estimate repair success under symbol unavailability")
-    _add_geometry_source(p_simulate)
+        "simulate", help="estimate repair success under symbol unavailability",
+        parents=[output, source, params, dual])
     p_simulate.add_argument("--model", choices=repair.AVAILABILITY_MODELS,
                             default="iid")
     p_simulate.add_argument("--p", type=float,

@@ -126,6 +126,7 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
     k = n - len(pivots)
     if k == 0:
         raise DegenerateCodeError("degenerate code (full-rank incidence)")
+    # cannot fire when s is odd: sums of lines of s + 1 points have even weight
     forced = _forced_zero_symbol(reduced, pivots)
     if forced is not None:
         raise DegenerateCodeError(

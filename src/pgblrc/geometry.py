@@ -441,16 +441,15 @@ def elliptic_quadric_gq(q: int) -> IncidenceStructure:
         raise ParameterError("elliptic quadric construction supports q in {2, 3}")
     field = small_field(q)
     add, mul = field._add, field._mul
-    # x0 x1 + x2 x3 + g(x4, x5) with g anisotropic:
-    # q = 2: g = u^2 + uv + v^2; q = 3: g = u^2 + v^2 (-1 is a non-square).
-    gb = 1 if q == 2 else 0
+    # x0 x1 + x2 x3 + f(x4, x5), f(u, v) = u^2 + b uv + c v^2 anisotropic:
+    # the first (b, c) for which t^2 + b t + c has no root t in GF(q)
+    b, c = next((b, c) for b in range(q) for c in range(q)
+                if add[add[mul.diagonal(), mul[b]], c].all())
+    u, v = np.indices((q, q))
+    form = add[add[mul[u, u], mul[b, mul[u, v]]], mul[c, mul[v, v]]]
 
     def quad(x):
-        head = add[mul[x[0], x[1]], mul[x[2], x[3]]]
-        tail = add[mul[x[4], x[4]], mul[x[5], x[5]]]
-        if gb:
-            tail = add[tail, mul[x[4], x[5]]]
-        return add[head, tail]
+        return add[add[mul[x[0], x[1]], mul[x[2], x[3]]], form[x[4], x[5]]]
 
     # the points are singular, so B(u, v) = Q(u+v) - Q(u) - Q(v) = Q(u+v)
     def orthogonal(u, v):

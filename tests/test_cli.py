@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from pgblrc import __version__, cli
+from pgblrc import __version__, cli, geometry
 from pgblrc.cli import build_parser, main
+from pgblrc.geometry import grid
 
 from oracles import dumps_indented
 
@@ -421,6 +422,46 @@ def test_geometry_source_is_required(capsys):
 
 def test_parser_program_name():
     assert build_parser().prog == "pgblrc"
+
+
+def option_strings(parser, command):
+    """One subcommand's options, one long name each, in the order declared."""
+    (subparsers,) = (a for a in parser._actions if a.dest == "command")
+    return [a.option_strings[-1] for a in subparsers.choices[command]._actions
+            if a.option_strings]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("construct", ["--help", "--output", "--s", "--q", "--dual"]),
+    ("validate", ["--help", "--output", "--file", "--dual"]),
+    ("analyze", ["--help", "--output", "--file", "--geometry", "--s", "--q", "--dual",
+                 "--exhaustive", "--guard", "--format"]),
+    ("simulate", ["--help", "--output", "--file", "--geometry", "--s", "--q", "--dual",
+                  "--model", "--p", "--u", "--trials", "--seed", "--format"]),
+])
+def test_geometry_commands_keep_their_options(command, options):
+    assert option_strings(build_parser(), command) == options
+
+
+def test_a_new_family_parameter_reaches_every_geometry_command(capsys, monkeypatch):
+    # a family whose parameter the table does not have yet needs no parser edit
+    monkeypatch.setitem(geometry._CONSTRUCTORS, "toy", ("m", grid, lambda m: (m, 1)))
+    parser = build_parser()
+    for command in ("construct", "analyze", "simulate"):
+        assert "--m" in option_strings(parser, command)
+    assert option_strings(parser, "validate") == ["--help", "--output", "--file", "--dual"]
+    args = parser.parse_args(["analyze", "--geometry", "toy", "--m", "3", "--dual"])
+    assert cli._load_geometry(args).structurally_equal(geometry.dual(grid(3)))
+    for toy, known in [
+        (["construct", "toy", "--m", "2", "--dual"], ["construct", "grid", "--s", "2", "--dual"]),
+        (["analyze", "--geometry", "toy", "--m", "2", "--format", "text"],
+         ["analyze", "--geometry", "grid", "--s", "2", "--format", "text"]),
+        (["simulate", "--geometry", "toy", "--m", "2", "--p", "0.2", "--trials", "5"],
+         ["simulate", "--geometry", "grid", "--s", "2", "--p", "0.2", "--trials", "5"]),
+    ]:
+        assert run(capsys, *toy) == run(capsys, *known)
+    code, out, err = run(capsys, "construct", "toy", "--s", "2")
+    assert (code, out) == (2, "") and "constructor 'toy' needs --m" in err
 
 
 # exit 3 is kept for the package's typed errors: every parameter check a

@@ -129,6 +129,14 @@ def test_forced_zero_symbol_detector():
     assert forced_zero_symbol([(1 << 3) | (1 << 64)], 70) is None
 
 
+def test_forced_zero_symbol_on_packed_rows():
+    # reduced rows as uint64 words, little-endian, with each row's pivot
+    # column: the row of popcount 1 names its pivot, and without one, None
+    reduced = np.array([[0b0110, 0], [0b1000, 0], [0, 0b11]], dtype=np.uint64)
+    assert _forced_zero_symbol(reduced, [1, 3, 64]) == 3
+    assert _forced_zero_symbol(reduced[[0, 2]], [1, 64]) is None
+
+
 def test_code_is_immutable():
     code = build_code(grid(2))
     with pytest.raises(AttributeError):

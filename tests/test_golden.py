@@ -61,7 +61,8 @@ GOLDEN = [
      "37a8d4d8ff0c3d3c8f1a1cc02009163b696b85e4367d64d159b9b6cd0df34097"),
     ("catalog",
      "cf0081c676c921518792aa6659345156d925c1e46f4430e34e4f6e65456ff661"),
-    # builds every constructible quadrangle up to n = 640 for its exact rate
+    # builds every constructible quadrangle up to n = 640, and the grids up
+    # to grid(31) with n = 1024, for their exact rates
     ("catalog --max-n 1100 --estimator exact-rank",
      "3630298d7d4db73a128a9ab74043fd27e3285aa852f9683f011b116aeef93bac"),
     # no grid survives: the family entry carries the smallest grid's verdict
