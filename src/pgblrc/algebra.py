@@ -141,11 +141,14 @@ def _set_bits(x: int) -> list[int]:
 
 def _words(rows: Sequence[int], cols: int) -> np.ndarray:
     """Bit rows as a len(rows) x ceil(cols/64) array of little-endian
-    uint64 words: column c is bit c % 64 of word c // 64."""
-    width = (cols + 63) // 64
-    return np.frombuffer(
-        b"".join(row.to_bytes(8 * width, "little") for row in rows), dtype="<u8"
-    ).reshape(len(rows), width)
+    uint64 words: column c is bit c % 64 of word c // 64.  Each row's
+    bytes are copied into one preallocated buffer as they are made, so
+    the peak is the result and one row."""
+    size = 8 * ((cols + 63) // 64)
+    buffer = bytearray(size * len(rows))
+    for r, row in enumerate(rows):
+        buffer[r * size:(r + 1) * size] = row.to_bytes(size, "little")
+    return np.frombuffer(buffer, dtype="<u8").reshape(len(rows), size // 8)
 
 
 def _support_words(supports: Sequence[Sequence[int]], cols: int) -> np.ndarray:

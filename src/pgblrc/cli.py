@@ -76,14 +76,29 @@ def _parse_int_set(text: str) -> list[int]:
     return sorted(values)
 
 
+def _constructor_params() -> list[str]:
+    """Each parameter of the constructor table once, in table order."""
+    return list(dict.fromkeys(row[0] for row in geometry._CONSTRUCTORS.values()))
+
+
 def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
+    """The geometry that ``--file`` or the constructor names, dualized
+    with ``--dual``; a constructor parameter the source does not take is
+    a usage error rather than ignored."""
+    given = [param for param in _constructor_params() if getattr(args, param, None) is not None]
     if getattr(args, "file", None) is not None:
+        if given:
+            raise _UsageError(f"--{given[0]} does not apply to --file")
         inc = geometry.load(args.file)
     else:
         param_name, constructor, _ = geometry._CONSTRUCTORS[args.geometry]
         value = getattr(args, param_name)
         if value is None:
             raise _UsageError(f"constructor {args.geometry!r} needs --{param_name}")
+        other = [param for param in given if param != param_name]
+        if other:
+            raise _UsageError(f"constructor {args.geometry!r} takes --{param_name}, "
+                              f"not --{other[0]}")
         inc = constructor(value)
     return geometry.dual(inc) if args.dual else inc
 
@@ -395,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--geometry", choices=families,
                        help="build a geometry by constructor name")
     # one --<parameter> for each parameter in the constructor table
-    for param in dict.fromkeys(row[0] for row in geometry._CONSTRUCTORS.values()):
+    for param in _constructor_params():
         takers = [name for name, row in geometry._CONSTRUCTORS.items() if row[0] == param]
         params.add_argument(f"--{param}", type=int, help="parameter of " + ", ".join(takers))
     dual.add_argument("--dual", action="store_true", help="swap the roles of points and lines")

@@ -95,6 +95,13 @@ class BlrcCode:
         return _line_table(self)
 
     @cached_property
+    def _line_helpers(self) -> tuple:
+        """``repair._line_helpers(self)``, built once per code, by reads
+        and the geometric profile only."""
+        from .repair import _line_helpers
+        return _line_helpers(self)
+
+    @cached_property
     def _line_arrays(self) -> tuple:
         """``repair._line_arrays(self)``, built once per code, by the
         simulator only."""
@@ -150,14 +157,20 @@ def _check_coord(code: BlrcCode, i: int) -> None:
 
 def _as_bits(values: Sequence[int], expected: int, what: str) -> np.ndarray:
     """The values as a uint8 array; there must be ``expected`` of them and
-    every entry must equal 0 or 1."""
+    every entry must equal 0 or 1.  Entries with ``__index__`` (ints,
+    bools, numpy integers) are copied as bytes in one C loop; any other
+    bit, such as ``1.0``, ``Fraction(1)`` or ``np.bool_``, goes through
+    ``np.array``."""
     vals = list(values)
     if len(vals) != expected:
         raise ValueError(f"{what} must have length {expected}, got {len(vals)}")
     bad = algebra._first_non_bit(vals)
     if bad is not None:
         raise ValueError(f"{what} entries must be bits, got {vals[bad]!r}")
-    return np.array(vals, dtype=np.uint8)
+    try:
+        return np.frombuffer(bytes(vals), np.uint8)
+    except TypeError:
+        return np.array(vals, dtype=np.uint8)
 
 
 def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:
@@ -167,7 +180,7 @@ def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:
     taken as 64-bit words: one ``compress`` gathers the selected columns
     of the packed generator and one reduction XORs them.
     """
-    selected = np.compress(_as_bits(message, code.k, "message"), code._gen_words, axis=1)
+    selected = code._gen_words.compress(_as_bits(message, code.k, "message"), axis=1)
     return algebra._bits(np.bitwise_xor.reduce(selected, axis=1)[None], code.n)[0]
 
 

@@ -28,10 +28,13 @@ starts.  Either way the checks are filed in one per-symbol table
 the least-weight check whose helpers are all available, ties to the
 lowest line index.  ``_line_table`` lists every symbol's line checks in
 that order, once per code, and the executor, the geometric profile and
-the simulator all read it; the simulator counts chunks of cases, 64 to a
-``uint64`` word (``_availability_counts``), on arrays that
-``_line_arrays`` reads off the table when it first needs them.  So the
-simulator estimates the success of the executor itself.
+the simulator all read it.  ``_line_helpers`` keeps the helper sets of
+those checks beside it, built on the first read or geometric profile, so
+a read tests each check with one disjointness test; the simulator counts
+chunks of cases, 64 to a ``uint64`` word (``_availability_counts``), on
+arrays that ``_line_arrays`` reads off the table when it first needs
+them, and never builds the helper sets.  So the simulator estimates the
+success of the executor itself.
 """
 
 from __future__ import annotations
@@ -132,6 +135,13 @@ def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
     weight = list(map(len, lines)).__getitem__
     return tuple(tuple(map(vectors.__getitem__, sorted(pencil, key=weight)))
                  for pencil in code.geometry.lines_through)
+
+
+def _line_helpers(code: BlrcCode) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every symbol's helper sets, row i holding ``v.helpers(i)`` for each
+    check v in row i of the line table, in the same order; the code keeps
+    it, for reads and the geometric profile."""
+    return tuple(tuple(v.helpers(i) for v in row) for i, row in enumerate(code._line_table))
 
 
 def _line_arrays(code: BlrcCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,9 +421,14 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
     per_a = tuple(len(c) for c in checks)
     # the line helper sets through a point are pairwise disjoint and
     # nonempty, so each needs its own hitter
-    per_delta = per_a if mode == "geometric" else tuple(
-        len(minimum_hitting_set(_helper_sets(i, c))) for i, c in enumerate(checks))
-    repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
+    if mode == "geometric":
+        per_delta = per_a
+        # a full-length slice of a row is the row itself, so nothing is copied
+        repair_sets = tuple(row[:a] for row, a in zip(code._line_helpers, per_a))
+    else:
+        per_delta = tuple(len(minimum_hitting_set(_helper_sets(i, c)))
+                          for i, c in enumerate(checks))
+        repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
     return RepairProfile(
         mode=mode,
         n=n,
@@ -432,19 +447,20 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
 # repair execution: one rule for the executor and the simulator
 
 def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None = None
-                  ) -> Sequence[RepairVector]:
-    """The checks covering i in the order a repair tries them
-    (``_repair_key``): by default its row of the line table (see
-    ``_line_table``), else the given vectors sorted."""
+                  ) -> Iterable[tuple[RepairVector, tuple[int, ...]]]:
+    """The (check, helpers) pairs covering i in the order a repair tries
+    them (``_repair_key``): by default its rows of the line table and the
+    helper table (see ``_line_helpers``), else the given vectors sorted.
+    Given vectors are checked here, before anything is read."""
     if vectors is None:
-        return code._line_table[i]
+        return zip(code._line_table[i], code._line_helpers[i])
     candidates = [v for v in vectors if i in v.support]
     for v in candidates:
         if (len(set(v.support)) != v.weight
                 or not all(0 <= c < code.n for c in v.support)
                 or _xor_cols(code.gen_cols, v.support)):
             raise ValueError(f"support {v.support} is not a dual codeword of this code")
-    return sorted(candidates, key=_repair_key)
+    return [(v, v.helpers(i)) for v in sorted(candidates, key=_repair_key)]
 
 
 @dataclass(frozen=True)
@@ -467,8 +483,11 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     (for example from ``omega_r``) to widen the search.  The executor
     takes the first check in ``_repair_order`` (least weight, then lowest
     line index) whose helpers are all available and present, the rule
-    ``simulate_availability`` counts; it reads only symbol i and the
-    helpers of the checks it tries, and the helpers it XORs must be bits.
+    ``simulate_availability`` counts.  A check is tested with one
+    disjointness test against ``unavailable``, and only a check that
+    passes has its helpers read; an erased (None) helper moves the read
+    on to the next check.  So it reads only symbol i and the helpers of
+    the checks it tries, and the helpers it XORs must be bits.
     A given vector covering i must be a dual codeword: distinct
     coordinates whose generator columns XOR to zero.  One that is not
     raises ValueError before any symbol is read.
@@ -480,13 +499,13 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     unavailable = set(unavailable)
     if received[i] is not None and i not in unavailable:
         raise ValueError(f"symbol {i} is present and available; nothing to repair")
-    for v in order:
-        helpers = v.helpers(i)
-        if all(j not in unavailable and received[j] is not None for j in helpers):
-            break
+    for v, helpers in order:
+        if unavailable.isdisjoint(helpers):
+            values = [received[j] for j in helpers]
+            if not any(x is None for x in values):
+                break
     else:
         raise NotLocallyRepairableError("not locally repairable under this availability")
-    values = [received[j] for j in helpers]
     bad = _first_non_bit(values)
     if bad is not None:
         raise ValueError(f"received entries must be bits, got {values[bad]!r} "

@@ -11,7 +11,8 @@ column-sweep elimination, the big-int elimination on mirrored rows
 with back-substitution, the bit-by-bit transpose, encoder and
 message read-out, the encoder that XORs big-int generator rows at the
 message's set bits, the symbol-by-symbol dual-support search, the
-subset-by-subset MDS test, the whole-word repair scan, the
+geometric repair sets built one ``helpers`` call per (symbol, line),
+the subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
 the availability kernel with one byte per line and case, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
@@ -644,6 +645,24 @@ def repair_profile_per_symbol(code, r: int | None = None) -> RepairProfile:
             tuple(v.helpers(i) for v in vecs) for i, vecs in enumerate(per_vectors)
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# the geometric repair sets that the helper table replaced: one
+# ``RepairVector.helpers`` call per (symbol, line), on every profile
+
+
+def geometric_repair_sets_by_helpers(code, r: int | None = None) -> tuple:
+    """The geometric profile's repair sets: for each symbol i, the helpers
+    of the lines through i of weight at most r+1 (r defaults to s), in
+    (weight, line index) order, each from its own ``helpers(i)`` call."""
+    lines = code.geometry.lines
+    max_weight = (code.pg.s if r is None else r) + 1
+    return tuple(
+        tuple(RepairVector(lines[ln], line=ln).helpers(i)
+              for ln in sorted(pencil, key=lambda ln: (len(lines[ln]), ln))
+              if len(lines[ln]) <= max_weight)
+        for i, pencil in enumerate(code.geometry.lines_through))
 
 
 # ----------------------------------------------------------------------

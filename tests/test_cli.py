@@ -82,6 +82,20 @@ def test_construct_missing_parameter(capsys):
     assert "needs --s" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "grid", "--s", "1", "--q", "7"], "constructor 'grid' takes --s, not --q"),
+    (["analyze", "--geometry", "hyperoval", "--q", "4", "--s", "3"],
+     "constructor 'hyperoval' takes --q, not --s"),
+    (["analyze", "--file", f"{FIXTURES}/fano.txt", "--q", "7"], "--q does not apply to --file"),
+    (["simulate", "--file", f"{FIXTURES}/fano.txt", "--s", "2", "--p", "0.1"],
+     "--s does not apply to --file"),
+])
+def test_a_parameter_the_source_does_not_take_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_construct_unsupported_order(capsys):
     code, _, err = run(capsys, "construct", "hyperoval", "--q", "5")
     assert code == 3
@@ -237,6 +251,9 @@ def test_analyze_file_source_with_dual(capsys, tmp_path):
     geo = json.loads(out)["geometry"]
     assert (geo["s"], geo["t"]) == (4, 2)
     assert (geo["num_points"], geo["num_lines"]) == (45, 27)
+    # --dual applies to a file; the constructor's --q does not
+    code, out, err = run(capsys, "analyze", "--file", path, "--dual", "--q", "2")
+    assert (code, out) == (2, "") and "--q does not apply to --file" in err
 
 
 def test_analyze_degenerate_code(capsys):

@@ -221,6 +221,25 @@ def test_entries_that_only_truncate_to_bits_are_refused(bad):
     assert BitMatrix.from_rows([[True, np.uint8(0), 1.0, np.int64(1)]]).data == (0b1101,)
 
 
+def test_encode_accepts_a_bit_of_any_type_and_refuses_the_rest():
+    # ints, bools and numpy integers are copied as bytes; 1.0, Fraction(1)
+    # and np.bool_, which has no __index__, take the array route
+    code = build_code(grid(2))
+    want = encode(code, [1, 0, 1, 1]).tolist()
+    for message in ([True, False, True, True],
+                    np.array([1, 0, 1, 1], dtype=np.uint8),
+                    [np.int64(1), np.int64(0), np.int64(1), 1],
+                    [np.bool_(True), np.bool_(False), 1, np.bool_(True)],
+                    [1.0, 0.0, 1, 1],
+                    [Fraction(1), 0, Fraction(1), 1]):
+        word = encode(code, message)
+        assert word.dtype == np.uint8 and word.tolist() == want
+    for bad in (2, 0.5, None, "1"):
+        with pytest.raises(ValueError,
+                           match=f"message entries must be bits, got {re.escape(repr(bad))}$"):
+            encode(code, [1, 0, bad, 1])
+
+
 def test_every_codeword_satisfies_every_incidence_row():
     # walk the whole 16-word code of grid(2)
     code = build_code(grid(2))

@@ -87,6 +87,7 @@ from oracles import (
     elliptic_quadric_gq_by_spans,
     encode_bitwise,
     encode_by_int_rows,
+    geometric_repair_sets_by_helpers,
     hyperoval_gq_by_steps,
     independent_row_indices_greedy,
     is_mds_scan,
@@ -702,14 +703,54 @@ def test_the_line_table_is_built_once_per_code(monkeypatch):
     assert array_builds == [code]
 
 
+def test_the_helper_table_is_built_once_per_code_by_reads_and_the_geometric_profile(
+        monkeypatch):
+    builds = []
+    build = repair._line_helpers
+    monkeypatch.setattr(repair, "_line_helpers", lambda code: builds.append(code) or build(code))
+    code = build_code(grid(3))
+    repair_profile(code)  # the exhaustive profile reads the census instead
+    line_repair_sets(code, 1)
+    blocking_set(code, 2, code.pg.s, mode="geometric")
+    simulate_availability(code, model="iid", p=0.3, trials=50)
+    simulate_availability(code, model="adversarial", u=2)
+    received = encode(code, [0] * code.k).tolist()
+    received[0] = None
+    # given vectors take their helpers per read, not from the table
+    repair_symbol(code, received, 0, vectors=omega_r(code, 0, code.pg.s))
+    assert builds == [] and "_line_helpers" not in vars(code)
+    repair_symbol(code, received, 0)
+    repair_symbol(code, received, 0, unavailable={1})
+    repair_profile(code, mode="geometric")
+    repair_profile(code, mode="geometric", r=1)
+    assert builds == [code]
+
+
+@pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])
+def test_geometric_repair_sets_match_one_helpers_call_per_line(name):
+    code = ladder_code(name) if name in LADDER else mixed_weight_code()
+    s = code.pg.s
+    for r in (None, 0, s - 1, s, s + 2):
+        assert (repair_profile(code, mode="geometric", r=r).repair_sets
+                == geometric_repair_sets_by_helpers(code, r)), r
+    # from r = s up every line is light enough, and the profile hands out
+    # the table's own rows, with nothing copied
+    for r in (None, s, s + 2):
+        sets = repair_profile(code, mode="geometric", r=r).repair_sets
+        assert all(row is kept for row, kept in zip(sets, code._line_helpers, strict=True))
+
+
 @pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])
 def test_given_lines_are_tried_in_the_line_table_order(name):
     # one key orders the table the code keeps and the vectors a caller
-    # gives, whatever order they come in
+    # gives, whatever order they come in, each with the helpers the
+    # code's helper table keeps for it
     code = ladder_code(name) if name in LADDER else mixed_weight_code()
     lines = [RepairVector(line, line=ln) for ln, line in enumerate(code.geometry.lines)]
     for i in range(code.n):
-        assert tuple(repair._repair_order(code, i, lines[::-1])) == code._line_table[i]
+        assert (tuple(repair._repair_order(code, i, lines[::-1]))
+                == tuple(repair._repair_order(code, i))
+                == tuple(zip(code._line_table[i], code._line_helpers[i])))
 
 
 def test_generator_columns_are_read_off_the_generator_on_first_use():
