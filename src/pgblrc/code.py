@@ -83,8 +83,12 @@ class BlrcCode:
         """The generator packed as a read-only ceil(n/64) x k array of
         uint64 words, column j holding row j, so that the rows a message
         selects are one ``compress`` along a contiguous axis; built on
-        first use by ``encode``."""
-        words = np.ascontiguousarray(algebra._words(self.generator.data, self.n).T)
+        first use by ``encode``, 64 rows at a time, so the row-major
+        packing is never held whole."""
+        rows, n = self.generator.data, self.n
+        words = np.empty(((n + 63) // 64, len(rows)), dtype=np.uint64)
+        for lo in range(0, len(rows), 64):
+            words[:, lo:lo + 64] = algebra._words(rows[lo:lo + 64], n).T
         words.flags.writeable = False
         return words
 

@@ -43,7 +43,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -127,14 +127,12 @@ def _file(n: int, vectors: Iterable[RepairVector]) -> list[list[RepairVector]]:
 
 
 def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
-    """Every symbol's line checks in repair order (``_repair_key``), one
-    row per symbol: its pencil, which lists the lines by index, stable-
-    sorted by weight, with one vector per line; the code keeps it."""
-    lines = code.geometry.lines
-    vectors = [RepairVector(line, line=ln) for ln, line in enumerate(lines)]
-    weight = list(map(len, lines)).__getitem__
-    return tuple(tuple(map(vectors.__getitem__, sorted(pencil, key=weight)))
-                 for pencil in code.geometry.lines_through)
+    """Every symbol's line checks in repair order, one row per symbol: one
+    vector per line, sorted once by ``_repair_key`` and filed under each
+    of its points (``_file``); the code keeps it."""
+    vectors = sorted((RepairVector(line, line=ln)
+                      for ln, line in enumerate(code.geometry.lines)), key=_repair_key)
+    return tuple(map(tuple, _file(code.n, vectors)))
 
 
 def _line_helpers(code: BlrcCode) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -199,11 +197,14 @@ def _dual_census(code: BlrcCode, max_weight: int,
     large ones enumerated and joined against the table, and a pair kept
     only when max(A) < min(B); each support is then found exactly once.
     The work, counted in half-supports, is checked against ``guard``
-    before anything is enumerated; it also bounds the table's size.
+    before anything is enumerated; it also bounds the table's size.  A
+    negative guard is refused with ``ParameterError``.
     """
-    n = code.n
+    n, guard = code.n, _as_index(guard, "guard")
+    if guard < 0:
+        raise ParameterError(f"guard must be non-negative, got {guard}")
     work = _census_work(n, max_weight)
-    if work > _as_index(guard, "guard"):
+    if work > guard:
         raise GuardExceededError(
             f"the census of dual codewords of weight <= {max_weight} on "
             f"n = {n} symbols needs {work} half-supports, over the search "
@@ -406,10 +407,14 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
     n = code.n
     s = code.pg.s
     if mode == "geometric":
-        # every line through i repairs it from its other s points
+        # every line through i repairs it from its other s points, and the
+        # line helper sets through a point are pairwise disjoint and
+        # nonempty, so each needs its own hitter
         per_r = (s,) * n
         overall_r = s if r is None else r
-        checks = _checks(code, mode, overall_r + 1, guard)
+        per_a = per_delta = tuple(map(len, _checks(code, mode, overall_r + 1, guard)))
+        # a full-length slice of a row is the row itself, so nothing is copied
+        repair_sets = tuple(row[:a] for row, a in zip(code._line_helpers, per_a))
     else:
         checks = _checks(code, mode, (s if r is None else max(s, r)) + 1, guard)
         if any(not c or c[0].weight > s + 1 for c in checks):
@@ -418,14 +423,7 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         per_r = tuple(c[0].weight - 1 for c in checks)
         overall_r = max(per_r) if r is None else r
         checks = [[v for v in c if v.weight <= overall_r + 1] for c in checks]
-    per_a = tuple(len(c) for c in checks)
-    # the line helper sets through a point are pairwise disjoint and
-    # nonempty, so each needs its own hitter
-    if mode == "geometric":
-        per_delta = per_a
-        # a full-length slice of a row is the row itself, so nothing is copied
-        repair_sets = tuple(row[:a] for row, a in zip(code._line_helpers, per_a))
-    else:
+        per_a = tuple(map(len, checks))
         per_delta = tuple(len(minimum_hitting_set(_helper_sets(i, c)))
                           for i, c in enumerate(checks))
         repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
@@ -535,19 +533,12 @@ class AvailabilityReport:
     mean_retrieved: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "model": self.model,
-            "parameter": self.parameter,
-            "seed": self.seed,
-            "cases": self.cases,
-            "coverage": self.coverage,
-            "per_symbol_success": list(self.per_symbol_success),
-            "per_symbol_mean_retrieved": list(self.per_symbol_mean_retrieved),
-            "overall_success": self.overall_success,
-            "all_symbols_success": self.all_symbols_success,
-            "mean_retrieved": self.mean_retrieved,
-        }
+        """Schema version 1: the fields in order, with lists for tuples."""
+        doc = {"schema_version": 1}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            doc[field.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     def to_csv(self) -> str:
         out = ["symbol,success_rate,mean_retrieved"]

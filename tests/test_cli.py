@@ -242,6 +242,18 @@ def test_analyze_guard_exceeded(capsys):
     assert "search guard of 1;" in err
 
 
+def test_analyze_negative_guard_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "analyze", "--geometry", "grid", "--s", "2",
+                         "--exhaustive", "--guard", "-5")
+    assert (code, out) == (3, "")
+    assert "guard must be non-negative, got -5" in err
+    assert "guard exceeded" not in err
+    # geometric mode takes no census, so the guard is not read
+    code, out, err = run(capsys, "analyze", "--geometry", "grid", "--s", "2",
+                         "--guard", "-5")
+    assert code == 0 and json.loads(out)["metrics"]["mode"] == "geometric"
+
+
 def test_analyze_file_source_with_dual(capsys, tmp_path):
     path = str(tmp_path / "e2.txt")
     assert run(capsys, "construct", "elliptic", "--q", "2",

@@ -106,6 +106,7 @@ from oracles import (
     trial_rng,
     validate_pg_pairwise,
 )
+from test_geometry import latin_square_net
 from test_repair import unbalanced_code
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -738,6 +739,29 @@ def test_geometric_repair_sets_match_one_helpers_call_per_line(name):
     for r in (None, s, s + 2):
         sets = repair_profile(code, mode="geometric", r=r).repair_sets
         assert all(row is kept for row, kept in zip(sets, code._line_helpers, strict=True))
+
+
+LINE_TABLE_CODES = {
+    **{name: (lambda name=name: ladder_code(name)) for name in LADDER},
+    **{f"dual({name})": (lambda name=name: build_code(dual(ladder(name)))) for name in LADDER},
+    "fano": lambda: build_code(load(FIXTURES / "fano.txt")),
+    "net4": lambda: build_code(latin_square_net(4)),
+    "net5": lambda: build_code(latin_square_net(5)),
+    "mixed_weight": mixed_weight_code,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_TABLE_CODES))
+def test_the_line_table_lists_the_lines_through_each_symbol_by_length_then_index(name):
+    # the order is spelled out here, not read off the repair key
+    code = LINE_TABLE_CODES[name]()
+    lines = code.geometry.lines
+    assert len(code._line_table) == code.n
+    for i, row in enumerate(code._line_table):
+        through = sorted((ln for ln, line in enumerate(lines) if i in line),
+                         key=lambda ln: (len(lines[ln]), ln))
+        assert [v.line for v in row] == through, i
+        assert all(v.support == lines[v.line] for v in row)
 
 
 @pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])

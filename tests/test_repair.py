@@ -152,6 +152,17 @@ def test_repair_degree_sees_sub_line_checks():
     assert repair_profile(code, mode="geometric").per_symbol_r[0] == code.pg.s == 1
 
 
+def test_geometric_mode_ignores_the_guard():
+    code = make_code("grid2")
+    assert (repair_profile(code, mode="geometric", guard=-5)
+            == repair_profile(code, mode="geometric"))
+    assert (blocking_set(code, 0, 2, mode="geometric", guard=-1)
+            == blocking_set(code, 0, 2, mode="geometric"))
+    # a guard of 0 is a bound, and every census exceeds it
+    with pytest.raises(GuardExceededError, match="search guard of 0;"):
+        omega_r(code, 0, 2, guard=0)
+
+
 def test_repair_degree_validation():
     code = make_code("grid2")
     with pytest.raises(ValueError, match="out of range"):
@@ -208,6 +219,10 @@ def test_negative_repair_degree_bound_is_rejected(mode):
      "guard must be an integer, got 'x'"),
     (lambda code: omega_r(code, 0, 2, guard=2.5), "guard must be an integer, got 2.5"),
     (lambda code: blocking_set(code, 0, 2, guard=None), "guard must be an integer, got None"),
+    # a negative guard is refused before the census work is compared
+    (lambda code: omega_r(code, 0, 2, guard=-1), "guard must be non-negative, got -1"),
+    (lambda code: blocking_set(code, 0, 2, guard=-1), "guard must be non-negative, got -1"),
+    (lambda code: repair_profile(code, guard=-5), "guard must be non-negative, got -5"),
 ], ids=["omega_r", "line_repair_sets", "repair_symbol", "reconstruct", "repair_profile",
         "blocking_set", "degree_bound", "vartheta", "rank_bounds",
         "reconstruct_float", "reconstruct_str", "repair_profile_float_r", "omega_r_float_r",
@@ -215,7 +230,8 @@ def test_negative_repair_degree_bound_is_rejected(mode):
         "grid_float", "grid_str", "symplectic_float", "elliptic_float", "hyperoval_float",
         "small_field_float", "field_element_float", "field_element_str",
         "field_element_none", "catalog_float", "catalog_str", "repair_profile_str_guard",
-        "omega_r_float_guard", "blocking_set_none_guard"])
+        "omega_r_float_guard", "blocking_set_none_guard", "omega_r_negative_guard",
+        "blocking_set_negative_guard", "repair_profile_negative_guard"])
 def test_out_of_range_arguments_raise_parameter_error(call, message):
     with pytest.raises(ParameterError, match=message):
         call(make_code("grid2"))
@@ -636,6 +652,35 @@ def test_simulation_report_formats():
     assert doc["schema_version"] == 1
     assert doc["model"] == "adversarial" and doc["parameter"] == 2
     assert doc["coverage"] == "exhaustive"
+
+
+# schema version 1 of the availability report, written out here so that a
+# field added to the report changes this list on purpose, not silently
+REPORT_KEYS_V1 = [
+    "schema_version", "model", "parameter", "seed", "cases", "coverage",
+    "per_symbol_success", "per_symbol_mean_retrieved", "overall_success",
+    "all_symbols_success", "mean_retrieved",
+]
+
+
+def test_simulation_report_json_has_the_schema_v1_keys():
+    grid2 = make_code("grid2")
+    reports = [
+        simulate_availability(grid2, model="iid", p=0.2, trials=64, seed=3),
+        simulate_availability(grid2, model="adversarial", u=2),
+        simulate_availability(build_code(symplectic_gq(3)), model="adversarial",
+                              u=5, trials=64, seed=5),
+    ]
+    assert [(rep.model, rep.coverage) for rep in reports] == [
+        ("iid", "sampled"), ("adversarial", "exhaustive"), ("adversarial", "sampled")]
+    for rep in reports:
+        doc = rep.to_json_dict()
+        assert list(doc) == REPORT_KEYS_V1
+        assert doc["schema_version"] == 1
+        for key in ("per_symbol_success", "per_symbol_mean_retrieved"):
+            assert type(doc[key]) is list and doc[key] == list(getattr(rep, key))
+        assert not any(isinstance(value, (tuple, np.ndarray)) for value in doc.values())
+        assert doc["cases"] == rep.cases and doc["overall_success"] == rep.overall_success
 
 
 def test_simulation_validation():
