@@ -16,6 +16,7 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -67,13 +68,13 @@ class BitMatrix:
                 width = len(entries)
             elif len(entries) != width:
                 raise ValueError("rows have inconsistent lengths")
-            bad = _first_non_bit(entries)
-            if bad is not None:
-                raise ValueError(f"matrix entry {entries[bad]!r} is not a bit")
-            packed.append(entries)
+            raw = _bit_bytes(entries)
+            if isinstance(raw, int):
+                raise ValueError(f"matrix entry {entries[raw]!r} is not a bit")
+            packed.append(raw)
         if width is None:
             raise ValueError("cannot infer column count from an empty row iterable")
-        bits = np.array(packed, dtype=np.uint8).reshape(len(packed), width)
+        bits = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), width)
         return cls(len(packed), width, tuple(_pack(bits)))
 
     @classmethod
@@ -105,26 +106,58 @@ class BitMatrix:
 # packed one way, as uint64 words (``_words``), and supports are
 # scattered straight into the same words (``_support_words``); arrays of
 # bits are unpacked from the words (``_bits``) and packed back with ``_pack``.
-# A caller's bits are accepted by one rule, ``_first_non_bit``: an entry
-# equal to 0 or 1, of any type, is a bit, and no other entry is.
+# A caller's bits are accepted by one rule: an entry is a bit when it
+# equals 0 or 1, of any type (``1.0``, ``Fraction(1)``, ``np.bool_``), or
+# when it has ``__index__`` and its index is 0 or 1, and no other entry
+# is.  The index clause is the contract ``errors._as_index`` sets for
+# coordinates and seeds; it makes a 0-d integer array and an object with
+# only ``__index__`` bits, which equality alone refused (as unhashable,
+# or unequal to 1).  ``_bit_bytes`` applies the rule in one C pass when
+# every entry has an index; ``_first_non_bit`` judges the entries only
+# when that pass refuses, and names the first entry that is no bit.
 
 _BITS = frozenset((0, 1))
 
 
-def _first_non_bit(values: Sequence) -> int | None:
-    """Index of the first entry that does not equal 0 or 1, or None when
-    every entry does.  An unhashable entry is no bit."""
+def _bit_bytes(values: list) -> bytes | int:
+    """A list's entries as bytes, 0 or 1 each, when every entry is a bit;
+    otherwise the index of the first entry that is not.  The list is
+    converted before it is checked: ``bytes`` applies ``operator.index``
+    and the range 0..255 to every entry, and one ``translate`` finds any
+    byte above 1.  Entries without an index go through ``np.array``."""
     try:
-        if _BITS.issuperset(values):  # the common case, in one C loop
+        raw = bytes(values)
+    except (TypeError, ValueError):  # an entry without an index, or out of range
+        pass
+    else:
+        if not raw.translate(None, b"\x00\x01"):
+            return raw
+    bad = _first_non_bit(values)
+    if bad is not None:
+        return bad
+    return np.array(values, dtype=np.uint8).tobytes()
+
+
+def _first_non_bit(values: Sequence) -> int | None:
+    """Index of the first entry that is no bit, or None when every entry
+    is one."""
+    try:
+        if _BITS.issuperset(values):  # every entry equals 0 or 1, in one C loop
             return None
-    except TypeError:  # an unhashable entry, which the scan finds
+    except TypeError:  # an unhashable entry, which the scan judges
         pass
     for j, v in enumerate(values):
         try:
-            if v not in _BITS:
-                return j
+            if v in _BITS:
+                continue
         except TypeError:  # unhashable
-            return j
+            pass
+        try:
+            if operator.index(v) in _BITS:
+                continue
+        except TypeError:  # no index
+            pass
+        return j
     return None
 
 

@@ -161,20 +161,16 @@ def _check_coord(code: BlrcCode, i: int) -> None:
 
 def _as_bits(values: Sequence[int], expected: int, what: str) -> np.ndarray:
     """The values as a uint8 array; there must be ``expected`` of them and
-    every entry must equal 0 or 1.  Entries with ``__index__`` (ints,
-    bools, numpy integers) are copied as bytes in one C loop; any other
-    bit, such as ``1.0``, ``Fraction(1)`` or ``np.bool_``, goes through
-    ``np.array``."""
-    vals = list(values)
+    every entry must be a bit by the rule of ``algebra._bit_bytes``.  A
+    list is read as it is; any other sequence is copied to one first (an
+    int64 array handed to ``bytes`` would give 8 bytes per entry)."""
+    vals = values if type(values) is list else list(values)
     if len(vals) != expected:
         raise ValueError(f"{what} must have length {expected}, got {len(vals)}")
-    bad = algebra._first_non_bit(vals)
-    if bad is not None:
-        raise ValueError(f"{what} entries must be bits, got {vals[bad]!r}")
-    try:
-        return np.frombuffer(bytes(vals), np.uint8)
-    except TypeError:
-        return np.array(vals, dtype=np.uint8)
+    bits = algebra._bit_bytes(vals)
+    if isinstance(bits, int):
+        raise ValueError(f"{what} entries must be bits, got {vals[bits]!r}")
+    return np.frombuffer(bits, np.uint8)
 
 
 def encode(code: BlrcCode, message: Sequence[int]) -> np.ndarray:

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _first_non_bit
+from .algebra import _bit_bytes
 from .code import BlrcCode, _check_coord
 from .errors import (DegenerateCodeError, GuardExceededError,
                      NotLocallyRepairableError, ParameterError, _as_index)
@@ -504,14 +504,11 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
                 break
     else:
         raise NotLocallyRepairableError("not locally repairable under this availability")
-    bad = _first_non_bit(values)
-    if bad is not None:
-        raise ValueError(f"received entries must be bits, got {values[bad]!r} "
-                         f"at coordinate {helpers[bad]}")
-    value = 0
-    for bit in values:
-        value ^= int(bit)
-    return RepairOutcome(value=value, vector=v, retrieved=len(helpers))
+    bits = _bit_bytes(values)
+    if isinstance(bits, int):
+        raise ValueError(f"received entries must be bits, got {values[bits]!r} "
+                         f"at coordinate {helpers[bits]}")
+    return RepairOutcome(value=bits.count(1) & 1, vector=v, retrieved=len(helpers))
 
 
 # ----------------------------------------------------------------------

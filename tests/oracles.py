@@ -9,8 +9,10 @@ pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
 column-sweep elimination, the big-int elimination on mirrored rows
 with back-substitution, the bit-by-bit transpose, encoder and
-message read-out, the encoder that XORs big-int generator rows at the
-message's set bits, the symbol-by-symbol dual-support search, the
+message read-out, the bit check that tests each entry for equality
+with 0 or 1 before the message is converted, the encoder that XORs
+big-int generator rows at the message's set bits, the
+symbol-by-symbol dual-support search, the
 geometric repair sets built one ``helpers`` call per (symbol, line),
 the subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
@@ -508,6 +510,30 @@ def transpose_bitwise(m: BitMatrix) -> BitMatrix:
 def bits_to_array(bits: int, length: int) -> np.ndarray:
     """Bit j of ``bits`` as entry j of a uint8 array, one bit at a time."""
     return np.array([(bits >> j) & 1 for j in range(length)], dtype=np.uint8)
+
+
+_BITS = frozenset((0, 1))
+
+
+def as_bits_checked_first(values: Sequence[int], expected: int, what: str) -> np.ndarray:
+    """The values as a uint8 array, checked before they are converted:
+    every entry must equal 0 or 1 (an unhashable entry is no bit), and
+    only then are they copied as bytes, or through ``np.array`` when some
+    entry has no ``__index__``."""
+    vals = list(values)
+    if len(vals) != expected:
+        raise ValueError(f"{what} must have length {expected}, got {len(vals)}")
+    for v in vals:
+        try:
+            is_bit = v in _BITS
+        except TypeError:  # unhashable
+            is_bit = False
+        if not is_bit:
+            raise ValueError(f"{what} entries must be bits, got {v!r}")
+    try:
+        return np.frombuffer(bytes(vals), np.uint8)
+    except TypeError:
+        return np.array(vals, dtype=np.uint8)
 
 
 def encode_bitwise(code, message: Sequence[int]) -> np.ndarray:

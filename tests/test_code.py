@@ -33,7 +33,7 @@ from pgblrc.geometry import (
 )
 from pgblrc.repair import line_repair_sets, repair_symbol
 
-from oracles import np_rank2
+from oracles import as_bits_checked_first, np_rank2
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -238,6 +238,51 @@ def test_encode_accepts_a_bit_of_any_type_and_refuses_the_rest():
         with pytest.raises(ValueError,
                            match=f"message entries must be bits, got {re.escape(repr(bad))}$"):
             encode(code, [1, 0, bad, 1])
+
+
+class OnlyIndex:
+    """An object whose one numeric method is ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"OnlyIndex({self.value})"
+
+
+def test_an_entry_whose_index_is_0_or_1_is_a_bit():
+    # a 0-d integer array and an object with only __index__ are bits when
+    # their index is 0 or 1, as coordinates and seeds are read by theirs;
+    # the check-first rule refused both, as unhashable or unequal to 1
+    code = build_code(grid(2))
+    want = encode(code, [1, 0, 1, 1]).tolist()
+    helper = line_repair_sets(code, 0)[0].helpers(0)[0]
+    for one in (np.array(1), OnlyIndex(1)):
+        with pytest.raises(ValueError, match="must be bits"):
+            as_bits_checked_first([one, 0, 1, 1], code.k, "message")
+        # alone among ints, and beside 1.0, which sends the entries through np.array
+        for message in ([one, 0, 1, 1], [one, np.array(0), 1.0, OnlyIndex(1)]):
+            assert encode(code, message).tolist() == want
+            assert reconstruct(code, code.info_set, message).tolist() == [1, 0, 1, 1]
+            assert BitMatrix.from_rows([message]).data == (0b1101,)
+        received = list(want)
+        received[0], received[helper] = None, 1
+        value = repair_symbol(code, received, 0).value
+        received[helper] = one
+        assert repair_symbol(code, received, 0).value == value
+    for two in (np.array(2), OnlyIndex(2)):
+        got = re.escape(repr(two))
+        for message in ([1, 0, two, 1], [1.0, 0, two, 1]):
+            with pytest.raises(ValueError, match=f"message entries must be bits, got {got}$"):
+                encode(code, message)
+        received = list(want)
+        received[0], received[helper] = None, two
+        with pytest.raises(ValueError,
+                           match=f"received entries must be bits, got {got} at coordinate {helper}$"):
+            repair_symbol(code, received, 0)
 
 
 def test_every_codeword_satisfies_every_incidence_row():

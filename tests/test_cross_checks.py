@@ -29,7 +29,9 @@ import itertools
 import json
 import math
 import random
+import re
 import statistics
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -78,6 +80,7 @@ from pgblrc.repair import (
 )
 
 from oracles import (
+    as_bits_checked_first,
     availability_counts_bytewise,
     bits_to_array,
     build_code_parts,
@@ -460,6 +463,85 @@ def test_encode_and_reconstruct_match_bitwise_oracles_on_ladder(name):
             got = reconstruct(code, coords, values)
             assert _same_array(got, reconstruct_bitwise(code, coords, values))
             assert _same_array(got, message)
+
+
+# --------------------------------------------------------------- bit rule
+
+BIT_RULE_ENTRIES = [0, 1, True, False, np.uint8(1), np.int64(0), np.bool_(True), 1.0,
+                    Fraction(1), 2, -1, 256, 2**70, np.int64(2), 0.5, "1", None, [1], {}]
+
+# each makes a fresh container of the given entries; an int64 array
+# handed to bytes() would give 8 bytes per entry
+BIT_RULE_CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda xs: (x for x in xs),
+    "uint8": lambda xs: np.array(xs, dtype=np.uint8),
+    "int64": lambda xs: np.array(xs, dtype=np.int64),
+    "bool": lambda xs: np.array(xs, dtype=bool),
+}
+
+
+def _result_or_message(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_agrees(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert _same_array(got, expected)
+
+
+@pytest.mark.parametrize("entry", BIT_RULE_ENTRIES, ids=repr)
+def test_bits_converted_first_match_bits_checked_first(entry):
+    """encode, reconstruct, BitMatrix.from_rows and repair_symbol give the
+    check-first rule's result or its message, whatever holds the entry:
+    alone among bits, and before a 2, so the first entry that is no bit
+    is the one named."""
+    code = build_code(grid(2))
+    coords = list(code.info_set)
+    for entries in ([1, 0, entry, 1], [1, entry, 0, 2]):
+        for contain in BIT_RULE_CONTAINERS.values():
+            try:
+                contain(entries)
+            except (TypeError, ValueError, OverflowError):  # no such array
+                continue
+            slow = _result_or_message(as_bits_checked_first, contain(entries), code.k, "message")
+            _assert_agrees(_result_or_message(encode, code, contain(entries)),
+                           slow if isinstance(slow, str) else encode_bitwise(code, slow))
+            slow = _result_or_message(as_bits_checked_first, contain(entries), code.k, "values")
+            _assert_agrees(_result_or_message(reconstruct, code, coords, contain(entries)),
+                           slow if isinstance(slow, str) else reconstruct_bitwise(code, coords, slow))
+            slow = _result_or_message(as_bits_checked_first, contain(entries), code.k, "matrix")
+            got = _result_or_message(lambda: BitMatrix.from_rows([contain(entries)]).data)
+            if isinstance(slow, str):
+                assert got == re.sub(r"^matrix entries must be bits, got (.*)$",
+                                     r"matrix entry \1 is not a bit", slow, flags=re.S)
+            else:
+                assert got == (sum(int(b) << j for j, b in enumerate(slow)),)
+    if entry is None:  # an erased helper, which moves the read to the next line
+        return
+    # a degraded read whose first line's helpers hold the entries
+    helpers = line_repair_sets(code, 0)[0].helpers(0)
+    for entries in ([entry, 1], [entry, 2], [1, entry]):
+        received = encode(code, [1, 0, 1, 1]).tolist()
+        received[0] = None
+        for j, value in zip(helpers, entries):
+            received[j] = value
+        values = [received[j] for j in helpers]
+        slow = _result_or_message(as_bits_checked_first, values, len(values), "received")
+        if isinstance(slow, str):
+            bad = next(j for j in helpers if slow.endswith(f"got {received[j]!r}"))
+            slow = f"{slow} at coordinate {bad}"
+        else:
+            slow = int(np.bitwise_xor.reduce(slow))
+        for given in (received, tuple(received)):
+            got = _result_or_message(repair_symbol, code, given, 0)
+            assert (got if isinstance(got, str) else got.value) == slow
 
 
 # -------------------------------------------------------------------- MDS
