@@ -555,12 +555,21 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     draws, whatever the evaluation order.  Setting the state of one bit
     generator costs less than building a new one per trial.  Each yielded
     generator must be drawn from before the next one is taken.
+
+    The state is kept as plain Python ints: numpy's setter reads each
+    counter, key and buffer word by index, and a word read from a numpy
+    array is a numpy scalar, which makes a re-key cost more than a small
+    code's whole trial of draws.  Both forms set the same state.
     """
     bit_generator = np.random.Philox(key=seed)
     rng = np.random.Generator(bit_generator)
     fresh = bit_generator.state
+    state = fresh["state"]
+    counter = state["counter"] = state["counter"].tolist()
+    state["key"] = state["key"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
     for trial in range(trials):
-        fresh["state"]["counter"][3] = trial
+        counter[3] = trial
         bit_generator.state = fresh
         yield rng
 
@@ -685,6 +694,9 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
             in_range = False
         if not in_range:
             raise ParameterError("p must lie in [0, 1]")
+        # a numpy float, a Fraction or a bool runs as the float it equals,
+        # so the report serializes
+        p = float(p)
     elif not 0 <= u <= n:
         raise ParameterError(f"u must lie in [0, {n}]")
     sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT

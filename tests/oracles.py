@@ -16,6 +16,7 @@ symbol-by-symbol dual-support search, the
 geometric repair sets built one ``helpers`` call per (symbol, line),
 the subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
+the re-key that sets the array state numpy returns,
 the availability kernel with one byte per line and case, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
@@ -762,6 +763,24 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=trial << 192))
 
 
+def trial_rngs_by_array_state(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed for each trial in turn.
+
+    Counter-based: the trial index sits in the top word of the Philox
+    counter block, so trial j draws what ``Philox(key=seed, counter=j << 192)``
+    draws, whatever the evaluation order.  Setting the state of one bit
+    generator costs less than building a new one per trial.  Each yielded
+    generator must be drawn from before the next one is taken.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    for trial in range(trials):
+        fresh["state"]["counter"][3] = trial
+        bit_generator.state = fresh
+        yield rng
+
+
 def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
                                  u: int = 0, trials: int = 1000,
                                  seed: int = 0) -> AvailabilityReport:
@@ -781,6 +800,7 @@ def simulate_availability_scalar(code, model: str = "iid", p: float = 0.0,
     if model == "iid":
         if not 0.0 <= p <= 1.0:
             raise ParameterError("p must lie in [0, 1]")
+        p = float(p)
     elif not 0 <= u <= n:
         raise ParameterError(f"u must lie in [0, {n}]")
     sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT

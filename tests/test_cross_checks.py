@@ -18,11 +18,13 @@ hitting-set search, the symbol-by-symbol dual-support search and the
 subset-by-subset MDS test they replace.  ``repair_symbol``
 reads only the helpers of the checks it tries; it must agree with the
 whole-word scan it replaced.  The availability simulator re-keys one
-generator per trial and counts chunks of cases at once, 64 to a word;
-it must agree with the case-by-case scan, with a new generator per
-trial, it replaced, its kernel with the one-byte-per-case counts it
-replaced and, on line checks, with the exact availability that the
-disjoint line helper sets give.
+generator per trial from a plain-int state and counts chunks of cases
+at once, 64 to a word; each trial must draw what a new generator and
+the re-key from numpy's array state draw, the reports must agree with
+the case-by-case scan, with a new generator per trial, it replaced,
+its kernel with the one-byte-per-case counts it replaced and, on line
+checks, with the exact availability that the disjoint line helper sets
+give.
 """
 
 import itertools
@@ -107,6 +109,7 @@ from oracles import (
     symplectic_gq_by_spans,
     transpose_bitwise,
     trial_rng,
+    trial_rngs_by_array_state,
     validate_pg_pairwise,
 )
 from test_geometry import latin_square_net
@@ -962,6 +965,44 @@ def test_simulators_take_only_integer_seed_u_and_trials(simulate):
         report = simulate(code, **kwargs)
         assert type(report.seed) is int
         assert report_text(report) == report_text(simulate(code, **same))
+
+
+@pytest.mark.parametrize("simulate", [simulate_availability, simulate_availability_scalar])
+def test_simulators_read_an_in_range_p_as_the_float_it_equals(simulate):
+    # as numpy integers run as the ints they equal, a numpy float, a
+    # Fraction, a bool or an int runs as its float, so the report serializes
+    code = small_code("grid2")
+    for p, same in ((np.float32(0.5), 0.5), (np.float64(0.25), 0.25), (Fraction(1, 2), 0.5),
+                    (True, 1.0), (1, 1.0), (0, 0.0)):
+        report = simulate(code, model="iid", p=p, trials=20, seed=3)
+        assert type(report.parameter) is float, p
+        assert report_text(report) == report_text(
+            simulate(code, model="iid", p=same, trials=20, seed=3)), p
+
+
+def trial_draws(rng, n, method):
+    if method == "random":
+        row = np.empty(n)
+        rng.random(out=row)
+        return row
+    return rng.choice(n, size=(n + 1) // 2, replace=False)
+
+
+@pytest.mark.parametrize("method", ["random", "choice"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 85])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, TOP_SEED])
+def test_each_rekeyed_trial_draws_what_a_new_generator_draws(seed, n, method):
+    # the seeds use the low key word alone, the high one alone and both;
+    # n doubles a trial leave 3, 2, 1, 0 and 3 words of Philox's four-word
+    # buffer, and choice draws half-words too: the next re-key must drop
+    # them all and put the trial in the counter's top word
+    trials = 6
+    want = [trial_draws(trial_rng(seed, trial), n, method) for trial in range(trials)]
+    for rekeyed in (repair._trial_rngs, trial_rngs_by_array_state):
+        got = [trial_draws(rng, n, method) for rng in rekeyed(seed, trials)]
+        assert len(got) == trials
+        for trial, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), (rekeyed.__name__, trial)
 
 
 CHUNK_RUNS = (dict(model="iid", p=0.35, trials=200, seed=7),
