@@ -6,11 +6,12 @@ packed for numpy one way only, into little-endian uint64 words: the
 elimination reduces those words against pivot rows it keeps fully
 reduced, so that one pass gives the reduced row echelon form, the rank
 and the rows independent of those above them, and every array of bits
-is unpacked from them.  A small field keeps its addition, multiplication,
-negation and inverse tables as read-only integer arrays, built in one
-numpy pass over the base-p digits of all q elements, which the
-quadrangle constructors index directly.  Everything here is immutable
-after construction and safe to share.
+is unpacked from them.  One byte-wise kernel transposes packed bits, for
+the matrices here and the simulator's chunks of cases.  A small field
+keeps its addition, multiplication, negation and inverse tables as
+read-only integer arrays, built in one numpy pass over the base-p digits
+of all q elements, which the quadrangle constructors index directly.
+Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ class BitMatrix:
 # packed one way, as uint64 words (``_words``), and supports are
 # scattered straight into the same words (``_support_words``); arrays of
 # bits are unpacked from the words (``_bits``) and packed back with ``_pack``.
+# Packed bits are transposed by one kernel, ``_bit_transpose``.
 # A caller's bits are accepted by one rule: an entry is a bit when it
 # equals 0 or 1, of any type (``1.0``, ``Fraction(1)``, ``np.bool_``), or
 # when it has ``__index__`` and its index is 0 or 1, and no other entry
@@ -195,7 +197,8 @@ def _support_words(supports: Sequence[Sequence[int]], cols: int) -> np.ndarray:
 
 
 def _ints(words: np.ndarray) -> list[int]:
-    """Rows of little-endian uint64 words as bit rows; undoes ``_words``."""
+    """Rows of little-endian words (uint64, or bytes) as bit rows; undoes
+    ``_words``."""
     return [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
@@ -219,17 +222,42 @@ def _pack(bits: np.ndarray) -> list[int]:
 # height either way.
 _BLOCK = 64
 
+# The delta swaps (shift, mask) that transpose the 8 x 8 bits of a word
+# held a row to a byte: each exchanges the off-diagonal quarters of every
+# 2 x 2, then 4 x 4, then the 8 x 8 block (Warren, Hacker's Delight,
+# section 7-3).
+_DELTA_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+
+
+def _bit_transpose(rows: np.ndarray) -> np.ndarray:
+    """The columns of a packed bit matrix as packed rows.
+
+    ``rows`` is a uint8 array whose row r holds bit c at bit c % 8 of
+    byte c // 8; the result has one row per column c, 8 per byte of
+    ``rows``, with bit r of it at bit r % 8 of byte r // 8, and the bits
+    past the last row zero.  Each group of 8 rows' bytes at one byte
+    column becomes one word, byte k from row k; three delta swaps
+    transpose each word's 8 x 8 bits, after which its byte j is column
+    j's byte for those 8 rows, and the bytes are regrouped by column.
+    """
+    count, width = rows.shape
+    if count % 8:
+        rows = np.concatenate((rows, np.zeros((-count % 8, width), np.uint8)))
+    groups = len(rows) // 8
+    # a copy, even where the regrouping alone would be a view: the swaps work in place
+    x = rows.reshape(groups, 8, width).transpose(0, 2, 1).copy().view("<u8")
+    for shift, mask in _DELTA_SWAPS:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x.view(np.uint8).reshape(groups, 8 * width).T.copy()
+
 
 def _transpose(rows: Sequence[int], cols: int) -> list[int]:
     """The cols columns of bit rows as bit rows: bit r of column c is
-    rows[r] at c.  The rows are packed into words once; each word column,
-    64 matrix columns, is unpacked, transposed and packed."""
-    words = _words(rows, cols)
-    out: list[int] = []
-    for w in range(words.shape[1]):
-        bits = _bits(words[:, w:w + 1], min(64, cols - 64 * w))
-        out.extend(_pack(np.ascontiguousarray(bits.T)))  # packbits is slow on a strided view
-    return out
+    rows[r] at c.  The rows are packed into words once, and their bytes
+    transposed by ``_bit_transpose``."""
+    return _ints(_bit_transpose(_words(rows, cols).view(np.uint8))[:cols])
 
 
 # ----------------------------------------------------------------------

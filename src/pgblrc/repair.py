@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _bit_bytes
+from .algebra import _bit_bytes, _bit_transpose
 from .code import BlrcCode, _check_coord
 from .errors import (DegenerateCodeError, GuardExceededError,
                      NotLocallyRepairableError, ParameterError, _as_index)
@@ -575,9 +575,11 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
 
 
 # A chunk holds at most this many cells of cases x max(points, lines), in
-# whole uint64 words of 64 cases and at least one; its largest array, the
-# iid draws at 8 bytes a cell, stays within 1.25 MB above that floor: 256
-# cases on hyperoval(8), 1984 on grid(8), 64 (2 MB) on hyperoval(16).
+# whole uint64 words of 64 cases and at least one.  Its largest array is
+# still the iid draws, at 8 bytes a cell, which stays within 1.25 MB above
+# that floor: 256 cases on hyperoval(8), 1984 on grid(8), 64 (2 MB) on
+# hyperoval(16).  The count of first open lines takes (t+1) x n x words
+# bytes, 20 KB on hyperoval(8).
 _CHUNK_CELLS = 5 << 15
 
 
@@ -589,13 +591,17 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
     Each chunk is a boolean cases x n array marking the unavailable
     symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is
     ``repair_symbol``'s rule on the arrays read off the code's line table
-    (see ``_line_arrays``), 64 cases to a ``uint64`` word.  Two
-    bit-sliced words per line count its unavailable points up to two, one
-    point of every line at a time: ``twice |= once & x`` and then
-    ``once |= x``.  Line l is open for i exactly where
-    ``~twice & (~once | u_i)`` (i never blocks itself), and the first line
-    open in a case where i is not yet repaired, in the row's order, sets
-    the symbols read.
+    (see ``_line_arrays``), 64 cases to a ``uint64`` word: each case's
+    row is packed to bytes and the packed chunk transposed
+    (``algebra._bit_transpose``), so that row j holds symbol j's cases.
+    Two bit-sliced words per line count its unavailable points up to
+    two, one point of every line at a time: ``twice |= once & x`` and
+    then ``once |= x``.  Line l is open for i exactly where
+    ``~twice & (~once | u_i)`` (i never blocks itself), and the first
+    line open in a case where i is not yet repaired, in the row's order,
+    sets the symbols read.  Each step of that order writes its first open
+    lines' popcounts into one array, which is summed once for ``succ``
+    and once, weighted by each line's helpers, for ``retrieved``.
     """
     points, order, helpers = code._line_arrays
     n, num_lines = code.n, code.geometry.num_lines
@@ -604,12 +610,13 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
     cases = all_ok_cases = 0
     for chunk in chunks:
         size = len(chunk)
-        words, used = -(-size // 64), -(-size // 8)
-        # row j holds symbol j's unavailability, case c at bit c; the
-        # row of the padding point n stays zero
-        packed = np.zeros((n + 1, 8 * words), dtype=np.uint8)
-        packed[:n, :used] = np.packbits(chunk, axis=0, bitorder="little").T
-        unavailable = packed.view(np.uint64)
+        words = -(-size // 64)
+        # whole words of cases, and a byte past symbol n - 1 so that the
+        # row of the padding point n is zero
+        packed = np.zeros((64 * words, n // 8 + 1), dtype=np.uint8)
+        packed[:size, :(n + 7) // 8] = np.packbits(chunk, axis=1, bitorder="little")
+        # row j holds symbol j's unavailability, case c at bit c
+        unavailable = _bit_transpose(packed).view(np.uint64)
         valid = np.packbits(np.arange(64 * words) < size, bitorder="little").view(np.uint64)
         once = np.zeros((num_lines + 1, words), dtype=np.uint64)
         twice = np.zeros_like(once)
@@ -620,14 +627,17 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
             once[:-1] |= x
         not_once, not_twice = ~once, ~twice
         # the unused bits of the last word start out repaired, so they
-        # are never a first open line; they are masked off the counts
+        # are never a first open line
         ok = np.tile(~valid, (n, 1))
+        first = np.empty((len(order), n, words), dtype=np.uint8)
         for j, lines in enumerate(order):
             open_j = ((not_once.take(lines, axis=0) | unavailable[:n])
                       & not_twice.take(lines, axis=0))
-            retrieved += np.bitwise_count(open_j & ~ok).sum(axis=1, dtype=np.int64) * helpers[j]
+            np.bitwise_count(open_j & ~ok, out=first[j])
             ok |= open_j
-        succ += np.bitwise_count(ok & valid).sum(axis=1, dtype=np.int64)
+        by_step = first.sum(axis=2, dtype=np.int64)
+        succ += by_step.sum(axis=0)
+        retrieved += (by_step * helpers).sum(axis=0)
         cases += size
         all_ok_cases += int(np.bitwise_count(np.bitwise_and.reduce(ok, axis=0) & valid).sum())
     return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
@@ -646,16 +656,17 @@ def _iid_chunks(seed: int, trials: int, n: int, p: float,
         yield rows < p
 
 
-def _set_chunks(sets: Iterable[Sequence[int]], n: int, u: int,
+def _set_chunks(sets: Iterable[Iterable[int]], count: int, n: int, u: int,
                 size: int) -> Iterator[np.ndarray]:
-    """Chunks of ``size`` unavailable sets of u symbols each, scattered
-    once per chunk into a cases x n mask."""
-    pending = iter(sets)
-    while chunk := list(itertools.islice(pending, size)):
-        mask = np.zeros((len(chunk), n), dtype=bool)
-        mask[np.arange(len(chunk))[:, None],
-             np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
-                         len(chunk) * u).reshape(len(chunk), u)] = True
+    """Chunks of ``size`` of the ``count`` unavailable sets, u symbols
+    each, scattered once per chunk into a cases x n mask.  The sets are
+    read as one stream of symbols, ``cases * u`` of them a chunk, so the
+    count alone says how many sets there are, u = 0's one empty set too."""
+    stream = itertools.chain.from_iterable(sets)
+    for start in range(0, count, size):
+        cases = min(size, count - start)
+        mask = np.zeros((cases, n), dtype=bool)
+        mask[np.arange(cases).repeat(u), np.fromiter(stream, np.intp, cases * u)] = True
         yield mask
 
 
@@ -704,12 +715,12 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
         raise ParameterError("trials must be positive")
     size = 64 * max(1, _CHUNK_CELLS // (64 * max(n, code.geometry.num_lines)))
     if not sampled:
-        chunks = _set_chunks(itertools.combinations(range(n), u), n, u, size)
+        chunks = _set_chunks(itertools.combinations(range(n), u), math.comb(n, u), n, u, size)
     elif model == "iid":
         chunks = _iid_chunks(seed, trials, n, p, size)
     else:
         chunks = _set_chunks((rng.choice(n, size=u, replace=False)
-                              for rng in _trial_rngs(seed, trials)), n, u, size)
+                              for rng in _trial_rngs(seed, trials)), trials, n, u, size)
     succ, retrieved, cases, all_ok_cases = _availability_counts(code, chunks)
 
     per_success = tuple(succ[i] / cases for i in range(n))

@@ -8,8 +8,9 @@ lines as big-int masks, one shifted bit per point, the
 pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
 column-sweep elimination, the big-int elimination on mirrored rows
-with back-substitution, the bit-by-bit transpose, encoder and
-message read-out, the bit check that tests each entry for equality
+with back-substitution, the transpose that unpacks each word column
+to bytes, the bit-by-bit transpose, encoder and message read-out, the
+bit check that tests each entry for equality
 with 0 or 1 before the message is converted, the encoder that XORs
 big-int generator rows at the message's set bits, the
 symbol-by-symbol dual-support search, the
@@ -17,7 +18,9 @@ geometric repair sets built one ``helpers`` call per (symbol, line),
 the subset-by-subset MDS test, the whole-word repair scan, the
 case-by-case availability simulator with a new generator per trial,
 the re-key that sets the array state numpy returns,
-the availability kernel with one byte per line and case, json's own
+the availability kernel with one byte per line and case, the
+bit-sliced one that packed each chunk along its strided case axis and
+read the u-sets as a list of tuples, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
 collinear pair, test every point pair through ``SmallField`` and walk
@@ -508,6 +511,18 @@ def transpose_bitwise(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.cols, m.rows, tuple(out))
 
 
+def transpose_by_unpacking(rows: Sequence[int], cols: int) -> list[int]:
+    """The cols columns of bit rows as bit rows: bit r of column c is
+    rows[r] at c.  The rows are packed into words once; each word column,
+    64 matrix columns, is unpacked, transposed and packed."""
+    words = _words(rows, cols)
+    out: list[int] = []
+    for w in range(words.shape[1]):
+        bits = _bits(words[:, w:w + 1], min(64, cols - 64 * w))
+        out.extend(_pack(np.ascontiguousarray(bits.T)))  # packbits is slow on a strided view
+    return out
+
+
 def bits_to_array(bits: int, length: int) -> np.ndarray:
     """Bit j of ``bits`` as entry j of a uint8 array, one bit at a time."""
     return np.array([(bits >> j) & 1 for j in range(length)], dtype=np.uint8)
@@ -918,6 +933,77 @@ def availability_counts_bytewise(code, unavailable_sets: Iterable[Sequence[int]]
         cases += len(chunk)
         all_ok_cases += int(np.count_nonzero(ok.all(axis=0)))
     return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
+
+
+# ----------------------------------------------------------------------
+# the bit-sliced kernel's chunk handling before the byte-wise bit
+# transpose: each chunk packed along its strided case axis, one popcount
+# sum per repair-order step, and the u-sets read as a list of tuples
+
+
+def availability_counts_by_strided_pack(code, chunks: Iterable[np.ndarray]
+                                         ) -> tuple[list[int], list[int], int, int]:
+    """Count, over chunks of cases, the cases in which each symbol has an
+    open line check and the symbols those repairs read.
+
+    Each chunk is a boolean cases x n array marking the unavailable
+    symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is
+    ``repair_symbol``'s rule on the arrays read off the code's line table
+    (see ``_line_arrays``), 64 cases to a ``uint64`` word.  Two
+    bit-sliced words per line count its unavailable points up to two, one
+    point of every line at a time: ``twice |= once & x`` and then
+    ``once |= x``.  Line l is open for i exactly where
+    ``~twice & (~once | u_i)`` (i never blocks itself), and the first line
+    open in a case where i is not yet repaired, in the row's order, sets
+    the symbols read.
+    """
+    points, order, helpers = code._line_arrays
+    n, num_lines = code.n, code.geometry.num_lines
+    succ = np.zeros(n, dtype=np.int64)
+    retrieved = np.zeros(n, dtype=np.int64)
+    cases = all_ok_cases = 0
+    for chunk in chunks:
+        size = len(chunk)
+        words, used = -(-size // 64), -(-size // 8)
+        # row j holds symbol j's unavailability, case c at bit c; the
+        # row of the padding point n stays zero
+        packed = np.zeros((n + 1, 8 * words), dtype=np.uint8)
+        packed[:n, :used] = np.packbits(chunk, axis=0, bitorder="little").T
+        unavailable = packed.view(np.uint64)
+        valid = np.packbits(np.arange(64 * words) < size, bitorder="little").view(np.uint64)
+        once = np.zeros((num_lines + 1, words), dtype=np.uint64)
+        twice = np.zeros_like(once)
+        twice[-1] = ~np.uint64(0)
+        for row in points:
+            x = unavailable.take(row, axis=0)
+            twice[:-1] |= once[:-1] & x
+            once[:-1] |= x
+        not_once, not_twice = ~once, ~twice
+        # the unused bits of the last word start out repaired, so they
+        # are never a first open line; they are masked off the counts
+        ok = np.tile(~valid, (n, 1))
+        for j, lines in enumerate(order):
+            open_j = ((not_once.take(lines, axis=0) | unavailable[:n])
+                      & not_twice.take(lines, axis=0))
+            retrieved += np.bitwise_count(open_j & ~ok).sum(axis=1, dtype=np.int64) * helpers[j]
+            ok |= open_j
+        succ += np.bitwise_count(ok & valid).sum(axis=1, dtype=np.int64)
+        cases += size
+        all_ok_cases += int(np.bitwise_count(np.bitwise_and.reduce(ok, axis=0) & valid).sum())
+    return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
+
+
+def set_chunks_by_tuples(sets: Iterable[Sequence[int]], n: int, u: int,
+                         size: int) -> Iterator[np.ndarray]:
+    """Chunks of ``size`` unavailable sets of u symbols each, scattered
+    once per chunk into a cases x n mask."""
+    pending = iter(sets)
+    while chunk := list(itertools.islice(pending, size)):
+        mask = np.zeros((len(chunk), n), dtype=bool)
+        mask[np.arange(len(chunk))[:, None],
+             np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
+                         len(chunk) * u).reshape(len(chunk), u)] = True
+        yield mask
 
 
 # ----------------------------------------------------------------------

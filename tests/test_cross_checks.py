@@ -22,9 +22,13 @@ generator per trial from a plain-int state and counts chunks of cases
 at once, 64 to a word; each trial must draw what a new generator and
 the re-key from numpy's array state draw, the reports must agree with
 the case-by-case scan, with a new generator per trial, it replaced,
-its kernel with the one-byte-per-case counts it replaced and, on line
-checks, with the exact availability that the disjoint line helper sets
-give.
+its kernel with the one-byte-per-case counts it replaced and with its
+own form that packed each chunk along the strided case axis, and, on
+line checks, with the exact availability that the disjoint line helper
+sets give.  The byte-wise bit transpose must give what unpacking each
+word column to bytes gave, on every shape at its byte and word edges,
+and the u-sets read as one stream of symbols the masks that a list of
+tuples gave.
 """
 
 import itertools
@@ -42,10 +46,12 @@ import pytest
 
 from pgblrc.algebra import (
     BitMatrix,
+    _bit_transpose,
     _eliminate,
     _ints,
     _nullspace,
     _support_words,
+    _transpose,
     _words,
     independent_row_indices,
     nullspace2,
@@ -81,8 +87,10 @@ from pgblrc.repair import (
     simulate_availability,
 )
 
+import oracles
 from oracles import (
     as_bits_checked_first,
+    availability_counts_by_strided_pack,
     availability_counts_bytewise,
     bits_to_array,
     build_code_parts,
@@ -104,10 +112,12 @@ from oracles import (
     reconstruct_bitwise,
     repair_symbol_first_open,
     rref2_column_sweep,
+    set_chunks_by_tuples,
     simulate_availability_scalar,
     symplectic_gq_by_pairs,
     symplectic_gq_by_spans,
     transpose_bitwise,
+    transpose_by_unpacking,
     trial_rng,
     trial_rngs_by_array_state,
     validate_pg_pairwise,
@@ -386,6 +396,34 @@ def test_bit_rows_match_bitwise_oracles_on_random_shapes():
         assert _same_array((m @ t).to_array(), product.astype(np.uint8))
 
 
+def test_an_empty_side_transposes_as_the_unpacking_transpose_did():
+    # no rows give one zero row per column, and no columns give no rows
+    assert _transpose([], 5) == transpose_by_unpacking([], 5) == [0] * 5
+    assert _transpose([0, 0, 0], 0) == transpose_by_unpacking([0, 0, 0], 0) == []
+    assert _transpose([], 0) == transpose_by_unpacking([], 0) == []
+
+
+EDGE_SIZES = (0, 1, 7, 8, 9, 63, 64, 65, 200)
+
+
+@pytest.mark.parametrize("rows", EDGE_SIZES)
+def test_bit_transpose_matches_the_unpacking_transpose_on_edge_shapes(rows):
+    # rows about a group of 8 and columns about a byte and a word; the
+    # kernel swaps bits in place, on a copy, never on the caller's array
+    rng = np.random.default_rng(rows)
+    for cols in EDGE_SIZES:
+        packed = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+        kept = packed.copy()
+        got = _bit_transpose(packed)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")
+        expected = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+        assert _same_array(got, expected) and got.flags.c_contiguous, cols
+        assert np.array_equal(packed, kept), cols
+        bit_rows = [int.from_bytes(rng.bytes(-(-cols // 8)), "little") & ((1 << cols) - 1)
+                    for _ in range(rows)]
+        assert _transpose(bit_rows, cols) == transpose_by_unpacking(bit_rows, cols), cols
+
+
 def assert_lines_pack_like_the_bigint_masks(inc):
     """The lines packed straight from their points equal the big-int masks
     packed by ``_words``, and the incidence matrix's rows are those masks."""
@@ -636,6 +674,24 @@ def mixed_weight_code():
                   pg_class="proper", grid_degenerate=False)
     return BlrcCode(parity_check=parity, generator=generator, info_set=(0, 3),
                     geometry=IncidenceStructure(4, ((0, 2, 3), (0, 1))), pg=pg)
+
+
+def mixed_weight_pair_code():
+    """Two ``mixed_weight_code`` halves side by side: 8 symbols, so a
+    packed case fills its byte, and the lines of 2 points pad the points
+    table with the point 8, whose row of cases lies in a byte of its own."""
+    half = mixed_weight_code()
+
+    def pair(m):
+        return BitMatrix.from_bitrows([*m.data, *(row << 4 for row in m.data)], 8)
+
+    lines = half.geometry.lines
+    pg = PgParams(s=2, t=1, alpha=1, num_points=8, num_lines=4,
+                  pg_class="proper", grid_degenerate=False)
+    return BlrcCode(parity_check=pair(half.parity_check), generator=pair(half.generator),
+                    info_set=(0, 3, 4, 7), pg=pg,
+                    geometry=IncidenceStructure(8, (*lines, *(tuple(p + 4 for p in line)
+                                                              for line in lines))))
 
 
 def test_census_finds_a_weight_one_dual_word_like_per_symbol_search():
@@ -914,6 +970,7 @@ SIM_CODES = {
     "unbalanced": unbalanced_code,
     "zero_column": lambda: zero_column_code(s=2),
     "mixed_weight": mixed_weight_code,
+    "mixed_weight_pair": mixed_weight_pair_code,
 }
 
 SIM_RUNS = [
@@ -922,8 +979,6 @@ SIM_RUNS = [
     dict(model="iid", p=0.35, seed=TOP_SEED),
     dict(model="iid", p=0.0, seed=7),
     dict(model="iid", p=1.0, seed=TOP_SEED),
-    dict(model="adversarial", u=0),
-    dict(model="adversarial", u=1),
     dict(model="adversarial", u=2, seed=7),
 ]
 
@@ -945,6 +1000,25 @@ def test_simulation_matches_the_case_by_case_scan(name):
         got = simulate_availability(code, trials=200, **kwargs)
         want = simulate_availability_scalar(code, trials=200, **kwargs)
         assert report_text(got) == report_text(want), kwargs
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_adversarial_edges_match_the_case_by_case_scan(monkeypatch, name):
+    # every u-set for u = 0 (one empty set), 1 and n (one full set); then
+    # the n sets of n - 1 symbols, over a limit of n - 1, are sampled
+    code = SIM_CODES[name]()
+    n = code.n
+    for u in (0, 1, n):
+        report = simulate_availability(code, model="adversarial", u=u)
+        assert (report.coverage, report.cases) == ("exhaustive", math.comb(n, u)), u
+        assert report_text(report) == report_text(
+            simulate_availability_scalar(code, model="adversarial", u=u)), u
+    for module in (repair, oracles):
+        monkeypatch.setattr(module, "_EXHAUSTIVE_LIMIT", n - 1)
+    kwargs = dict(model="adversarial", u=n - 1, trials=100, seed=7)
+    report = simulate_availability(code, **kwargs)
+    assert (report.coverage, report.cases) == ("sampled", 100)
+    assert report_text(report) == report_text(simulate_availability_scalar(code, **kwargs))
 
 
 @pytest.mark.parametrize("simulate", [simulate_availability, simulate_availability_scalar])
@@ -1055,8 +1129,10 @@ def unavailable_sets(code, p=None, u=None, trials=200, seed=7):
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
 def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
-    # the simulator's chunk size, and chunks that end a uint64 word early,
-    # on its last bit and one case into the next
+    # the simulator's chunk size, chunks that end a uint64 word early, on
+    # its last bit and one case into the next, chunks about one byte of
+    # the transpose (8 and 9 cases) and one of two whole words; the kernel
+    # that packed along the strided case axis counts the same
     code = SIM_CODES[name]()
     default = 64 * max(1, repair._CHUNK_CELLS // (64 * max(code.n, code.geometry.num_lines)))
     for kwargs in (dict(p=0.0), dict(p=0.35), dict(p=1.0), dict(u=0), dict(u=1), dict(u=2)):
@@ -1065,9 +1141,37 @@ def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
         for case, unavailable in enumerate(sets):
             mask[case, unavailable] = True
         want = availability_counts_bytewise(code, sets)
-        for size in (default, 1, 7, 63, 64, 65):
+        for size in (default, 1, 7, 8, 9, 63, 64, 65, 128):
             chunks = np.split(mask, range(size, len(sets), size))
-            assert repair._availability_counts(code, chunks) == want, (kwargs, size)
+            assert (repair._availability_counts(code, chunks) == want
+                    == availability_counts_by_strided_pack(code, chunks)), (kwargs, size)
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_set_chunks_match_the_chunks_of_tuples(name):
+    # every u-set where there are at most the limit of them, and sampled
+    # u-sets as the simulator draws them, read as one stream of symbols
+    code = SIM_CODES[name]()
+    n = code.n
+    for u in sorted({0, 1, 2, n - 1, n}):
+        sources = [(lambda: (rng.choice(n, size=u, replace=False)
+                             for rng in repair._trial_rngs(7, 200)), 200)]
+        if math.comb(n, u) <= _EXHAUSTIVE_LIMIT:
+            sources.append((lambda: itertools.combinations(range(n), u), math.comb(n, u)))
+        for sets, count in sources:
+            for size in (7, 64, 200):
+                got = list(repair._set_chunks(sets(), count, n, u, size))
+                want = list(set_chunks_by_tuples(sets(), n, u, size))
+                assert len(got) == len(want), (u, count, size)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (u, count, size)
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_code_matrices_transpose_as_the_unpacking_transpose_did(name):
+    code = SIM_CODES[name]()
+    for m in (code.generator, code.parity_check, incidence_matrix(code.geometry)):
+        assert m.transpose().data == tuple(transpose_by_unpacking(m.data, m.cols))
 
 
 @pytest.mark.parametrize("name", ["grid3", "grid8", "symplectic2", "symplectic3", "elliptic2"])
