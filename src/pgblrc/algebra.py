@@ -214,14 +214,6 @@ def _pack(bits: np.ndarray) -> list[int]:
             for row in np.packbits(bits, axis=1, bitorder="little")]
 
 
-# Rows are unpacked to one byte per bit a block at a time: unpacking a
-# whole n = 4096 matrix at once takes several MB, and that transient
-# sets the peak memory of a process that only builds the code (about
-# 5.5 MB higher without the blocks for hyperoval(16), 1.4 MB for
-# W(16)).  A whole ``pgblrc analyze`` run peaks later, at the same
-# height either way.
-_BLOCK = 64
-
 # The delta swaps (shift, mask) that transpose the 8 x 8 bits of a word
 # held a row to a byte: each exchanges the off-diagonal quarters of every
 # 2 x 2, then 4 x 4, then the 8 x 8 block (Warren, Hacker's Delight,
@@ -318,20 +310,20 @@ def _nullspace(reduced: np.ndarray, pivots: Sequence[int], cols: int
     Basis row j is free column j plus, at each pivot column, the reduced
     row's entry in free column j.  So a pivot column is its reduced row
     cut down to the free columns, and the basis rows are those cuts
-    transposed.  The cuts are read off the packed reduced rows a block of
-    rows at a time, unpacked to one byte per bit.
+    transposed.  Three bit transposes (``_bit_transpose``) do it on
+    packed bytes: the reduced rows' columns, of which the free ones,
+    transposed back, are the cuts; the cuts and the free columns' own
+    bits, scattered into one byte row per column, transposed once more
+    are the basis rows.
     """
     pivot_set = set(pivots)
     free = tuple(c for c in range(cols) if c not in pivot_set)
-    by_col = [0] * cols
-    for j, f in enumerate(free):
-        by_col[f] = 1 << j
-    take = np.array(free, dtype=np.intp)
-    for lo in range(0, len(pivots), _BLOCK):
-        cut = np.take(_bits(reduced[lo:lo + _BLOCK], cols), take, axis=1)
-        for p, bits in zip(pivots[lo:lo + _BLOCK], _pack(cut)):
-            by_col[p] = bits
-    return free, tuple(_transpose(by_col, len(free)))
+    take, j = np.array(free, dtype=np.intp), np.arange(len(free))
+    cuts = _bit_transpose(_bit_transpose(reduced.view(np.uint8))[take])
+    by_col = np.zeros((cols, (len(free) + 7) // 8), dtype=np.uint8)
+    by_col[list(pivots)] = cuts[:len(pivots)]
+    by_col[take, j >> 3] = (1 << (j & 7)).astype(np.uint8)
+    return free, tuple(_ints(_bit_transpose(by_col)[:len(free)]))
 
 
 def rank2(m: BitMatrix) -> int:

@@ -99,13 +99,6 @@ class BlrcCode:
         return _line_table(self)
 
     @cached_property
-    def _line_helpers(self) -> tuple:
-        """``repair._line_helpers(self)``, built once per code, by reads
-        and the geometric profile only."""
-        from .repair import _line_helpers
-        return _line_helpers(self)
-
-    @cached_property
     def _line_arrays(self) -> tuple:
         """``repair._line_arrays(self)``, built once per code, by the
         simulator only."""

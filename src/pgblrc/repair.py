@@ -28,12 +28,11 @@ starts.  Either way the checks are filed in one per-symbol table
 the least-weight check whose helpers are all available, ties to the
 lowest line index.  ``_line_table`` lists every symbol's line checks in
 that order, once per code, and the executor, the geometric profile and
-the simulator all read it.  ``_line_helpers`` keeps the helper sets of
-those checks beside it, built on the first read or geometric profile, so
-a read tests each check with one disjointness test; the simulator counts
-chunks of cases, 64 to a ``uint64`` word (``_availability_counts``), on
-arrays that ``_line_arrays`` reads off the table when it first needs
-them, and never builds the helper sets.  So the simulator estimates the
+the simulator all read it.  A read tests each check's support against
+the unavailable symbols other than the one it repairs; the simulator
+counts chunks of cases, 64 to a ``uint64`` word
+(``_availability_counts``), on arrays that ``_line_arrays`` reads off
+the table when it first needs them.  So the simulator estimates the
 success of the executor itself.
 """
 
@@ -133,13 +132,6 @@ def _line_table(code: BlrcCode) -> tuple[tuple[RepairVector, ...], ...]:
     vectors = sorted((RepairVector(line, line=ln)
                       for ln, line in enumerate(code.geometry.lines)), key=_repair_key)
     return tuple(map(tuple, _file(code.n, vectors)))
-
-
-def _line_helpers(code: BlrcCode) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every symbol's helper sets, row i holding ``v.helpers(i)`` for each
-    check v in row i of the line table, in the same order; the code keeps
-    it, for reads and the geometric profile."""
-    return tuple(tuple(v.helpers(i) for v in row) for i, row in enumerate(code._line_table))
 
 
 def _line_arrays(code: BlrcCode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -412,9 +404,8 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         # nonempty, so each needs its own hitter
         per_r = (s,) * n
         overall_r = s if r is None else r
-        per_a = per_delta = tuple(map(len, _checks(code, mode, overall_r + 1, guard)))
-        # a full-length slice of a row is the row itself, so nothing is copied
-        repair_sets = tuple(row[:a] for row, a in zip(code._line_helpers, per_a))
+        checks = _checks(code, mode, overall_r + 1, guard)
+        per_a = per_delta = tuple(map(len, checks))
     else:
         checks = _checks(code, mode, (s if r is None else max(s, r)) + 1, guard)
         if any(not c or c[0].weight > s + 1 for c in checks):
@@ -426,7 +417,7 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         per_a = tuple(map(len, checks))
         per_delta = tuple(len(minimum_hitting_set(_helper_sets(i, c)))
                           for i, c in enumerate(checks))
-        repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
+    repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
     return RepairProfile(
         mode=mode,
         n=n,
@@ -445,20 +436,20 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
 # repair execution: one rule for the executor and the simulator
 
 def _repair_order(code: BlrcCode, i: int, vectors: Iterable[RepairVector] | None = None
-                  ) -> Iterable[tuple[RepairVector, tuple[int, ...]]]:
-    """The (check, helpers) pairs covering i in the order a repair tries
-    them (``_repair_key``): by default its rows of the line table and the
-    helper table (see ``_line_helpers``), else the given vectors sorted.
-    Given vectors are checked here, before anything is read."""
+                  ) -> Sequence[RepairVector]:
+    """The checks covering i in the order a repair tries them
+    (``_repair_key``): by default its row of the line table, else the
+    given vectors sorted.  Given vectors are checked here, before
+    anything is read."""
     if vectors is None:
-        return zip(code._line_table[i], code._line_helpers[i])
+        return code._line_table[i]
     candidates = [v for v in vectors if i in v.support]
     for v in candidates:
         if (len(set(v.support)) != v.weight
                 or not all(0 <= c < code.n for c in v.support)
                 or _xor_cols(code.gen_cols, v.support)):
             raise ValueError(f"support {v.support} is not a dual codeword of this code")
-    return [(v, v.helpers(i)) for v in sorted(candidates, key=_repair_key)]
+    return sorted(candidates, key=_repair_key)
 
 
 @dataclass(frozen=True)
@@ -481,8 +472,9 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     (for example from ``omega_r``) to widen the search.  The executor
     takes the first check in ``_repair_order`` (least weight, then lowest
     line index) whose helpers are all available and present, the rule
-    ``simulate_availability`` counts.  A check is tested with one
-    disjointness test against ``unavailable``, and only a check that
+    ``simulate_availability`` counts.  Symbol i never blocks its own
+    repair, so with i left out of ``unavailable`` a check is tested with
+    one disjointness test against its support, and only a check that
     passes has its helpers read; an erased (None) helper moves the read
     on to the next check.  So it reads only symbol i and the helpers of
     the checks it tries, and the helpers it XORs must be bits.
@@ -497,9 +489,10 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     unavailable = set(unavailable)
     if received[i] is not None and i not in unavailable:
         raise ValueError(f"symbol {i} is present and available; nothing to repair")
-    for v, helpers in order:
-        if unavailable.isdisjoint(helpers):
-            values = [received[j] for j in helpers]
+    unavailable.discard(i)
+    for v in order:
+        if unavailable.isdisjoint(v.support):
+            values = [received[j] for j in v.support if j != i]
             if not any(x is None for x in values):
                 break
     else:
@@ -507,8 +500,8 @@ def repair_symbol(code: BlrcCode, received: Sequence[int | None], i: int,
     bits = _bit_bytes(values)
     if isinstance(bits, int):
         raise ValueError(f"received entries must be bits, got {values[bits]!r} "
-                         f"at coordinate {helpers[bits]}")
-    return RepairOutcome(value=bits.count(1) & 1, vector=v, retrieved=len(helpers))
+                         f"at coordinate {v.helpers(i)[bits]}")
+    return RepairOutcome(value=bits.count(1) & 1, vector=v, retrieved=len(values))
 
 
 # ----------------------------------------------------------------------

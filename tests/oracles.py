@@ -8,7 +8,8 @@ lines as big-int masks, one shifted bit per point, the
 pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
 column-sweep elimination, the big-int elimination on mirrored rows
-with back-substitution, the transpose that unpacks each word column
+with back-substitution, the null space that unpacks the reduced rows a
+block at a time, the transpose that unpacks each word column
 to bytes, the bit-by-bit transpose, encoder and message read-out, the
 bit check that tests each entry for equality
 with 0 or 1 before the message is converted, the encoder that XORs
@@ -40,8 +41,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import (BitMatrix, _bits, _pack, _set_bits, _words, rank2,
-                            small_field, solve2)
+from pgblrc.algebra import (BitMatrix, _bits, _pack, _set_bits, _transpose, _words,
+                            rank2, small_field, solve2)
 from pgblrc.code import build_code
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
@@ -500,6 +501,39 @@ def nullspace2_column_sweep(m: BitMatrix) -> BitMatrix:
     return BitMatrix(len(basis), m.cols, tuple(basis))
 
 
+# Rows are unpacked to one byte per bit a block at a time: unpacking a
+# whole n = 4096 matrix at once takes several MB, and that transient
+# sets the peak memory of a process that only builds the code (about
+# 5.5 MB higher without the blocks for hyperoval(16), 1.4 MB for
+# W(16)).  A whole ``pgblrc analyze`` run peaks later, at the same
+# height either way.
+_BLOCK = 64
+
+
+def nullspace_by_blocks(reduced: np.ndarray, pivots: Sequence[int], cols: int
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The free columns of ``_eliminate``'s reduced rows and a null-space
+    basis systematic on them.
+
+    Basis row j is free column j plus, at each pivot column, the reduced
+    row's entry in free column j.  So a pivot column is its reduced row
+    cut down to the free columns, and the basis rows are those cuts
+    transposed.  The cuts are read off the packed reduced rows a block of
+    rows at a time, unpacked to one byte per bit.
+    """
+    pivot_set = set(pivots)
+    free = tuple(c for c in range(cols) if c not in pivot_set)
+    by_col = [0] * cols
+    for j, f in enumerate(free):
+        by_col[f] = 1 << j
+    take = np.array(free, dtype=np.intp)
+    for lo in range(0, len(pivots), _BLOCK):
+        cut = np.take(_bits(reduced[lo:lo + _BLOCK], cols), take, axis=1)
+        for p, bits in zip(pivots[lo:lo + _BLOCK], _pack(cut)):
+            by_col[p] = bits
+    return free, tuple(_transpose(by_col, len(free)))
+
+
 def transpose_bitwise(m: BitMatrix) -> BitMatrix:
     """The transpose, one set bit at a time."""
     out = [0] * m.cols
@@ -690,7 +724,7 @@ def repair_profile_per_symbol(code, r: int | None = None) -> RepairProfile:
 
 
 # ----------------------------------------------------------------------
-# the geometric repair sets that the helper table replaced: one
+# the geometric repair sets read off the geometry's pencils: one
 # ``RepairVector.helpers`` call per (symbol, line), on every profile
 
 

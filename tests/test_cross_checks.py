@@ -13,11 +13,12 @@ rows reduced, geometric tolerance is read off the line count, the
 exhaustive metrics come from one meet-in-the-middle census of
 low-weight dual codewords, and ``is_mds`` is derived rather than
 scanned; each must agree with the pairwise scans and the big-int
-certificate, the big-int and column-sweep eliminations, the
-hitting-set search, the symbol-by-symbol dual-support search and the
-subset-by-subset MDS test they replace.  ``repair_symbol``
-reads only the helpers of the checks it tries; it must agree with the
-whole-word scan it replaced.  The availability simulator re-keys one
+certificate, the big-int and column-sweep eliminations, the null space
+unpacked a block of rows at a time, the hitting-set search, the
+symbol-by-symbol dual-support search and the subset-by-subset MDS test
+they replace.  ``repair_symbol`` reads only the helpers of the checks it
+tries; it must agree with the whole-word scan it replaced, error
+messages included.  The availability simulator re-keys one
 generator per trial from a plain-int state and counts chunks of cases
 at once, 64 to a word; each trial must draw what a new generator and
 the re-key from numpy's array state draw, the reports must agree with
@@ -31,6 +32,7 @@ and the u-sets read as one stream of symbols the masks that a list of
 tuples gave.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -106,6 +108,7 @@ from oracles import (
     is_mds_scan,
     line_masks_bigint,
     nullspace2_column_sweep,
+    nullspace_by_blocks,
     omega_r_per_symbol,
     repair_degree_per_symbol,
     repair_profile_per_symbol,
@@ -258,18 +261,24 @@ def test_validate_pg_matches_pairwise_scan_on_a_late_swap(p, q, kind):
 def assert_kernel_matches_oracles(m):
     """The kernel's packed rows, pivots and kept rows against the big-int
     elimination, and the null space read off the packed rows against the
-    column sweep's basis."""
+    column sweep's basis and the block-by-block unpacking."""
     reduced, pivots, independent = _eliminate(_words(m.data, m.cols))
     expected = echelon_bigint(m)
     assert (tuple(_ints(reduced)), tuple(pivots), tuple(independent)) == expected
     free, basis = _nullspace(reduced, pivots, m.cols)
     assert free == tuple(c for c in range(m.cols) if c not in expected[1])
     assert basis == nullspace2_column_sweep(m).data
+    assert (free, basis) == nullspace_by_blocks(reduced, pivots, m.cols)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_echelon_matches_bigint_elimination_on_ladder(name):
     assert_kernel_matches_oracles(incidence_matrix(ladder(name)))
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_echelon_matches_bigint_elimination_on_ladder_duals(name):
+    assert_kernel_matches_oracles(incidence_matrix(dual(ladder(name))))
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -759,10 +768,12 @@ def test_exhaustive_profile_equals_geometric_on_ladder(name):
 
 
 def repair_or_error(repair_fn, *args, **kwargs):
+    """The outcome, or the error's type and message: a helper that is not
+    a bit is named by its coordinate there."""
     try:
         return repair_fn(*args, **kwargs)
     except (ValueError, NotLocallyRepairableError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def degraded_reads(code, seed, reads, p=0.2):
@@ -782,17 +793,35 @@ def degraded_reads(code, seed, reads, p=0.2):
         yield received, i, set(np.flatnonzero(rng.random(code.n) < p).tolist())
 
 
+def reads_match_the_first_open_scan(code, seed, vectors=None):
+    """Each seeded read's outcome, or error and message, against the
+    whole-word scan's; after each repair, the read again with the middle
+    helper of the check it used not a bit, which both must name.  Returns
+    the kinds of outcome seen: the error types, and whether a line
+    repaired the symbol."""
+    outcomes = set()
+    for received, i, unavailable in degraded_reads(code, seed, reads=300):
+        given = () if vectors is None else (vectors[i],)
+        got = repair_or_error(repair_symbol, code, received, i, unavailable, *given)
+        assert got == repair_or_error(repair_symbol_first_open,
+                                      code, received, i, unavailable, *given)
+        outcomes.add(got[0] if isinstance(got, tuple) else got.vector.line is not None)
+        if not isinstance(got, tuple):
+            helpers = got.vector.helpers(i)
+            received[helpers[len(helpers) // 2]] = 2
+            bad = repair_or_error(repair_symbol, code, received, i, unavailable, *given)
+            assert bad == repair_or_error(repair_symbol_first_open,
+                                          code, received, i, unavailable, *given)
+            assert bad[1].startswith("received entries must be bits, got 2 at coordinate")
+    return outcomes
+
+
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_repair_symbol_matches_the_first_open_scan_on_ladder(name):
-    code = ladder_code(name)
-    outcomes = set()
-    for received, i, unavailable in degraded_reads(code, seed=8, reads=300):
-        got = repair_or_error(repair_symbol, code, received, i, unavailable)
-        assert got == repair_or_error(repair_symbol_first_open, code, received, i, unavailable)
-        outcomes.add(got if isinstance(got, type) else got.vector.line is not None)
     # every way a read can end shows up: a line repair, a blocked symbol,
     # and a symbol that is present, or a helper that is not a bit
-    assert outcomes == {True, NotLocallyRepairableError, ValueError}
+    assert (reads_match_the_first_open_scan(ladder_code(name), seed=8)
+            == {True, NotLocallyRepairableError, ValueError})
 
 
 @pytest.mark.parametrize("make", [lambda: small_code("grid3"),
@@ -801,12 +830,7 @@ def test_repair_symbol_matches_the_first_open_scan_on_ladder(name):
 def test_repair_symbol_matches_the_first_open_scan_on_omega(make):
     code = make()
     vectors = [omega_r(code, i, code.pg.s) for i in range(code.n)]
-    outcomes = set()
-    for received, i, unavailable in degraded_reads(code, seed=9, reads=300):
-        got = repair_or_error(repair_symbol, code, received, i, unavailable, vectors[i])
-        assert got == repair_or_error(repair_symbol_first_open,
-                                      code, received, i, unavailable, vectors[i])
-        outcomes.add(got if isinstance(got, type) else got.vector.line is not None)
+    outcomes = reads_match_the_first_open_scan(code, seed=9, vectors=vectors)
     assert NotLocallyRepairableError in outcomes and True in outcomes
 
 
@@ -834,38 +858,23 @@ def test_the_line_table_is_built_once_per_code(monkeypatch):
     received = encode(code, [0] * code.k).tolist()
     received[0] = None
     repair_symbol(code, received, 0)
+    repair_symbol(code, received, 0, unavailable={1})
+    repair_symbol(code, received, 0, vectors=omega_r(code, 0, code.pg.s))
     line_repair_sets(code, 1)
     repair_profile(code, mode="geometric")
+    repair_profile(code, mode="geometric", r=1)
     blocking_set(code, 2, code.pg.s, mode="geometric")
+    # reads test each check on its support, so beside its parts the code
+    # keeps no helper sets: only the line table, the generator's columns
+    # (for the given vectors' check) and its packed words (for encode)
+    parts = {field.name for field in dataclasses.fields(code)}
+    assert set(vars(code)) - parts == {"_line_table", "gen_cols", "_gen_words"}
     # only the simulator reads the arrays, so nothing above builds them
     assert array_builds == []
     simulate_availability(code, model="iid", p=0.3, trials=50)
     simulate_availability(code, model="adversarial", u=2)
     assert len(builds) == 1
     assert array_builds == [code]
-
-
-def test_the_helper_table_is_built_once_per_code_by_reads_and_the_geometric_profile(
-        monkeypatch):
-    builds = []
-    build = repair._line_helpers
-    monkeypatch.setattr(repair, "_line_helpers", lambda code: builds.append(code) or build(code))
-    code = build_code(grid(3))
-    repair_profile(code)  # the exhaustive profile reads the census instead
-    line_repair_sets(code, 1)
-    blocking_set(code, 2, code.pg.s, mode="geometric")
-    simulate_availability(code, model="iid", p=0.3, trials=50)
-    simulate_availability(code, model="adversarial", u=2)
-    received = encode(code, [0] * code.k).tolist()
-    received[0] = None
-    # given vectors take their helpers per read, not from the table
-    repair_symbol(code, received, 0, vectors=omega_r(code, 0, code.pg.s))
-    assert builds == [] and "_line_helpers" not in vars(code)
-    repair_symbol(code, received, 0)
-    repair_symbol(code, received, 0, unavailable={1})
-    repair_profile(code, mode="geometric")
-    repair_profile(code, mode="geometric", r=1)
-    assert builds == [code]
 
 
 @pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])
@@ -875,11 +884,6 @@ def test_geometric_repair_sets_match_one_helpers_call_per_line(name):
     for r in (None, 0, s - 1, s, s + 2):
         assert (repair_profile(code, mode="geometric", r=r).repair_sets
                 == geometric_repair_sets_by_helpers(code, r)), r
-    # from r = s up every line is light enough, and the profile hands out
-    # the table's own rows, with nothing copied
-    for r in (None, s, s + 2):
-        sets = repair_profile(code, mode="geometric", r=r).repair_sets
-        assert all(row is kept for row, kept in zip(sets, code._line_helpers, strict=True))
 
 
 LINE_TABLE_CODES = {
@@ -908,14 +912,13 @@ def test_the_line_table_lists_the_lines_through_each_symbol_by_length_then_index
 @pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])
 def test_given_lines_are_tried_in_the_line_table_order(name):
     # one key orders the table the code keeps and the vectors a caller
-    # gives, whatever order they come in, each with the helpers the
-    # code's helper table keeps for it
+    # gives, whatever order they come in
     code = ladder_code(name) if name in LADDER else mixed_weight_code()
     lines = [RepairVector(line, line=ln) for ln, line in enumerate(code.geometry.lines)]
     for i in range(code.n):
         assert (tuple(repair._repair_order(code, i, lines[::-1]))
                 == tuple(repair._repair_order(code, i))
-                == tuple(zip(code._line_table[i], code._line_helpers[i])))
+                == code._line_table[i])
 
 
 def test_generator_columns_are_read_off_the_generator_on_first_use():
