@@ -281,16 +281,16 @@ def _eliminate(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
     keep = []
     for idx, row in enumerate(words):
         rank = len(pivots)
-        hits = np.flatnonzero(row[at_word[:rank]] & at_mask[:rank])
+        hits = (row[at_word[:rank]] & at_mask[:rank]).nonzero()[0]
         if hits.size:
             row = row ^ np.bitwise_xor.reduce(reduced[hits])
-        nonzero = np.flatnonzero(row)
+        nonzero = row.nonzero()[0]
         if not nonzero.size:
             continue
         w = int(nonzero[0])
         low = int(row[w])
         bit = low & -low
-        holders = np.flatnonzero(reduced[:rank, w] & bit)
+        holders = (reduced[:rank, w] & bit).nonzero()[0]
         if holders.size:
             reduced[holders, w:] ^= row[w:]  # row is zero in the words before w
         reduced[rank] = row

@@ -567,13 +567,25 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
         yield rng
 
 
-# A chunk holds at most this many cells of cases x max(points, lines), in
-# whole uint64 words of 64 cases and at least one.  Its largest array is
-# still the iid draws, at 8 bytes a cell, which stays within 1.25 MB above
-# that floor: 256 cases on hyperoval(8), 1984 on grid(8), 64 (2 MB) on
-# hyperoval(16).  The count of first open lines takes (t+1) x n x words
-# bytes, 20 KB on hyperoval(8).
+# A chunk holds whole uint64 words of 64 cases, at least one, in at most
+# 8 x this many bytes, 1.25 MB above that floor (see ``_chunk_size``).  An
+# iid case takes 8 bytes a cell of cases x max(points, lines) draws: 256
+# cases on hyperoval(8), 1984 on grid(8), 64 (2 MB) on hyperoval(16).  A
+# set case takes a byte a cell of mask and 8 bytes a symbol of its u-set:
+# grid(8)'s 3240 pairs are one chunk of up to 13 504 cases, its triples
+# come 12 480 a chunk, and hyperoval(16) takes 256 sets of one symbol or
+# 64 (2.4 MB) of 4095.  The count of first open lines takes
+# (t+1) x n x words bytes, 20 KB on hyperoval(8).
 _CHUNK_CELLS = 5 << 15
+
+
+def _chunk_size(code: BlrcCode, model: str, u: int) -> int:
+    """Cases a chunk holds: whole uint64 words of them, at least one, in
+    8 x ``_CHUNK_CELLS`` bytes.  A case takes 8 bytes a cell of iid
+    draws, or a byte a cell of mask and 8 a symbol of its u-set."""
+    width = max(code.n, code.geometry.num_lines)
+    per_case = 8 * width if model == "iid" else width + 8 * u
+    return 64 * max(1, 8 * _CHUNK_CELLS // (64 * per_case))
 
 
 def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
@@ -582,10 +594,29 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
     open line check and the symbols those repairs read.
 
     Each chunk is a boolean cases x n array marking the unavailable
-    symbols.  Returns (succ, retrieved, cases, all_ok_cases).  This is
-    ``repair_symbol``'s rule on the arrays read off the code's line table
-    (see ``_line_arrays``), 64 cases to a ``uint64`` word: each case's
-    row is packed to bytes and the packed chunk transposed
+    symbols, counted by ``_chunk_counts``, whose arrays are freed before
+    the next chunk is made.  Returns (succ, retrieved, cases,
+    all_ok_cases).
+    """
+    succ = np.zeros(code.n, dtype=np.int64)
+    retrieved = np.zeros(code.n, dtype=np.int64)
+    cases = all_ok_cases = 0
+    for chunk in chunks:
+        chunk_succ, chunk_retrieved, all_ok = _chunk_counts(code, chunk)
+        succ += chunk_succ
+        retrieved += chunk_retrieved
+        cases += len(chunk)
+        all_ok_cases += all_ok
+    return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
+
+
+def _chunk_counts(code: BlrcCode, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One chunk's per-symbol repairs and symbols read, and its cases in
+    which every symbol is repaired.
+
+    This is ``repair_symbol``'s rule on the arrays read off the code's
+    line table (see ``_line_arrays``), 64 cases to a ``uint64`` word:
+    each case's row is packed to bytes and the packed chunk transposed
     (``algebra._bit_transpose``), so that row j holds symbol j's cases.
     Two bit-sliced words per line count its unavailable points up to
     two, one point of every line at a time: ``twice |= once & x`` and
@@ -593,47 +624,41 @@ def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
     ``~twice & (~once | u_i)`` (i never blocks itself), and the first
     line open in a case where i is not yet repaired, in the row's order,
     sets the symbols read.  Each step of that order writes its first open
-    lines' popcounts into one array, which is summed once for ``succ``
-    and once, weighted by each line's helpers, for ``retrieved``.
+    lines' popcounts into one array, which is summed once for the
+    repairs and once, weighted by each line's helpers, for the symbols
+    read.
     """
     points, order, helpers = code._line_arrays
     n, num_lines = code.n, code.geometry.num_lines
-    succ = np.zeros(n, dtype=np.int64)
-    retrieved = np.zeros(n, dtype=np.int64)
-    cases = all_ok_cases = 0
-    for chunk in chunks:
-        size = len(chunk)
-        words = -(-size // 64)
-        # whole words of cases, and a byte past symbol n - 1 so that the
-        # row of the padding point n is zero
-        packed = np.zeros((64 * words, n // 8 + 1), dtype=np.uint8)
-        packed[:size, :(n + 7) // 8] = np.packbits(chunk, axis=1, bitorder="little")
-        # row j holds symbol j's unavailability, case c at bit c
-        unavailable = _bit_transpose(packed).view(np.uint64)
-        valid = np.packbits(np.arange(64 * words) < size, bitorder="little").view(np.uint64)
-        once = np.zeros((num_lines + 1, words), dtype=np.uint64)
-        twice = np.zeros_like(once)
-        twice[-1] = ~np.uint64(0)
-        for row in points:
-            x = unavailable.take(row, axis=0)
-            twice[:-1] |= once[:-1] & x
-            once[:-1] |= x
-        not_once, not_twice = ~once, ~twice
-        # the unused bits of the last word start out repaired, so they
-        # are never a first open line
-        ok = np.tile(~valid, (n, 1))
-        first = np.empty((len(order), n, words), dtype=np.uint8)
-        for j, lines in enumerate(order):
-            open_j = ((not_once.take(lines, axis=0) | unavailable[:n])
-                      & not_twice.take(lines, axis=0))
-            np.bitwise_count(open_j & ~ok, out=first[j])
-            ok |= open_j
-        by_step = first.sum(axis=2, dtype=np.int64)
-        succ += by_step.sum(axis=0)
-        retrieved += (by_step * helpers).sum(axis=0)
-        cases += size
-        all_ok_cases += int(np.bitwise_count(np.bitwise_and.reduce(ok, axis=0) & valid).sum())
-    return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
+    size = len(chunk)
+    words = -(-size // 64)
+    # whole words of cases, and a byte past symbol n - 1 so that the
+    # row of the padding point n is zero
+    packed = np.zeros((64 * words, n // 8 + 1), dtype=np.uint8)
+    packed[:size, :(n + 7) // 8] = np.packbits(chunk, axis=1, bitorder="little")
+    # row j holds symbol j's unavailability, case c at bit c
+    unavailable = _bit_transpose(packed).view(np.uint64)
+    valid = np.packbits(np.arange(64 * words) < size, bitorder="little").view(np.uint64)
+    once = np.zeros((num_lines + 1, words), dtype=np.uint64)
+    twice = np.zeros_like(once)
+    twice[-1] = ~np.uint64(0)
+    for row in points:
+        x = unavailable.take(row, axis=0)
+        twice[:-1] |= once[:-1] & x
+        once[:-1] |= x
+    not_once, not_twice = ~once, ~twice
+    # the unused bits of the last word start out repaired, so they
+    # are never a first open line
+    ok = np.tile(~valid, (n, 1))
+    first = np.empty((len(order), n, words), dtype=np.uint8)
+    for j, lines in enumerate(order):
+        open_j = ((not_once.take(lines, axis=0) | unavailable[:n])
+                  & not_twice.take(lines, axis=0))
+        np.bitwise_count(open_j & ~ok, out=first[j])
+        ok |= open_j
+    by_step = first.sum(axis=2, dtype=np.int64)
+    all_ok = int(np.bitwise_count(np.bitwise_and.reduce(ok, axis=0) & valid).sum())
+    return by_step.sum(axis=0), np.einsum("jn,jn->n", by_step, helpers), all_ok
 
 
 def _iid_chunks(seed: int, trials: int, n: int, p: float,
@@ -649,18 +674,73 @@ def _iid_chunks(seed: int, trials: int, n: int, p: float,
         yield rows < p
 
 
-def _set_chunks(sets: Iterable[Iterable[int]], count: int, n: int, u: int,
-                size: int) -> Iterator[np.ndarray]:
-    """Chunks of ``size`` of the ``count`` unavailable sets, u symbols
-    each, scattered once per chunk into a cases x n mask.  The sets are
-    read as one stream of symbols, ``cases * u`` of them a chunk, so the
-    count alone says how many sets there are, u = 0's one empty set too."""
-    stream = itertools.chain.from_iterable(sets)
-    for start in range(0, count, size):
-        cases = min(size, count - start)
-        mask = np.zeros((cases, n), dtype=bool)
-        mask[np.arange(cases).repeat(u), np.fromiter(stream, np.intp, cases * u)] = True
-        yield mask
+def _subsets(n: int, u: int, size: int) -> Iterator[np.ndarray]:
+    """Every u-subset of range(n) in ``itertools.combinations`` order, as
+    ``intp`` index arrays of ``size`` rows, the last one shorter.
+
+    The subsets under one (u-1)-prefix are one run of the last index, from
+    prefix[-1] + 1 to n - 1 (from 0 when u = 1).  Prefixes are pulled only
+    until their runs fill a chunk, so the runs pulled hold at most one
+    chunk and n - 1 sets more than the chunks yielded; only the chunk
+    itself is expanded, and the rest of a run it cuts starts the next one.
+    u = 0 is one empty set.
+    """
+    if u == 0:
+        yield np.empty((1, 0), dtype=np.intp)
+        return
+    # the prefixes of the runs not yet yielded whole, with their lengths;
+    # the first run's first ``taken`` sets are yielded already
+    batch, lengths, taken, pending = [], [], 0, 0
+    for prefix in itertools.combinations(range(n - 1), u - 1):
+        batch.append(prefix)
+        lengths.append(n - 1 - prefix[-1] if prefix else n)
+        pending += lengths[-1]
+        while pending >= size:
+            pending -= size
+            yield _runs(batch, lengths, taken, size, n)
+            taken = lengths[0] - pending
+    if pending:
+        yield _runs(batch, lengths, taken, pending, n)
+
+
+def _runs(prefixes: list[tuple[int, ...]], lengths: list[int], taken: int,
+          count: int, n: int) -> np.ndarray:
+    """The first ``count`` sets of the runs under ``prefixes``, less the
+    first ``taken`` of the first run: one ``repeat`` of the prefixes, each
+    with its run's first last index less the run's offset in the chunk,
+    and one ``arange`` along the chunk.  Once read, every prefix but the
+    last, whose run may go on, leaves the lists."""
+    heads = np.empty((len(prefixes), len(prefixes[0]) + 1), dtype=np.intp)
+    heads[:, :-1] = prefixes
+    sizes = np.array(lengths, dtype=np.intp)
+    del prefixes[:-1], lengths[:-1]
+    sizes[0] -= taken
+    starts = n - sizes
+    sizes[-1] -= sizes.sum() - count
+    heads[:, -1] = starts - sizes.cumsum() + sizes
+    runs = heads.repeat(sizes, axis=0)
+    runs[:, -1] += np.arange(count)
+    return runs
+
+
+def _sampled_sets(seed: int, trials: int, n: int, u: int,
+                  size: int) -> Iterator[np.ndarray]:
+    """Each trial's ``rng.choice(n, size=u, replace=False)`` written into
+    its row of an ``intp`` index array of ``size`` trials."""
+    rngs = _trial_rngs(seed, trials)
+    for start in range(0, trials, size):
+        sets = np.empty((min(size, trials - start), u), dtype=np.intp)
+        for row, rng in zip(sets, rngs):
+            row[:] = rng.choice(n, size=u, replace=False)
+        yield sets
+
+
+def _set_mask(sets: np.ndarray, n: int) -> np.ndarray:
+    """A cases x u index array scattered once into a cases x n mask of
+    the unavailable symbols."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    mask[np.arange(len(sets))[:, None], sets] = True
+    return mask
 
 
 def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
@@ -678,8 +758,12 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     ``repair_symbol`` would repair it from its line checks: the first line
     in its row of the line table (see ``_line_table``) with every helper
     available (the symbol itself never blocks) sets the symbols read.
-    Each trial's draws fill its row of a chunk of whole ``uint64`` words
-    of cases, which ``_availability_counts`` counts.
+    Each trial's iid draws, or its u-set as symbol indices (``_subsets``
+    expands every u-set a run of the last index at a time, and
+    ``_sampled_sets`` writes each sampled one), fill its row of a chunk
+    of whole ``uint64`` words of cases (``_chunk_size``); a set chunk is
+    scattered once into its mask, and ``_availability_counts`` counts the
+    chunks.
     """
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
@@ -706,14 +790,13 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT
     if sampled and trials < 1:
         raise ParameterError("trials must be positive")
-    size = 64 * max(1, _CHUNK_CELLS // (64 * max(n, code.geometry.num_lines)))
-    if not sampled:
-        chunks = _set_chunks(itertools.combinations(range(n), u), math.comb(n, u), n, u, size)
-    elif model == "iid":
+    size = _chunk_size(code, model, u)
+    if model == "iid":
         chunks = _iid_chunks(seed, trials, n, p, size)
     else:
-        chunks = _set_chunks((rng.choice(n, size=u, replace=False)
-                              for rng in _trial_rngs(seed, trials)), trials, n, u, size)
+        sets = _sampled_sets(seed, trials, n, u, size) if sampled else _subsets(n, u, size)
+        # map holds no index array once its mask is made
+        chunks = map(_set_mask, sets, itertools.repeat(n))
     succ, retrieved, cases, all_ok_cases = _availability_counts(code, chunks)
 
     per_success = tuple(succ[i] / cases for i in range(n))

@@ -21,7 +21,8 @@ case-by-case availability simulator with a new generator per trial,
 the re-key that sets the array state numpy returns,
 the availability kernel with one byte per line and case, the
 bit-sliced one that packed each chunk along its strided case axis and
-read the u-sets as a list of tuples, json's own
+read the u-sets as a list of tuples, the set chunks that read the
+u-sets as one stream of symbols, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
 collinear pair, test every point pair through ``SmallField`` and walk
@@ -1037,6 +1038,25 @@ def set_chunks_by_tuples(sets: Iterable[Sequence[int]], n: int, u: int,
         mask[np.arange(len(chunk))[:, None],
              np.fromiter(itertools.chain.from_iterable(chunk), np.intp,
                          len(chunk) * u).reshape(len(chunk), u)] = True
+        yield mask
+
+
+# ----------------------------------------------------------------------
+# the simulator's set chunks before the u-sets became index arrays: every
+# symbol read from one stream of Python items
+
+
+def set_chunks_by_stream(sets: Iterable[Iterable[int]], count: int, n: int, u: int,
+                         size: int) -> Iterator[np.ndarray]:
+    """Chunks of ``size`` of the ``count`` unavailable sets, u symbols
+    each, scattered once per chunk into a cases x n mask.  The sets are
+    read as one stream of symbols, ``cases * u`` of them a chunk, so the
+    count alone says how many sets there are, u = 0's one empty set too."""
+    stream = itertools.chain.from_iterable(sets)
+    for start in range(0, count, size):
+        cases = min(size, count - start)
+        mask = np.zeros((cases, n), dtype=bool)
+        mask[np.arange(cases).repeat(u), np.fromiter(stream, np.intp, cases * u)] = True
         yield mask
 
 

@@ -39,6 +39,7 @@ import math
 import random
 import re
 import statistics
+import types
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -115,6 +116,7 @@ from oracles import (
     reconstruct_bitwise,
     repair_symbol_first_open,
     rref2_column_sweep,
+    set_chunks_by_stream,
     set_chunks_by_tuples,
     simulate_availability_scalar,
     symplectic_gq_by_pairs,
@@ -1094,8 +1096,11 @@ def scanned_reports(name):
 
 @pytest.mark.parametrize("cases_per_chunk", [1, 7, 63, 64, 65, 128, 200])
 def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chunk):
-    # a budget of c cases a chunk makes chunks of whole uint64 words, at
-    # least one: 64 cases up to c = 127, 128 at c = 128 and 192 at 200.
+    # a budget of c iid cases a chunk makes chunks of whole uint64 words,
+    # at least one: 64 cases up to c = 127, 128 at c = 128 and 192 at 200.
+    # The same bytes hold more set cases, a byte a cell of mask and 8 a
+    # symbol of the u-set where an iid case takes 8 a cell: grid(8)'s
+    # pairs come 64 a chunk up to c = 19, 384 at c = 63 and 1280 at 200.
     # Only the last chunk of a run ends a word early: 200 trials end 8
     # cases into a word and grid(8)'s 3240 pairs 40 (the kernel test below
     # takes chunks of any size).  mixed_weight's lines of 3 and 2 points
@@ -1106,12 +1111,13 @@ def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chu
     count = repair._availability_counts
     monkeypatch.setattr(repair, "_availability_counts", lambda code, chunks: count(
         code, (sizes.append(len(chunk)) or chunk for chunk in chunks)))
-    size = 64 * max(1, cases_per_chunk // 64)
     for name in ("grid8", "mixed_weight"):
         code = SIM_CODES[name]()
-        monkeypatch.setattr(repair, "_CHUNK_CELLS",
-                            cases_per_chunk * max(code.n, code.geometry.num_lines))
+        width = max(code.n, code.geometry.num_lines)
+        monkeypatch.setattr(repair, "_CHUNK_CELLS", cases_per_chunk * width)
         for kwargs, want in zip(CHUNK_RUNS, scanned_reports(name)):
+            per_case = 8 * width if kwargs["model"] == "iid" else width + 8 * kwargs["u"]
+            size = 64 * max(1, 8 * cases_per_chunk * width // (64 * per_case))
             sizes.clear()
             assert report_text(simulate_availability(code, **kwargs)) == want, (name, kwargs)
             assert set(sizes[:-1]) <= {size} and 0 < sizes[-1] <= size, (name, kwargs)
@@ -1153,21 +1159,116 @@ def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
 def test_set_chunks_match_the_chunks_of_tuples(name):
     # every u-set where there are at most the limit of them, and sampled
-    # u-sets as the simulator draws them, read as one stream of symbols
+    # u-sets as the simulator draws them, in chunks of the simulator's
+    # byte budget, each scattered into its mask (the test below takes
+    # chunks of 1, 7, 64 and 200 cases)
     code = SIM_CODES[name]()
     n = code.n
     for u in sorted({0, 1, 2, n - 1, n}):
-        sources = [(lambda: (rng.choice(n, size=u, replace=False)
-                             for rng in repair._trial_rngs(7, 200)), 200)]
+        sources = [(lambda size: repair._sampled_sets(7, 200, n, u, size),
+                    lambda: (rng.choice(n, size=u, replace=False)
+                             for rng in repair._trial_rngs(7, 200)))]
         if math.comb(n, u) <= _EXHAUSTIVE_LIMIT:
-            sources.append((lambda: itertools.combinations(range(n), u), math.comb(n, u)))
-        for sets, count in sources:
-            for size in (7, 64, 200):
-                got = list(repair._set_chunks(sets(), count, n, u, size))
-                want = list(set_chunks_by_tuples(sets(), n, u, size))
-                assert len(got) == len(want), (u, count, size)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and np.array_equal(g, w), (u, count, size)
+            sources.append((lambda size: repair._subsets(n, u, size),
+                            lambda: itertools.combinations(range(n), u)))
+        size = repair._chunk_size(code, "adversarial", u)
+        for chunks, sets in sources:
+            got = [repair._set_mask(chunk, n) for chunk in chunks(size)]
+            assert chunks_match(got, list(set_chunks_by_tuples(sets(), n, u, size))), u
+
+
+def chunks_match(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_set_index_arrays_match_the_combinations_and_the_choice_stream(monkeypatch, name):
+    # the exhaustive runs of the last index, in chunks that cut runs (1, 7
+    # and 64 cut grid(8)'s pairs, whose runs have 80 down to 1 sets) or
+    # hold several, must be itertools' u-sets in order, with at most one
+    # chunk and n - 1 sets pending under the prefixes pulled; each trial's
+    # row must be its own generator's choice; and both must scatter into
+    # the masks of the symbol stream and of the chunked tuples (the
+    # exhaustive masks from 7 cases a chunk up: grid(8)'s and W(4)'s
+    # triples come 10^5 chunks of one)
+    code = SIM_CODES[name]()
+    n = code.n
+    pulled = [0]
+
+    def prefixes(pool, r):
+        for prefix in itertools.combinations(pool, r):
+            pulled[0] += n - 1 - prefix[-1] if prefix else n
+            yield prefix
+
+    monkeypatch.setattr(repair, "itertools",
+                        types.SimpleNamespace(**{**vars(itertools), "combinations": prefixes}))
+    for u in sorted({0, 1, 2, 3, n - 1, n} & set(range(n + 1))):
+        count = math.comb(n, u)
+        exhaustive = count <= _EXHAUSTIVE_LIMIT
+        if exhaustive:
+            want_sets = np.array(list(itertools.combinations(range(n), u)),
+                                 dtype=np.intp).reshape(count, u)
+        draws = [trial_rng(7, trial).choice(n, size=u, replace=False) for trial in range(200)]
+        for size in (1, 7, 64, 200):
+            sampled = list(repair._sampled_sets(7, 200, n, u, size))
+            assert [len(c) for c in sampled] == [min(size, 200 - s) for s in range(0, 200, size)]
+            assert all(c.dtype == np.intp and c.shape[1] == u for c in sampled), (u, size)
+            assert np.array_equal(np.concatenate(sampled), np.array(draws).reshape(200, u))
+            masks = [repair._set_mask(c, n) for c in sampled]
+            assert chunks_match(masks, list(set_chunks_by_stream(draws, 200, n, u, size)))
+            assert chunks_match(masks, list(set_chunks_by_tuples(draws, n, u, size)))
+            if not exhaustive:
+                continue
+            pulled[0] = yielded = 0
+            chunks = []
+            for chunk in repair._subsets(n, u, size):
+                assert pulled[0] - yielded <= size + n - 1, (u, size)
+                yielded += len(chunk)
+                chunks.append(chunk)
+            assert [len(c) for c in chunks] == [min(size, count - s)
+                                                for s in range(0, count, size)]
+            assert all(c.dtype == np.intp and c.shape[1] == u for c in chunks), (u, size)
+            assert np.array_equal(np.concatenate(chunks), want_sets), (u, size)
+            if size == 1:
+                continue
+            masks = [repair._set_mask(c, n) for c in chunks]
+            assert chunks_match(masks, list(set_chunks_by_stream(
+                map(tuple, want_sets), count, n, u, size)))
+            assert chunks_match(masks, list(set_chunks_by_tuples(
+                map(tuple, want_sets), n, u, size)))
+
+
+@pytest.mark.parametrize("name", ["grid8", "symplectic4", "hyperoval8", "mixed_weight"])
+def test_set_chunks_stay_within_the_byte_budget(monkeypatch, name):
+    # a set chunk's index array and its mask take at most the
+    # 8 x _CHUNK_CELLS bytes that the iid draws may, but at the floor of
+    # one word of cases, and one word more would not fit at max(points,
+    # lines) mask bytes a case; so grid(8)'s 3240 pairs are one chunk
+    code = SIM_CODES[name]()
+    n = code.n
+    width, budget = max(n, code.geometry.num_lines), 8 * repair._CHUNK_CELLS
+    chunks = []
+    scatter = repair._set_mask
+
+    def set_mask(sets, n):
+        mask = scatter(sets, n)
+        chunks.append((len(sets), sets.nbytes + mask.nbytes))
+        return mask
+
+    monkeypatch.setattr(repair, "_set_mask", set_mask)
+    for u in sorted({0, 1, 2, 3, n // 2, n - 1, n}):
+        chunks.clear()
+        simulate_availability(code, model="adversarial", u=u, trials=300, seed=1)
+        size = repair._chunk_size(code, "adversarial", u)
+        assert size % 64 == 0 and (size + 64) * (width + 8 * u) > budget, u
+        assert size == 64 or size * (width + 8 * u) <= budget, u
+        assert all(cases == size for cases, _ in chunks[:-1]) and chunks[-1][0] <= size, u
+        assert all(nbytes <= budget or cases <= 64 for cases, nbytes in chunks), u
+    if name == "grid8":
+        chunks.clear()
+        simulate_availability(code, model="adversarial", u=2)
+        assert chunks == [(3240, 3240 * (n + 16))]
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
