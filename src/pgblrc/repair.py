@@ -30,10 +30,10 @@ lowest line index.  ``_line_table`` lists every symbol's line checks in
 that order, once per code, and the executor, the geometric profile and
 the simulator all read it.  A read tests each check's support against
 the unavailable symbols other than the one it repairs; the simulator
-counts chunks of cases, 64 to a ``uint64`` word
-(``_availability_counts``), on arrays that ``_line_arrays`` reads off
-the table when it first needs them.  So the simulator estimates the
-success of the executor itself.
+counts chunks of cases, 64 to a ``uint64`` word, held as one row of
+cases per symbol (``_availability_counts``), on arrays that
+``_line_arrays`` reads off the table when it first needs them.  So the
+simulator estimates the success of the executor itself.
 """
 
 from __future__ import annotations
@@ -571,53 +571,60 @@ def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
 # 8 x this many bytes, 1.25 MB above that floor (see ``_chunk_size``).  An
 # iid case takes 8 bytes a cell of cases x max(points, lines) draws: 256
 # cases on hyperoval(8), 1984 on grid(8), 64 (2 MB) on hyperoval(16).  A
-# set case takes a byte a cell of mask and 8 bytes a symbol of its u-set:
-# grid(8)'s 3240 pairs are one chunk of up to 13 504 cases, its triples
-# come 12 480 a chunk, and hyperoval(16) takes 256 sets of one symbol or
-# 64 (2.4 MB) of 4095.  The count of first open lines takes
+# set case takes a byte a symbol of bit rows, n + 1 of them, and 8 bytes
+# a symbol of its index array, min(u, n - u) symbols when every u-set is
+# tried: grid(8)'s 3240 pairs are one chunk of up to 13 312 cases, its
+# triples come 12 352 a chunk, and hyperoval(16) takes 256 sets of one
+# symbol, or of one symbol's complement at u = 4095, or 64 (0.8 MB)
+# sampled sets of 1000.  The count of first open lines takes
 # (t+1) x n x words bytes, 20 KB on hyperoval(8).
 _CHUNK_CELLS = 5 << 15
 
 
-def _chunk_size(code: BlrcCode, model: str, u: int) -> int:
+def _chunk_size(code: BlrcCode, model: str, drawn: int) -> int:
     """Cases a chunk holds: whole uint64 words of them, at least one, in
     8 x ``_CHUNK_CELLS`` bytes.  A case takes 8 bytes a cell of iid
-    draws, or a byte a cell of mask and 8 a symbol of its u-set."""
-    width = max(code.n, code.geometry.num_lines)
-    per_case = 8 * width if model == "iid" else width + 8 * u
+    draws, or a byte a symbol of its bit rows (n + 1) and 8 a symbol of
+    its index array, ``drawn`` symbols long."""
+    if model == "iid":
+        per_case = 8 * max(code.n, code.geometry.num_lines)
+    else:
+        per_case = code.n + 1 + 8 * drawn
     return 64 * max(1, 8 * _CHUNK_CELLS // (64 * per_case))
 
 
-def _availability_counts(code: BlrcCode, chunks: Iterable[np.ndarray]
+def _availability_counts(code: BlrcCode, chunks: Iterable[tuple[np.ndarray, int]]
                          ) -> tuple[list[int], list[int], int, int]:
     """Count, over chunks of cases, the cases in which each symbol has an
     open line check and the symbols those repairs read.
 
-    Each chunk is a boolean cases x n array marking the unavailable
-    symbols, counted by ``_chunk_counts``, whose arrays are freed before
-    the next chunk is made.  Returns (succ, retrieved, cases,
-    all_ok_cases).
+    Each chunk is a pair of its symbol-major ``uint64`` bit rows and its
+    case count, as ``_chunk_counts`` takes them, made from the draws or
+    index arrays just before it is counted.  Returns (succ, retrieved,
+    cases, all_ok_cases).
     """
     succ = np.zeros(code.n, dtype=np.int64)
     retrieved = np.zeros(code.n, dtype=np.int64)
     cases = all_ok_cases = 0
-    for chunk in chunks:
-        chunk_succ, chunk_retrieved, all_ok = _chunk_counts(code, chunk)
+    for unavailable, size in chunks:
+        chunk_succ, chunk_retrieved, all_ok = _chunk_counts(code, unavailable, size)
         succ += chunk_succ
         retrieved += chunk_retrieved
-        cases += len(chunk)
+        cases += size
         all_ok_cases += all_ok
     return succ.tolist(), retrieved.tolist(), cases, all_ok_cases
 
 
-def _chunk_counts(code: BlrcCode, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _chunk_counts(code: BlrcCode, unavailable: np.ndarray,
+                  size: int) -> tuple[np.ndarray, np.ndarray, int]:
     """One chunk's per-symbol repairs and symbols read, and its cases in
     which every symbol is repaired.
 
-    This is ``repair_symbol``'s rule on the arrays read off the code's
-    line table (see ``_line_arrays``), 64 cases to a ``uint64`` word:
-    each case's row is packed to bytes and the packed chunk transposed
-    (``algebra._bit_transpose``), so that row j holds symbol j's cases.
+    ``unavailable`` holds ``size`` cases in symbol-major ``uint64`` rows:
+    row j is symbol j's unavailability, case c at bit c, with at least
+    n + 1 rows, row n (the padding point) zero, and the bits at and past
+    ``size`` zero.  This is ``repair_symbol``'s rule on the arrays read
+    off the code's line table (see ``_line_arrays``), 64 cases to a word.
     Two bit-sliced words per line count its unavailable points up to
     two, one point of every line at a time: ``twice |= once & x`` and
     then ``once |= x``.  Line l is open for i exactly where
@@ -630,14 +637,7 @@ def _chunk_counts(code: BlrcCode, chunk: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     points, order, helpers = code._line_arrays
     n, num_lines = code.n, code.geometry.num_lines
-    size = len(chunk)
-    words = -(-size // 64)
-    # whole words of cases, and a byte past symbol n - 1 so that the
-    # row of the padding point n is zero
-    packed = np.zeros((64 * words, n // 8 + 1), dtype=np.uint8)
-    packed[:size, :(n + 7) // 8] = np.packbits(chunk, axis=1, bitorder="little")
-    # row j holds symbol j's unavailability, case c at bit c
-    unavailable = _bit_transpose(packed).view(np.uint64)
+    words = unavailable.shape[1]
     valid = np.packbits(np.arange(64 * words) < size, bitorder="little").view(np.uint64)
     once = np.zeros((num_lines + 1, words), dtype=np.uint64)
     twice = np.zeros_like(once)
@@ -672,6 +672,18 @@ def _iid_chunks(seed: int, trials: int, n: int, p: float,
         for row, rng in zip(rows, rngs):
             rng.random(out=row)
         yield rows < p
+
+
+def _case_words(chunk: np.ndarray) -> tuple[np.ndarray, int]:
+    """A cases x n mask of unavailable symbols as ``_chunk_counts``'s bit
+    rows and case count: each case's row is packed to bytes, with a byte
+    past symbol n - 1 so that the row of the padding point n is zero, and
+    the packed chunk, in whole words of cases, is transposed
+    (``algebra._bit_transpose``)."""
+    size, n = chunk.shape
+    packed = np.zeros((-(-size // 64) * 64, n // 8 + 1), dtype=np.uint8)
+    packed[:size, :(n + 7) // 8] = np.packbits(chunk, axis=1, bitorder="little")
+    return _bit_transpose(packed).view(np.uint64), size
 
 
 def _subsets(n: int, u: int, size: int) -> Iterator[np.ndarray]:
@@ -735,12 +747,19 @@ def _sampled_sets(seed: int, trials: int, n: int, u: int,
         yield sets
 
 
-def _set_mask(sets: np.ndarray, n: int) -> np.ndarray:
-    """A cases x u index array scattered once into a cases x n mask of
-    the unavailable symbols."""
-    mask = np.zeros((len(sets), n), dtype=bool)
-    mask[np.arange(len(sets))[:, None], sets] = True
-    return mask
+def _set_words(sets: np.ndarray, n: int, complement: bool) -> tuple[np.ndarray, int]:
+    """A cases x u index array as ``_chunk_counts``'s bit rows and case
+    count: one scatter into n + 1 bool rows of whole words of cases, each
+    case in its own column, and one ``packbits`` along the case axis.
+    With ``complement`` each row holds the symbols that stay available:
+    rows 0..n-1 start unavailable in every case and the scatter clears
+    them, while row n and the columns past the cases stay zero."""
+    size = len(sets)
+    rows = np.zeros((n + 1, -(-size // 64) * 64), dtype=bool)
+    if complement:
+        rows[:n, :size] = True
+    rows[sets, np.arange(size)[:, None]] = not complement
+    return np.packbits(rows, axis=1, bitorder="little").view(np.uint64), size
 
 
 def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
@@ -761,9 +780,12 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     Each trial's iid draws, or its u-set as symbol indices (``_subsets``
     expands every u-set a run of the last index at a time, and
     ``_sampled_sets`` writes each sampled one), fill its row of a chunk
-    of whole ``uint64`` words of cases (``_chunk_size``); a set chunk is
-    scattered once into its mask, and ``_availability_counts`` counts the
-    chunks.
+    of whole ``uint64`` words of cases (``_chunk_size``).  An iid chunk
+    is packed and transposed into symbol-major bit rows (``_case_words``),
+    and a set chunk scattered straight into them (``_set_words``);
+    ``_availability_counts`` counts the rows.  When u > n - u, every
+    u-set is tried as the complement of an (n - u)-set: the rows of
+    symbols 0..n-1 are the (n - u)-set's rows inverted.
     """
     if model not in AVAILABILITY_MODELS:
         raise ParameterError(f"unknown model {model!r}; choose 'iid' or 'adversarial'")
@@ -790,13 +812,16 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     sampled = model == "iid" or math.comb(n, u) > _EXHAUSTIVE_LIMIT
     if sampled and trials < 1:
         raise ParameterError("trials must be positive")
-    size = _chunk_size(code, model, u)
+    # near u = n, every u-set is enumerated as its (n - u)-complement
+    complement = not sampled and u > n - u
+    drawn = n - u if complement else u
+    size = _chunk_size(code, model, drawn)
     if model == "iid":
-        chunks = _iid_chunks(seed, trials, n, p, size)
+        chunks = map(_case_words, _iid_chunks(seed, trials, n, p, size))
     else:
-        sets = _sampled_sets(seed, trials, n, u, size) if sampled else _subsets(n, u, size)
-        # map holds no index array once its mask is made
-        chunks = map(_set_mask, sets, itertools.repeat(n))
+        sets = _sampled_sets(seed, trials, n, u, size) if sampled else _subsets(n, drawn, size)
+        # map holds no index array once its bit rows are made
+        chunks = map(_set_words, sets, itertools.repeat(n), itertools.repeat(complement))
     succ, retrieved, cases, all_ok_cases = _availability_counts(code, chunks)
 
     per_success = tuple(succ[i] / cases for i in range(n))

@@ -22,7 +22,8 @@ the re-key that sets the array state numpy returns,
 the availability kernel with one byte per line and case, the
 bit-sliced one that packed each chunk along its strided case axis and
 read the u-sets as a list of tuples, the set chunks that read the
-u-sets as one stream of symbols, json's own
+u-sets as one stream of symbols, the set chunks scattered into a
+case-major mask that was packed and transposed, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
 collinear pair, test every point pair through ``SmallField`` and walk
@@ -42,8 +43,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import (BitMatrix, _bits, _pack, _set_bits, _transpose, _words,
-                            rank2, small_field, solve2)
+from pgblrc.algebra import (BitMatrix, _bit_transpose, _bits, _pack, _set_bits, _transpose,
+                            _words, rank2, small_field, solve2)
 from pgblrc.code import build_code
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
@@ -1058,6 +1059,36 @@ def set_chunks_by_stream(sets: Iterable[Iterable[int]], count: int, n: int, u: i
         mask = np.zeros((cases, n), dtype=bool)
         mask[np.arange(cases).repeat(u), np.fromiter(stream, np.intp, cases * u)] = True
         yield mask
+
+
+# ----------------------------------------------------------------------
+# the simulator's set chunks before they were scattered straight into
+# symbol-major bit rows: a cases x n mask, packed along the case rows
+# and transposed
+
+
+def set_mask(sets: np.ndarray, n: int) -> np.ndarray:
+    """A cases x u index array scattered once into a cases x n mask of
+    the unavailable symbols."""
+    mask = np.zeros((len(sets), n), dtype=bool)
+    mask[np.arange(len(sets))[:, None], sets] = True
+    return mask
+
+
+def set_words_by_mask(sets: np.ndarray, n: int) -> np.ndarray:
+    """A cases x u index array as symbol-major ``uint64`` bit rows, case c
+    at bit c: its mask packed along each case's row, with a byte past
+    symbol n - 1, and the packed chunk, in whole words of cases,
+    transposed.  Rows n and up, and the bits past the cases, are zero."""
+    chunk = set_mask(sets, n)
+    size = len(chunk)
+    words = -(-size // 64)
+    # whole words of cases, and a byte past symbol n - 1 so that the
+    # row of the padding point n is zero
+    packed = np.zeros((64 * words, n // 8 + 1), dtype=np.uint8)
+    packed[:size, :(n + 7) // 8] = np.packbits(chunk, axis=1, bitorder="little")
+    # row j holds symbol j's unavailability, case c at bit c
+    return _bit_transpose(packed).view(np.uint64)
 
 
 # ----------------------------------------------------------------------

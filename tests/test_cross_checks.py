@@ -118,6 +118,8 @@ from oracles import (
     rref2_column_sweep,
     set_chunks_by_stream,
     set_chunks_by_tuples,
+    set_mask,
+    set_words_by_mask,
     simulate_availability_scalar,
     symplectic_gq_by_pairs,
     symplectic_gq_by_spans,
@@ -1098,25 +1100,26 @@ def scanned_reports(name):
 def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chunk):
     # a budget of c iid cases a chunk makes chunks of whole uint64 words,
     # at least one: 64 cases up to c = 127, 128 at c = 128 and 192 at 200.
-    # The same bytes hold more set cases, a byte a cell of mask and 8 a
-    # symbol of the u-set where an iid case takes 8 a cell: grid(8)'s
-    # pairs come 64 a chunk up to c = 19, 384 at c = 63 and 1280 at 200.
-    # Only the last chunk of a run ends a word early: 200 trials end 8
-    # cases into a word and grid(8)'s 3240 pairs 40 (the kernel test below
-    # takes chunks of any size).  mixed_weight's lines of 3 and 2 points
-    # and its symbols on 2 and 1 lines pad both tables.  Every chunking
-    # must give the case-by-case scan's report, so neither the unused bits
-    # of a word nor the padding point or line may count
+    # The same bytes hold more set cases, a byte a symbol of bit rows
+    # (n + 1 of them) and 8 a symbol of the u-set where an iid case takes
+    # 8 a cell: grid(8)'s pairs come 64 a chunk up to c = 19, 384 at
+    # c = 63 and 1280 at 200, and mixed_weight's 256 at 200.  Only the
+    # last chunk of a run ends a word early: 200 trials end 8 cases into
+    # a word and grid(8)'s 3240 pairs 40 (the kernel test below takes
+    # chunks of any size).  mixed_weight's lines of 3 and 2 points and
+    # its symbols on 2 and 1 lines pad both tables.  Every chunking must
+    # give the case-by-case scan's report, so neither the unused bits of
+    # a word nor the padding point or line may count
     sizes = []
     count = repair._availability_counts
     monkeypatch.setattr(repair, "_availability_counts", lambda code, chunks: count(
-        code, (sizes.append(len(chunk)) or chunk for chunk in chunks)))
+        code, (sizes.append(chunk[1]) or chunk for chunk in chunks)))
     for name in ("grid8", "mixed_weight"):
         code = SIM_CODES[name]()
         width = max(code.n, code.geometry.num_lines)
         monkeypatch.setattr(repair, "_CHUNK_CELLS", cases_per_chunk * width)
         for kwargs, want in zip(CHUNK_RUNS, scanned_reports(name)):
-            per_case = 8 * width if kwargs["model"] == "iid" else width + 8 * kwargs["u"]
+            per_case = 8 * width if kwargs["model"] == "iid" else code.n + 1 + 8 * kwargs["u"]
             size = 64 * max(1, 8 * cases_per_chunk * width // (64 * per_case))
             sizes.clear()
             assert report_text(simulate_availability(code, **kwargs)) == want, (name, kwargs)
@@ -1140,41 +1143,59 @@ def unavailable_sets(code, p=None, u=None, trials=200, seed=7):
 def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
     # the simulator's chunk size, chunks that end a uint64 word early, on
     # its last bit and one case into the next, chunks about one byte of
-    # the transpose (8 and 9 cases) and one of two whole words; the kernel
-    # that packed along the strided case axis counts the same
+    # the transpose (8 and 9 cases) and one of two whole words.  Each
+    # chunk reaches the kernel as a mask through the iid path's pack and
+    # transpose and, for u-sets, as index arrays through the set path's
+    # scatter, of the sets or, when u > n - u, of their complements, as
+    # the simulator enumerates them; the kernel that packed along the
+    # strided case axis counts the same
     code = SIM_CODES[name]()
-    default = 64 * max(1, repair._CHUNK_CELLS // (64 * max(code.n, code.geometry.num_lines)))
-    for kwargs in (dict(p=0.0), dict(p=0.35), dict(p=1.0), dict(u=0), dict(u=1), dict(u=2)):
+    n = code.n
+    default = 64 * max(1, repair._CHUNK_CELLS // (64 * max(n, code.geometry.num_lines)))
+    for kwargs in (dict(p=0.0), dict(p=0.35), dict(p=1.0), dict(u=0), dict(u=1), dict(u=2),
+                   dict(u=n - 1), dict(u=n)):
         sets = unavailable_sets(code, **kwargs)
-        mask = np.zeros((len(sets), code.n), dtype=bool)
+        mask = np.zeros((len(sets), n), dtype=bool)
         for case, unavailable in enumerate(sets):
             mask[case, unavailable] = True
         want = availability_counts_bytewise(code, sets)
+        u = kwargs.get("u")
+        if u is not None:
+            complement = u > n - u
+            drawn = np.array([np.flatnonzero(row != complement) for row in mask],
+                             dtype=np.intp).reshape(len(sets), min(u, n - u))
         for size in (default, 1, 7, 8, 9, 63, 64, 65, 128):
-            chunks = np.split(mask, range(size, len(sets), size))
-            assert (repair._availability_counts(code, chunks) == want
-                    == availability_counts_by_strided_pack(code, chunks)), (kwargs, size)
+            cuts = range(size, len(sets), size)
+            chunks = np.split(mask, cuts)
+            assert availability_counts_by_strided_pack(code, chunks) == want, (kwargs, size)
+            assert (repair._availability_counts(code, map(repair._case_words, chunks))
+                    == want), (kwargs, size)
+            if u is not None:
+                assert repair._availability_counts(code, (
+                    repair._set_words(chunk, n, complement) for chunk in np.split(drawn, cuts)
+                )) == want, (kwargs, size)
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
 def test_set_chunks_match_the_chunks_of_tuples(name):
-    # every u-set where there are at most the limit of them, and sampled
-    # u-sets as the simulator draws them, in chunks of the simulator's
-    # byte budget, each scattered into its mask (the test below takes
-    # chunks of 1, 7, 64 and 200 cases)
+    # every u-set, or its complement when u > n - u, where there are at
+    # most the limit of them, and sampled u-sets as the simulator draws
+    # them, in chunks of the simulator's byte budget, each scattered into
+    # its mask (the test below takes chunks of 1, 7, 64 and 200 cases)
     code = SIM_CODES[name]()
     n = code.n
     for u in sorted({0, 1, 2, n - 1, n}):
-        sources = [(lambda size: repair._sampled_sets(7, 200, n, u, size),
+        sources = [(u, lambda size: repair._sampled_sets(7, 200, n, u, size),
                     lambda: (rng.choice(n, size=u, replace=False)
                              for rng in repair._trial_rngs(7, 200)))]
+        drawn = min(u, n - u)
         if math.comb(n, u) <= _EXHAUSTIVE_LIMIT:
-            sources.append((lambda size: repair._subsets(n, u, size),
-                            lambda: itertools.combinations(range(n), u)))
-        size = repair._chunk_size(code, "adversarial", u)
-        for chunks, sets in sources:
-            got = [repair._set_mask(chunk, n) for chunk in chunks(size)]
-            assert chunks_match(got, list(set_chunks_by_tuples(sets(), n, u, size))), u
+            sources.append((drawn, lambda size: repair._subsets(n, drawn, size),
+                            lambda: itertools.combinations(range(n), drawn)))
+        for width, chunks, sets in sources:
+            size = repair._chunk_size(code, "adversarial", width)
+            got = [set_mask(chunk, n) for chunk in chunks(size)]
+            assert chunks_match(got, list(set_chunks_by_tuples(sets(), n, width, size))), u
 
 
 def chunks_match(got, want):
@@ -1215,7 +1236,7 @@ def test_set_index_arrays_match_the_combinations_and_the_choice_stream(monkeypat
             assert [len(c) for c in sampled] == [min(size, 200 - s) for s in range(0, 200, size)]
             assert all(c.dtype == np.intp and c.shape[1] == u for c in sampled), (u, size)
             assert np.array_equal(np.concatenate(sampled), np.array(draws).reshape(200, u))
-            masks = [repair._set_mask(c, n) for c in sampled]
+            masks = [set_mask(c, n) for c in sampled]
             assert chunks_match(masks, list(set_chunks_by_stream(draws, 200, n, u, size)))
             assert chunks_match(masks, list(set_chunks_by_tuples(draws, n, u, size)))
             if not exhaustive:
@@ -1232,43 +1253,89 @@ def test_set_index_arrays_match_the_combinations_and_the_choice_stream(monkeypat
             assert np.array_equal(np.concatenate(chunks), want_sets), (u, size)
             if size == 1:
                 continue
-            masks = [repair._set_mask(c, n) for c in chunks]
+            masks = [set_mask(c, n) for c in chunks]
             assert chunks_match(masks, list(set_chunks_by_stream(
                 map(tuple, want_sets), count, n, u, size)))
             assert chunks_match(masks, list(set_chunks_by_tuples(
                 map(tuple, want_sets), n, u, size)))
 
 
-@pytest.mark.parametrize("name", ["grid8", "symplectic4", "hyperoval8", "mixed_weight"])
-def test_set_chunks_stay_within_the_byte_budget(monkeypatch, name):
-    # a set chunk's index array and its mask take at most the
-    # 8 x _CHUNK_CELLS bytes that the iid draws may, but at the floor of
-    # one word of cases, and one word more would not fit at max(points,
-    # lines) mask bytes a case; so grid(8)'s 3240 pairs are one chunk
+@pytest.mark.parametrize("name", sorted(SIM_CODES))
+def test_set_words_match_the_packed_masks(name):
+    # each set chunk scattered straight into symbol-major bit rows must be
+    # its mask packed along the case rows and transposed, in n + 1 rows of
+    # whole words with row n and the bits past the cases zero; an
+    # enumerated chunk of (n - u)-complements, for u > n - u, must give
+    # the rows of its u-sets.  Chunks end a word early, on its last bit
+    # and one case into the next, and about one byte; an enumeration is
+    # checked on its first 64 chunks, so the small chunks of a long one
+    # stop early (the sampled 200 cases, and the short enumerations, end
+    # their last chunk inside a word)
     code = SIM_CODES[name]()
     n = code.n
-    width, budget = max(n, code.geometry.num_lines), 8 * repair._CHUNK_CELLS
+    everyone = np.arange(n)
+    for u in sorted({0, 1, 2, 3, n - 2, n - 1, n} & set(range(n + 1))):
+        sampled = math.comb(n, u) > _EXHAUSTIVE_LIMIT
+        complement = not sampled and u > n - u
+        for size in (1, 7, 8, 9, 63, 64, 65, 200):
+            if sampled:
+                chunks = repair._sampled_sets(7, 200, n, u, size)
+            else:
+                chunks = repair._subsets(n, n - u if complement else u, size)
+            for chunk in itertools.islice(chunks, 64):
+                words, cases = repair._set_words(chunk, n, complement)
+                if complement:
+                    chunk = np.array([np.setdiff1d(everyone, c) for c in chunk],
+                                     dtype=np.intp).reshape(len(chunk), u)
+                want = set_words_by_mask(chunk, n)
+                assert cases == len(chunk) and words.dtype == np.uint64, (u, size)
+                assert words.shape == (n + 1, -(-cases // 64)), (u, size)
+                assert np.array_equal(words, want[:n + 1]) and not want[n + 1:].any(), (u, size)
+                bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+                assert not bits[n].any() and not bits[:, cases:].any(), (u, size)
+
+
+@pytest.mark.parametrize("name", ["grid8", "symplectic4", "hyperoval8", "mixed_weight"])
+def test_set_chunks_stay_within_the_byte_budget(monkeypatch, name):
+    # a set chunk's index array and its bool bit rows, n + 1 bytes a case
+    # before the packing, take at most the 8 x _CHUNK_CELLS bytes that the
+    # iid draws may, but at the floor of one word of cases, and one word
+    # more would not fit; every u-set is tried as its (n - u)-complement
+    # when u > n - u, so those index arrays are n - u wide.  grid(8)'s
+    # 3240 pairs are one chunk, and hyperoval(8)'s u = 511 one chunk of
+    # 512 one-symbol complements
+    code = SIM_CODES[name]()
+    n = code.n
+    budget = 8 * repair._CHUNK_CELLS
     chunks = []
-    scatter = repair._set_mask
+    scatter = repair._set_words
 
-    def set_mask(sets, n):
-        mask = scatter(sets, n)
-        chunks.append((len(sets), sets.nbytes + mask.nbytes))
-        return mask
+    def set_words(sets, n, complement):
+        words, size = scatter(sets, n, complement)
+        # the bool rows the packing read held a byte for each bit
+        chunks.append((size, sets.shape[1], sets.nbytes + 8 * words.nbytes))
+        return words, size
 
-    monkeypatch.setattr(repair, "_set_mask", set_mask)
+    monkeypatch.setattr(repair, "_set_words", set_words)
     for u in sorted({0, 1, 2, 3, n // 2, n - 1, n}):
         chunks.clear()
         simulate_availability(code, model="adversarial", u=u, trials=300, seed=1)
-        size = repair._chunk_size(code, "adversarial", u)
-        assert size % 64 == 0 and (size + 64) * (width + 8 * u) > budget, u
-        assert size == 64 or size * (width + 8 * u) <= budget, u
-        assert all(cases == size for cases, _ in chunks[:-1]) and chunks[-1][0] <= size, u
-        assert all(nbytes <= budget or cases <= 64 for cases, nbytes in chunks), u
+        drawn = min(u, n - u) if math.comb(n, u) <= _EXHAUSTIVE_LIMIT else u
+        per_case = n + 1 + 8 * drawn
+        size = repair._chunk_size(code, "adversarial", drawn)
+        assert size % 64 == 0 and (size + 64) * per_case > budget, u
+        assert size == 64 or size * per_case <= budget, u
+        assert all(cases == size for cases, _, _ in chunks[:-1]) and chunks[-1][0] <= size, u
+        assert {width for _, width, _ in chunks} == {drawn}, u
+        assert all(nbytes <= budget or cases <= 64 for cases, _, nbytes in chunks), u
     if name == "grid8":
         chunks.clear()
         simulate_availability(code, model="adversarial", u=2)
-        assert chunks == [(3240, 3240 * (n + 16))]
+        assert chunks == [(3240, 2, 3240 * 16 + 3264 * (n + 1))]
+    if name == "hyperoval8":
+        chunks.clear()
+        simulate_availability(code, model="adversarial", u=n - 1)
+        assert chunks == [(n, 1, n * 8 + n * (n + 1))]
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
@@ -1279,13 +1346,15 @@ def test_code_matrices_transpose_as_the_unpacking_transpose_did(name):
 
 
 @pytest.mark.parametrize("name", ["grid3", "grid8", "symplectic2", "symplectic3", "elliptic2"])
-@pytest.mark.parametrize("u", [2, 3])
+@pytest.mark.parametrize("u", [2, 3, -3, -2], ids=["2", "3", "n-3", "n-2"])
 def test_adversarial_success_is_the_inclusion_exclusion_count(name, u):
     # the t+1 line helper sets through a point are disjoint, s points each;
     # a u-set that avoids k given ones is a u-set of the other n - k*s
-    # points, so inclusion-exclusion counts the u-sets that avoid one
+    # points, so inclusion-exclusion counts the u-sets that avoid one.
+    # At u = n - 3 and n - 2 every u-set is tried as its complement
     code = ladder_code(name) if name in LADDER else small_code(name)
     n, s, t = code.n, code.pg.s, code.pg.t
+    u %= n
     avoiding = sum((-1) ** (k + 1) * math.comb(t + 1, k) * math.comb(n - k * s, u)
                    for k in range(1, t + 2))
     report = simulate_availability(code, model="adversarial", u=u)
