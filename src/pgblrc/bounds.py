@@ -247,6 +247,51 @@ def _estimate_rate(s: int, t: int, n: int, estimator: str, max_n: int) -> tuple[
     return rate_lower(s, t + 1), "theorem-lower-bound"
 
 
+def _catalog_entry(s: int, t: int, via_dual: bool, max_n: int, min_rate: Fraction,
+                   estimator: str) -> CatalogEntry:
+    """The entry of (r, a) = (s, t+1), with the filter's verdict."""
+    n = (s + 1) * (s * t + 1)
+    rate_est, est_used = _estimate_rate(s, t, n, estimator, max_n)
+    if n > max_n:
+        exclusion = f"n = {n} exceeds max_n = {max_n}"
+    elif rate_est <= min_rate:
+        exclusion = f"rate estimate {rate_est} is not above {min_rate}"
+    else:
+        exclusion = None
+    return CatalogEntry(
+        r=s, a=t + 1, s=s, t=t, via_dual=via_dual, n=n,
+        rate_estimate=rate_est, estimator=est_used,
+        passes_filter=exclusion is None, exclusion=exclusion,
+    )
+
+
+def _grid_family(max_n: int, min_rate: Fraction, estimator: str) -> CatalogEntry:
+    """The grids (z, 1), z >= 2, folded into one entry: over the survivors,
+    the worst rate and the largest n; with none, the smallest grid's verdict.
+
+    n = (z+1)^2 grows with z, and so does every estimate a grid gets.  Its
+    rank is 2z + 1, so its real rate, like the lower bound, is
+    z^2 / (z+1)^2; the upper bound, at odd z, is (z^2+1) / (z+1)^2; and at
+    z >= 3 the upper bound at z-1 is below the lower one at z, as
+    (z^2-2z+2)(z+1)^2 = z^4 - z^2 + 2z + 2 < z^4.  So the survivors are the
+    z from the least whose estimate is above min_rate, found by bisection,
+    to the largest with n <= max_n."""
+    def entry(z: int) -> CatalogEntry:
+        return _catalog_entry(z, 1, True, max_n, min_rate, estimator)
+
+    largest = math.isqrt(max_n) - 1
+    least, above = 2, largest + 1
+    while least < above:
+        mid = (least + above) // 2
+        if entry(mid).passes_filter:
+            above = mid
+        else:
+            least = mid + 1
+    if least > largest:
+        return entry(2)
+    return replace(entry(least), n=(largest + 1) ** 2, family_r_range=(least, largest))
+
+
 def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
             estimator: str = "theorem-upper-bound") -> list[CatalogEntry]:
     """Evaluate every known quadrangle parameter pair (and its dual) as a
@@ -265,39 +310,11 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
         raise ParameterError("max_n must be non-negative")
     min_rate = Fraction(min_rate)
 
-    primal = set(known_gq_parameters(max_z=max(2, math.isqrt(max_n) + 2)))
-
-    entries: list[CatalogEntry] = []
-    for (s, t) in sorted(primal | {(t, s) for s, t in primal}):
-        if s < 2:
-            continue
-        n = (s + 1) * (s * t + 1)
-        rate_est, est_used = _estimate_rate(s, t, n, estimator, max_n)
-        if n > max_n:
-            exclusion = f"n = {n} exceeds max_n = {max_n}"
-        elif rate_est <= min_rate:
-            exclusion = f"rate estimate {rate_est} is not above {min_rate}"
-        else:
-            exclusion = None
-        entries.append(CatalogEntry(
-            r=s, a=t + 1, s=s, t=t, via_dual=(s, t) not in primal, n=n,
-            rate_estimate=rate_est, estimator=est_used,
-            passes_filter=exclusion is None, exclusion=exclusion,
-        ))
-
-    # the grids (z, 1), z >= 2, always present since max_z >= 2, fold into
-    # one family entry: over the survivors, the worst rate and the largest
-    # n; with none, the smallest grid's verdict
-    grids = [e for e in entries if e.t == 1]
-    entries = [e for e in entries if e.t != 1]
-    surviving = [e for e in grids if e.passes_filter]
-    family = grids[0]
-    if surviving:
-        family = replace(
-            min(surviving, key=lambda e: e.rate_estimate),
-            n=max(e.n for e in surviving),
-            family_r_range=(min(e.r for e in surviving), max(e.r for e in surviving)),
-        )
+    # no pair (1, z): those are dropped, and their duals are the grids
+    primal = set(known_gq_parameters(max_z=0))
+    entries = [_catalog_entry(s, t, (s, t) not in primal, max_n, min_rate, estimator)
+               for s, t in sorted(primal | {(t, s) for s, t in primal}) if s >= 2 and t >= 2]
+    family = _grid_family(max_n, min_rate, estimator)
     # the family leads; the rest keep the order of the sorted (s, t)
     # pairs, which is (r, a) order
     return [replace(family, r=None, s=None, via_dual=True), *entries]

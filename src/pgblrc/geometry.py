@@ -13,12 +13,14 @@ witness is read off the same words at the points a failing test flagged.
 The lines are packed straight from their points and kept in no other form.
 The constructors below produce the standard families used for code
 building, on GF(q)'s addition and multiplication tables read as arrays.
-Each quadrangle reads its lines off the geometry: a generalized
-quadrangle has no triangles, so the line through collinear points u and
-v of W(q) or Q-(5, q) is the meet of their rows of collinear points, one
-row per point from the form applied to all points at once; and GF(2^m)
-addition is XOR, so the lines of T2*(O) with one direction are the XOR
-cosets of that direction's multiples.
+Each quadrangle reads its lines off the geometry, and builds each line
+once: a generalized quadrangle has no triangles, so the line through
+collinear points u and v of W(q) or Q-(5, q) is the meet of their rows
+of collinear points, taken from the line's least point u, with rows
+from the form applied to a few points and all points at once; and
+GF(2^m) addition is XOR, so the lines of T2*(O) with one direction are
+the XOR cosets of that direction's multiples, each listed from its
+least point.
 """
 
 from __future__ import annotations
@@ -404,16 +406,39 @@ def _polar_lines(points, orthogonal, label: str) -> IncidenceStructure:
     that ``orthogonal`` accepts (the totally isotropic or singular lines).
 
     ``orthogonal`` takes coordinate-first arrays that broadcast, so one call
-    per point gives its row of collinear points, itself included.  A
-    generalized quadrangle has no triangles: for collinear u != v, the points
-    collinear with both are the points of the line uv, the meet of two rows.
+    per eight points gives their rows of collinear points, themselves
+    included, each kept as an int with bit v set for each point v.  A
+    generalized quadrangle has no triangles: for collinear u != v, the
+    points collinear with both are the points of the line uv, the meet of
+    their two rows.  Each line is met once, from its least point u: u's
+    candidates are the points after u in its row less the points of the
+    lines filed under u, the least candidate v spans the next line, whose
+    points are struck from the candidates, and the line is filed under its
+    points after u.  So the lines come in lex order, by their first two
+    points.
     """
     coords, n = points.T, len(points)
-    collinear = np.fromiter((orthogonal(u[:, None], coords) for u in points),
-                            dtype=(bool, n), count=n)
-    lines = {tuple(np.flatnonzero(row & collinear[v]).tolist())
-             for u, row in enumerate(collinear) for v in np.flatnonzero(row[u + 1:]) + u + 1}
-    return IncidenceStructure(n, tuple(sorted(lines)), label=label)
+    rows = []
+    for u in range(0, n, 8):
+        block = orthogonal(points[u:u + 8].T[:, :, None], coords[:, None])
+        rows += algebra._pack(block)
+    filed: list[list[int]] = [[] for _ in range(n)]
+    lines = []
+    for u, row in enumerate(rows):
+        candidates = row >> (u + 1) << (u + 1)
+        for line in filed[u]:
+            candidates &= ~line
+        while candidates:
+            line = row & rows[(candidates & -candidates).bit_length() - 1]
+            candidates &= ~line
+            members, rest = [], line
+            while rest:
+                members.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
+            lines.append(tuple(members))
+            for w in members[1:]:
+                filed[w].append(line)
+    return IncidenceStructure(n, tuple(lines), label=label)
 
 
 def symplectic_gq(q: int) -> IncidenceStructure:
@@ -464,25 +489,38 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     on a fixed hyperoval (conic plus nucleus) in the plane at infinity.
 
     For even q in {4, 8, 16} this is a pg(q-1, q+1, 1) on q^3 points and
-    q^2 (q+2) lines.
+    q^2 (q+2) lines, each listed once, from its least point.
     """
     if q not in (4, 8, 16):
         raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
-    mul = small_field(q)._mul
+    field = small_field(q)
+    mul = field._mul
     # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
     directions = [(t, 1, mul[t, t]) for t in range(q)] + [(0, 0, 1), (1, 0, 0)]
 
     # Elements of GF(2^m) are bit vectors, so addition is XOR, and so is the
     # addition of points (x, y, z) = x q^2 + y q + z.  The line through p
     # with direction d is p XOR each multiple of d: one coset of the steps
-    # per line, kept at its least point.
+    # per line, kept at its least point.  The steps are a subgroup, spanned
+    # by the multiples of d by the powers of 2; reducing each by the basis
+    # so far, highest leading bit first, gives an echelon basis with
+    # distinct leading bits.  Clearing those from the highest down takes a
+    # point to the one point of its coset with none of them set, which is
+    # the least: a step added to it sets its own highest bit, a leading
+    # one.  So the cosets are listed once each, from those q^2 points.
     qq = q * q
     points = np.arange(q * qq)
     lines = []
     for x, y, z in directions:
         steps = mul[:, x] * qq + mul[:, y] * q + mul[:, z]
-        cosets = np.sort(points[:, None] ^ steps, axis=1)
-        lines += cosets[cosets[:, 0] == points].tolist()
+        basis: list[int] = []
+        for b in steps[1 << np.arange(field.m)].tolist():
+            for c in basis:
+                b = min(b, b ^ c)
+            basis = sorted([*basis, b], reverse=True)
+        leads = sum(1 << (b.bit_length() - 1) for b in basis)
+        cosets = np.sort(points[(points & leads) == 0, None] ^ steps, axis=1)
+        lines += cosets.tolist()
     return IncidenceStructure(q * qq, tuple(sorted(map(tuple, lines))),
                               label=f"hyperoval-gq({q})")
 

@@ -27,8 +27,12 @@ case-major mask that was packed and transposed, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
 collinear pair, test every point pair through ``SmallField`` and walk
-every affine point through ``SmallField.add``, and the catalog's exact
-rates read off a full code built on each quadrangle, dual included.
+every affine point through ``SmallField.add``, the ones that meet two
+rows of an n x n collinearity table once per collinear pair and sort
+every point's coset along each hyperoval direction, the catalog's
+exact rates read off a full code built on each quadrangle, dual
+included, and the catalog that rates every grid up to its length
+budget and folds them into the family entry.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import itertools
 import json
 import math
 import operator
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -45,12 +50,14 @@ import numpy as np
 
 from pgblrc.algebra import (BitMatrix, _bit_transpose, _bits, _pack, _set_bits, _transpose,
                             _words, rank2, small_field, solve2)
+from pgblrc.bounds import ESTIMATORS, CatalogEntry, _estimate_rate, known_gq_parameters
 from pgblrc.code import build_code
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
-                           ParameterError, PgValidationError)
+                           ParameterError, PgValidationError, _as_index)
 from pgblrc.geometry import (IncidenceStructure, PgParams, _classify,
                              _require_covered, dual, elliptic_quadric_gq, grid,
                              hyperoval_gq, symplectic_gq)
+from pgblrc.geometry import _projective_points as _projective_point_rows
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     AVAILABILITY_MODELS,
@@ -1344,6 +1351,90 @@ def hyperoval_gq_by_steps(q: int) -> IncidenceStructure:
 
 
 # ----------------------------------------------------------------------
+# the quadrangle constructors that meet two rows of an n x n collinearity
+# table once per collinear pair and deduplicate the lines in a set, and
+# the hyperoval that sorts every point's coset along each direction
+
+
+def _polar_lines_by_pair_meets(points, orthogonal, label: str) -> IncidenceStructure:
+    """The given projective points with every line spanned by two of them
+    that ``orthogonal`` accepts (the totally isotropic or singular lines).
+
+    ``orthogonal`` takes coordinate-first arrays that broadcast, so one call
+    per point gives its row of collinear points, itself included.  A
+    generalized quadrangle has no triangles: for collinear u != v, the points
+    collinear with both are the points of the line uv, the meet of two rows.
+    """
+    coords, n = points.T, len(points)
+    collinear = np.fromiter((orthogonal(u[:, None], coords) for u in points),
+                            dtype=(bool, n), count=n)
+    lines = {tuple(np.flatnonzero(row & collinear[v]).tolist())
+             for u, row in enumerate(collinear) for v in np.flatnonzero(row[u + 1:]) + u + 1}
+    return IncidenceStructure(n, tuple(sorted(lines)), label=label)
+
+
+def symplectic_gq_by_pair_meets(q: int) -> IncidenceStructure:
+    """``geometry.symplectic_gq`` meeting two rows once per collinear pair."""
+    field = small_field(q)
+    add, mul = field._add, field._mul
+
+    def orthogonal(u, v):
+        return add[mul[u[0], v[1]], mul[u[2], v[3]]] == add[mul[u[1], v[0]], mul[u[3], v[2]]]
+
+    return _polar_lines_by_pair_meets(_projective_point_rows(q, 4), orthogonal,
+                                      f"symplectic-gq({q})")
+
+
+def elliptic_quadric_gq_by_pair_meets(q: int) -> IncidenceStructure:
+    """``geometry.elliptic_quadric_gq`` meeting two rows once per collinear pair."""
+    if q not in (2, 3):
+        raise ParameterError("elliptic quadric construction supports q in {2, 3}")
+    field = small_field(q)
+    add, mul = field._add, field._mul
+    # x0 x1 + x2 x3 + f(x4, x5), f(u, v) = u^2 + b uv + c v^2 anisotropic:
+    # the first (b, c) for which t^2 + b t + c has no root t in GF(q)
+    b, c = next((b, c) for b in range(q) for c in range(q)
+                if add[add[mul.diagonal(), mul[b]], c].all())
+    u, v = np.indices((q, q))
+    form = add[add[mul[u, u], mul[b, mul[u, v]]], mul[c, mul[v, v]]]
+
+    def quad(x):
+        return add[add[mul[x[0], x[1]], mul[x[2], x[3]]], form[x[4], x[5]]]
+
+    # the points are singular, so B(u, v) = Q(u+v) - Q(u) - Q(v) = Q(u+v)
+    def orthogonal(u, v):
+        return quad(add[u, v]) == 0
+
+    points = _projective_point_rows(q, 6)
+    return _polar_lines_by_pair_meets(points[quad(points.T) == 0], orthogonal,
+                                      f"elliptic-quadric-gq({q})")
+
+
+def hyperoval_gq_by_coset_sorts(q: int) -> IncidenceStructure:
+    """``geometry.hyperoval_gq`` sorting every point's coset along each
+    direction and keeping the cosets that start at their point."""
+    if q not in (4, 8, 16):
+        raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
+    mul = small_field(q)._mul
+    # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
+    directions = [(t, 1, mul[t, t]) for t in range(q)] + [(0, 0, 1), (1, 0, 0)]
+
+    # Elements of GF(2^m) are bit vectors, so addition is XOR, and so is the
+    # addition of points (x, y, z) = x q^2 + y q + z.  The line through p
+    # with direction d is p XOR each multiple of d: one coset of the steps
+    # per line, kept at its least point.
+    qq = q * q
+    points = np.arange(q * qq)
+    lines = []
+    for x, y, z in directions:
+        steps = mul[:, x] * qq + mul[:, y] * q + mul[:, z]
+        cosets = np.sort(points[:, None] ^ steps, axis=1)
+        lines += cosets[cosets[:, 0] == points].tolist()
+    return IncidenceStructure(q * qq, tuple(sorted(map(tuple, lines))),
+                              label=f"hyperoval-gq({q})")
+
+
+# ----------------------------------------------------------------------
 # the closed forms of the rate bounds at (s, t, alpha) = (r, a-1, 1)
 
 
@@ -1389,3 +1480,57 @@ def exact_rate_by_building(s: int, t: int) -> Fraction | None:
         return None
     built = build_code(inc)
     return Fraction(built.k, built.n)
+
+
+# ----------------------------------------------------------------------
+# the catalog that rates one grid entry per z up to isqrt(max_n) + 2 and
+# folds them into the family entry
+
+
+def catalog_by_fold(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
+                    estimator: str = "theorem-upper-bound") -> list[CatalogEntry]:
+    """``bounds.catalog`` rating every grid (z, 1) up to z = isqrt(max_n) + 2
+    and folding the entries into the family entry."""
+    if estimator not in ESTIMATORS:
+        raise ParameterError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+    max_n = _as_index(max_n, "max_n")
+    if max_n < 0:
+        raise ParameterError("max_n must be non-negative")
+    min_rate = Fraction(min_rate)
+
+    primal = set(known_gq_parameters(max_z=max(2, math.isqrt(max_n) + 2)))
+
+    entries: list[CatalogEntry] = []
+    for (s, t) in sorted(primal | {(t, s) for s, t in primal}):
+        if s < 2:
+            continue
+        n = (s + 1) * (s * t + 1)
+        rate_est, est_used = _estimate_rate(s, t, n, estimator, max_n)
+        if n > max_n:
+            exclusion = f"n = {n} exceeds max_n = {max_n}"
+        elif rate_est <= min_rate:
+            exclusion = f"rate estimate {rate_est} is not above {min_rate}"
+        else:
+            exclusion = None
+        entries.append(CatalogEntry(
+            r=s, a=t + 1, s=s, t=t, via_dual=(s, t) not in primal, n=n,
+            rate_estimate=rate_est, estimator=est_used,
+            passes_filter=exclusion is None, exclusion=exclusion,
+        ))
+
+    # the grids (z, 1), z >= 2, always present since max_z >= 2, fold into
+    # one family entry: over the survivors, the worst rate and the largest
+    # n; with none, the smallest grid's verdict
+    grids = [e for e in entries if e.t == 1]
+    entries = [e for e in entries if e.t != 1]
+    surviving = [e for e in grids if e.passes_filter]
+    family = grids[0]
+    if surviving:
+        family = replace(
+            min(surviving, key=lambda e: e.rate_estimate),
+            n=max(e.n for e in surviving),
+            family_r_range=(min(e.r for e in surviving), max(e.r for e in surviving)),
+        )
+    # the family leads; the rest keep the order of the sorted (s, t)
+    # pairs, which is (r, a) order
+    return [replace(family, r=None, s=None, via_dual=True), *entries]

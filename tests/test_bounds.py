@@ -31,7 +31,7 @@ from pgblrc.geometry import (
     symplectic_gq,
 )
 
-from oracles import exact_rate_by_building, rate_lower_closed, rate_upper_closed
+from oracles import catalog_by_fold, exact_rate_by_building, rate_lower_closed, rate_upper_closed
 
 F = Fraction
 
@@ -382,6 +382,30 @@ def test_catalog_is_deterministic_and_ordered(estimator, max_n):
     assert first[0].t == 1 and first[0].r is None
     keyed = [(e.r, e.a) for e in first[1:]]
     assert keyed == sorted(set(keyed))
+
+
+@pytest.mark.parametrize("max_n", [0, 4, 8, 9, 15, 16, 100, 1100, 4700, 10**6])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_catalog_matches_the_grid_by_grid_fold(estimator, max_n):
+    # the grid family comes from its least and largest surviving z; the
+    # oracle rates every grid and folds them, at floors that leave no
+    # grid, every grid or only the larger ones
+    for min_rate in (F(1, 3), F(-1), F(0), F(9, 16), F(961, 1024), F(99, 100), F(1)):
+        assert catalog(max_n, min_rate, estimator) == catalog_by_fold(max_n, min_rate, estimator)
+
+
+def test_catalog_grid_family_at_any_length_budget():
+    entries = catalog(max_n=2**128, min_rate=F(1, 2) - F(1, 2**100))
+    assert entries[0].family_r_range == (3, 2**64 - 1)
+    assert entries[0].n == 2**128
+    assert entries[0].rate_estimate == F(5, 8)   # the upper bound at z = 3
+    assert catalog(max_n=2**128, min_rate=1)[0].exclusion == "rate estimate 4/9 is not above 1"
+    # far up, the least surviving grid is the first whose rate is above the floor
+    floor = 1 - F(1, 2**40)
+    least = catalog(max_n=2**128, min_rate=floor)[0].family_r_range[0]
+    rates = [bounds._estimate_rate(z, 1, (z + 1)**2, "theorem-upper-bound", 2**128)[0]
+             for z in (least - 1, least)]
+    assert rates[0] <= floor < rates[1]
 
 
 def test_catalog_rejects_unknown_estimator():

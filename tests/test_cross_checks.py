@@ -99,11 +99,13 @@ from oracles import (
     build_code_parts,
     certify_bigint,
     echelon_bigint,
+    elliptic_quadric_gq_by_pair_meets,
     elliptic_quadric_gq_by_pairs,
     elliptic_quadric_gq_by_spans,
     encode_bitwise,
     encode_by_int_rows,
     geometric_repair_sets_by_helpers,
+    hyperoval_gq_by_coset_sorts,
     hyperoval_gq_by_steps,
     independent_row_indices_greedy,
     is_mds_scan,
@@ -121,6 +123,7 @@ from oracles import (
     set_mask,
     set_words_by_mask,
     simulate_availability_scalar,
+    symplectic_gq_by_pair_meets,
     symplectic_gq_by_pairs,
     symplectic_gq_by_spans,
     transpose_bitwise,
@@ -166,9 +169,12 @@ def outcome(validate, inc):
 @pytest.mark.parametrize("build, oracle, q", [
     *[(symplectic_gq, oracle, q) for oracle in (symplectic_gq_by_spans, symplectic_gq_by_pairs)
       for q in (2, 3, 4, 5)],
+    *[(symplectic_gq, symplectic_gq_by_pair_meets, q) for q in (2, 3, 4, 5, 7, 8, 9)],
     *[(elliptic_quadric_gq, oracle, q)
-      for oracle in (elliptic_quadric_gq_by_spans, elliptic_quadric_gq_by_pairs) for q in (2, 3)],
-    *[(hyperoval_gq, hyperoval_gq_by_steps, q) for q in (4, 8, 16)],
+      for oracle in (elliptic_quadric_gq_by_spans, elliptic_quadric_gq_by_pairs,
+                     elliptic_quadric_gq_by_pair_meets) for q in (2, 3)],
+    *[(hyperoval_gq, oracle, q) for oracle in (hyperoval_gq_by_steps, hyperoval_gq_by_coset_sorts)
+      for q in (4, 8, 16)],
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_quadrangle_constructors_match_the_span_and_step_oracles(build, oracle, q):
     assert build(q) == oracle(q)   # points, line tuples and label
