@@ -3,14 +3,17 @@
 Binary matrices are bit-packed: each row is a Python int whose bit ``j``
 (least significant first) holds the entry in column ``j``.  Bit rows are
 packed for numpy one way only, into little-endian uint64 words: the
-elimination reduces those words against pivot rows it keeps fully
-reduced, so that one pass gives the reduced row echelon form, the rank
-and the rows independent of those above them, and every array of bits
-is unpacked from them.  One byte-wise kernel transposes packed bits, for
-the matrices here and the simulator's chunks of cases.  A small field
-keeps its addition, multiplication, negation and inverse tables as
-read-only integer arrays, built in one numpy pass over the base-p digits
-of all q elements, which the quadrangle constructors index directly.
+elimination reduces those words 64 rows a block against pivot rows it
+keeps fully reduced, eliminates each block's rows against each other as
+Python ints and clears the block's new pivot columns from the older
+pivot rows by the Method of Four Russians, so that one pass gives the
+reduced row echelon form, the rank and the rows independent of those
+above them, and every array of bits is unpacked from them.  One
+byte-wise kernel transposes packed bits, for the matrices here and the
+simulator's chunks of cases.  A small field keeps its addition,
+multiplication, negation and inverse tables as read-only integer arrays,
+built in one numpy pass over the base-p digits of all q elements, which
+the quadrangle constructors index directly.
 Everything here is immutable after construction and safe to share.
 """
 
@@ -256,15 +259,26 @@ def _transpose(rows: Sequence[int], cols: int) -> list[int]:
 # elimination
 #
 # One kernel, ``_eliminate``, serves every elimination here.  It reads
-# the rows top down as packed uint64 words (``_words``) and keeps its
-# pivot rows fully reduced: each is zero at every other pivot column.
-# An incoming row is reduced in one step, by XORing in the pivot rows
-# whose pivot columns it has set; since each of those is zero at the
-# other pivot columns, the sum creates no fill-in there.  A row left
-# nonzero is independent of the rows above it.  It pivots on its lowest
-# set bit and is XORed into the pivot rows set at that column, which
-# keeps them reduced.  The pivot rows are then the reduced row echelon
-# form, which is unique, with no back-substitution.
+# the rows top down as packed uint64 words (``_words``), 64 rows a block,
+# and keeps its pivot rows fully reduced: each is zero at every other
+# pivot column.  A block is first reduced against the pivot rows so far
+# in one step: each of its rows XORs in the pivot rows whose pivot
+# columns it has set, and since each of those is zero at the other pivot
+# columns, the sum creates no fill-in there.  The rows are then
+# eliminated against each other as Python ints, in input order; a row
+# left nonzero is independent of the rows above it and pivots on its
+# lowest set bit.  Last, the block's new pivot columns are cleared from
+# the old pivot rows by the Method of Four Russians (Albrecht, Bard and
+# Hart, "Algorithm 898", ACM TOMS 37(1), 2010): each group of 8 new rows
+# gives a table of their 256 XOR combinations, and an old row XORs in the
+# one table row its 8 bits at their pivot columns select.  The pivot rows
+# are then the reduced row echelon form, which is unique, with no
+# back-substitution, and the kept rows are those the row-by-row scan
+# keeps.
+
+_BLOCK = 64   # input rows a block
+_GROUP = 8    # new pivot rows a Four-Russians table, of 2**8 rows; their bits are a byte
+_GATHER = 1 << 17   # pivot-row words gathered at once to reduce a block
 
 
 def _eliminate(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
@@ -274,32 +288,132 @@ def _eliminate(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
     nrows, width = words.shape
     most = min(nrows, 64 * width)
     reduced = np.empty((most, width), dtype="<u8")
-    # pivot row i's pivot column is bit at_mask[i] of word at_word[i]
-    at_word = np.empty(most, dtype=np.intp)
-    at_mask = np.empty(most, dtype=np.uint64)
+    # the pivot row whose pivot is column c, and every pivot column's bit
+    row_of = np.empty(64 * width, dtype=np.intp)
+    pivot_bits = np.zeros(width, dtype="<u8")
     pivots: list[int] = []
-    keep = []
-    for idx, row in enumerate(words):
+    keep: list[int] = []
+    for start in range(0, nrows, _BLOCK):
         rank = len(pivots)
-        hits = (row[at_word[:rank]] & at_mask[:rank]).nonzero()[0]
-        if hits.size:
-            row = row ^ np.bitwise_xor.reduce(reduced[hits])
-        nonzero = row.nonzero()[0]
-        if not nonzero.size:
+        block = _reduce_block(words[start:start + _BLOCK], reduced, row_of, pivot_bits)
+        kept, new, cols = _eliminate_block(block)
+        if not kept:
             continue
-        w = int(nonzero[0])
-        low = int(row[w])
-        bit = low & -low
-        holders = (reduced[:rank, w] & bit).nonzero()[0]
-        if holders.size:
-            reduced[holders, w:] ^= row[w:]  # row is zero in the words before w
-        reduced[rank] = row
-        at_word[rank] = w
-        at_mask[rank] = bit
-        pivots.append(64 * w + bit.bit_length() - 1)
-        keep.append(idx)
+        keep += [start + i for i in kept]
+        at = np.array(cols, dtype=np.intp)
+        new_word = at >> 6
+        new_bit = np.uint64(1) << (at & 63).astype(np.uint64)
+        if rank:
+            _clear_columns(reduced[:rank], new, new_word, new_bit)
+        reduced[rank:rank + len(cols)] = new
+        row_of[at] = np.arange(rank, rank + len(cols))
+        np.bitwise_or.at(pivot_bits, new_word, new_bit)
+        pivots += cols
     order = np.argsort(pivots)
     return reduced[order], [pivots[i] for i in order], keep
+
+
+def _reduce_block(block: np.ndarray, reduced: np.ndarray, row_of: np.ndarray,
+                  pivot_bits: np.ndarray) -> np.ndarray:
+    """The block's rows, each XORed with the pivot rows whose pivot
+    columns it has set; the block itself when it sets none.
+
+    One AND with the pivot columns' bits finds the words that hit, and
+    one unpacking of those words the columns; each row's pivot rows are
+    gathered in turn and summed by one ``bitwise_xor.reduceat``, a few
+    rows at a time when a dense block would gather more than
+    ``_GATHER`` words."""
+    hit = block & pivot_bits
+    at = np.flatnonzero(hit)
+    if not at.size:
+        return block
+    bits = np.flatnonzero(np.unpackbits(hit.ravel()[at].view(np.uint8), bitorder="little"))
+    word = at[bits >> 6]
+    width = block.shape[1]
+    rows = word // width
+    sources = row_of[(word - rows * width) * 64 + (bits & 63)]
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    ends = np.append(firsts, rows.size)
+    block = block.copy()
+    pieces = min(firsts.size, -(-rows.size * width // _GATHER))
+    for part in np.array_split(np.arange(firsts.size), pieces):
+        lo, hi = ends[part[0]], ends[part[-1] + 1]
+        block[rows[firsts[part]]] ^= np.bitwise_xor.reduceat(
+            reduced[sources[lo:hi]], firsts[part] - lo)
+    return block
+
+
+def _eliminate_block(block: np.ndarray) -> tuple[list[int], np.ndarray, list[int]]:
+    """The positions of the block's rows independent of those before
+    them, their span's reduced rows as packed words, ordered by pivot
+    column, and those pivot columns.
+
+    The rows are Python ints.  Each is reduced against the rows kept so
+    far, found by its bits at their pivot columns, lowest first (a row
+    XORed in sets no lower bit); then each kept row, highest pivot first,
+    XORs in the reduced rows at the higher pivot columns it has set."""
+    size = 8 * block.shape[1]
+    raw = block.tobytes()
+    found: dict[int, int] = {}   # pivot column + 1 -> row
+    mask = 0                     # the pivot columns' bits
+    kept = []
+    for i in range(len(block)):
+        x = int.from_bytes(raw[i * size:(i + 1) * size], "little")
+        hits = x & mask
+        while hits:
+            x ^= found[(hits & -hits).bit_length()]
+            hits = x & mask
+        if x:
+            low = x & -x
+            found[low.bit_length()] = x
+            mask |= low
+            kept.append(i)
+    tops = sorted(found)
+    for top in reversed(tops):
+        x = found[top]
+        hits = x & mask
+        hits &= hits - 1   # all but its own pivot
+        while hits:
+            low = hits & -hits
+            x ^= found[low.bit_length()]
+            hits ^= low
+        found[top] = x
+    new = np.frombuffer(b"".join(found[top].to_bytes(size, "little") for top in tops),
+                        dtype="<u8").reshape(len(tops), block.shape[1])
+    return kept, new, [top - 1 for top in tops]
+
+
+def _clear_columns(old: np.ndarray, new: np.ndarray, new_word: np.ndarray,
+                   new_bit: np.ndarray) -> None:
+    """Clear the new pivot columns from the old pivot rows, in place.
+
+    The new rows, ordered by pivot column, are zero at the old pivot
+    columns and at each other's.  Each group of 8 gives a table of their
+    XOR combinations, from the word of the group's least pivot onward,
+    before which they are all zero; an old row set at any of the group's
+    pivot columns XORs in the table row those 8 bits select."""
+    # each old row's bits at the new pivot columns, a byte per group: the
+    # columns are padded to whole groups with bits that are never set
+    groups = -(-len(new) // _GROUP)
+    at_word = np.zeros(groups * _GROUP, dtype=np.intp)
+    at_bit = np.zeros(groups * _GROUP, dtype=np.uint64)
+    at_word[:len(new)], at_bit[:len(new)] = new_word, new_bit
+    hit = old[:, at_word]
+    np.bitwise_and(hit, at_bit, out=hit)
+    index = np.packbits((hit != 0).ravel(), bitorder="little").reshape(len(old), groups)
+    width = old.shape[1]
+    for g in range(groups):
+        pick = index[:, g]
+        rows = np.flatnonzero(pick)
+        if not rows.size:
+            continue
+        w = int(new_word[g * _GROUP])
+        group = new[g * _GROUP:(g + 1) * _GROUP, w:]
+        table = np.empty((1 << len(group), width - w), dtype="<u8")
+        table[0] = 0
+        for k, row in enumerate(group):
+            np.bitwise_xor(table[:1 << k], row, out=table[1 << k:2 << k])
+        old[rows, w:] ^= table[pick[rows]]
 
 
 def _nullspace(reduced: np.ndarray, pivots: Sequence[int], cols: int

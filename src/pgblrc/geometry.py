@@ -258,23 +258,46 @@ def _collinearity_table(inc: IncidenceStructure, lines: np.ndarray) -> np.ndarra
     return table
 
 
+_BOSE_WORDS = 1 << 17   # collinearity-row words gathered at once, 1 MiB
+
+
 def _bose_sums(inc: IncidenceStructure, table: np.ndarray) -> list[int]:
     """For each point p, the sum of |col(q) & col(p)| over the points q != p
     of each line through p.
 
-    Every pair of points on a line is counted once, for both points, one
-    pair of line positions at a time over all lines; so each step holds a
-    few arrays the size of the line table.  Every line must carry the same
-    number of points."""
+    The lines are taken in chunks of about ``_BOSE_WORDS`` words (128
+    lines on hyperoval(16)), whose s+1 collinearity rows are gathered once,
+    line position first.  A line's rows are added, every column at once,
+    into ceil(log2(s+2)) bit-sliced count planes with a ripple carry: bit
+    c of plane b is bit b of the number of its rows set at column c.  So
+    for a point a of the line, the sum over its points q, a included, of
+    |col(a) & col(q)| is the sum over b of 2^b popcount(col(a) & plane b),
+    and the term q = a is |col(a)|.  A plane that is zero throughout the
+    chunk adds nothing and is skipped: in a generalized quadrangle a
+    column's count is 1 off the line and s+1 on it, so two planes remain.
+    Every line must carry the same number of points."""
     lines = np.array(inc.lines, dtype=np.intp)
-    sums = np.zeros(lines.shape, dtype=np.int64)
-    for i in range(lines.shape[1]):
-        rows = table[lines[:, i]]
-        for j in range(i + 1, lines.shape[1]):
-            shared = np.bitwise_count(rows & table[lines[:, j]])
-            shared = shared.sum(axis=1, dtype=np.int64)
-            sums[:, i] += shared
-            sums[:, j] += shared
+    count, size = lines.shape
+    chunk = max(1, _BOSE_WORDS // (size * table.shape[1]))
+    sums = np.empty(lines.shape, dtype=np.int64)
+    for start in range(0, count, chunk):
+        rows = table[lines[start:start + chunk].T]   # position, line, word
+        planes = [rows[0].copy()]
+        for j in range(1, size):
+            carry = rows[j]
+            for plane in planes:
+                spill = plane & carry
+                plane ^= carry
+                carry = spill
+            if (j + 1).bit_length() > len(planes):   # j + 1 rows added
+                planes.append(carry)
+        # a word weighs at most 64 (s+1)
+        weights = np.zeros(rows.shape, dtype=np.min_scalar_type(64 * size))
+        for b, plane in enumerate(planes):
+            if plane.any():
+                weights += np.left_shift(np.bitwise_count(rows & plane), b, dtype=weights.dtype)
+        sums[start:start + chunk] = weights.sum(axis=2, dtype=np.int64).T
+    sums -= np.bitwise_count(table).sum(axis=1, dtype=np.int64)[lines]
     out = np.zeros(inc.num_points, dtype=np.int64)
     np.add.at(out, lines, sums)
     return out.tolist()
@@ -296,7 +319,11 @@ def validate_pg(inc: IncidenceStructure) -> PgParams:
 
     Both tests read col(p) from one n x ceil(n/64) table of uint64 words,
     built once the degrees and line sizes are certified, and count its
-    bits with ``np.bitwise_count``.  They decide alone: alpha's range and
+    bits with ``np.bitwise_count``.  The certificate's sums are taken a
+    chunk of lines at a time: each line's collinearity rows are added
+    into bit-sliced count planes, so that |col(p) & col(q)| summed over
+    its points q is a few popcounts of col(p) against the planes (see
+    ``_bose_sums``).  They decide alone: alpha's range and
     the point and line counts follow.  A rejection names the first witness
     a direct check of every pair would, reading the same words only at the
     points the failing test flagged.  A structure with more points than
@@ -448,10 +475,13 @@ def symplectic_gq(q: int) -> IncidenceStructure:
     A pg(q, q, 1) on (q+1)(q^2+1) points and as many lines.
     """
     field = small_field(q)
-    add, mul = field._add, field._mul
+    # flat uint8 tables, read at a * q + b by ``take``; a product times q
+    # plus an element is at most q^2 - 1 <= 255, so uint8 holds it
+    add, mul = field._add.astype(np.uint8).ravel(), field._mul.astype(np.uint8).ravel()
 
     def orthogonal(u, v):
-        return add[mul[u[0], v[1]], mul[u[2], v[3]]] == add[mul[u[1], v[0]], mul[u[3], v[2]]]
+        return (add.take(mul.take(u[0] * q + v[1]) * q + mul.take(u[2] * q + v[3]))
+                == add.take(mul.take(u[1] * q + v[0]) * q + mul.take(u[3] * q + v[2])))
 
     return _polar_lines(_projective_points(q, 4), orthogonal, f"symplectic-gq({q})")
 

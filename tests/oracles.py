@@ -8,8 +8,10 @@ lines as big-int masks, one shifted bit per point, the
 pair-by-pair partial-geometry check, the big-int counting certificate
 with its whole scans for a witness, the closed-form rate bounds, the
 column-sweep elimination, the big-int elimination on mirrored rows
-with back-substitution, the null space that unpacks the reduced rows a
-block at a time, the transpose that unpacks each word column
+with back-substitution, the packed elimination that reduced one row at
+a time and cleared each new pivot column from every pivot row holding
+it, Bose's counting sums taken one pair of line positions at a time,
+the null space that unpacks the reduced rows a block at a time, the transpose that unpacks each word column
 to bytes, the bit-by-bit transpose, encoder and message read-out, the
 bit check that tests each entry for equality
 with 0 or 1 before the message is converted, the encoder that XORs
@@ -174,6 +176,69 @@ def brute_repair_degree(gen_cols: list[int], k: int, i: int,
             if acc == 0:
                 return w - 1
     return None
+
+
+# ----------------------------------------------------------------------
+# the elimination that reduced one row at a time and cleared each new
+# pivot column from every pivot row holding it, and the Bose sums that
+# counted one pair of line positions at a time over all lines
+
+
+def eliminate_by_rows(words: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """The reduced pivot rows of packed rows, ordered by pivot column,
+    their pivot columns, and the indices of the input rows that were
+    independent of the rows before them."""
+    nrows, width = words.shape
+    most = min(nrows, 64 * width)
+    reduced = np.empty((most, width), dtype="<u8")
+    # pivot row i's pivot column is bit at_mask[i] of word at_word[i]
+    at_word = np.empty(most, dtype=np.intp)
+    at_mask = np.empty(most, dtype=np.uint64)
+    pivots: list[int] = []
+    keep = []
+    for idx, row in enumerate(words):
+        rank = len(pivots)
+        hits = (row[at_word[:rank]] & at_mask[:rank]).nonzero()[0]
+        if hits.size:
+            row = row ^ np.bitwise_xor.reduce(reduced[hits])
+        nonzero = row.nonzero()[0]
+        if not nonzero.size:
+            continue
+        w = int(nonzero[0])
+        low = int(row[w])
+        bit = low & -low
+        holders = (reduced[:rank, w] & bit).nonzero()[0]
+        if holders.size:
+            reduced[holders, w:] ^= row[w:]  # row is zero in the words before w
+        reduced[rank] = row
+        at_word[rank] = w
+        at_mask[rank] = bit
+        pivots.append(64 * w + bit.bit_length() - 1)
+        keep.append(idx)
+    order = np.argsort(pivots)
+    return reduced[order], [pivots[i] for i in order], keep
+
+
+def bose_sums_by_pairs(inc, table: np.ndarray) -> list[int]:
+    """For each point p, the sum of |col(q) & col(p)| over the points q != p
+    of each line through p.
+
+    Every pair of points on a line is counted once, for both points, one
+    pair of line positions at a time over all lines; so each step holds a
+    few arrays the size of the line table.  Every line must carry the same
+    number of points."""
+    lines = np.array(inc.lines, dtype=np.intp)
+    sums = np.zeros(lines.shape, dtype=np.int64)
+    for i in range(lines.shape[1]):
+        rows = table[lines[:, i]]
+        for j in range(i + 1, lines.shape[1]):
+            shared = np.bitwise_count(rows & table[lines[:, j]])
+            shared = shared.sum(axis=1, dtype=np.int64)
+            sums[:, i] += shared
+            sums[:, j] += shared
+    out = np.zeros(inc.num_points, dtype=np.int64)
+    np.add.at(out, lines, sums)
+    return out.tolist()
 
 
 # ----------------------------------------------------------------------

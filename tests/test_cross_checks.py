@@ -7,16 +7,18 @@ testing every point pair through ``SmallField`` and walking every point
 one field addition at a time built.
 
 Validation runs a per-point union test and a counting certificate on
-packed words and reads a rejection's witness only at the points they
-flag, code building runs one packed elimination that keeps its pivot
-rows reduced, geometric tolerance is read off the line count, the
-exhaustive metrics come from one meet-in-the-middle census of
-low-weight dual codewords, and ``is_mds`` is derived rather than
-scanned; each must agree with the pairwise scans and the big-int
-certificate, the big-int and column-sweep eliminations, the null space
-unpacked a block of rows at a time, the hitting-set search, the
-symbol-by-symbol dual-support search and the subset-by-subset MDS test
-they replace.  ``repair_symbol`` reads only the helpers of the checks it
+packed words, its sums read off bit-sliced count planes, and reads a
+rejection's witness only at the points they flag, code building runs
+one packed elimination that keeps its pivot rows reduced, 64 rows a
+block with Four-Russians tables, geometric tolerance is read off the
+line count, the exhaustive metrics come from one meet-in-the-middle
+census of low-weight dual codewords, and ``is_mds`` is derived rather
+than scanned; each must agree with the pairwise scans, the big-int
+certificate and the pair-by-pair sums, the big-int, row-by-row packed
+and column-sweep eliminations, the null space unpacked a block of rows
+at a time, the hitting-set search, the symbol-by-symbol dual-support
+search and the subset-by-subset MDS test they replace.
+``repair_symbol`` reads only the helpers of the checks it
 tries; it must agree with the whole-word scan it replaced, error
 messages included.  The availability simulator re-keys one
 generator per trial from a plain-int state and counts chunks of cases
@@ -77,7 +79,7 @@ from pgblrc.geometry import (
     symplectic_gq,
     validate_pg,
 )
-from pgblrc import cli, code as code_mod, geometry, repair
+from pgblrc import algebra, cli, code as code_mod, geometry, repair
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
     RepairVector,
@@ -96,9 +98,11 @@ from oracles import (
     availability_counts_by_strided_pack,
     availability_counts_bytewise,
     bits_to_array,
+    bose_sums_by_pairs,
     build_code_parts,
     certify_bigint,
     echelon_bigint,
+    eliminate_by_rows,
     elliptic_quadric_gq_by_pair_meets,
     elliptic_quadric_gq_by_pairs,
     elliptic_quadric_gq_by_spans,
@@ -265,16 +269,76 @@ def test_validate_pg_matches_pairwise_scan_on_a_late_swap(p, q, kind):
     assert got == outcome(validate_pg_pairwise, inc) == outcome(certify_bigint, inc)
 
 
+def assert_bose_sums_match_the_pairs(inc, monkeypatch):
+    """The bit-sliced Bose sums against the pair-by-pair ones, and
+    ``validate_pg``'s verdict, witness included, with either kernel (each
+    on a fresh copy of the structure, which keeps its certificate)."""
+    table = geometry._collinearity_table(inc, _support_words(inc.lines, inc.num_points))
+    assert geometry._bose_sums(inc, table) == bose_sums_by_pairs(inc, table)
+    got = outcome(validate_pg, IncidenceStructure(inc.num_points, inc.lines))
+    with monkeypatch.context() as patched:
+        patched.setattr(geometry, "_bose_sums", bose_sums_by_pairs)
+        assert outcome(validate_pg, IncidenceStructure(inc.num_points, inc.lines)) == got
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_bose_sums_match_the_pairs_on_ladder_and_duals(name, monkeypatch):
+    for inc in (ladder(name), dual(ladder(name))):
+        assert isinstance(assert_bose_sums_match_the_pairs(inc, monkeypatch), PgParams)
+
+
+@pytest.mark.parametrize("words", [1, 1000])
+def test_bose_sums_match_the_pairs_a_few_lines_a_chunk(words, monkeypatch):
+    # one line a chunk, and chunks that end inside the line list; at the
+    # default budget every ladder structure is one chunk
+    monkeypatch.setattr(geometry, "_BOSE_WORDS", words)
+    for inc in (ladder("hyperoval8"), dual(ladder("elliptic3")), ladder("grid8")):
+        assert isinstance(assert_bose_sums_match_the_pairs(inc, monkeypatch), PgParams)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_bose_sums_match_the_pairs_on_swapped_lines(name, monkeypatch):
+    # a swap keeps every line size and point degree, so the sums are
+    # defined; one that keeps axiom 3 reaches the counting certificate
+    kinds = set()
+    for inc in (ladder(name), dual(ladder(name))):
+        rng = random.Random(f"bose:{inc.num_points}:{inc.num_lines}")
+        for trial in range(6):
+            lines = list(inc.lines)
+            for _ in range(1 + trial % 2):
+                _swap_between_lines(rng, lines, inc.num_points)
+            if len(set(lines)) == len(lines):
+                got = assert_bose_sums_match_the_pairs(
+                    IncidenceStructure(inc.num_points, tuple(lines)), monkeypatch)
+                kinds.add(got[0] if isinstance(got, tuple) else "accepted")
+    assert kinds & {"alpha", "line-intersection"}
+
+
+@pytest.mark.parametrize("p, q", [(497, 506), (503, 511)])
+def test_bose_sums_match_the_pairs_on_a_late_swap(p, q, monkeypatch):
+    lines = list(ladder("hyperoval8").lines)
+    lines[-2] = tuple(sorted(set(lines[-2]) - {p} | {q}))
+    lines[-1] = tuple(sorted(set(lines[-1]) - {q} | {p}))
+    got = assert_bose_sums_match_the_pairs(IncidenceStructure(512, tuple(lines)), monkeypatch)
+    assert got[0] in ("alpha", "line-intersection")
+
+
 # ------------------------------------------------------------ elimination
 
 
 def assert_kernel_matches_oracles(m):
     """The kernel's packed rows, pivots and kept rows against the big-int
-    elimination, and the null space read off the packed rows against the
-    column sweep's basis and the block-by-block unpacking."""
-    reduced, pivots, independent = _eliminate(_words(m.data, m.cols))
+    elimination and the row-by-row packed one, and the null space read
+    off the packed rows against the column sweep's basis and the
+    block-by-block unpacking."""
+    words = _words(m.data, m.cols)
+    reduced, pivots, independent = _eliminate(words)
     expected = echelon_bigint(m)
     assert (tuple(_ints(reduced)), tuple(pivots), tuple(independent)) == expected
+    by_rows, by_rows_pivots, by_rows_kept = eliminate_by_rows(words)
+    assert reduced.dtype == by_rows.dtype and np.array_equal(reduced, by_rows)
+    assert (pivots, independent) == (by_rows_pivots, by_rows_kept)
     free, basis = _nullspace(reduced, pivots, m.cols)
     assert free == tuple(c for c in range(m.cols) if c not in expected[1])
     assert basis == nullspace2_column_sweep(m).data
@@ -373,6 +437,93 @@ def test_elimination_matches_column_sweep_on_random_matrices():
         assert rref2(m) == rref2_column_sweep(m)
         assert nullspace2(m) == nullspace2_column_sweep(m)
         assert independent_row_indices(m) == independent_row_indices_greedy(m)
+
+
+def _spanned_bitmatrix(rng, rows, cols, rank):
+    """Rows drawn from the span of ``rank`` random rows: each a random
+    sum of them, or zero, or a repeat of an earlier row."""
+    basis = [rng.getrandbits(cols) for _ in range(rank)] if cols else []
+    data = []
+    for r in range(rows):
+        pick = rng.random()
+        if pick < 0.1 or not basis:
+            data.append(0)
+        elif pick < 0.2 and data:
+            data.append(data[rng.randrange(r)])
+        else:
+            acc = 0
+            for row in basis:
+                if rng.random() < 0.5:
+                    acc ^= row
+            data.append(acc)
+    return BitMatrix(rows, cols, tuple(data))
+
+
+def _blocks_adding(rng, cols, adds):
+    """A matrix of ``_eliminate``'s blocks of 64 rows, block b raising the
+    rank by adds[b]: that many rows of it are independent of all rows
+    above them, at random places; the others are sums of rows above,
+    zero rows and repeats."""
+    data, rank = [], 0
+    for add in adds:
+        fresh = set(rng.sample(range(64), add))
+        for r in range(64):
+            if r in fresh:
+                while True:
+                    row = rng.getrandbits(cols)
+                    if len(echelon_bigint(BitMatrix(len(data) + 1, cols, (*data, row)))[1]) > rank:
+                        break
+                rank += 1
+            elif not data or rng.random() < 0.1:
+                row = 0
+            elif rng.random() < 0.2:
+                row = data[rng.randrange(len(data))]
+            else:
+                row = 0
+                for other in rng.sample(data, min(len(data), 3)):
+                    row ^= other
+            data.append(row)
+    return BitMatrix(len(data), cols, tuple(data))
+
+
+def test_elimination_matches_both_oracles_at_block_and_group_edges():
+    # row counts at the edges of a Four-Russians group of 8 and of a
+    # block of 64, column counts at the word edges; full rank, low rank
+    # and zero, repeated and dependent rows
+    rng = random.Random(4298)
+    for rows in (0, 1, 7, 8, 9, 63, 64, 65, 129):
+        for cols in (1, 63, 64, 65, 200):
+            assert_kernel_matches_oracles(_random_bitmatrix(rng, rows, cols))
+            assert_kernel_matches_oracles(_edge_bitmatrix(rng, rows, cols))
+            for rank in {0, 1, 8, 9, min(rows, cols) // 2}:
+                assert_kernel_matches_oracles(_spanned_bitmatrix(rng, rows, cols, rank))
+
+
+@pytest.mark.parametrize("cols, adds", [
+    (200, (64, 0, 1, 8, 9)),
+    (200, (9, 64, 8, 0, 1, 64)),
+    (65, (64, 1, 0)),
+    (65, (1, 8, 9, 0, 47)),
+    (64, (8, 9, 1, 0, 46)),
+    (63, (0, 63, 0)),
+])
+def test_elimination_matches_both_oracles_on_blocks_adding_set_pivot_counts(cols, adds):
+    m = _blocks_adding(random.Random(f"blocks:{cols}:{adds}"), cols, adds)
+    ranks = [len(echelon_bigint(BitMatrix(64 * b, cols, m.data[:64 * b]))[1])
+             for b in range(1, len(adds) + 1)]
+    assert ranks == list(itertools.accumulate(adds))
+    assert_kernel_matches_oracles(m)
+
+
+def test_elimination_reduces_dense_blocks_a_few_rows_a_gather(monkeypatch):
+    # a dense block gathers its pivot rows a few rows at a time, down to
+    # one row a gather when the budget is below one row's pivot rows
+    rng = random.Random(6142)
+    cases = [_random_bitmatrix(rng, 150, 130), _spanned_bitmatrix(rng, 140, 200, 90)]
+    for budget in (1, 64, 1000):
+        monkeypatch.setattr(algebra, "_GATHER", budget)
+        for m in cases:
+            assert_kernel_matches_oracles(m)
 
 
 def test_solve2_agrees_with_column_sweep_on_augmented_systems():
@@ -1153,8 +1304,9 @@ def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
     # chunk reaches the kernel as a mask through the iid path's pack and
     # transpose and, for u-sets, as index arrays through the set path's
     # scatter, of the sets or, when u > n - u, of their complements, as
-    # the simulator enumerates them; the kernel that packed along the
-    # strided case axis counts the same
+    # the simulator enumerates them.  The kernel that packed along the
+    # strided case axis counts the same at the simulator's chunk size;
+    # it is an oracle, so its other chunkings would test only itself
     code = SIM_CODES[name]()
     n = code.n
     default = 64 * max(1, repair._CHUNK_CELLS // (64 * max(n, code.geometry.num_lines)))
@@ -1170,10 +1322,11 @@ def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
             complement = u > n - u
             drawn = np.array([np.flatnonzero(row != complement) for row in mask],
                              dtype=np.intp).reshape(len(sets), min(u, n - u))
+        chunks = np.split(mask, range(default, len(sets), default))
+        assert availability_counts_by_strided_pack(code, chunks) == want, kwargs
         for size in (default, 1, 7, 8, 9, 63, 64, 65, 128):
             cuts = range(size, len(sets), size)
             chunks = np.split(mask, cuts)
-            assert availability_counts_by_strided_pack(code, chunks) == want, (kwargs, size)
             assert (repair._availability_counts(code, map(repair._case_words, chunks))
                     == want), (kwargs, size)
             if u is not None:
