@@ -15,9 +15,12 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from . import __version__, bounds, code as code_mod, geometry, repair
 from .errors import (
@@ -117,7 +120,18 @@ def _json_walk(obj, indent: str = ""):
     piece is at most one such list or block (one symbol's repair sets),
     so the document is never held whole; an outer list of blocks is
     walked, not flattened, for that reason.
+
+    An integer ``np.ndarray`` (an analyze payload's repair sets) is
+    written by ``_array_pieces``, as ``json.dumps(obj.tolist(), indent=2)``
+    would write it, one piece for one or two axes and one per index of
+    the first axis otherwise; one with a negative entry, a zero-length
+    axis or no axis, and any other array, is walked as its ``tolist()``.
     """
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "iu" and obj.ndim and obj.size and obj.min() >= 0:
+            yield from _array_pieces(obj, indent)
+            return
+        obj = obj.tolist()
     if isinstance(obj, dict):
         left, right = "{}"
         pairs = ((json.dumps(key) + ": ", value) for key, value in obj.items())
@@ -159,6 +173,72 @@ def _template(shape: tuple[int, ...], indent: str) -> str:
     inner = indent + "  "
     item = _template(shape[1:], inner) if len(shape) > 1 else "%d"
     return f"[\n{inner}" + (",\n" + inner).join([item] * shape[0]) + f"\n{indent}]"
+
+
+# indices of the first axis per chunk of an array of three or more axes
+_ARRAY_CHUNK = 256
+
+
+def _byte_rows(texts: list[str]) -> np.ndarray:
+    """The ASCII texts as rows of one uint8 array, padded with zero bytes."""
+    return np.array([text.encode() for text in texts]).view(np.uint8).reshape(len(texts), -1)
+
+
+def _array_pieces(arr: np.ndarray, indent: str) -> Iterable[str]:
+    """Yield ``json.dumps(arr.tolist(), indent=2)`` at ``indent`` for a
+    non-negative integer array with no zero-length axis: one piece for
+    one or two axes, else one a first-axis index, after its separator.
+
+    Every row (along the last axis) takes the same bytes, zero bytes
+    padding what its text leaves out: a lead of separator and brackets
+    (``leads``, by how many of its leading indices are 0), one slot an
+    entry (separator, newline, indent, then the digits right-aligned,
+    taken in one ``np.take`` from a slot per value 0..max, or per entry
+    where the array is smaller than its maximum) and a trail of brackets
+    (``trails``, by how many are the last).  One compress of a chunk's
+    nonzero bytes gives its text, so no int is formatted on its own.
+    """
+    m, width = arr.ndim, arr.shape[-1]
+    ind = [indent + "  " * level for level in range(m + 1)]
+    top = int(arr.max())
+    if top < arr.size:
+        values, index = np.arange(top + 1, dtype=arr.dtype), arr.reshape(-1, width)
+    else:
+        values, index = arr.ravel(), np.arange(arr.size).reshape(-1, width)
+    powers = np.array([10 ** p for p in range(len(str(top)) - 1, -1, -1)], arr.dtype)
+    digits = (values[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][values[:, None] < powers[:-1]] = 0
+    sep = _byte_rows([",\n" + ind[m]])
+    slots = np.empty((len(values), sep.shape[1] + digits.shape[1]), np.uint8)
+    slots[:, :sep.shape[1]], slots[:, sep.shape[1]:] = sep, digits
+    slots = slots.view(np.dtype((np.void, slots.shape[1])))[:, 0]
+    # by z, the number of trailing leading indices that are 0 (z = m - 1
+    # at row 0 only), and by e, of those that are the last
+    leads = _byte_rows([(",\n" + ind[m - 1 - z] if z < m - 1 else "")
+                        + "".join("[\n" + ind[level] for level in range(m - z, m))
+                        for z in range(m)])
+    trails = _byte_rows(["".join("\n" + ind[level] + "]" for level in range(m - 1, m - 2 - e, -1))
+                         for e in range(m)])
+    # row r's leading index at axis L is 0 when r is a multiple of spans[L]
+    spans = np.cumprod(arr.shape[-2::-1])[::-1]
+    piece = math.prod(arr.shape[1:-1]) if m > 2 else len(index)
+    step = piece * (_ARRAY_CHUNK if m > 2 else 1)
+    for start in range(0, len(index), step):
+        stop = min(start + step, len(index))
+        rows = np.arange(start, stop)
+        entries = np.take(slots, index[start:stop]).view(np.uint8).reshape(len(rows), -1)
+        entries[:, 0] = ord("[")
+        buf = np.concatenate([leads[(rows[:, None] % spans == 0).sum(1)], entries,
+                              trails[((rows[:, None] + 1) % spans == 0).sum(1)]], axis=1)
+        keep = buf != 0
+        text = str(buf[keep], "ascii")
+        del buf, entries
+        sizes = np.add.reduce(keep.reshape(-1, piece * keep.shape[1]), axis=1,
+                              dtype=np.min_scalar_type(piece * keep.shape[1]))
+        begin = 0
+        for end in itertools.accumulate(sizes.tolist()):
+            yield text[begin:end]
+            begin = end
 
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:

@@ -28,7 +28,9 @@ starts.  Either way the checks are filed in one per-symbol table
 the least-weight check whose helpers are all available, ties to the
 lowest line index.  ``_line_table`` lists every symbol's line checks in
 that order, once per code, and the executor, the geometric profile and
-the simulator all read it.  A read tests each check's support against
+the simulator all read it; where every line has one weight, that order is
+line order and the geometric profile reads its sets off the lines as one
+array (``_line_sets``).  A read tests each check's support against
 the unavailable symbols other than the one it repairs; the simulator
 counts chunks of cases, 64 to a ``uint64`` word, held as one row of
 cases per symbol (``_availability_counts``), on arrays that
@@ -327,9 +329,47 @@ def blocking_set(code: BlrcCode, i: int, r: int, mode: str = "exhaustive",
     return minimum_hitting_set(_helper_sets(i, _checks(code, mode, r + 1, guard)[i]))
 
 
+def _line_sets(code: BlrcCode, max_weight: int) -> np.ndarray | None:
+    """The geometric repair sets as one (n, a, w - 1) array, when every
+    line has one weight w <= max_weight and every symbol lies on the same
+    number a >= 1 of lines (every partial geometry at r >= s); else None.
+
+    With one weight the line table's rows are in line-index order, as a
+    stable sort of the lines' points gives them.  Entries are uint16
+    while n <= 65536.
+    """
+    n, lines = code.n, code.geometry.lines
+    if not lines:
+        return None
+    w = len(lines[0])
+    if w > max_weight or any(len(line) != w for line in lines):
+        return None
+    points = np.fromiter(itertools.chain.from_iterable(lines),
+                         np.uint16 if n <= 65536 else np.intp, len(lines) * w)
+    counts = np.bincount(points, minlength=n)
+    if counts.min() != counts.max():
+        return None
+    pencils = np.argsort(points, kind="stable").reshape(n, -1) // w
+    sets = points.reshape(-1, w)[pencils]
+    return sets[sets != np.arange(n, dtype=points.dtype)[:, None, None]].reshape(n, -1, w - 1)
+
+
+def _set_tuples(sets: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """An (n, a, w - 1) array of repair sets as ``repair_sets``' tuples."""
+    return tuple(tuple(map(tuple, rows)) for rows in sets.tolist())
+
+
 @dataclass(frozen=True)
 class RepairProfile:
-    """Per-symbol and overall repair metrics of a code."""
+    """Per-symbol and overall repair metrics of a code.
+
+    ``repair_sets`` may be given as tuples or as one (n, a, w - 1) integer
+    array, as geometric mode gives it where ``_line_sets`` applies.  The
+    profile keeps such an array as ``_repair_array``, outside the fields,
+    so equality, repr, ``asdict`` and ``replace`` see the tuples, which
+    are built from it the first time ``repair_sets`` is read;
+    ``_json_fields`` hands the array itself to the writer.
+    """
 
     mode: str
     n: int
@@ -342,6 +382,18 @@ class RepairProfile:
     per_symbol_delta: tuple[int, ...]
     repair_sets: tuple[tuple[tuple[int, ...], ...], ...]
 
+    def __post_init__(self) -> None:
+        if isinstance(self.repair_sets, np.ndarray):
+            vars(self)["_repair_array"] = vars(self).pop("repair_sets")
+
+    def __getattr__(self, name: str):
+        # reached for a missing attribute only, so for repair_sets only
+        # while they are held as an array
+        if name != "repair_sets" or "_repair_array" not in vars(self):
+            raise AttributeError(name)
+        sets = vars(self)["repair_sets"] = _set_tuples(vars(self)["_repair_array"])
+        return sets
+
     @property
     def safe_unavailability(self) -> int:
         """Largest unavailable-node count with guaranteed local repair.
@@ -353,7 +405,9 @@ class RepairProfile:
 
     def _json_fields(self) -> dict:
         """The JSON fields in order, with the profile's own tuples as the
-        per-symbol columns and repair sets; the CLI writes this directly."""
+        per-symbol columns, and its repair sets as its array if it holds
+        one, else its tuples; the CLI writes this directly."""
+        sets = vars(self).get("_repair_array")
         return {
             "schema_version": 1,
             "mode": self.mode,
@@ -368,7 +422,7 @@ class RepairProfile:
                 "a": self.per_symbol_a,
                 "delta": self.per_symbol_delta,
             },
-            "repair_sets": self.repair_sets,
+            "repair_sets": self.repair_sets if sets is None else sets,
         }
 
     def to_json_dict(self) -> dict:
@@ -404,9 +458,15 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         # nonempty, so each needs its own hitter
         per_r = (s,) * n
         overall_r = s if r is None else r
-        checks = _checks(code, mode, overall_r + 1, guard)
-        per_a = per_delta = tuple(map(len, checks))
+        repair_sets = _line_sets(code, overall_r + 1)
+        if repair_sets is None:
+            checks = _checks(code, mode, overall_r + 1, guard)
+            per_a = tuple(map(len, checks))
+        else:
+            per_a = (repair_sets.shape[1],) * n
+        per_delta = per_a
     else:
+        repair_sets = None
         checks = _checks(code, mode, (s if r is None else max(s, r)) + 1, guard)
         if any(not c or c[0].weight > s + 1 for c in checks):
             raise RuntimeError("no repair vector found up to weight s+1; "
@@ -417,7 +477,8 @@ def repair_profile(code: BlrcCode, mode: str = "exhaustive",
         per_a = tuple(map(len, checks))
         per_delta = tuple(len(minimum_hitting_set(_helper_sets(i, c)))
                           for i, c in enumerate(checks))
-    repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
+    if repair_sets is None:
+        repair_sets = tuple(tuple(v.helpers(i) for v in c) for i, c in enumerate(checks))
     return RepairProfile(
         mode=mode,
         n=n,

@@ -1168,8 +1168,15 @@ def set_words_by_mask(sets: np.ndarray, n: int) -> np.ndarray:
 
 
 def dumps_indented(obj) -> str:
-    """json's pure-Python indented encoding."""
-    return json.dumps(obj, indent=2)
+    """json's pure-Python indented encoding, reading a numpy array, and
+    nothing else json cannot encode, as its ``tolist()``."""
+    return json.dumps(obj, indent=2, default=_array_list)
+
+
+def _array_list(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@ import json
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from pgblrc import __version__, cli, geometry
+from pgblrc import __version__, cli, geometry, repair
 from pgblrc.cli import build_parser, main
 from pgblrc.geometry import grid
 
@@ -590,6 +591,79 @@ def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
     assert_same_document("".join(cli._json_walk(obj)), dumps_indented(obj))
 
 
+def indented(obj, indent: str) -> str:
+    """``dumps_indented(obj)`` as the writer places it at ``indent``."""
+    return dumps_indented(obj).replace("\n", "\n" + indent)
+
+
+# the digit-count edges; the dtype's largest value is added where the
+# array is smaller than it, so its digits come from its own entries
+# rather than from the table of 0..max
+EDGE_VALUES = (0, 9, 10, 99, 100, 999, 1000, 4095, 4096)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+@pytest.mark.parametrize("shape, extreme", [
+    ((12,), True), ((4, 3), True), ((2, 3, 2), True),
+    ((4100,), False), ((1025, 4), False), ((300, 2, 7), False),
+])
+def test_array_writer_matches_indented_json_dumps(dtype, shape, extreme):
+    top = np.iinfo(dtype).max
+    values = [v for v in EDGE_VALUES if v <= top] + [top] * extreme
+    arr = np.resize(np.array(values, dtype), shape)
+    for indent in ("", "    "):
+        pieces = list(cli._json_walk(arr, indent))
+        assert pieces == list(cli._array_pieces(arr, indent))
+        assert len(pieces) == (shape[0] if len(shape) > 2 else 1)
+        assert_same_document("".join(pieces), indented(arr, indent))
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([3, -1, 7]), np.array([[0, 5], [-2, 1]], np.int32),
+    np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max]),
+    np.zeros(0, np.uint16), np.zeros((3, 0), np.int64), np.zeros((2, 0, 3), np.uint8),
+    np.zeros((0, 2, 2), np.int32), np.array(7),
+], ids=["negative", "negative2d", "int64_extremes", "empty", "empty_rows", "empty_middle",
+        "empty_first", "no_axis"])
+def test_array_writer_walks_negative_or_empty_arrays_as_lists(monkeypatch, arr):
+    monkeypatch.setattr(cli, "_array_pieces", None)
+    assert_same_document("".join(cli._json_walk(arr)), dumps_indented(arr))
+
+
+@pytest.mark.parametrize("first", [1, cli._ARRAY_CHUNK - 1, cli._ARRAY_CHUNK,
+                                   cli._ARRAY_CHUNK + 1])
+def test_array_writer_yields_one_piece_per_first_index_across_chunks(first):
+    arr = (np.arange(first * 6, dtype=np.uint16) * 7 % 1001).reshape(first, 2, 3)
+    pieces = list(cli._json_walk(arr, "  "))
+    assert len(pieces) == first
+    # each piece is one first index's block after the separator before it
+    for i, piece in enumerate(pieces):
+        want = ("[" if i == 0 else ",") + "\n    " + indented(arr[i], "    ")
+        assert piece == want + ("\n  ]" if i == first - 1 else ""), i
+
+
+def test_array_writer_matches_indented_json_dumps_nested_in_dicts():
+    arr = (np.arange(60, dtype=np.uint16) * 37).reshape(5, 3, 4)
+    doc = {"top": arr, "a": {"b": np.arange(11, dtype=np.int32), "c": {
+        "d": arr[:, 0], "e": [arr, {"f": arr[0], "g": np.arange(24).reshape(2, 3, 2, 2)}]}},
+        "after": [1, 2]}
+    assert_same_document("".join(cli._json_walk(doc)), dumps_indented(doc))
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_builds_no_repair_set_tuples(capsys, monkeypatch, fmt):
+    def refuse(sets):
+        raise AssertionError("the repair-set tuples were built")
+
+    monkeypatch.setattr(repair, "_set_tuples", refuse)
+    code, out, _ = run(capsys, "analyze", "--geometry", "hyperoval", "--q", "4", "--format", fmt)
+    assert code == 0 and out
+    # reading a geometric profile's sets is what builds them
+    profile = repair.repair_profile(cli.code_mod.build_code(geometry.hyperoval_gq(4)), "geometric")
+    with pytest.raises(AssertionError, match="were built"):
+        profile.repair_sets
+
+
 def test_analyze_json_is_written_in_pieces(monkeypatch):
     payloads = record_payloads(monkeypatch)
     writes = []
@@ -604,10 +678,13 @@ def test_analyze_json_is_written_in_pieces(monkeypatch):
 
 
 def int_nests(obj, depth=0):
-    """(depth, nest) for each list of ints, or list of int lists, in obj."""
+    """(depth, nest) for each list of ints, or list of int lists, in obj,
+    reading a numpy array as its ``tolist()``."""
     def ints(items):
         return all(type(x) is int for x in items)
 
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for value in obj.values():
             yield from int_nests(value, depth + 1)

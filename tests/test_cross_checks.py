@@ -38,6 +38,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import statistics
@@ -82,6 +83,7 @@ from pgblrc.geometry import (
 from pgblrc import algebra, cli, code as code_mod, geometry, repair
 from pgblrc.repair import (
     _EXHAUSTIVE_LIMIT,
+    RepairProfile,
     RepairVector,
     blocking_set,
     line_repair_sets,
@@ -1038,13 +1040,63 @@ def test_the_line_table_is_built_once_per_code(monkeypatch):
     assert array_builds == [code]
 
 
-@pytest.mark.parametrize("name", [*sorted(LADDER), "mixed_weight"])
+@lru_cache(maxsize=None)
+def dual_ladder_code(name):
+    return build_code(dual(ladder(name)))
+
+
+def geometric_code(name):
+    """A ladder code, ``dual(<rung>)``'s code, or one of two hand-built
+    codes: the mixed-weight code and the zero-column code, whose one line
+    misses a point."""
+    if name.startswith("dual("):
+        return dual_ladder_code(name[5:-1])
+    hand_built = {"mixed_weight": mixed_weight_code, "zero_column": lambda: zero_column_code(2)}
+    return ladder_code(name) if name in LADDER else hand_built[name]()
+
+
+@pytest.mark.parametrize("name", [*sorted(LADDER), *(f"dual({name})" for name in sorted(LADDER)),
+                                  "mixed_weight", "zero_column"])
 def test_geometric_repair_sets_match_one_helpers_call_per_line(name):
-    code = ladder_code(name) if name in LADDER else mixed_weight_code()
+    code = geometric_code(name)
     s = code.pg.s
-    for r in (None, 0, s - 1, s, s + 2):
-        assert (repair_profile(code, mode="geometric", r=r).repair_sets
-                == geometric_repair_sets_by_helpers(code, r)), r
+    for r in (None, 0, s - 1, s, s + 2, s + 3):
+        profile = repair_profile(code, mode="geometric", r=r)
+        # a partial geometry's sets come as one array from r = s on; the
+        # mixed-weight code's lines are of two weights, and the
+        # zero-column code's points lie on one line or none
+        partial_geometry = name in LADDER or name.startswith("dual(")
+        as_array = partial_geometry and (r is None or r >= s)
+        assert ("_repair_array" in vars(profile)) == as_array, r
+        assert profile.repair_sets == geometric_repair_sets_by_helpers(code, r), r
+
+
+@pytest.mark.parametrize("name", ["grid8", "dual(hyperoval8)"])
+def test_array_repair_sets_read_as_tuples_do(name):
+    code = geometric_code(name)
+    lazy = repair_profile(code, mode="geometric")
+    later = pickle.loads(pickle.dumps(lazy))
+    parts = {f.name: getattr(lazy, f.name) for f in dataclasses.fields(lazy)
+             if f.name != "repair_sets"}
+    eager = RepairProfile(**parts, repair_sets=geometric_repair_sets_by_helpers(code))
+    # the CLI's fields hand over the array, so no tuples are built for them
+    assert isinstance(lazy._json_fields()["repair_sets"], np.ndarray)
+    assert "repair_sets" not in vars(lazy)
+    assert lazy.to_json_dict() == eager.to_json_dict()
+    assert repr(lazy) == repr(eager)
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert dataclasses.asdict(lazy) == dataclasses.asdict(eager)
+    assert dataclasses.replace(lazy, r=lazy.r + 1) == dataclasses.replace(eager, r=eager.r + 1)
+    assert later == eager and isinstance(later._json_fields()["repair_sets"], np.ndarray)
+
+
+def test_profiles_off_the_one_weight_geometric_path_keep_tuples():
+    code = ladder_code("grid8")
+    for profile in (repair_profile(code, mode="geometric", r=code.pg.s - 1),
+                    repair_profile(small_code("grid2"), mode="exhaustive"),
+                    repair_profile(mixed_weight_code(), mode="geometric")):
+        assert "_repair_array" not in vars(profile)
+        assert type(profile._json_fields()["repair_sets"]) is tuple
 
 
 LINE_TABLE_CODES = {
