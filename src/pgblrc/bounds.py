@@ -180,8 +180,7 @@ def _incidence_rank(name: str, value: int) -> int:
     """The GF(2) incidence rank of ``name`` built at ``value``, certified."""
     inc = geometry._CONSTRUCTORS[name][1](value)
     geometry.validate_pg(inc)
-    lines = algebra._support_words(inc.lines, inc.num_points)
-    return len(algebra._eliminate(lines)[1])
+    return len(algebra._eliminate(inc._line_words)[1])
 
 
 def known_gq_parameters(max_z: int = 16) -> list[tuple[int, int]]:

@@ -111,22 +111,17 @@ def _json_walk(obj, indent: str = ""):
     objects with string keys, leaving keys and scalars to ``json.dumps``
     (so NaN, null, floats and non-ASCII text come out as before).
 
-    json's C encoder has no indented form, so ``indent=2`` falls back to
-    the pure-Python encoder, which formats every int of an analyze
-    payload's repair sets one call at a time.  This fills each list of
-    plain ints, or block of equal-length rows of them, into one cached
-    ``_template``, and walks any other dict, list or tuple with one loop
-    over its (key prefix, value) pairs, the prefix empty for a list.  A
-    piece is at most one such list or block (one symbol's repair sets),
-    so the document is never held whole; an outer list of blocks is
-    walked, not flattened, for that reason.
-
-    An integer ``np.ndarray`` (an analyze payload's repair sets) is
-    written by ``_array_pieces``, as ``json.dumps(obj.tolist(), indent=2)``
-    would write it, one piece for one or two axes and one per index of
-    the first axis otherwise; one with a negative entry, a zero-length
-    axis or no axis, and any other array, is walked as its ``tolist()``.
+    json's indented form formats every int one call at a time, so one
+    branch sends every integer nest to ``_array_pieces``: an integer
+    ``np.ndarray`` with no negative entry and no zero-length axis, or a
+    list or tuple that ``_int_array`` reads as one.  Any other dict, list,
+    tuple or array (as its ``tolist()``) is walked with one loop over its
+    (key prefix, value) pairs, the prefix empty for a list.  A piece is at
+    most one int list or one symbol's repair sets, so the document is
+    never held whole.
     """
+    if isinstance(obj, (list, tuple)):
+        obj = _int_array(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "iu" and obj.ndim and obj.size and obj.min() >= 0:
             yield from _array_pieces(obj, indent)
@@ -136,19 +131,6 @@ def _json_walk(obj, indent: str = ""):
         left, right = "{}"
         pairs = ((json.dumps(key) + ": ", value) for key, value in obj.items())
     elif isinstance(obj, (list, tuple)):
-        first = obj[0] if obj else None
-        if type(first) is int and set(map(type, obj)) == {int}:
-            yield _template((len(obj),), indent) % tuple(obj)
-            return
-        if isinstance(first, (list, tuple)) and first and type(first[0]) is int:
-            # a block: rows of plain ints, all of one length; the first
-            # row's first item is checked before flattening, so an outer
-            # list of blocks is never flattened
-            if set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1:
-                flat = tuple(itertools.chain.from_iterable(obj))
-                if set(map(type, flat)) == {int}:
-                    yield _template((len(obj), len(first)), indent) % flat
-                    return
         left, right = "[]"
         pairs = zip(itertools.repeat(""), obj)
     else:
@@ -166,13 +148,24 @@ def _json_walk(obj, indent: str = ""):
     yield f"\n{indent}{right}"
 
 
-@functools.lru_cache(maxsize=64)
-def _template(shape: tuple[int, ...], indent: str) -> str:
-    """The ``%d`` template of a rectangular nest of ints at ``indent``:
-    ``(length,)`` for a list, ``(rows, length)`` for a block."""
-    inner = indent + "  "
-    item = _template(shape[1:], inner) if len(shape) > 1 else "%d"
-    return f"[\n{inner}" + (",\n" + inner).join([item] * shape[0]) + f"\n{indent}]"
+def _int_array(nest: list | tuple) -> np.ndarray | list | tuple:
+    """The nest as one ``np.array`` if its items at every depth are plain
+    ints (no bool or ``IntEnum``) or lists or tuples of one length, and
+    numpy reads it as integers (not the object array of an int past 64
+    bits, nor the float64 of one past int64 beside a smaller one); else
+    the nest itself."""
+    try:
+        arr = np.array(nest)
+    except ValueError:   # ragged
+        return nest
+    if arr.dtype.kind not in "iu":
+        return nest
+    level = nest
+    for _ in range(arr.ndim - 1):
+        if not set(map(type, level)) <= {list, tuple}:
+            return nest
+        level = list(itertools.chain.from_iterable(level))
+    return arr if set(map(type, level)) == {int} else nest
 
 
 # indices of the first axis per chunk of an array of three or more axes

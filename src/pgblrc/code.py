@@ -125,7 +125,7 @@ def build_code(inc: IncidenceStructure) -> BlrcCode:
     """
     pg = validate_pg(inc)
     n = inc.num_points
-    lines = algebra._support_words(inc.lines, n)
+    lines = inc._line_words
     reduced, pivots, independent = algebra._eliminate(lines)
     k = n - len(pivots)
     if k == 0:

@@ -10,7 +10,8 @@ through each point, and alpha a counting certificate (Bose 1963) over the
 points collinear with it.  Both read one collinearity table, packed as
 uint64 words and counted with ``np.bitwise_count``, and decide alone; a
 witness is read off the same words at the points a failing test flagged.
-The lines are packed straight from their points and kept in no other form.
+The lines are packed straight from their points, once per structure
+(``IncidenceStructure._line_words``, read-only), and kept in no other form.
 The constructors below produce the standard families used for code
 building, on GF(q)'s addition and multiplication tables read as arrays.
 Each quadrangle reads its lines off the geometry, and builds each line
@@ -117,6 +118,13 @@ class IncidenceStructure:
         return tuple(tuple(v) for v in through)
 
     @cached_property
+    def _line_words(self) -> np.ndarray:
+        """The lines as read-only rows of ``uint64`` words, packed once."""
+        words = algebra._support_words(self.lines, self.num_points)
+        words.flags.writeable = False
+        return words
+
+    @cached_property
     def _certificate(self) -> PgParams:
         """``validate_pg``'s result; a failure raises and is not kept."""
         return _certify(self)
@@ -168,8 +176,7 @@ def _line_records(num_points: int, lines, numbers) -> tuple[tuple, tuple | None]
 
 def incidence_matrix(inc: IncidenceStructure) -> BitMatrix:
     """Line-by-point incidence matrix (rows are lines)."""
-    words = algebra._support_words(inc.lines, inc.num_points)
-    return BitMatrix.from_bitrows(algebra._ints(words), inc.num_points)
+    return BitMatrix.from_bitrows(algebra._ints(inc._line_words), inc.num_points)
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +384,7 @@ def _certify(inc: IncidenceStructure) -> PgParams:
             )
     s, t = s_plus_1 - 1, t_plus_1 - 1
 
-    lines = algebra._support_words(inc.lines, inc.num_points)
+    lines = inc._line_words
     table = _collinearity_table(inc, lines)
     flagged = np.bitwise_count(table).sum(axis=1) != (t + 1) * s + 1
     if flagged.any():

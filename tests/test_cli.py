@@ -574,7 +574,7 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     [1, True], [True, 1], [1, 2.0], [[1, 2], 3],
     0, -(2**70), [0], [0, -1, -17, 10**30, -(2**70)], (10**30, -(2**70)),
     list(range(-2500, 2500)),
-    # one int-list length at two depths: the templates are cached per indent
+    # one int list at two depths
     [[1, 2, 3], {"deeper": [[4, 5, 6], (7, 8, 9)]}, [10, 11, 12]],
     [True, False], [Level.HIGH], [1, Level.HIGH], [[Level.HIGH, 2], [1, 2]],
     # a block is rows of plain ints, all of one non-zero length
@@ -582,13 +582,28 @@ def test_writer_matches_indented_json_dumps_on_cli_payloads(capsys, monkeypatch,
     [[1, 2], [3, 4.0]], [[1, 2], [3, None]], [[1, 2], 3], [[1, 2], [[3], 4]], [[1, 2], "ab"],
     ((1, 2), (3, 4)), ([1, 2], (3, 4)), [[7]], ((-(2**70),),),
     [[[1, 2], [3, 4]], [[5, 6], [7, 8]], [[9, 10], [11, 12]]],
-    # one block shape at two depths: the templates are cached per indent
+    # one block shape at two depths
     [[[1, 2], [3, 4]], {"deeper": [[[5, 6], [7, 8]]]}, [[9, 10], [11, 12]]],
     # a document of about 600 kB, with blocks and lists side by side in one dict
     {"sets": [[[i, i + 1, i + 2]] * 3 for i in range(3000)], "after": list(range(5000))},
+    # numpy reads these as float64, uint64, uint64, float64 and float64
+    [2, 2**64 - 1], [2**63], [2**64 - 1], [-1, 2**64 - 1], [[2**64 - 1], [3]],
+    # shaped like an exhaustive profile's repair sets: symbol, set, helper
+    tuple(tuple((i, i + j + 1, 2 * i + j + 2) for j in range(4)) for i in range(9)),
+    # ragged at the top (two sets or one), rectangular per symbol
+    (((1, 2), (3, 4)), ((5, 6),), ((7, 8), (9, 10)), [(11, 12)]),
 ])
 def test_writer_matches_indented_json_dumps_on_edge_payloads(obj):
     assert_same_document("".join(cli._json_walk(obj)), dumps_indented(obj))
+
+
+@pytest.mark.parametrize("obj", [[range(2), range(2)], (range(3),), [[1, 2], range(2)]])
+def test_writer_refuses_a_nest_json_dumps_refuses(obj):
+    # numpy reads each as integers, but a range is no JSON list
+    with pytest.raises(TypeError):
+        dumps_indented(obj)
+    with pytest.raises(TypeError, match="range is not JSON serializable"):
+        "".join(cli._json_walk(obj))
 
 
 def indented(obj, indent: str) -> str:
@@ -626,7 +641,14 @@ def test_array_writer_matches_indented_json_dumps(dtype, shape, extreme):
 ], ids=["negative", "negative2d", "int64_extremes", "empty", "empty_rows", "empty_middle",
         "empty_first", "no_axis"])
 def test_array_writer_walks_negative_or_empty_arrays_as_lists(monkeypatch, arr):
-    monkeypatch.setattr(cli, "_array_pieces", None)
+    writer = cli._array_pieces
+
+    def checked(part, indent):
+        # a non-negative part, such as the row [0, 5] of negative2d, is written
+        assert part.ndim and 0 not in part.shape and part.min() >= 0, part
+        return writer(part, indent)
+
+    monkeypatch.setattr(cli, "_array_pieces", checked)
     assert_same_document("".join(cli._json_walk(arr)), dumps_indented(arr))
 
 
@@ -648,6 +670,29 @@ def test_array_writer_matches_indented_json_dumps_nested_in_dicts():
         "d": arr[:, 0], "e": [arr, {"f": arr[0], "g": np.arange(24).reshape(2, 3, 2, 2)}]}},
         "after": [1, 2]}
     assert_same_document("".join(cli._json_walk(doc)), dumps_indented(doc))
+
+
+@pytest.mark.parametrize("command", [
+    "--geometry grid --s 8", "--geometry hyperoval --q 4 --dual",
+    # an exhaustive profile whose repair sets are one (15, 3, 2) nest of tuples
+    "--exhaustive --geometry symplectic --q 2",
+])
+def test_analyze_writes_each_integer_nest_with_one_array_writer_call(capsys, monkeypatch, command):
+    calls = []
+    writer = cli._array_pieces
+
+    def counting(arr, indent):
+        calls.append(arr.shape)
+        return writer(arr, indent)
+
+    monkeypatch.setattr(cli, "_array_pieces", counting)
+    code, out, _ = run(capsys, "analyze", *command.split())
+    doc = json.loads(out)
+    # info_set, the three per-symbol columns and the repair sets
+    assert code == 0 and len(calls) == 5
+    n, sets = doc["code"]["n"], doc["metrics"]["repair_sets"]
+    assert calls == [(len(doc["code"]["info_set"]),), (n,), (n,), (n,),
+                     (n, len(sets[0]), len(sets[0][0]))]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -319,9 +319,32 @@ def test_huge_point_count_fails_before_any_per_point_table(monkeypatch):
         with pytest.raises(PgValidationError, match="point 2 lies on no line") as ei:
             call(inc)
         assert (ei.value.kind, ei.value.witness) == ("point-degree", 2)
-    assert "lines_through" not in vars(inc)
+    assert "lines_through" not in vars(inc) and "_line_words" not in vars(inc)
     with pytest.raises(AssertionError, match="lines packed over 9 columns"):
         validate_pg(grid(2))   # the stand-in is the packer validation calls
+
+
+def test_each_structure_packs_its_lines_once_into_a_read_only_array(monkeypatch):
+    from pgblrc import bounds
+
+    packed = []
+    packer = algebra._support_words
+
+    def counting(supports, cols):
+        packed.append(cols)
+        return packer(supports, cols)
+
+    monkeypatch.setattr(algebra, "_support_words", counting)
+    bounds._incidence_rank.cache_clear()
+    for inc in (grid(3), hyperoval_gq(4), dual(symplectic_gq(2))):
+        validate_pg(inc)
+        build_code(inc)
+        incidence_matrix(inc)
+        assert packed == [inc.num_points]
+        assert not inc._line_words.flags.writeable
+        packed.clear()
+    assert bounds._incidence_rank("symplectic", 3) == 25
+    assert packed == [40]
 
 
 # -------------------------------------------------------------- text files
