@@ -7,14 +7,16 @@ elimination reduces those words 64 rows a block against pivot rows it
 keeps fully reduced, eliminates each block's rows against each other as
 Python ints and clears the block's new pivot columns from the older
 pivot rows by the Method of Four Russians, so that one pass gives the
-reduced row echelon form, the rank and the rows independent of those
-above them, and every array of bits is unpacked from them.  One
-byte-wise kernel transposes packed bits, for the matrices here and the
-simulator's chunks of cases.  A small field keeps its addition,
-multiplication, negation and inverse tables as read-only integer arrays,
-built in one numpy pass over the base-p digits of all q elements, which
-the quadrangle constructors index directly.
-Everything here is immutable after construction and safe to share.
+reduced row echelon form, its pivot columns and the rows independent of
+those above them: a code's checks, generator and information set, and
+``code.reconstruct``'s message, are read off it.  Every array of bits
+is unpacked from the words.  One byte-wise kernel transposes packed
+bits, for the matrices here and the simulator's chunks of cases.  A
+small field keeps its addition, multiplication, negation and inverse
+tables as read-only integer arrays, built in one numpy pass over the
+base-p digits of all q elements, which the quadrangle constructors
+index directly.  Everything here is immutable after construction and
+safe to share.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ __all__ = [
     "SmallField",
     "independent_row_indices",
     "nullspace2",
-    "rank2",
     "rref2",
     "small_field",
-    "solve2",
 ]
 
 
@@ -86,22 +86,8 @@ class BitMatrix:
         data = tuple(bitrows)
         return cls(len(data), cols, data)
 
-    def to_array(self) -> np.ndarray:
-        return _bits(_words(self.data, self.cols), self.cols)
-
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.cols, self.rows, tuple(_transpose(self.data, self.cols)))
-
-    def __matmul__(self, other: BitMatrix) -> BitMatrix:
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.cols} != {other.rows}")
-        out = []
-        for row in self.data:
-            acc = 0
-            for j in _set_bits(row):
-                acc ^= other.data[j]
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
 
 
 # ----------------------------------------------------------------------
@@ -164,17 +150,6 @@ def _first_non_bit(values: Sequence) -> int | None:
             pass
         return j
     return None
-
-
-def _set_bits(x: int) -> list[int]:
-    """Positions of the set bits of x, ascending."""
-    text = bin(x)[:1:-1]
-    out = []
-    pos = text.find("1")
-    while pos >= 0:
-        out.append(pos)
-        pos = text.find("1", pos + 1)
-    return out
 
 
 def _words(rows: Sequence[int], cols: int) -> np.ndarray:
@@ -440,11 +415,6 @@ def _nullspace(reduced: np.ndarray, pivots: Sequence[int], cols: int
     return free, tuple(_ints(_bit_transpose(by_col)[:len(free)]))
 
 
-def rank2(m: BitMatrix) -> int:
-    """GF(2) rank of the matrix."""
-    return len(_eliminate(_words(m.data, m.cols))[1])
-
-
 def independent_row_indices(m: BitMatrix) -> tuple[int, ...]:
     """Indices of the greedy maximal independent row set, scanning top down.
 
@@ -476,22 +446,6 @@ def nullspace2(m: BitMatrix) -> BitMatrix:
     reduced, pivots, _ = _eliminate(_words(m.data, m.cols))
     basis = _nullspace(reduced, pivots, m.cols)[1]
     return BitMatrix(len(basis), m.cols, basis)
-
-
-def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
-    """Unique solution x of M x^T = rhs for square M, or None if singular."""
-    if m.rows != m.cols:
-        raise ValueError("solve2 expects a square matrix")
-    n = m.cols
-    if rhs_bits < 0 or (n < rhs_bits.bit_length()):
-        raise ValueError("right-hand side has bits outside the row range")
-    aug = [row | ((rhs_bits >> r) & 1) << n for r, row in enumerate(m.data)]
-    reduced, pivots, _ = _eliminate(_words(aug, n + 1))
-    if len(pivots) < n or (pivots and pivots[-1] == n):
-        return None
-    # pivot i is column i, so row i ends in x_i
-    x = (reduced[:, n // 64] >> (n % 64)) & 1
-    return _pack(x.astype(np.uint8)[None, :])[0]
 
 
 # ----------------------------------------------------------------------

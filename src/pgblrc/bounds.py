@@ -307,7 +307,10 @@ def catalog(max_n: int = 100, min_rate: Fraction = Fraction(1, 3),
     max_n = _as_index(max_n, "max_n")
     if max_n < 0:
         raise ParameterError("max_n must be non-negative")
-    min_rate = Fraction(min_rate)
+    try:
+        min_rate = Fraction(min_rate)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ParameterError(f"min_rate must be a rational number, got {min_rate!r}") from exc
 
     # no pair (1, z): those are dropped, and their duals are the grids
     primal = set(known_gq_parameters(max_z=0))

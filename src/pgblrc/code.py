@@ -25,8 +25,6 @@ __all__ = [
     "build_code",
     "encode",
     "export_code",
-    "footprint",
-    "is_mds",
     "rate",
     "reconstruct",
 ]
@@ -74,8 +72,8 @@ class BlrcCode:
     @cached_property
     def gen_cols(self) -> tuple[int, ...]:
         """Generator columns as k-bit masks (bit j = row j), transposed on
-        first use by the census, ``reconstruct``, ``is_mds`` or a check of
-        given repair vectors."""
+        first use by the census, ``reconstruct`` or a check of given
+        repair vectors."""
         return self.generator.transpose().data
 
     @cached_property
@@ -191,35 +189,20 @@ def reconstruct(code: BlrcCode, coords, values: Sequence[int]) -> np.ndarray:
         _check_coord(code, c)
     if len(set(coords)) != len(coords):
         raise ValueError("coordinates must be distinct")
-    rhs = algebra._pack(_as_bits(values, code.k, "values")[None])[0]
-    system = BitMatrix.from_bitrows((code.gen_cols[c] for c in coords), code.k)
-    solution = algebra.solve2(system, rhs)
-    if solution is None:
+    k = code.k
+    bits = _as_bits(values, k, "values").tolist()
+    # the generator columns at coords, each with its value as bit k
+    system = [code.gen_cols[c] | b << k for c, b in zip(coords, bits)]
+    reduced, pivots, _ = algebra._eliminate(algebra._words(system, k + 1))
+    if len(pivots) < k or (pivots and pivots[-1] == k):
         raise NotInformationSetError("not an information set")
-    return algebra._bits(algebra._words([solution], code.k), code.k)[0]
-
-
-def is_mds(code: BlrcCode) -> bool:
-    """True iff every k-subset of coordinates is an information set.
-
-    Binary MDS codes are trivial (MacWilliams and Sloane, ch. 11): the
-    whole space, a repetition code (k = 1 with no zero coordinate) or a
-    single parity check (n - k = 1 over all n coordinates).
-    """
-    n, k = code.n, code.k
-    return (k == n
-            or (k == 1 and all(code.gen_cols))
-            or (n - k == 1 and code.parity_check.data[0] == (1 << n) - 1))
+    # pivot i is column i, so row i ends in message bit i
+    return ((reduced[:, k // 64] >> (k % 64)) & 1).astype(np.uint8)
 
 
 def rate(code: BlrcCode) -> Fraction:
     """Exact rate k/n."""
     return Fraction(code.k, code.n)
-
-
-def footprint(code: BlrcCode) -> Fraction:
-    """Exact storage overhead n/k."""
-    return Fraction(code.n, code.k)
 
 
 def export_code(code: BlrcCode) -> dict:

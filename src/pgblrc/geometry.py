@@ -132,13 +132,6 @@ class IncidenceStructure:
     def canonical_lines(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.lines))
 
-    def structurally_equal(self, other: IncidenceStructure) -> bool:
-        """Same points and same line set, ignoring line order and label."""
-        return (
-            self.num_points == other.num_points
-            and self.canonical_lines() == other.canonical_lines()
-        )
-
 
 def _sorted_line(line: Iterable[int]) -> tuple:
     line = tuple(line)

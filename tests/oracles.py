@@ -34,7 +34,12 @@ rows of an n x n collinearity table once per collinear pair and sort
 every point's coset along each hyperoval direction, the catalog's
 exact rates read off a full code built on each quadrangle, dual
 included, and the catalog that rates every grid up to its length
-budget and folds them into the family entry.
+budget and folds them into the family entry.  The third group holds the
+public names that left the package because only the tests called them:
+``rank2``, ``solve2``, ``BitMatrix.to_array`` and ``@`` (as
+``matrix_array`` and ``matrix_product``, with ``_set_bits``), ``is_mds``,
+``footprint`` and ``IncidenceStructure.structurally_equal`` (as
+``structurally_equal``).
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import (BitMatrix, _bit_transpose, _bits, _pack, _set_bits, _transpose,
-                            _words, rank2, small_field, solve2)
+from pgblrc.algebra import (BitMatrix, _bit_transpose, _bits, _eliminate, _pack, _transpose,
+                            _words, small_field)
 from pgblrc.bounds import ESTIMATORS, CatalogEntry, _estimate_rate, known_gq_parameters
 from pgblrc.code import build_code
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
@@ -69,6 +74,88 @@ from pgblrc.repair import (
     RepairVector,
     minimum_hitting_set,
 )
+
+
+# ----------------------------------------------------------------------
+# the public names that left the package because only the tests called
+# them, kept as they were there: the rank and the square solve of a
+# ``BitMatrix``, its unpacking and its product (``to_array`` and ``@``
+# once), the MDS verdict, the storage overhead, and the structure
+# comparison (``IncidenceStructure.structurally_equal`` once)
+
+
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    text = bin(x)[:1:-1]
+    out = []
+    pos = text.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = text.find("1", pos + 1)
+    return out
+
+
+def rank2(m: BitMatrix) -> int:
+    """GF(2) rank of the matrix."""
+    return len(_eliminate(_words(m.data, m.cols))[1])
+
+
+def solve2(m: BitMatrix, rhs_bits: int) -> int | None:
+    """Unique solution x of M x^T = rhs for square M, or None if singular."""
+    if m.rows != m.cols:
+        raise ValueError("solve2 expects a square matrix")
+    n = m.cols
+    if rhs_bits < 0 or (n < rhs_bits.bit_length()):
+        raise ValueError("right-hand side has bits outside the row range")
+    aug = [row | ((rhs_bits >> r) & 1) << n for r, row in enumerate(m.data)]
+    reduced, pivots, _ = _eliminate(_words(aug, n + 1))
+    if len(pivots) < n or (pivots and pivots[-1] == n):
+        return None
+    # pivot i is column i, so row i ends in x_i
+    x = (reduced[:, n // 64] >> (n % 64)) & 1
+    return _pack(x.astype(np.uint8)[None, :])[0]
+
+
+def matrix_array(m: BitMatrix) -> np.ndarray:
+    return _bits(_words(m.data, m.cols), m.cols)
+
+
+def matrix_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.cols} != {b.rows}")
+    out = []
+    for row in a.data:
+        acc = 0
+        for j in _set_bits(row):
+            acc ^= b.data[j]
+        out.append(acc)
+    return BitMatrix(a.rows, b.cols, tuple(out))
+
+
+def is_mds(code) -> bool:
+    """True iff every k-subset of coordinates is an information set.
+
+    Binary MDS codes are trivial (MacWilliams and Sloane, ch. 11): the
+    whole space, a repetition code (k = 1 with no zero coordinate) or a
+    single parity check (n - k = 1 over all n coordinates).
+    """
+    n, k = code.n, code.k
+    return (k == n
+            or (k == 1 and all(code.gen_cols))
+            or (n - k == 1 and code.parity_check.data[0] == (1 << n) - 1))
+
+
+def footprint(code) -> Fraction:
+    """Exact storage overhead n/k."""
+    return Fraction(code.n, code.k)
+
+
+def structurally_equal(a: IncidenceStructure, b: IncidenceStructure) -> bool:
+    """Same points and same line set, ignoring line order and label."""
+    return (
+        a.num_points == b.num_points
+        and a.canonical_lines() == b.canonical_lines()
+    )
 
 
 def np_rank2(a: np.ndarray) -> int:

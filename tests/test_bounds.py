@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pgblrc import bounds, code, geometry
-from pgblrc.algebra import rank2
 from pgblrc.bounds import (
     CatalogEntry,
     ESTIMATORS,
@@ -22,6 +21,7 @@ from pgblrc.bounds import (
     vartheta,
 )
 from pgblrc.code import build_code, rate
+from pgblrc.errors import ParameterError
 from pgblrc.geometry import (
     dual,
     elliptic_quadric_gq,
@@ -31,7 +31,8 @@ from pgblrc.geometry import (
     symplectic_gq,
 )
 
-from oracles import catalog_by_fold, exact_rate_by_building, rate_lower_closed, rate_upper_closed
+from oracles import (catalog_by_fold, exact_rate_by_building, matrix_array, rank2,
+                     rate_lower_closed, rate_upper_closed)
 
 F = Fraction
 
@@ -78,7 +79,7 @@ def test_rational_rank_is_vartheta_plus_one():
     # rationals; the binary rank can only fall from there
     for inc, s, t in [(grid(2), 2, 1), (symplectic_gq(2), 2, 2),
                       (elliptic_quadric_gq(2), 2, 4), (hyperoval_gq(4), 3, 5)]:
-        arr = incidence_matrix(inc).to_array().astype(float)
+        arr = matrix_array(incidence_matrix(inc)).astype(float)
         assert np.linalg.matrix_rank(arr) == vartheta(s, t, 1) + 1
 
 
@@ -413,6 +414,20 @@ def test_catalog_rejects_unknown_estimator():
         catalog(estimator="optimism")
     assert set(ESTIMATORS) == {
         "theorem-upper-bound", "theorem-lower-bound", "exact-rank"}
+
+
+@pytest.mark.parametrize("min_rate, cause", [
+    (float("nan"), ValueError), (float("inf"), OverflowError), ("1/0", ZeroDivisionError),
+    ("abc", ValueError), (None, TypeError)])
+def test_catalog_refuses_an_unreadable_min_rate(min_rate, cause):
+    with pytest.raises(ParameterError, match="min_rate must be a rational number") as exc:
+        catalog(min_rate=min_rate)
+    assert type(exc.value.__cause__) is cause
+
+
+def test_catalog_reads_min_rate_as_a_fraction():
+    assert catalog(min_rate="1/3") == catalog(min_rate=F(1, 3))
+    assert catalog(min_rate=0.5) == catalog(min_rate=F(1, 2))
 
 
 def test_catalog_entries_expose_their_source():

@@ -10,7 +10,7 @@ from pgblrc import __version__, cli, geometry, repair
 from pgblrc.cli import build_parser, main
 from pgblrc.geometry import grid
 
-from oracles import dumps_indented
+from oracles import dumps_indented, structurally_equal
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -424,8 +424,9 @@ def test_catalog_json(capsys):
 
 
 def test_catalog_rejects_bad_min_rate(capsys):
-    code, _, err = run(capsys, "catalog", "--min-rate", "x")
-    assert code == 2 and "cannot parse" in err
+    for text in ("x", "1/0", "nan", "inf"):
+        code, _, err = run(capsys, "catalog", "--min-rate", text)
+        assert code == 2 and "cannot parse" in err
 
 
 # ------------------------------------------------------------------- shell
@@ -481,7 +482,7 @@ def test_a_new_family_parameter_reaches_every_geometry_command(capsys, monkeypat
         assert "--m" in option_strings(parser, command)
     assert option_strings(parser, "validate") == ["--help", "--output", "--file", "--dual"]
     args = parser.parse_args(["analyze", "--geometry", "toy", "--m", "3", "--dual"])
-    assert cli._load_geometry(args).structurally_equal(geometry.dual(grid(3)))
+    assert structurally_equal(cli._load_geometry(args), geometry.dual(grid(3)))
     for toy, known in [
         (["construct", "toy", "--m", "2", "--dual"], ["construct", "grid", "--s", "2", "--dual"]),
         (["analyze", "--geometry", "toy", "--m", "2", "--format", "text"],

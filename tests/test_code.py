@@ -7,15 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgblrc.algebra import BitMatrix, _eliminate, _words, rank2
+from pgblrc.algebra import BitMatrix, _eliminate, _words, independent_row_indices
 from pgblrc.code import (
     BlrcCode,
     _forced_zero_symbol,
     build_code,
     encode,
     export_code,
-    footprint,
-    is_mds,
     rate,
     reconstruct,
 )
@@ -27,13 +25,15 @@ from pgblrc.errors import (
 from pgblrc.geometry import (
     elliptic_quadric_gq,
     grid,
+    hyperoval_gq,
     incidence_matrix,
     load,
     symplectic_gq,
 )
 from pgblrc.repair import line_repair_sets, repair_symbol
 
-from oracles import as_bits_checked_first, np_rank2
+from oracles import (as_bits_checked_first, footprint, is_mds, matrix_array, matrix_product,
+                     np_rank2, rank2, reconstruct_bitwise)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,7 +74,7 @@ def test_grid2_generator_is_systematic():
     for j, i in enumerate(code.info_set):
         for r in range(code.k):
             assert (code.generator.data[r] >> i) & 1 == (1 if r == j else 0)
-    product = code.generator @ code.parity_check.transpose()
+    product = matrix_product(code.generator, code.parity_check.transpose())
     assert not any(product.data)
 
 
@@ -83,7 +83,7 @@ def test_symplectic2_code_shape():
     # rank frozen after cross-checking two independent eliminators
     assert (code.n, code.k) == (15, 5)
     assert rate(code) == Fraction(1, 3)
-    assert np_rank2(incidence_matrix(code.geometry).to_array()) == 10
+    assert np_rank2(matrix_array(incidence_matrix(code.geometry))) == 10
 
 
 def test_elliptic2_code_shape():
@@ -342,6 +342,52 @@ def test_line_plus_point_is_never_an_information_set():
                 reconstruct(code, coords, [word[c] for c in coords])
 
 
+@pytest.fixture(scope="module")
+def hyperoval8():
+    """k = 213: each system spans four 64-bit words."""
+    return build_code(hyperoval_gq(8))
+
+
+def test_reconstruct_refuses_dependent_coordinates_across_words(hyperoval8):
+    code = hyperoval8
+    k, info = code.k, list(code.info_set)
+    rng = random.Random(213)
+    word = encode(code, [rng.randrange(2) for _ in range(k)])
+    # line 0's 8 points sum to zero in every codeword, so with k - 8
+    # information-set coordinates off the line they determine no message
+    line = code.geometry.lines[0]
+    cases = [list(line) + [i for i in info if i not in line][:k - 8]]
+    # rank exactly k - 1: message bit j is left out and coordinate c's
+    # column has no bit j, so a flipped value at c puts a pivot at column k
+    for j in (0, 100, k - 1):
+        c = next(c for c in range(code.n) if c not in info and not code.gen_cols[c] >> j & 1)
+        cases.append(info[:j] + info[j + 1:] + [c])
+    for coords in cases:
+        assert len(coords) == k
+        values = [int(word[c]) for c in coords]
+        for given in (values, values[:-1] + [1 - values[-1]]):
+            for step in (1, -1):
+                with pytest.raises(NotInformationSetError, match="not an information set"):
+                    reconstruct(code, coords[::step], given[::step])
+
+
+def test_reconstruct_matches_the_bitwise_solve_across_words(hyperoval8):
+    code = hyperoval8
+    rng = random.Random(8)
+    accepted = [list(code.info_set), list(code.info_set)[::-1]]
+    while len(accepted) < 5:
+        perm = rng.sample(range(code.n), code.n)
+        keep = independent_row_indices(
+            BitMatrix.from_bitrows((code.gen_cols[c] for c in perm), code.k))
+        accepted.append([perm[j] for j in keep])
+    for coords in accepted:
+        message = [rng.randrange(2) for _ in range(code.k)]
+        values = encode(code, message)[coords].tolist()
+        got = reconstruct(code, coords, values)
+        assert got.dtype == np.uint8 and got.tolist() == message
+        assert np.array_equal(got, reconstruct_bitwise(code, coords, values))
+
+
 def test_reconstruct_accepts_sets_and_validates():
     code = build_code(grid(2))
     word = encode(code, [1, 1, 1, 1])
@@ -389,4 +435,4 @@ def test_generator_rows_are_independent():
                  lambda: elliptic_quadric_gq(2)):
         code = build_code(make())
         assert rank2(code.generator) == code.k
-        assert not any((code.generator @ code.parity_check.transpose()).data)
+        assert not any(matrix_product(code.generator, code.parity_check.transpose()).data)

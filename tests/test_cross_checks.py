@@ -12,8 +12,9 @@ rejection's witness only at the points they flag, code building runs
 one packed elimination that keeps its pivot rows reduced, 64 rows a
 block with Four-Russians tables, geometric tolerance is read off the
 line count, the exhaustive metrics come from one meet-in-the-middle
-census of low-weight dual codewords, and ``is_mds`` is derived rather
-than scanned; each must agree with the pairwise scans, the big-int
+census of low-weight dual codewords, and the MDS verdict
+(``oracles.is_mds``) is derived rather than scanned; each must agree
+with the pairwise scans, the big-int
 certificate and the pair-by-pair sums, the big-int, row-by-row packed
 and column-sweep eliminations, the null space unpacked a block of rows
 at a time, the hitting-set search, the symbol-by-symbol dual-support
@@ -61,11 +62,9 @@ from pgblrc.algebra import (
     _words,
     independent_row_indices,
     nullspace2,
-    rank2,
     rref2,
-    solve2,
 )
-from pgblrc.code import BlrcCode, build_code, encode, is_mds, reconstruct
+from pgblrc.code import BlrcCode, build_code, encode, reconstruct
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
                            ParameterError, PgValidationError)
 from pgblrc.geometry import (
@@ -114,11 +113,15 @@ from oracles import (
     hyperoval_gq_by_coset_sorts,
     hyperoval_gq_by_steps,
     independent_row_indices_greedy,
+    is_mds,
     is_mds_scan,
     line_masks_bigint,
+    matrix_array,
+    matrix_product,
     nullspace2_column_sweep,
     nullspace_by_blocks,
     omega_r_per_symbol,
+    rank2,
     repair_degree_per_symbol,
     repair_profile_per_symbol,
     reconstruct_bitwise,
@@ -129,6 +132,7 @@ from oracles import (
     set_mask,
     set_words_by_mask,
     simulate_availability_scalar,
+    solve2,
     symplectic_gq_by_pair_meets,
     symplectic_gq_by_pairs,
     symplectic_gq_by_spans,
@@ -563,9 +567,9 @@ def test_bit_rows_match_bitwise_oracles_on_random_shapes():
         assert t.transpose() == m
         expected = np.array([bits_to_array(row, cols) for row in m.data],
                             dtype=np.uint8).reshape(rows, cols)
-        assert _same_array(m.to_array(), expected)
+        assert _same_array(matrix_array(m), expected)
         product = expected.astype(int) @ expected.T.astype(int) % 2
-        assert _same_array((m @ t).to_array(), product.astype(np.uint8))
+        assert _same_array(matrix_array(matrix_product(m, t)), product.astype(np.uint8))
 
 
 def test_an_empty_side_transposes_as_the_unpacking_transpose_did():

@@ -31,6 +31,8 @@ from pgblrc.geometry import (
 )
 from pgblrc.repair import repair_profile
 
+from oracles import structurally_equal
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -149,7 +151,7 @@ def test_dual_swaps_parameters():
                                   lambda: hyperoval_gq(4)])
 def test_dual_is_an_involution(make):
     inc = make()
-    assert dual(dual(inc)).structurally_equal(inc)
+    assert structurally_equal(dual(dual(inc)), inc)
 
 
 def test_dual_preserves_incidence_count():
@@ -383,7 +385,7 @@ def test_save_and_load_path_round_trip(tmp_path):
     inc = symplectic_gq(2)
     save(inc, target)
     back = load(target)
-    assert back.structurally_equal(inc)
+    assert structurally_equal(back, inc)
     assert back.label == "symplectic-gq(2)"
 
 
@@ -391,7 +393,7 @@ def test_save_and_load_file_objects():
     buf = io.StringIO()
     save(grid(3), buf)
     back = load(io.StringIO(buf.getvalue()))
-    assert back.structurally_equal(grid(3))
+    assert structurally_equal(back, grid(3))
 
 
 def test_from_text_accepts_comments_and_blank_lines():
@@ -494,7 +496,7 @@ def test_structure_takes_a_numpy_point_count_as_an_int():
     inc = IncidenceStructure(np.int64(4), SQUARE)
     assert type(inc.num_points) is int and inc.num_points == 4
     assert to_text(inc).startswith("4 4\n")
-    assert from_text(to_text(inc)).structurally_equal(inc)
+    assert structurally_equal(from_text(to_text(inc)), inc)
     assert validate_pg(inc).num_points == 4
 
 
@@ -530,4 +532,4 @@ def test_canonical_lines_ignores_input_order():
     a = IncidenceStructure.build(4, [(0, 1), (2, 3)])
     b = IncidenceStructure.build(4, [(2, 3), (0, 1)])
     assert a.canonical_lines() == b.canonical_lines()
-    assert a.structurally_equal(b)
+    assert structurally_equal(a, b)
