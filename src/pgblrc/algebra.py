@@ -12,11 +12,11 @@ those above them: a code's checks, generator and information set, and
 ``code.reconstruct``'s message, are read off it.  Every array of bits
 is unpacked from the words.  One byte-wise kernel transposes packed
 bits, for the matrices here and the simulator's chunks of cases.  A
-small field keeps its addition, multiplication, negation and inverse
-tables as read-only integer arrays, built in one numpy pass over the
-base-p digits of all q elements, which the quadrangle constructors
-index directly.  Everything here is immutable after construction and
-safe to share.
+small field is its addition and multiplication tables, read-only integer
+arrays built in one numpy pass over the base-p digits of all q elements,
+which the quadrangle constructors index directly; it has no element-wise
+methods.  Everything here is immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -60,26 +60,6 @@ class BitMatrix:
                 raise ValueError(
                     f"row {r} has bits outside columns 0..{self.cols - 1}"
                 )
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> BitMatrix:
-        """Build from nested 0/1 entries (lists, tuples, arrays)."""
-        packed = []
-        width = cols
-        for row in rows:
-            entries = list(row)
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ValueError("rows have inconsistent lengths")
-            raw = _bit_bytes(entries)
-            if isinstance(raw, int):
-                raise ValueError(f"matrix entry {entries[raw]!r} is not a bit")
-            packed.append(raw)
-        if width is None:
-            raise ValueError("cannot infer column count from an empty row iterable")
-        bits = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), width)
-        return cls(len(packed), width, tuple(_pack(bits)))
 
     @classmethod
     def from_bitrows(cls, bitrows: Iterable[int], cols: int) -> BitMatrix:
@@ -465,17 +445,18 @@ SUPPORTED_FIELD_ORDERS = tuple(sorted(_FIELDS))
 
 
 class SmallField:
-    """Arithmetic tables for GF(q), q <= 16, with elements encoded 0..q-1.
+    """The addition and multiplication tables of GF(q), q <= 16, with
+    elements encoded 0..q-1.
 
     An element is the integer whose base-p digits are its coefficients
     over the polynomial basis 1, x, ..., x^(m-1), so 0 encodes the zero
     element and 1 the multiplicative identity for every supported order.
-    The tables ``_add``, ``_mul`` (q x q), ``_neg`` and ``_inv`` (q) are
-    read-only integer arrays, built in one pass over the digits of all q
-    elements: a sum adds digits mod p, and a product a b accumulates
-    a_j (x^j b) over j, where x^(j+1) b shifts the digits of x^j b up one
-    place and folds its x^m coefficient back through the reduction rule.
-    ``_inv[0]`` is 0.
+    The q x q tables ``_add`` and ``_mul`` are read-only integer arrays,
+    built in one pass over the digits of all q elements: a sum adds
+    digits mod p, and a product a b accumulates a_j (x^j b) over j, where
+    x^(j+1) b shifts the digits of x^j b up one place and folds its x^m
+    coefficient back through the reduction rule.  Callers index them
+    directly: ``_add[x, y]`` is x + y and ``_mul[x, y]`` is x y.
     """
 
     def __init__(self, q: int):
@@ -498,37 +479,8 @@ class SmallField:
             shifted = shifted @ times_x % p
         self._add = (digits[:, None] + digits) % p @ powers
         self._mul = product % p @ powers
-        self._neg = -digits % p @ powers
-        self._inv = np.argmax(self._mul == 1, axis=1)
-        for table in (self._add, self._mul, self._neg, self._inv):
+        for table in (self._add, self._mul):
             table.flags.writeable = False
-
-    def _check(self, x: int) -> int:
-        x = _as_index(x, "element")
-        if not 0 <= x < self.q:
-            raise ParameterError(f"element {x!r} outside 0..{self.q - 1}")
-        return x
-
-    def add(self, x: int, y: int) -> int:
-        return int(self._add[self._check(x), self._check(y)])
-
-    def neg(self, x: int) -> int:
-        return int(self._neg[self._check(x)])
-
-    def sub(self, x: int, y: int) -> int:
-        return int(self._add[self._check(x), self._neg[self._check(y)]])
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self._mul[self._check(x), self._check(y)])
-
-    def inv(self, x: int) -> int:
-        x = self._check(x)
-        if x == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self._inv[x])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"SmallField(q={self.q})"

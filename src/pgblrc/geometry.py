@@ -30,7 +30,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -97,13 +96,6 @@ class IncidenceStructure:
             raise ValueError(f"line {fault[0]}: {fault[2]}")
         object.__setattr__(self, "lines", records)
 
-    @classmethod
-    def build(cls, num_points: int, lines: Iterable[Iterable[int]],
-              label: str | None = None) -> IncidenceStructure:
-        """Normalize arbitrary point iterables into sorted-tuple lines; a
-        line that cannot be sorted is left for the line-record rule to judge."""
-        return cls(num_points, tuple(map(_sorted_line, lines)), label)
-
     @property
     def num_lines(self) -> int:
         return len(self.lines)
@@ -131,14 +123,6 @@ class IncidenceStructure:
 
     def canonical_lines(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.lines))
-
-
-def _sorted_line(line: Iterable[int]) -> tuple:
-    line = tuple(line)
-    try:
-        return tuple(sorted(line))
-    except TypeError:
-        return line
 
 
 def _line_records(num_points: int, lines, numbers) -> tuple[tuple, tuple | None]:
@@ -410,11 +394,15 @@ def _certify(inc: IncidenceStructure) -> PgParams:
 def grid(s: int) -> IncidenceStructure:
     """(s+1) x (s+1) point grid whose lines are the rows and columns.
 
-    A pg(s, 1, 1): every point lies on one row and one column.
+    A pg(s, 1, 1): every point lies on one row and one column.  s runs
+    from 1 to 127 (n <= 16384), so ``validate_pg``'s collinearity table
+    stays within 32 MB; a larger s is refused before anything is built.
     """
     s = _as_index(s, "s")
     if s < 1:
         raise ParameterError("grid requires s >= 1")
+    if s > 127:
+        raise ParameterError(f"grid supports s <= 127, got {s}")
     w = s + 1
     lines = [tuple(range(i * w, (i + 1) * w)) for i in range(w)]
     lines += [tuple(range(j, w * w, w)) for j in range(w)]

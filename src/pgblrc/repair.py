@@ -165,13 +165,6 @@ def line_repair_sets(code: BlrcCode, i: int) -> list[RepairVector]:
     return list(code._line_table[i])
 
 
-def _census_work(n: int, max_weight: int) -> int:
-    """Half-supports the census touches: per weight w, the ceil(w/2)-subsets
-    it enumerates plus the floor(w/2)-subsets it tabulates."""
-    return sum(math.comb(n, (w + 1) // 2) + math.comb(n, w // 2)
-               for w in range(1, max_weight + 1))
-
-
 def _xor_cols(cols: Sequence[int], coords: tuple[int, ...]) -> int:
     acc = 0
     for j in coords:
@@ -190,20 +183,26 @@ def _dual_census(code: BlrcCode, max_weight: int,
     XOR to the same value.  So the small halves are tabulated by XOR, the
     large ones enumerated and joined against the table, and a pair kept
     only when max(A) < min(B); each support is then found exactly once.
-    The work, counted in half-supports, is checked against ``guard``
-    before anything is enumerated; it also bounds the table's size.  A
-    negative guard is refused with ``ParameterError``.
+    No support is heavier than n, so max_weight is cut to n.  The work,
+    counted in half-supports (per weight w, the ceil(w/2)-subsets it
+    enumerates plus the floor(w/2)-subsets it tabulates), is summed
+    against ``guard`` before anything is enumerated, until the sum passes
+    it; it also bounds the table's size.  A negative guard is refused
+    with ``ParameterError``.
     """
     n, guard = code.n, _as_index(guard, "guard")
     if guard < 0:
         raise ParameterError(f"guard must be non-negative, got {guard}")
-    work = _census_work(n, max_weight)
-    if work > guard:
-        raise GuardExceededError(
-            f"the census of dual codewords of weight <= {max_weight} on "
-            f"n = {n} symbols needs {work} half-supports, over the search "
-            f"guard of {guard}; use geometric mode or raise the guard"
-        )
+    max_weight = min(max_weight, n)
+    work = 0
+    for w in range(1, max_weight + 1):
+        work += math.comb(n, (w + 1) // 2) + math.comb(n, w // 2)
+        if work > guard:
+            raise GuardExceededError(
+                f"the census of dual codewords of weight <= {max_weight} on "
+                f"n = {n} symbols needs at least {work} half-supports, over the "
+                f"search guard of {guard}; use geometric mode or raise the guard"
+            )
     cols = code.gen_cols
     found = []
     for w in range(1, max_weight + 1):
@@ -256,7 +255,7 @@ def omega_r(code: BlrcCode, i: int, r: int,
     contain i, so they come in weight order, colexicographic within a
     weight.  Checks that coincide with geometry lines carry their line
     index.  ``guard`` bounds the census work in half-supports:
-    the sum over w <= r+1 of C(n, ceil(w/2)) + C(n, floor(w/2)).
+    the sum over w <= min(r+1, n) of C(n, ceil(w/2)) + C(n, floor(w/2)).
     """
     _check_coord(code, i)
     _check_degree_bound(r)

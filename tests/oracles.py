@@ -28,18 +28,23 @@ u-sets as one stream of symbols, the set chunks scattered into a
 case-major mask that was packed and transposed, json's own
 indented encoder, GF(q) arithmetic one digit list at a time, and the
 quadrangle constructors that normalize the whole span of every
-collinear pair, test every point pair through ``SmallField`` and walk
-every affine point through ``SmallField.add``, the ones that meet two
-rows of an n x n collinearity table once per collinear pair and sort
-every point's coset along each hyperoval direction, the catalog's
+collinear pair, test every point pair element by element (``field_add``
+and the others) and walk every affine point through ``field_add``, the
+ones that meet two rows of an n x n collinearity table once per
+collinear pair and sort every point's coset along each hyperoval
+direction, the catalog's
 exact rates read off a full code built on each quadrangle, dual
 included, and the catalog that rates every grid up to its length
 budget and folds them into the family entry.  The third group holds the
 public names that left the package because only the tests called them:
 ``rank2``, ``solve2``, ``BitMatrix.to_array`` and ``@`` (as
 ``matrix_array`` and ``matrix_product``, with ``_set_bits``), ``is_mds``,
-``footprint`` and ``IncidenceStructure.structurally_equal`` (as
-``structurally_equal``).
+``footprint``, ``IncidenceStructure.structurally_equal`` (as
+``structurally_equal``), ``BitMatrix.from_rows`` (as ``matrix_from_rows``),
+``IncidenceStructure.build`` (as ``build_structure``), and ``SmallField``'s
+``add``, ``neg``, ``sub``, ``mul``, ``inv`` and ``elements`` (as
+``field_add`` and the others), with the ``_neg`` and ``_inv`` tables they
+read derived from the field's own ``_add`` and ``_mul`` (``field_tables``).
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from pgblrc.algebra import (BitMatrix, _bit_transpose, _bits, _eliminate, _pack, _transpose,
-                            _words, small_field)
+from pgblrc.algebra import (BitMatrix, _bit_bytes, _bit_transpose, _bits, _eliminate, _pack,
+                            _transpose, _words, small_field)
 from pgblrc.bounds import ESTIMATORS, CatalogEntry, _estimate_rate, known_gq_parameters
 from pgblrc.code import build_code
 from pgblrc.errors import (DegenerateCodeError, NotLocallyRepairableError,
@@ -80,8 +85,11 @@ from pgblrc.repair import (
 # the public names that left the package because only the tests called
 # them, kept as they were there: the rank and the square solve of a
 # ``BitMatrix``, its unpacking and its product (``to_array`` and ``@``
-# once), the MDS verdict, the storage overhead, and the structure
-# comparison (``IncidenceStructure.structurally_equal`` once)
+# once), the MDS verdict, the storage overhead, the structure
+# comparison (``IncidenceStructure.structurally_equal`` once), the
+# matrix and structure builders from nested entries (``BitMatrix.from_rows``
+# and ``IncidenceStructure.build`` once), and ``SmallField``'s element-wise
+# arithmetic
 
 
 def _set_bits(x: int) -> list[int]:
@@ -156,6 +164,92 @@ def structurally_equal(a: IncidenceStructure, b: IncidenceStructure) -> bool:
         a.num_points == b.num_points
         and a.canonical_lines() == b.canonical_lines()
     )
+
+
+def matrix_from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> BitMatrix:
+    """Build from nested 0/1 entries (lists, tuples, arrays)."""
+    packed = []
+    width = cols
+    for row in rows:
+        entries = list(row)
+        if width is None:
+            width = len(entries)
+        elif len(entries) != width:
+            raise ValueError("rows have inconsistent lengths")
+        raw = _bit_bytes(entries)
+        if isinstance(raw, int):
+            raise ValueError(f"matrix entry {entries[raw]!r} is not a bit")
+        packed.append(raw)
+    if width is None:
+        raise ValueError("cannot infer column count from an empty row iterable")
+    bits = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), width)
+    return BitMatrix(len(packed), width, tuple(_pack(bits)))
+
+
+def build_structure(num_points: int, lines: Iterable[Iterable[int]],
+                    label: str | None = None) -> IncidenceStructure:
+    """Normalize arbitrary point iterables into sorted-tuple lines; a
+    line that cannot be sorted is left for the line-record rule to judge."""
+    return IncidenceStructure(num_points, tuple(map(_sorted_line, lines)), label)
+
+
+def _sorted_line(line: Iterable[int]) -> tuple:
+    line = tuple(line)
+    try:
+        return tuple(sorted(line))
+    except TypeError:
+        return line
+
+
+# ``SmallField``'s element-wise methods; its negation and inverse tables,
+# which only they read, are derived here from the field's own addition
+# and multiplication tables, once per field
+
+
+@functools.lru_cache(maxsize=None)
+def field_tables(f) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The field's ``_add`` and ``_mul``, and the read-only ``_neg`` and
+    ``_inv`` it once kept: -x is the y with x + y = 0, and 1/x the y with
+    x y = 1, read off those two tables; ``_inv[0]`` is 0."""
+    neg = np.argmax(f._add == 0, axis=1)
+    inv = np.argmax(f._mul == 1, axis=1)
+    for table in (neg, inv):
+        table.flags.writeable = False
+    return f._add, f._mul, neg, inv
+
+
+def _field_check(f, x: int) -> int:
+    x = _as_index(x, "element")
+    if not 0 <= x < f.q:
+        raise ParameterError(f"element {x!r} outside 0..{f.q - 1}")
+    return x
+
+
+def field_add(f, x: int, y: int) -> int:
+    return int(f._add[_field_check(f, x), _field_check(f, y)])
+
+
+def field_neg(f, x: int) -> int:
+    return int(field_tables(f)[2][_field_check(f, x)])
+
+
+def field_sub(f, x: int, y: int) -> int:
+    return int(f._add[_field_check(f, x), field_tables(f)[2][_field_check(f, y)]])
+
+
+def field_mul(f, x: int, y: int) -> int:
+    return int(f._mul[_field_check(f, x), _field_check(f, y)])
+
+
+def field_inv(f, x: int) -> int:
+    x = _field_check(f, x)
+    if x == 0:
+        raise ZeroDivisionError("zero has no inverse")
+    return int(field_tables(f)[3][x])
+
+
+def field_elements(f) -> range:
+    return range(f.q)
 
 
 def np_rank2(a: np.ndarray) -> int:
@@ -1287,10 +1381,11 @@ FIELD_ORDERS = tuple(sorted(_FIELD_PRIMES + tuple(_FIELD_REDUCTIONS)))
 
 
 def small_field_tables_by_digits(q: int):
-    """``SmallField(q)``'s ``_add``, ``_mul``, ``_neg`` and ``_inv`` as
-    nested tuples, each entry undigited from a digit list: a sum digit by
-    digit, a product by convolving the digits and reducing the high terms
-    one at a time, an inverse by searching its row of products."""
+    """``field_tables(small_field(q))``, ``_add``, ``_mul``, ``_neg`` and
+    ``_inv``, as nested tuples, each entry undigited from a digit list: a
+    sum digit by digit, a product by convolving the digits and reducing
+    the high terms one at a time, an inverse by searching its row of
+    products."""
     if q in _FIELD_PRIMES:
         p, m, reduction = q, 1, ()
     else:
@@ -1340,7 +1435,7 @@ def small_field_tables_by_digits(q: int):
 
 # ----------------------------------------------------------------------
 # the quadrangle constructors: every collinear pair spans and normalizes
-# its whole line, or every point pair is tested through ``SmallField``
+# its whole line, or every point pair is tested element by element
 # and the line through a collinear pair is read off the collinear sets;
 # and the hyperoval walks every point one field addition at a time
 
@@ -1361,22 +1456,22 @@ def _normalize(field, vec: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError("cannot normalize the zero vector")
     if lead == 1:
         return tuple(vec)
-    scale = field.inv(lead)
-    return tuple(field.mul(scale, c) for c in vec)
+    scale = field_inv(field, lead)
+    return tuple(field_mul(field, scale, c) for c in vec)
 
 
 def _vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
+    return tuple(field_add(field, a, b) for a, b in zip(u, v))
 
 
 def _vec_scale(field, lam, u):
-    return tuple(field.mul(lam, c) for c in u)
+    return tuple(field_mul(field, lam, c) for c in u)
 
 
 def _line_points(field, u, v) -> list[tuple[int, ...]]:
     """All q+1 normalized points of the projective line spanned by u and v."""
     pts = [_normalize(field, u)]
-    for lam in field.elements():
+    for lam in field_elements(field):
         pts.append(_normalize(field, _vec_add(field, v, _vec_scale(field, lam, u))))
     return pts
 
@@ -1410,9 +1505,9 @@ def _polar_lines_by_pairs(points, orthogonal, label: str) -> IncidenceStructure:
 def _symplectic_form(field):
     """Whether x1 y2 - x2 y1 + x3 y4 - x4 y3 vanishes on a pair of points."""
     def orthogonal(u, v):
-        a = field.add(field.mul(u[0], v[1]), field.mul(u[2], v[3]))
-        b = field.add(field.mul(u[1], v[0]), field.mul(u[3], v[2]))
-        return field.sub(a, b) == 0
+        a = field_add(field, field_mul(field, u[0], v[1]), field_mul(field, u[2], v[3]))
+        b = field_add(field, field_mul(field, u[1], v[0]), field_mul(field, u[3], v[2]))
+        return field_sub(field, a, b) == 0
 
     return orthogonal
 
@@ -1426,11 +1521,11 @@ def _elliptic_quadric(q: int):
     gb = 1 if q == 2 else 0
 
     def quad(x):
-        head = field.add(field.mul(x[0], x[1]), field.mul(x[2], x[3]))
-        tail = field.add(field.mul(x[4], x[4]), field.mul(x[5], x[5]))
+        head = field_add(field, field_mul(field, x[0], x[1]), field_mul(field, x[2], x[3]))
+        tail = field_add(field, field_mul(field, x[4], x[4]), field_mul(field, x[5], x[5]))
         if gb:
-            tail = field.add(tail, field.mul(x[4], x[5]))
-        return field.add(head, tail)
+            tail = field_add(field, tail, field_mul(field, x[4], x[5]))
+        return field_add(field, head, tail)
 
     return field, quad
 
@@ -1443,7 +1538,7 @@ def symplectic_gq_by_spans(q: int) -> IncidenceStructure:
 
 
 def symplectic_gq_by_pairs(q: int) -> IncidenceStructure:
-    """``geometry.symplectic_gq`` testing every point pair through ``SmallField``."""
+    """``geometry.symplectic_gq`` testing every point pair element by element."""
     field = small_field(q)
     return _polar_lines_by_pairs(_projective_points(field, 4), _symplectic_form(field),
                                  f"symplectic-gq({q})")
@@ -1455,7 +1550,8 @@ def elliptic_quadric_gq_by_spans(q: int) -> IncidenceStructure:
     field, quad = _elliptic_quadric(q)
 
     def orthogonal(u, v):
-        return field.sub(field.sub(quad(_vec_add(field, u, v)), quad(u)), quad(v)) == 0
+        return field_sub(field, field_sub(field, quad(_vec_add(field, u, v)), quad(u)),
+                         quad(v)) == 0
 
     points = [p for p in _projective_points(field, 6) if quad(p) == 0]
     return _polar_lines(field, points, orthogonal, f"elliptic-quadric-gq({q})")
@@ -1463,7 +1559,7 @@ def elliptic_quadric_gq_by_spans(q: int) -> IncidenceStructure:
 
 def elliptic_quadric_gq_by_pairs(q: int) -> IncidenceStructure:
     """``geometry.elliptic_quadric_gq`` testing every singular point pair
-    through ``SmallField`` by Q(u+v) = 0, as the points are singular."""
+    element by element by Q(u+v) = 0, as the points are singular."""
     field, quad = _elliptic_quadric(q)
 
     def orthogonal(u, v):
@@ -1475,19 +1571,19 @@ def elliptic_quadric_gq_by_pairs(q: int) -> IncidenceStructure:
 
 def hyperoval_gq_by_steps(q: int) -> IncidenceStructure:
     """``geometry.hyperoval_gq`` walking every uncovered point along each
-    direction, one ``SmallField.add`` per coordinate."""
+    direction, one ``field_add`` per coordinate."""
     if q not in (4, 8, 16):
         raise ParameterError("hyperoval construction supports q in {4, 8, 16}")
     field = small_field(q)
     # conic y z = x^2, parameterized, together with its nucleus (1 : 0 : 0)
-    directions = [(t, 1, field.mul(t, t)) for t in field.elements()]
+    directions = [(t, 1, field_mul(field, t, t)) for t in field_elements(field)]
     directions += [(0, 0, 1), (1, 0, 0)]
 
     qq = q * q
     num_points = q * qq
     lines = []
     for d in directions:
-        steps = [_vec_scale(field, lam, d) for lam in field.elements()]
+        steps = [_vec_scale(field, lam, d) for lam in field_elements(field)]
         covered = bytearray(num_points)
         for x in range(q):
             for y in range(q):
@@ -1497,9 +1593,9 @@ def hyperoval_gq_by_steps(q: int) -> IncidenceStructure:
                         continue
                     pts = []
                     for st in steps:
-                        px = field.add(x, st[0])
-                        py = field.add(y, st[1])
-                        pz = field.add(z, st[2])
+                        px = field_add(field, x, st[0])
+                        py = field_add(field, y, st[1])
+                        pz = field_add(field, z, st[2])
                         pi = px * qq + py * q + pz
                         pts.append(pi)
                         covered[pi] = 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_minimum_hitting_set, matrix_product, rank2
+from oracles import brute_minimum_hitting_set, build_structure, matrix_product, rank2
 
 from pgblrc.bounds import (
     GRID_FAMILY_KEY,
@@ -29,7 +29,6 @@ from pgblrc.bounds import (
 from pgblrc.code import build_code, encode, rate, reconstruct
 from pgblrc.errors import NotLocallyRepairableError, PgValidationError
 from pgblrc.geometry import (
-    IncidenceStructure,
     dual,
     elliptic_quadric_gq,
     grid,
@@ -262,7 +261,7 @@ def test_criterion_9_property_suites():
                     mutated[idx] = [x for x in line if x != p]
                     with pytest.raises(PgValidationError):
                         validate_pg(
-                            IncidenceStructure.build(base.num_points, mutated))
+                            build_structure(base.num_points, mutated))
                     mutations += 1
                 for p in range(base.num_points):
                     if p in line:
@@ -271,7 +270,7 @@ def test_criterion_9_property_suites():
                     mutated[idx] = sorted([*line, p])
                     with pytest.raises(PgValidationError):
                         validate_pg(
-                            IncidenceStructure.build(base.num_points, mutated))
+                            build_structure(base.num_points, mutated))
                     mutations += 1
             assert mutations >= 45
         built = build_code(symplectic_gq(2))

@@ -13,12 +13,14 @@ from pgblrc.algebra import (
     small_field,
 )
 
-from oracles import (FIELD_ORDERS, bits_to_array, matrix_array, matrix_product, np_nullspace2,
-                     np_rank2, np_rref2, rank2, small_field_tables_by_digits, solve2)
+from oracles import (FIELD_ORDERS, bits_to_array, field_add, field_elements, field_inv,
+                     field_mul, field_neg, field_sub, field_tables, matrix_array,
+                     matrix_from_rows, matrix_product, np_nullspace2, np_rank2, np_rref2, rank2,
+                     small_field_tables_by_digits, solve2)
 
 
 def random_bitmatrix(rng, rows, cols, density=0.5):
-    return BitMatrix.from_rows(
+    return matrix_from_rows(
         [[1 if rng.random() < density else 0 for _ in range(cols)]
          for _ in range(rows)]
     )
@@ -28,24 +30,24 @@ def random_bitmatrix(rng, rows, cols, density=0.5):
 
 
 def test_bitmatrix_round_trips():
-    m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    m = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
     assert m.rows == 2 and m.cols == 3
     assert matrix_array(m).tolist() == [[1, 0, 1], [0, 1, 1]]
     assert (m.data[0] >> 0) & 1 == 1 and (m.data[0] >> 1) & 1 == 0
     assert [c for c in range(m.cols) if (m.data[1] >> c) & 1] == [1, 2]
     assert m.data[0].bit_count() == 2
     assert np.array_equal(matrix_array(m), np.array([[1, 0, 1], [0, 1, 1]]))
-    assert BitMatrix.from_rows(matrix_array(m), cols=m.cols) == m
+    assert matrix_from_rows(matrix_array(m), cols=m.cols) == m
     assert m.transpose().transpose() == m
 
 
 def test_bitmatrix_validation():
     with pytest.raises(ValueError, match="inconsistent lengths"):
-        BitMatrix.from_rows([[1, 0], [1]])
+        matrix_from_rows([[1, 0], [1]])
     with pytest.raises(ValueError, match="is not a bit"):
-        BitMatrix.from_rows([[1, 2]])
+        matrix_from_rows([[1, 2]])
     with pytest.raises(ValueError, match="cannot infer column count"):
-        BitMatrix.from_rows([])
+        matrix_from_rows([])
     with pytest.raises(ValueError, match="row 0 has bits outside columns 0..1"):
         BitMatrix(rows=1, cols=2, data=(4,))  # bit set outside the columns
     for data in ((-1,), (0, 1 << 64), (1 << 200,)):   # a negative row, a bit at column 64
@@ -56,7 +58,7 @@ def test_bitmatrix_validation():
         BitMatrix(-1, 2, ())
     with pytest.raises(ValueError, match="expected 2 rows"):
         BitMatrix(2, 2, (1,))
-    assert BitMatrix.from_rows([], cols=3).rows == 0
+    assert matrix_from_rows([], cols=3).rows == 0
 
 
 def test_bitmatrix_checks_a_wide_row_without_a_mask_as_wide_as_the_matrix():
@@ -70,8 +72,8 @@ def test_bitmatrix_checks_a_wide_row_without_a_mask_as_wide_as_the_matrix():
 
 
 def test_bitmatrix_matmul():
-    a = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    b = BitMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
+    a = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
+    b = matrix_from_rows([[1, 0], [1, 1], [0, 1]])
     assert matrix_array(matrix_product(a, b)).tolist() == [[0, 1], [1, 0]]
     with pytest.raises(ValueError, match="shape mismatch"):
         matrix_product(b, b)
@@ -82,7 +84,7 @@ def test_identity_and_zeros():
     z = BitMatrix.from_bitrows((0, 0), 3)
     assert matrix_array(eye).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert not any(z.data) and any(eye.data)
-    m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    m = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
     assert matrix_product(m, eye) == m
 
 
@@ -90,26 +92,26 @@ def test_identity_and_zeros():
 
 
 def test_rank2_hand_examples():
-    assert rank2(BitMatrix.from_rows([[1, 0], [0, 1]])) == 2
-    assert rank2(BitMatrix.from_rows([[1, 1], [1, 1]])) == 1
+    assert rank2(matrix_from_rows([[1, 0], [0, 1]])) == 2
+    assert rank2(matrix_from_rows([[1, 1], [1, 1]])) == 1
     assert rank2(BitMatrix.from_bitrows((0, 0, 0), 4)) == 0
     # three rows summing to zero: rank drops to 2
-    assert rank2(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
+    assert rank2(matrix_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
 
 
 def test_rref2_hand_example():
-    reduced, pivots = rref2(BitMatrix.from_rows([[1, 1, 0], [1, 1, 1]]))
+    reduced, pivots = rref2(matrix_from_rows([[1, 1, 0], [1, 1, 1]]))
     assert matrix_array(reduced).tolist() == [[1, 1, 0], [0, 0, 1]]
     assert pivots == (0, 2)
 
 
 def test_nullspace2_parity_check():
-    basis = nullspace2(BitMatrix.from_rows([[1, 1]]))
+    basis = nullspace2(matrix_from_rows([[1, 1]]))
     assert matrix_array(basis).tolist() == [[1, 1]]
 
 
 def test_independent_row_indices_prefers_earliest():
-    m = BitMatrix.from_rows([
+    m = matrix_from_rows([
         [1, 1, 0],
         [1, 1, 0],  # duplicate of row 0, skipped
         [0, 0, 1],
@@ -120,14 +122,14 @@ def test_independent_row_indices_prefers_earliest():
 
 
 def test_solve2_hand_examples():
-    m = BitMatrix.from_rows([[1, 1], [0, 1]])
+    m = matrix_from_rows([[1, 1], [0, 1]])
     # x0 + x1 = 1, x1 = 1  ->  x = (0, 1)
     assert solve2(m, 0b11) == 0b10
-    singular = BitMatrix.from_rows([[1, 1], [1, 1]])
+    singular = matrix_from_rows([[1, 1], [1, 1]])
     assert solve2(singular, 0b01) is None  # inconsistent
     assert solve2(singular, 0b00) is None  # underdetermined
     with pytest.raises(ValueError, match="square"):
-        solve2(BitMatrix.from_rows([[1, 0, 1]]), 0b1)
+        solve2(matrix_from_rows([[1, 0, 1]]), 0b1)
     with pytest.raises(ValueError, match="outside the row range"):
         solve2(m, 0b100)  # a bit beyond n = 2
     with pytest.raises(ValueError, match="outside the row range"):
@@ -229,19 +231,19 @@ def test_solve2_recovers_random_solutions():
 
 def test_gf4_arithmetic():
     f = small_field(4)
-    assert f.mul(2, 2) == 3   # x * x = x + 1
-    assert f.mul(2, 3) == 1   # x * (x + 1) = 1
-    assert f.inv(2) == 3
-    assert f.add(3, 3) == 0   # characteristic 2
+    assert field_mul(f, 2, 2) == 3   # x * x = x + 1
+    assert field_mul(f, 2, 3) == 1   # x * (x + 1) = 1
+    assert field_inv(f, 2) == 3
+    assert field_add(f, 3, 3) == 0   # characteristic 2
 
 
 def test_gf9_arithmetic():
     f = small_field(9)
     # elements are base-3 digit vectors: 3 = x, 4 = x + 1
-    assert f.add(3, 4) == 7          # x + (x + 1) = 2x + 1
-    assert f.mul(3, 3) == 4          # x^2 = x + 1
-    assert f.mul(f.inv(5), 5) == 1
-    assert f.neg(1) == 2
+    assert field_add(f, 3, 4) == 7          # x + (x + 1) = 2x + 1
+    assert field_mul(f, 3, 3) == 4          # x^2 = x + 1
+    assert field_mul(f, field_inv(f, 5), 5) == 1
+    assert field_neg(f, 1) == 2
 
 
 @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
@@ -250,36 +252,37 @@ def test_field_tables_match_the_digit_by_digit_oracle(q):
     # test would see a wrong table
     assert SUPPORTED_FIELD_ORDERS == FIELD_ORDERS
     f = small_field(q)
-    tables = (f._add, f._mul, f._neg, f._inv)
-    for table, expected in zip(tables, small_field_tables_by_digits(q)):
+    # _neg and _inv are derived from the field's own _add and _mul
+    for table, expected in zip(field_tables(f), small_field_tables_by_digits(q)):
         assert np.array_equal(table, np.array(expected))
         assert not table.flags.writeable   # the field is cached and shared
-    for x in f.elements():
-        values = [f.neg(x), *(g(x, y) for g in (f.add, f.sub, f.mul) for y in f.elements())]
+    for x in field_elements(f):
+        values = [field_neg(f, x), *(g(f, x, y) for g in (field_add, field_sub, field_mul)
+                                     for y in field_elements(f))]
         if x:
-            values.append(f.inv(x))
+            values.append(field_inv(f, x))
         assert all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
 def test_field_axioms_exhaustively(q):
     f = small_field(q)
-    els = list(f.elements())
+    els = list(field_elements(f))
     assert els == list(range(q))
     for x in els:
-        assert f.add(x, 0) == x and f.mul(x, 1) == x
-        assert f.add(x, f.neg(x)) == 0
+        assert field_add(f, x, 0) == x and field_mul(f, x, 1) == x
+        assert field_add(f, x, field_neg(f, x)) == 0
         if x:
-            assert f.mul(x, f.inv(x)) == 1
+            assert field_mul(f, x, field_inv(f, x)) == 1
         for y in els:
-            assert f.add(x, y) == f.add(y, x)
+            assert field_add(f, x, y) == field_add(f, y, x)
             if f.p == 2:
-                assert f.add(x, y) == x ^ y   # hyperoval_gq adds points by XOR
-            assert f.mul(x, y) == f.mul(y, x)
-            assert f.sub(x, y) == f.add(x, f.neg(y))
+                assert field_add(f, x, y) == x ^ y   # hyperoval_gq adds points by XOR
+            assert field_mul(f, x, y) == field_mul(f, y, x)
+            assert field_sub(f, x, y) == field_add(f, x, field_neg(f, y))
             for z in els:
-                assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
-                assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
+                assert field_mul(f, x, field_add(f, y, z)) == field_add(f, field_mul(f, x, y), field_mul(f, x, z))
+                assert field_mul(f, field_mul(f, x, y), z) == field_mul(f, x, field_mul(f, y, z))
 
 
 def test_field_multiplicative_group_is_cyclic():
@@ -289,17 +292,21 @@ def test_field_multiplicative_group_is_cyclic():
         for x in range(1, q):
             power, order = x, 1
             while power != 1:
-                power = f.mul(power, x)
+                power = field_mul(f, power, x)
                 order += 1
             orders.add(order)
         assert max(orders) == q - 1  # a generator exists
 
 
+def test_field_repr_names_its_order():
+    assert [repr(small_field(q)) for q in (2, 16)] == ["SmallField(q=2)", "SmallField(q=16)"]
+
+
 def test_field_error_paths():
     with pytest.raises(ZeroDivisionError, match="zero has no inverse"):
-        small_field(8).inv(0)
+        field_inv(small_field(8), 0)
     with pytest.raises(ValueError, match="outside 0"):
-        small_field(4).add(4, 0)
+        field_add(small_field(4), 4, 0)
     with pytest.raises(ValueError):
         small_field(6)
     with pytest.raises(ValueError):

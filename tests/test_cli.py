@@ -236,11 +236,19 @@ def test_analyze_guard_exceeded(capsys):
                        "--exhaustive", "--guard", "1")
     assert code == 4
     assert "guard exceeded" in err
-    # grid(2): n = 9, s = 2, so weights up to 3 and 10 + 18 + 45 half-supports
+    # grid(2): n = 9, s = 2, so weights up to 3 and 10 + 18 + 45 half-supports,
+    # summed until the sum passes the guard: here after weight 1
     assert "weight <= 3" in err
     assert "n = 9" in err
-    assert "73 half-supports" in err
+    assert "needs at least 10 half-supports" in err
     assert "search guard of 1;" in err
+    # a guard that only the last weight passes sees the whole estimate
+    code, _, err = run(capsys, "analyze", "--geometry", "grid", "--s", "2",
+                       "--exhaustive", "--guard", "72")
+    assert code == 4
+    assert "weight <= 3" in err
+    assert "needs at least 73 half-supports" in err
+    assert "search guard of 72;" in err
 
 
 def test_analyze_negative_guard_is_a_validation_error(capsys):
@@ -516,6 +524,19 @@ def test_parameter_errors_exit_3(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("validation error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "grid", "--s", "128"],
+    ["construct", "grid", "--s", str(2**128)],
+    ["analyze", "--geometry", "grid", "--s", "100000"],
+    ["simulate", "--geometry", "grid", "--s", "128", "--p", "0.1"],
+], ids=["construct-128", "construct-2**128", "analyze-100000", "simulate-128"])
+def test_an_unbounded_grid_is_refused_before_it_is_built(capsys, argv):
+    s = int(argv[argv.index("--s") + 1])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"validation error: grid supports s <= 127, got {s}\n"
 
 
 def test_an_untyped_value_error_is_not_a_validation_failure(capsys, monkeypatch):

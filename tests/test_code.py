@@ -32,8 +32,8 @@ from pgblrc.geometry import (
 )
 from pgblrc.repair import line_repair_sets, repair_symbol
 
-from oracles import (as_bits_checked_first, footprint, is_mds, matrix_array, matrix_product,
-                     np_rank2, rank2, reconstruct_bitwise)
+from oracles import (as_bits_checked_first, footprint, is_mds, matrix_array, matrix_from_rows,
+                     matrix_product, np_rank2, rank2, reconstruct_bitwise)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -201,9 +201,9 @@ def test_entries_that_only_truncate_to_bits_are_refused(bad):
     code = build_code(grid(2))
     got = re.escape(repr(bad))
     with pytest.raises(ValueError, match=f"matrix entry {got} is not a bit$"):
-        BitMatrix.from_rows([[1, 0], [0, bad]])
+        matrix_from_rows([[1, 0], [0, bad]])
     with pytest.raises(ValueError, match=f"matrix entry {got} is not a bit$"):
-        BitMatrix.from_rows([[bad, 1]], cols=2)
+        matrix_from_rows([[bad, 1]], cols=2)
     with pytest.raises(ValueError, match=f"message entries must be bits, got {got}$"):
         encode(code, [bad, 0, 1, 1])
     coords = list(code.info_set)
@@ -218,7 +218,7 @@ def test_entries_that_only_truncate_to_bits_are_refused(bad):
     # entries equal to 0 or 1 of any numeric type are bits
     word = encode(code, [True, np.uint8(0), 1.0, np.int64(1)])
     assert [int(word[i]) for i in code.info_set] == [1, 0, 1, 1]
-    assert BitMatrix.from_rows([[True, np.uint8(0), 1.0, np.int64(1)]]).data == (0b1101,)
+    assert matrix_from_rows([[True, np.uint8(0), 1.0, np.int64(1)]]).data == (0b1101,)
 
 
 def test_encode_accepts_a_bit_of_any_type_and_refuses_the_rest():
@@ -267,7 +267,7 @@ def test_an_entry_whose_index_is_0_or_1_is_a_bit():
         for message in ([one, 0, 1, 1], [one, np.array(0), 1.0, OnlyIndex(1)]):
             assert encode(code, message).tolist() == want
             assert reconstruct(code, code.info_set, message).tolist() == [1, 0, 1, 1]
-            assert BitMatrix.from_rows([message]).data == (0b1101,)
+            assert matrix_from_rows([message]).data == (0b1101,)
         received = list(want)
         received[0], received[helper] = None, 1
         value = repair_symbol(code, received, 0).value

@@ -117,6 +117,7 @@ from oracles import (
     is_mds_scan,
     line_masks_bigint,
     matrix_array,
+    matrix_from_rows,
     matrix_product,
     nullspace2_column_sweep,
     nullspace_by_blocks,
@@ -715,7 +716,7 @@ def _assert_agrees(got, expected):
 
 @pytest.mark.parametrize("entry", BIT_RULE_ENTRIES, ids=repr)
 def test_bits_converted_first_match_bits_checked_first(entry):
-    """encode, reconstruct, BitMatrix.from_rows and repair_symbol give the
+    """encode, reconstruct, matrix_from_rows and repair_symbol give the
     check-first rule's result or its message, whatever holds the entry:
     alone among bits, and before a 2, so the first entry that is no bit
     is the one named."""
@@ -734,7 +735,7 @@ def test_bits_converted_first_match_bits_checked_first(entry):
             _assert_agrees(_result_or_message(reconstruct, code, coords, contain(entries)),
                            slow if isinstance(slow, str) else reconstruct_bitwise(code, coords, slow))
             slow = _result_or_message(as_bits_checked_first, contain(entries), code.k, "matrix")
-            got = _result_or_message(lambda: BitMatrix.from_rows([contain(entries)]).data)
+            got = _result_or_message(lambda: matrix_from_rows([contain(entries)]).data)
             if isinstance(slow, str):
                 assert got == re.sub(r"^matrix entries must be bits, got (.*)$",
                                      r"matrix entry \1 is not a bit", slow, flags=re.S)
@@ -777,7 +778,7 @@ def code_from_generator(generator):
 def test_is_mds_matches_the_subset_scan():
     codes = [build_code(grid(1)), build_code(grid(2)),
              build_code(symplectic_gq(2)), unbalanced_code(),
-             code_from_generator(BitMatrix.from_rows(
+             code_from_generator(matrix_from_rows(
                  [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))]
     rng = random.Random(4711)
     while len(codes) < 400:
@@ -790,6 +791,17 @@ def test_is_mds_matches_the_subset_scan():
     assert verdicts == [is_mds_scan(code) for code in codes]
     assert verdicts[:5] == [True, False, False, False, True]
     assert 20 < sum(verdicts) < len(codes)
+
+
+def test_geometric_profile_of_a_code_with_no_lines_is_empty():
+    # a hand-built code whose geometry has no lines: no line check covers
+    # any symbol, so the one-array path declines and the table gives none
+    code = code_from_generator(matrix_from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))
+    assert repair._line_sets(code, 2) is None
+    profile = repair_profile(code, mode="geometric")
+    assert (profile.r, profile.a, profile.delta, profile.balanced) == (1, 0, 0, True)
+    assert profile.per_symbol_a == profile.per_symbol_delta == (0,) * 4
+    assert profile.repair_sets == ((),) * 4
 
 
 # ----------------------------------------------------------------- repair
@@ -833,8 +845,8 @@ def test_exhaustive_profile_matches_per_symbol_search(name):
 def zero_column_code(s):
     """Hand-built 4-symbol code whose last symbol is zero in every
     codeword, so {3} is a weight-1 dual word; the others need weight 3."""
-    generator = BitMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0]])
-    parity = BitMatrix.from_rows([[1, 1, 1, 0], [0, 0, 0, 1]])
+    generator = matrix_from_rows([[1, 1, 0, 0], [0, 1, 1, 0]])
+    parity = matrix_from_rows([[1, 1, 1, 0], [0, 0, 0, 1]])
     pg = PgParams(s=s, t=0, alpha=1, num_points=4, num_lines=1,
                   pg_class="proper", grid_degenerate=False)
     return BlrcCode(parity_check=parity, generator=generator, info_set=(0, 2),
@@ -844,8 +856,8 @@ def zero_column_code(s):
 def mixed_weight_code():
     """Hand-built 4-symbol code whose symbol 0 lies on a line of weight 3
     (line 0) and one of weight 2 (line 1): its repairs try line 1 first."""
-    generator = BitMatrix.from_rows([[1, 1, 1, 0], [0, 0, 1, 1]])
-    parity = BitMatrix.from_rows([[1, 0, 1, 1], [1, 1, 0, 0]])
+    generator = matrix_from_rows([[1, 1, 1, 0], [0, 0, 1, 1]])
+    parity = matrix_from_rows([[1, 0, 1, 1], [1, 1, 0, 0]])
     pg = PgParams(s=2, t=1, alpha=1, num_points=4, num_lines=2,
                   pg_class="proper", grid_degenerate=False)
     return BlrcCode(parity_check=parity, generator=generator, info_set=(0, 3),

@@ -31,7 +31,7 @@ from pgblrc.geometry import (
 )
 from pgblrc.repair import repair_profile
 
-from oracles import structurally_equal
+from oracles import build_structure, structurally_equal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -75,6 +75,16 @@ def test_grid_parameters(s):
 def test_grid_rejects_zero():
     with pytest.raises(ValueError, match="s >= 1"):
         grid(0)
+
+
+def test_grid_is_bounded_at_s_127():
+    # grid(127) has n = 16384, where validate_pg's collinearity table is 32 MB
+    inc = grid(127)
+    assert (inc.num_points, inc.num_lines) == (128 * 128, 256)
+    assert (inc.lines[0], inc.lines[-1]) == (tuple(range(128)), tuple(range(127 * 128, 128 * 128)))
+    for s in (128, 20000, 2**128):
+        with pytest.raises(ParameterError, match=rf"^grid supports s <= 127, got {s}$"):
+            grid(s)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -205,7 +215,7 @@ def latin_square_net(m):
                 for v in range(m)]
     lines = (parallel_class(lambda r, c: r) + parallel_class(lambda r, c: c)
              + parallel_class(lambda r, c: (r + c) % m))
-    return IncidenceStructure.build(m * m, lines, label=f"net({m})")
+    return build_structure(m * m, lines, label=f"net({m})")
 
 
 @pytest.mark.parametrize("m, k, geometric, exhaustive", [
@@ -254,7 +264,7 @@ def test_validator_rejects_uneven_point_degree():
 
 def test_validator_rejects_uneven_line_size():
     # every point on two lines, but line sizes mix 3 and 2
-    inc = IncidenceStructure.build(
+    inc = build_structure(
         6, [(0, 1, 2), (3, 4, 5), (0, 3), (1, 4), (2, 5)])
     with pytest.raises(PgValidationError, match="non-uniform line size") as ei:
         validate_pg(inc)
@@ -263,7 +273,7 @@ def test_validator_rejects_uneven_line_size():
 
 def test_validator_rejects_big_line_intersections():
     # degrees and sizes uniform, but two lines share the pair {0, 1}
-    inc = IncidenceStructure.build(
+    inc = build_structure(
         6, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 4, 5)])
     with pytest.raises(PgValidationError, match="share more than one") as ei:
         validate_pg(inc)
@@ -272,7 +282,7 @@ def test_validator_rejects_big_line_intersections():
 
 def test_validator_rejects_inconsistent_alpha():
     # hexagon: uniform degrees and sizes, but bridge counts alternate 0/1
-    hexagon = IncidenceStructure.build(6, [(i, (i + 1) % 6) for i in range(6)])
+    hexagon = build_structure(6, [(i, (i + 1) % 6) for i in range(6)])
     # only a certificate is kept on the structure: a rejection is raised again
     for _ in range(2):
         with pytest.raises(PgValidationError) as ei:
@@ -472,10 +482,10 @@ def test_structure_rejects_malformed_lines():
     with pytest.raises(ValueError, match="duplicate"):
         IncidenceStructure(4, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="line 0: point indices must be integers"):
-        IncidenceStructure.build(4, [(0, 1.5), (2, 3), (0, 2), (1, 3)])
+        build_structure(4, [(0, 1.5), (2, 3), (0, 2), (1, 3)])
     # a line that sorted() cannot order is left to the same rule
     with pytest.raises(ValueError, match="line 0: point indices must be integers"):
-        IncidenceStructure.build(4, [(0, "a"), (2, 3)])
+        build_structure(4, [(0, "a"), (2, 3)])
 
 
 SQUARE = ((0, 1), (2, 3), (0, 2), (1, 3))
@@ -523,13 +533,13 @@ def test_structure_refuses_a_repeated_record_given_as_lists():
 
 
 def test_build_sorts_within_lines():
-    inc = IncidenceStructure.build(4, [(3, 1), (0, 2)])
+    inc = build_structure(4, [(3, 1), (0, 2)])
     assert inc.lines == ((1, 3), (0, 2))
     assert inc.lines_through[1] == (0,)
 
 
 def test_canonical_lines_ignores_input_order():
-    a = IncidenceStructure.build(4, [(0, 1), (2, 3)])
-    b = IncidenceStructure.build(4, [(2, 3), (0, 1)])
+    a = build_structure(4, [(0, 1), (2, 3)])
+    b = build_structure(4, [(2, 3), (0, 1)])
     assert a.canonical_lines() == b.canonical_lines()
     assert structurally_equal(a, b)

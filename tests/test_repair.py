@@ -8,7 +8,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from pgblrc.algebra import BitMatrix, small_field
+from pgblrc.algebra import small_field
 from pgblrc.bounds import catalog, rank_bounds, rate_lower, vartheta
 from pgblrc.code import BlrcCode, build_code, encode, reconstruct
 from pgblrc.errors import GuardExceededError, NotLocallyRepairableError, ParameterError
@@ -31,7 +31,8 @@ from pgblrc.repair import (
     simulate_availability,
 )
 
-from oracles import brute_minimum_hitting_set, brute_repair_degree, dual_codewords_upto
+from oracles import (brute_minimum_hitting_set, brute_repair_degree, dual_codewords_upto, field_add,
+                     matrix_from_rows)
 
 
 def make_code(name):
@@ -57,8 +58,8 @@ EXPECTED_PROFILE = {
 def unbalanced_code():
     """Hand-built 5-symbol code: three symbols tied by one check, two by
     another, so tolerances differ (2, 2, 2, 1, 1)."""
-    generator = BitMatrix.from_rows([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
-    parity = BitMatrix.from_rows(
+    generator = matrix_from_rows([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
+    parity = matrix_from_rows(
         [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 1]])
     geometry = IncidenceStructure(5, ((0, 1, 2), (3, 4)))
     pg = PgParams(s=1, t=0, alpha=1, num_points=5, num_lines=2,
@@ -163,6 +164,31 @@ def test_geometric_mode_ignores_the_guard():
         omega_r(code, 0, 2, guard=0)
 
 
+def test_census_weight_stops_at_n():
+    # no support is heavier than n, so any r >= n - 1 takes the same census
+    code = make_code("grid2")
+    n = code.n
+    for i in (0, 4, n - 1):
+        assert omega_r(code, i, 10**9) == omega_r(code, i, n - 1)
+        assert blocking_set(code, i, 10**9) == blocking_set(code, i, n - 1)
+    huge, whole = (repair_profile(code, "exhaustive", r=r) for r in (10**9, n - 1))
+    assert (huge.r, whole.r) == (10**9, n - 1)
+    assert huge.repair_sets == whole.repair_sets
+    assert ((huge.a, huge.delta, huge.per_symbol_a, huge.per_symbol_delta)
+            == (whole.a, whole.delta, whole.per_symbol_a, whole.per_symbol_delta))
+
+
+def test_census_guard_counts_no_weight_past_n():
+    # hyperoval(8): the estimate is summed only until it passes the guard,
+    # so the refusal comes before the terms grow to C(512, 256)
+    code = build_code(hyperoval_gq(8))
+    with pytest.raises(GuardExceededError,
+                       match=r"weight <= 512 on n = 512 symbols needs at least \d+ half-supports"):
+        omega_r(code, 0, 10**9)
+    with pytest.raises(GuardExceededError, match="weight <= 512 on n = 512 symbols"):
+        repair_profile(code, "exhaustive", r=10**9)
+
+
 def test_repair_degree_validation():
     code = make_code("grid2")
     with pytest.raises(ValueError, match="out of range"):
@@ -210,9 +236,9 @@ def test_negative_repair_degree_bound_is_rejected(mode):
     (lambda code: elliptic_quadric_gq(2.0), "q must be an integer, got 2.0"),
     (lambda code: hyperoval_gq(8.0), "q must be an integer, got 8.0"),
     (lambda code: small_field(4.0), "q must be an integer, got 4.0"),
-    (lambda code: small_field(4).add(2.5, 0), "element must be an integer, got 2.5"),
-    (lambda code: small_field(4).add("1", 0), "element must be an integer, got '1'"),
-    (lambda code: small_field(4).add(None, 0), "element must be an integer, got None"),
+    (lambda code: field_add(small_field(4), 2.5, 0), "element must be an integer, got 2.5"),
+    (lambda code: field_add(small_field(4), "1", 0), "element must be an integer, got '1'"),
+    (lambda code: field_add(small_field(4), None, 0), "element must be an integer, got None"),
     (lambda code: catalog(max_n=2.5), "max_n must be an integer, got 2.5"),
     (lambda code: catalog(max_n="9"), "max_n must be an integer, got '9'"),
     (lambda code: repair_profile(code, "exhaustive", guard="x"),
