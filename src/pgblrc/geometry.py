@@ -12,8 +12,12 @@ uint64 words and counted with ``np.bitwise_count``, and decide alone; a
 witness is read off the same words at the points a failing test flagged.
 The lines are packed straight from their points, once per structure
 (``IncidenceStructure._line_words``, read-only), and kept in no other form.
-The constructors below produce the standard families used for code
-building, on GF(q)'s addition and multiplication tables read as arrays.
+A structure takes its line records as any sequence, or as one 2-D integer
+array, whose rows are checked in numpy; any other input, and an array that
+breaks the rule, is checked record by record, and that scan alone names
+the fault.  The constructors below produce the standard families used for
+code building, on GF(q)'s addition and multiplication tables read as
+arrays; the grid and T2*(O) hand over their lines as one such array.
 Each quadrangle reads its lines off the geometry, and builds each line
 once: a generalized quadrangle has no triangles, so the line through
 collinear points u and v of W(q) or Q-(5, q) is the meet of their rows
@@ -80,7 +84,13 @@ class PgParams:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Points 0..num_points-1 with lines as strictly increasing point tuples."""
+    """Points 0..num_points-1 with lines as strictly increasing point tuples.
+
+    ``lines`` may be any sequence of records, or one 2-D integer array
+    whose rows are decided in numpy (``_array_records``); either way the
+    records are stored as tuples of ints, and a refusal names the first
+    bad record as ``_line_records`` finds it.
+    """
 
     num_points: int
     lines: tuple[tuple[int, ...], ...]
@@ -91,9 +101,11 @@ class IncidenceStructure:
         if num_points < 0:
             raise ParameterError(f"num_points must be non-negative, got {num_points}")
         object.__setattr__(self, "num_points", num_points)
-        records, fault = _line_records(num_points, self.lines, range(len(self.lines)))
-        if fault:
-            raise ValueError(f"line {fault[0]}: {fault[2]}")
+        records = _array_records(num_points, self.lines)
+        if records is None:
+            records, fault = _line_records(num_points, self.lines, range(len(self.lines)))
+            if fault:
+                raise ValueError(f"line {fault[0]}: {fault[2]}")
         object.__setattr__(self, "lines", records)
 
     @property
@@ -149,6 +161,27 @@ def _line_records(num_points: int, lines, numbers) -> tuple[tuple, tuple | None]
             return (), (idx, first, f"duplicate of the line record at line {numbers[first]}")
     # no record repeats, so the keys are every record, in order
     return tuple(earlier), None
+
+
+def _array_records(num_points: int, lines) -> tuple | None:
+    """The line-record rule decided in numpy for a 2-D integer array: its
+    rows as tuples of ints if they keep the rule, else None, as for any
+    other input, so that ``_line_records`` decides and names the fault.
+    Neighbouring points are compared, never subtracted, so unsigned rows
+    cannot wrap; a repeat is found by sorting the rows once as
+    fixed-width byte keys and comparing neighbours."""
+    if not (type(lines) is np.ndarray and lines.ndim == 2
+            and lines.dtype.kind in "iu" and lines.shape[1]):
+        return None
+    if not ((lines[:, 1:] > lines[:, :-1]).all() and (lines[:, 0] >= 0).all()
+            and (lines[:, -1] < num_points).all()):
+        return None
+    key = np.dtype((np.void, lines.itemsize * lines.shape[1]))
+    keys = np.sort(np.ascontiguousarray(lines).view(key).ravel())
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    # one list per column, not per row, zipped into the row tuples
+    return tuple(zip(*lines.T.tolist()))
 
 
 def incidence_matrix(inc: IncidenceStructure) -> BitMatrix:
@@ -391,6 +424,12 @@ def _certify(inc: IncidenceStructure) -> PgParams:
 # ----------------------------------------------------------------------
 # constructors
 
+def _in_lex_order(lines: np.ndarray) -> np.ndarray:
+    """The rows of ``lines``, each strictly increasing, in lex order.  Two
+    lines share at most one point, so their first two points order them."""
+    return lines[np.lexsort((lines[:, 1], lines[:, 0]))]
+
+
 def grid(s: int) -> IncidenceStructure:
     """(s+1) x (s+1) point grid whose lines are the rows and columns.
 
@@ -404,9 +443,9 @@ def grid(s: int) -> IncidenceStructure:
     if s > 127:
         raise ParameterError(f"grid supports s <= 127, got {s}")
     w = s + 1
-    lines = [tuple(range(i * w, (i + 1) * w)) for i in range(w)]
-    lines += [tuple(range(j, w * w, w)) for j in range(w)]
-    return IncidenceStructure(w * w, tuple(sorted(lines)), label=f"grid({s})")
+    rows = np.arange(w * w).reshape(w, w)
+    return IncidenceStructure(w * w, _in_lex_order(np.concatenate((rows, rows.T))),
+                              label=f"grid({s})")
 
 
 def _projective_points(q: int, dim: int) -> np.ndarray:
@@ -526,20 +565,21 @@ def hyperoval_gq(q: int) -> IncidenceStructure:
     # point to the one point of its coset with none of them set, which is
     # the least: a step added to it sets its own highest bit, a leading
     # one.  So the cosets are listed once each, from those q^2 points.
+    # The q^3 <= 4096 points fit uint16, a quarter of int64's bytes in
+    # every array the lines pass through.
     qq = q * q
-    points = np.arange(q * qq)
+    points = np.arange(q * qq, dtype=np.uint16)
     lines = []
     for x, y, z in directions:
-        steps = mul[:, x] * qq + mul[:, y] * q + mul[:, z]
+        steps = (mul[:, x] * qq + mul[:, y] * q + mul[:, z]).astype(np.uint16)
         basis: list[int] = []
         for b in steps[1 << np.arange(field.m)].tolist():
             for c in basis:
                 b = min(b, b ^ c)
             basis = sorted([*basis, b], reverse=True)
         leads = sum(1 << (b.bit_length() - 1) for b in basis)
-        cosets = np.sort(points[(points & leads) == 0, None] ^ steps, axis=1)
-        lines += cosets.tolist()
-    return IncidenceStructure(q * qq, tuple(sorted(map(tuple, lines))),
+        lines.append(np.sort(points[(points & leads) == 0, None] ^ steps, axis=1))
+    return IncidenceStructure(q * qq, _in_lex_order(np.concatenate(lines)),
                               label=f"hyperoval-gq({q})")
 
 

@@ -710,15 +710,18 @@ def _chunk_counts(code: BlrcCode, unavailable: np.ndarray,
     # the unused bits of the last word start out repaired, so they
     # are never a first open line
     ok = np.tile(~valid, (n, 1))
-    first = np.empty((len(order), n, words), dtype=np.uint8)
+    # word-major, so that the sum over words adds whole (t+1) x n planes;
+    # a chunk can hold more than 65 535 cases, so the sum takes uint32
+    first = np.empty((words, len(order), n), dtype=np.uint8)
     for j, lines in enumerate(order):
         open_j = ((not_once.take(lines, axis=0) | unavailable[:n])
                   & not_twice.take(lines, axis=0))
-        np.bitwise_count(open_j & ~ok, out=first[j])
+        np.bitwise_count(open_j & ~ok, out=first[:, j].T)
         ok |= open_j
-    by_step = first.sum(axis=2, dtype=np.int64)
+    by_step = first.sum(axis=0, dtype=np.uint32)
     all_ok = int(np.bitwise_count(np.bitwise_and.reduce(ok, axis=0) & valid).sum())
-    return by_step.sum(axis=0), np.einsum("jn,jn->n", by_step, helpers), all_ok
+    return (by_step.sum(axis=0, dtype=np.int64), np.einsum("jn,jn->n", by_step, helpers),
+            all_ok)
 
 
 def _iid_chunks(seed: int, trials: int, n: int, p: float,

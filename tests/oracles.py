@@ -166,6 +166,17 @@ def structurally_equal(a: IncidenceStructure, b: IncidenceStructure) -> bool:
     )
 
 
+def structure_or_refusal(num_points, lines):
+    """``IncidenceStructure(num_points, lines)``, its points checked to be
+    ints, or the (type, message) of its refusal."""
+    try:
+        inc = IncidenceStructure(num_points, lines)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert all(type(p) is int for line in inc.lines for p in line)
+    return inc
+
+
 def matrix_from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> BitMatrix:
     """Build from nested 0/1 entries (lists, tuples, arrays)."""
     packed = []

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgblrc import algebra
+from pgblrc import algebra, geometry
 from pgblrc.cli import main
 from pgblrc.code import build_code
 from pgblrc.errors import IncidenceFileError, ParameterError, PgValidationError
@@ -31,7 +31,7 @@ from pgblrc.geometry import (
 )
 from pgblrc.repair import repair_profile
 
-from oracles import build_structure, structurally_equal
+from oracles import build_structure, structurally_equal, structure_or_refusal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -143,6 +143,24 @@ def test_hyperoval_largest_supported_order():
 def test_hyperoval_rejects_other_orders(q):
     with pytest.raises(ValueError, match="q in \\{4, 8, 16\\}"):
         hyperoval_gq(q)
+
+
+def test_grid_and_hyperoval_lines_pass_the_array_decision_alone(monkeypatch):
+    # each hands its lines over as one integer array, in lex order; the
+    # per-record scan, which would name a fault, never runs
+    def scan(*args):
+        raise AssertionError("the per-record scan ran")
+
+    monkeypatch.setattr(geometry, "_line_records", scan)
+    for q in (4, 8, 16):
+        inc = hyperoval_gq(q)
+        assert inc.num_lines == q * q * (q + 2)
+        assert inc.lines == tuple(sorted(inc.lines))
+    for s in (1, 2, 8, 127):
+        w = s + 1
+        rows = [tuple(range(i * w, (i + 1) * w)) for i in range(w)]
+        columns = [tuple(range(j, w * w, w)) for j in range(w)]
+        assert grid(s).lines == tuple(sorted(rows + columns))
 
 
 # ------------------------------------------------------------------- duals
@@ -530,6 +548,37 @@ def test_structure_refuses_a_repeated_record_given_as_lists():
         IncidenceStructure(4, [[0, 1], [0, 1]])
     with pytest.raises(ValueError, match="line 2: duplicate of the line record at line 0"):
         IncidenceStructure(4, np.array([[0, 1], [2, 3], [0, 1]]))
+
+
+@pytest.mark.parametrize("num_points, array", [
+    (4, np.array([[0, 1], [3, 2]])),                      # a decreasing pair
+    (4, np.array([[0, 1], [2, 2]])),                      # equal neighbours
+    (4, np.array([[0, 1], [-1, 3]])),                     # a negative entry
+    (4, np.array([[0, 1], [2, 4]])),                      # an entry equal to n
+    (4, np.array([[0, 1], [2, 3], [0, 1]])),              # a repeated first row
+    (4, np.array([[0, 2], [1, 3], [1, 3]])),              # a repeated last row
+    (4, np.empty((3, 0), dtype=np.int64)),
+    (4, np.empty((0, 2), dtype=np.int64)),
+    (4, np.empty((0, 0), dtype=np.int64)),
+    (4, np.array([[0, 1], [3, 2]], dtype=np.uint64)),     # 2 - 3 wraps to 2^64 - 1
+    (4, np.array([[3, 2]], dtype=np.uint8)),
+    (2**64 + 1, np.array([[1, 2**63], [0, 2**64 - 1]], dtype=np.uint64)),
+    (2**64 - 1, np.array([[0, 2**64 - 1]], dtype=np.uint64)),
+    (4, np.array(SQUARE, dtype=np.int8)),
+    (4, np.array(SQUARE, dtype=">i4")),
+    (4, np.array(SQUARE)[::-1]),
+    (4, np.array([[0, 9, 1], [2, 9, 3]])[:, ::2]),         # not contiguous
+    (4, np.array([[False, True], [True, False]])),
+    (4, np.array(SQUARE, dtype=float)),
+    (4, np.array(SQUARE, dtype=object)),
+    (4, np.array([0, 1, 2])),
+    (4, np.array([SQUARE[:2], SQUARE[2:]])),
+    (4, np.ma.masked_array(np.array(SQUARE), mask=np.eye(4, 2, dtype=bool))),
+])
+def test_array_decision_agrees_with_the_scan(num_points, array):
+    # the scan reads the very same elements, one record at a time
+    records = [tuple(row) if array.ndim > 1 else row for row in array]
+    assert structure_or_refusal(num_points, array) == structure_or_refusal(num_points, records)
 
 
 def test_build_sorts_within_lines():

@@ -8,6 +8,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+from pgblrc import repair
 from pgblrc.algebra import small_field
 from pgblrc.bounds import catalog, rank_bounds, rate_lower, vartheta
 from pgblrc.code import BlrcCode, build_code, encode, reconstruct
@@ -631,6 +632,19 @@ def test_simulation_iid_extremes():
     assert down.overall_success == 0.0
     assert down.all_symbols_success == 0.0
     assert all(math.isnan(x) for x in down.per_symbol_mean_retrieved)
+
+
+def test_simulation_kernel_counts_a_chunk_past_65535_cases():
+    # a set chunk can hold 72 768 cases on grid(2); with nothing
+    # unavailable, every symbol's first line opens in all of them, a
+    # count per (step, symbol) that a uint16 sum would wrap
+    code = make_code("grid2")
+    size = 70_000
+    unavailable = np.zeros((code.n + 1, -(-size // 64)), dtype=np.uint64)
+    succ, retrieved, all_ok = repair._chunk_counts(code, unavailable, size)
+    assert succ.tolist() == [size] * code.n
+    assert retrieved.tolist() == [2 * size] * code.n
+    assert all_ok == size
 
 
 def test_simulation_adversarial_exhaustive_grid2():
