@@ -641,6 +641,16 @@ def to_text(inc: IncidenceStructure) -> str:
     return "\n".join(out) + "\n"
 
 
+def _integers(line: str) -> tuple[int, ...]:
+    """The integers of a header or record line, each token ASCII digits
+    with an optional leading '-' between ASCII blanks.  Any other token
+    that ``int`` would read (a '+' sign, '_' digit groups, non-ASCII
+    digits or blanks) is a ValueError."""
+    if not line.isascii() or "+" in line or "_" in line:
+        raise ValueError(line)
+    return tuple(map(int, line.split()))
+
+
 def from_text(text: str) -> IncidenceStructure:
     """Parse the text form; ``IncidenceStructure`` checks the line records."""
     label = None
@@ -663,7 +673,7 @@ def from_text(text: str) -> IncidenceStructure:
                     "expected header '<num_points> <num_lines>'", ln
                 )
             try:
-                header = (int(parts[0]), int(parts[1]))
+                header = _integers(raw)
             except ValueError:
                 raise IncidenceFileError(
                     "point and line counts must be integers", ln
@@ -676,7 +686,7 @@ def from_text(text: str) -> IncidenceStructure:
                 f"more than the declared {header[1]} line records", ln
             )
         try:
-            records.append(tuple(map(int, stripped.split())))
+            records.append(_integers(raw))
         except ValueError:
             raise IncidenceFileError("point indices must be integers", ln) from None
         numbers.append(ln)

@@ -749,53 +749,27 @@ def _case_words(chunk: np.ndarray) -> tuple[np.ndarray, int]:
     return _bit_transpose(packed).view(np.uint64), size
 
 
-def _subsets(n: int, u: int, size: int) -> Iterator[np.ndarray]:
+def _subsets(n: int, u: int) -> np.ndarray:
     """Every u-subset of range(n) in ``itertools.combinations`` order, as
-    ``intp`` index arrays of ``size`` rows, the last one shorter.
+    one ``intp`` array of C(n, u) rows.
 
-    The subsets under one (u-1)-prefix are one run of the last index, from
-    prefix[-1] + 1 to n - 1 (from 0 when u = 1).  Prefixes are pulled only
-    until their runs fill a chunk, so the runs pulled hold at most one
-    chunk and n - 1 sets more than the chunks yielded; only the chunk
-    itself is expanded, and the rest of a run it cuts starts the next one.
+    The array grows a column at a time: each prefix is followed by every
+    next index from one past its last to the last that leaves room for
+    the rest, one ``repeat`` of the prefixes, each with its run's first
+    index less the run's offset, and one ``arange`` down the rows.
     u = 0 is one empty set.
     """
-    if u == 0:
-        yield np.empty((1, 0), dtype=np.intp)
-        return
-    # the prefixes of the runs not yet yielded whole, with their lengths;
-    # the first run's first ``taken`` sets are yielded already
-    batch, lengths, taken, pending = [], [], 0, 0
-    for prefix in itertools.combinations(range(n - 1), u - 1):
-        batch.append(prefix)
-        lengths.append(n - 1 - prefix[-1] if prefix else n)
-        pending += lengths[-1]
-        while pending >= size:
-            pending -= size
-            yield _runs(batch, lengths, taken, size, n)
-            taken = lengths[0] - pending
-    if pending:
-        yield _runs(batch, lengths, taken, pending, n)
-
-
-def _runs(prefixes: list[tuple[int, ...]], lengths: list[int], taken: int,
-          count: int, n: int) -> np.ndarray:
-    """The first ``count`` sets of the runs under ``prefixes``, less the
-    first ``taken`` of the first run: one ``repeat`` of the prefixes, each
-    with its run's first last index less the run's offset in the chunk,
-    and one ``arange`` along the chunk.  Once read, every prefix but the
-    last, whose run may go on, leaves the lists."""
-    heads = np.empty((len(prefixes), len(prefixes[0]) + 1), dtype=np.intp)
-    heads[:, :-1] = prefixes
-    sizes = np.array(lengths, dtype=np.intp)
-    del prefixes[:-1], lengths[:-1]
-    sizes[0] -= taken
-    starts = n - sizes
-    sizes[-1] -= sizes.sum() - count
-    heads[:, -1] = starts - sizes.cumsum() + sizes
-    runs = heads.repeat(sizes, axis=0)
-    runs[:, -1] += np.arange(count)
-    return runs
+    sets = np.empty((1, 0), dtype=np.intp)
+    first = np.zeros(1, dtype=np.intp)
+    for column in range(u):
+        sizes = n - u + column + 1 - first
+        heads = np.empty((len(sets), column + 1), dtype=np.intp)
+        heads[:, :-1] = sets
+        heads[:, -1] = first - sizes.cumsum() + sizes
+        sets = heads.repeat(sizes, axis=0)
+        sets[:, -1] += np.arange(len(sets))
+        first = sets[:, -1] + 1
+    return sets
 
 
 def _sampled_sets(seed: int, trials: int, n: int, u: int,
@@ -840,13 +814,15 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     ``repair_symbol`` would repair it from its line checks: the first line
     in its row of the line table (see ``_line_table``) with every helper
     available (the symbol itself never blocks) sets the symbols read.
-    Each trial's iid draws, or its u-set as symbol indices (``_subsets``
-    expands every u-set a run of the last index at a time, and
-    ``_sampled_sets`` writes each sampled one), fill its row of a chunk
-    of whole ``uint64`` words of cases (``_chunk_size``).  An iid chunk
-    is packed and transposed into symbol-major bit rows (``_case_words``),
-    and a set chunk scattered straight into them (``_set_words``);
-    ``_availability_counts`` counts the rows.  When u > n - u, every
+    The cases come in chunks of whole ``uint64`` words of them
+    (``_chunk_size``).  Each trial's iid draws, or each sampled u-set as
+    symbol indices (``_sampled_sets``), fill its row of a chunk; every
+    u-set, when all are tried, is one row of one index array
+    (``_subsets``, at most 6.65 MB, for 9-sets of 19 symbols) cut into
+    chunks as row slices.  An iid chunk is packed and transposed into
+    symbol-major bit rows (``_case_words``), and a set chunk scattered
+    straight into them (``_set_words``); ``_availability_counts`` counts
+    the rows.  When u > n - u, every
     u-set is tried as the complement of an (n - u)-set: the rows of
     symbols 0..n-1 are the (n - u)-set's rows inverted.
     """
@@ -882,8 +858,11 @@ def simulate_availability(code: BlrcCode, model: str = "iid", p: float = 0.0,
     if model == "iid":
         chunks = map(_case_words, _iid_chunks(seed, trials, n, p, size))
     else:
-        sets = _sampled_sets(seed, trials, n, u, size) if sampled else _subsets(n, drawn, size)
-        # map holds no index array once its bit rows are made
+        if sampled:
+            sets = _sampled_sets(seed, trials, n, u, size)
+        else:
+            every = _subsets(n, drawn)
+            sets = (every[start:start + size] for start in range(0, len(every), size))
         chunks = map(_set_words, sets, itertools.repeat(n), itertools.repeat(complement))
     succ, retrieved, cases, all_ok_cases = _availability_counts(code, chunks)
 

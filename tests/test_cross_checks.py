@@ -43,7 +43,6 @@ import pickle
 import random
 import re
 import statistics
-import types
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -1351,6 +1350,30 @@ def test_simulation_does_not_depend_on_the_chunk_size(monkeypatch, cases_per_chu
             assert set(sizes[:-1]) <= {size} and 0 < sizes[-1] <= size, (name, kwargs)
 
 
+@pytest.mark.parametrize("u", [2, 79])
+def test_enumeration_is_cut_into_row_slices_of_one_word(monkeypatch, u):
+    # at the least budget, grid(8)'s 3240 pairs, and at u = n - 2 = 79 the
+    # complements of its 3240 pairs, reach the scatter as row slices of
+    # the enumeration, 64 cases each and then 40, so the last one ends
+    # inside a word; they must be the combinations in order, and the
+    # report the case-by-case scan's
+    code = SIM_CODES["grid8"]()
+    chunks = []
+    scatter = repair._set_words
+
+    def set_words(sets, n, complement):
+        chunks.append(sets.copy())
+        return scatter(sets, n, complement)
+
+    monkeypatch.setattr(repair, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(repair, "_set_words", set_words)
+    got = report_text(simulate_availability(code, model="adversarial", u=u))
+    assert got == report_text(simulate_availability_scalar(code, model="adversarial", u=u))
+    assert [len(chunk) for chunk in chunks] == [64] * 50 + [40]
+    assert np.array_equal(np.concatenate(chunks),
+                          np.array(list(itertools.combinations(range(code.n), 2))))
+
+
 def unavailable_sets(code, p=None, u=None, trials=200, seed=7):
     """Seeded iid sets when p is given, else every u-set when there are at
     most ``_EXHAUSTIVE_LIMIT`` of them, else ``trials`` sampled u-sets."""
@@ -1405,24 +1428,18 @@ def test_bit_sliced_kernel_matches_the_bytewise_counts(name):
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
 def test_set_chunks_match_the_chunks_of_tuples(name):
-    # every u-set, or its complement when u > n - u, where there are at
-    # most the limit of them, and sampled u-sets as the simulator draws
-    # them, in chunks of the simulator's byte budget, each scattered into
-    # its mask (the test below takes chunks of 1, 7, 64 and 200 cases)
+    # sampled u-sets as the simulator draws them, in chunks of its byte
+    # budget, each scattered into its mask (the test below takes chunks of
+    # 1, 7, 64 and 200 cases); enumerated chunks are row slices of one
+    # array, which the test below compares with the combinations whole
     code = SIM_CODES[name]()
     n = code.n
     for u in sorted({0, 1, 2, n - 1, n}):
-        sources = [(u, lambda size: repair._sampled_sets(7, 200, n, u, size),
-                    lambda: (rng.choice(n, size=u, replace=False)
-                             for rng in repair._trial_rngs(7, 200)))]
-        drawn = min(u, n - u)
-        if math.comb(n, u) <= _EXHAUSTIVE_LIMIT:
-            sources.append((drawn, lambda size: repair._subsets(n, drawn, size),
-                            lambda: itertools.combinations(range(n), drawn)))
-        for width, chunks, sets in sources:
-            size = repair._chunk_size(code, "adversarial", width)
-            got = [set_mask(chunk, n) for chunk in chunks(size)]
-            assert chunks_match(got, list(set_chunks_by_tuples(sets(), n, width, size))), u
+        size = repair._chunk_size(code, "adversarial", u)
+        got = [set_mask(chunk, n) for chunk in repair._sampled_sets(7, 200, n, u, size)]
+        want = set_chunks_by_tuples((rng.choice(n, size=u, replace=False)
+                                     for rng in repair._trial_rngs(7, 200)), n, u, size)
+        assert chunks_match(got, list(want)), u
 
 
 def chunks_match(got, want):
@@ -1431,32 +1448,23 @@ def chunks_match(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
-def test_set_index_arrays_match_the_combinations_and_the_choice_stream(monkeypatch, name):
-    # the exhaustive runs of the last index, in chunks that cut runs (1, 7
-    # and 64 cut grid(8)'s pairs, whose runs have 80 down to 1 sets) or
-    # hold several, must be itertools' u-sets in order, with at most one
-    # chunk and n - 1 sets pending under the prefixes pulled; each trial's
-    # row must be its own generator's choice; and both must scatter into
-    # the masks of the symbol stream and of the chunked tuples (the
-    # exhaustive masks from 7 cases a chunk up: grid(8)'s and W(4)'s
-    # triples come 10^5 chunks of one)
+def test_set_index_arrays_match_the_combinations_and_the_choice_stream(name):
+    # every u-set, where there are at most the limit of them, must be
+    # itertools' u-sets in order, in one intp array of C(n, u) rows; each
+    # trial's row must be its own generator's choice, in chunks of 1, 7,
+    # 64 and 200 trials, and scatter into the masks of the symbol stream
+    # and of the chunked tuples
     code = SIM_CODES[name]()
     n = code.n
-    pulled = [0]
-
-    def prefixes(pool, r):
-        for prefix in itertools.combinations(pool, r):
-            pulled[0] += n - 1 - prefix[-1] if prefix else n
-            yield prefix
-
-    monkeypatch.setattr(repair, "itertools",
-                        types.SimpleNamespace(**{**vars(itertools), "combinations": prefixes}))
-    for u in sorted({0, 1, 2, 3, n - 1, n} & set(range(n + 1))):
+    for u in sorted({0, 1, 2, 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
         count = math.comb(n, u)
-        exhaustive = count <= _EXHAUSTIVE_LIMIT
-        if exhaustive:
+        if count <= _EXHAUSTIVE_LIMIT:
             want_sets = np.array(list(itertools.combinations(range(n), u)),
                                  dtype=np.intp).reshape(count, u)
+            got = repair._subsets(n, u)
+            assert got.dtype == np.intp and got.shape == want_sets.shape, u
+            assert np.array_equal(got, want_sets), u
+    for u in sorted({0, 1, 2, 3, n - 1, n} & set(range(n + 1))):
         draws = [trial_rng(7, trial).choice(n, size=u, replace=False) for trial in range(200)]
         for size in (1, 7, 64, 200):
             sampled = list(repair._sampled_sets(7, 200, n, u, size))
@@ -1466,25 +1474,17 @@ def test_set_index_arrays_match_the_combinations_and_the_choice_stream(monkeypat
             masks = [set_mask(c, n) for c in sampled]
             assert chunks_match(masks, list(set_chunks_by_stream(draws, 200, n, u, size)))
             assert chunks_match(masks, list(set_chunks_by_tuples(draws, n, u, size)))
-            if not exhaustive:
-                continue
-            pulled[0] = yielded = 0
-            chunks = []
-            for chunk in repair._subsets(n, u, size):
-                assert pulled[0] - yielded <= size + n - 1, (u, size)
-                yielded += len(chunk)
-                chunks.append(chunk)
-            assert [len(c) for c in chunks] == [min(size, count - s)
-                                                for s in range(0, count, size)]
-            assert all(c.dtype == np.intp and c.shape[1] == u for c in chunks), (u, size)
-            assert np.array_equal(np.concatenate(chunks), want_sets), (u, size)
-            if size == 1:
-                continue
-            masks = [set_mask(c, n) for c in chunks]
-            assert chunks_match(masks, list(set_chunks_by_stream(
-                map(tuple, want_sets), count, n, u, size)))
-            assert chunks_match(masks, list(set_chunks_by_tuples(
-                map(tuple, want_sets), n, u, size)))
+
+
+@pytest.mark.parametrize("n, u", [(81, 2), (81, 3), (19, 9), (4096, 1), (5, 0), (5, 5), (0, 0)])
+def test_subsets_are_the_combinations_in_order(n, u):
+    # grid(8)'s pairs and triples, the largest enumeration under the limit
+    # (92 378 sets of 9 of 19 symbols), hyperoval(16)'s one-symbol sets,
+    # and the one empty set at u = 0 and the one full set at u = n
+    want = np.array(list(itertools.combinations(range(n), u)),
+                    dtype=np.intp).reshape(math.comb(n, u), u)
+    got = repair._subsets(n, u)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", sorted(SIM_CODES))
@@ -1493,9 +1493,10 @@ def test_set_words_match_the_packed_masks(name):
     # its mask packed along the case rows and transposed, in n + 1 rows of
     # whole words with row n and the bits past the cases zero; an
     # enumerated chunk of (n - u)-complements, for u > n - u, must give
-    # the rows of its u-sets.  Chunks end a word early, on its last bit
-    # and one case into the next, and about one byte; an enumeration is
-    # checked on its first 64 chunks, so the small chunks of a long one
+    # the rows of its u-sets.  Chunks, row slices of the enumeration as
+    # the simulator cuts it, end a word early, on its last bit and one
+    # case into the next, and about one byte; an enumeration is checked
+    # on its first 64 chunks, so the small chunks of a long one
     # stop early (the sampled 200 cases, and the short enumerations, end
     # their last chunk inside a word)
     code = SIM_CODES[name]()
@@ -1504,11 +1505,12 @@ def test_set_words_match_the_packed_masks(name):
     for u in sorted({0, 1, 2, 3, n - 2, n - 1, n} & set(range(n + 1))):
         sampled = math.comb(n, u) > _EXHAUSTIVE_LIMIT
         complement = not sampled and u > n - u
+        every = None if sampled else repair._subsets(n, n - u if complement else u)
         for size in (1, 7, 8, 9, 63, 64, 65, 200):
             if sampled:
                 chunks = repair._sampled_sets(7, 200, n, u, size)
             else:
-                chunks = repair._subsets(n, n - u if complement else u, size)
+                chunks = (every[start:start + size] for start in range(0, len(every), size))
             for chunk in itertools.islice(chunks, 64):
                 words, cases = repair._set_words(chunk, n, complement)
                 if complement:

@@ -472,6 +472,26 @@ def test_from_text_refusals_land_on_the_record_line(record, fragment):
     assert str(ei.value).startswith("line 7: " + fragment)
 
 
+@pytest.mark.parametrize("text, line, fragment", [
+    ("11 1\n0 1_0\n", 2, "point indices must be integers"),
+    ("11 1\n+0 10\n", 2, "point indices must be integers"),
+    ("+11 1\n0 10\n", 1, "point and line counts must be integers"),
+    ("11 1\n0 \u0662\n", 2, "point indices must be integers"),
+    ("\u0662 1\n0 1\n", 1, "point and line counts must be integers"),
+    ("11 1\n0 \uff13\n", 2, "point indices must be integers"),
+    ("11 \uff11\n0 10\n", 1, "point and line counts must be integers"),
+    ("11 1\n0\u200310\n", 2, "point indices must be integers"),
+    ("11\u20031\n0 10\n", 1, "point and line counts must be integers"),
+])
+def test_from_text_reads_only_the_ascii_integers_to_text_writes(text, line, fragment):
+    # int alone reads '1_0' as 10, '+0' as 0, Arabic-Indic and fullwidth
+    # digits as theirs, and str.split splits at an em space
+    with pytest.raises(IncidenceFileError) as ei:
+        from_text(text)
+    assert ei.value.line_number == line
+    assert str(ei.value) == f"line {line}: {fragment}"
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load(tmp_path / "absent.txt")

@@ -5,10 +5,15 @@ three mutations: a token replaced, inserted or deleted; a line
 duplicated, deleted or swapped with another; a huge, negative,
 non-ASCII or non-integer token; or hostile declared counts.  It runs
 ``from_text`` -> ``validate_pg`` -> ``build_code`` -> geometric
-``repair_profile``, and must either finish or be refused with one of the
-``pgblrc.errors`` types.  Where its line records read as one rectangular
+``repair_profile`` -> a seeded 10-trial iid ``simulate_availability``,
+and must either finish or be refused with one of the ``pgblrc.errors``
+types.  Where its line records read as one rectangular
 integer array, the structure built from that array must equal the one
 built from the records as tuples, or both must be refused alike.
+
+Tier-1 runs a fixed seed and case count; a larger budget runs as
+
+    PYTHONPATH=src:tests python -c 'import test_hostile_text as t; t.run_cases(SEED, CASES)'
 """
 
 import random
@@ -26,7 +31,7 @@ from pgblrc.geometry import (
     to_text,
     validate_pg,
 )
-from pgblrc.repair import repair_profile
+from pgblrc.repair import repair_profile, simulate_availability
 
 from oracles import structure_or_refusal
 
@@ -93,7 +98,9 @@ def _pipeline(text: str) -> bool:
     try:
         inc = from_text(text)
         validate_pg(inc)
-        repair_profile(build_code(inc), mode="geometric")
+        code = build_code(inc)
+        repair_profile(code, mode="geometric")
+        simulate_availability(code, p=0.2, trials=10, seed=5)
     except REFUSALS:
         return False
     return True
@@ -113,12 +120,16 @@ def _records_as_array(text: str):
     return (num_points, records, array) if array.ndim == 2 else None
 
 
-def test_mutated_incidence_text_is_refused_with_a_typed_error():
-    rng = random.Random(SEED)
+def run_cases(seed: int, cases: int) -> tuple[dict[bool, int], int]:
+    """Run ``cases`` mutated texts drawn from ``seed`` through the pipeline;
+    an untyped refusal, or an array read that differs from the tuples',
+    fails.  Returns the count of each verdict (True: it runs through) and
+    of the cases whose records were compared as one array."""
+    rng = random.Random(seed)
     bases = _bases()
     outcomes = {True: 0, False: 0}
     compared = 0
-    for case in range(CASES):
+    for case in range(cases):
         lines = list(rng.choice(bases))
         for _ in range(rng.randint(1, 3)):
             _mutate(rng, lines)
@@ -126,13 +137,20 @@ def test_mutated_incidence_text_is_refused_with_a_typed_error():
         try:
             outcomes[_pipeline(text)] += 1
         except Exception as exc:  # an untyped refusal fails the case
-            raise AssertionError(f"case {case}: {type(exc).__name__}: {exc}\n{text}") from exc
+            raise AssertionError(f"seed {seed} case {case}: {type(exc).__name__}: {exc}\n{text}"
+                                 ) from exc
         read = _records_as_array(text)
         if read is not None:
             num_points, records, array = read
             assert (structure_or_refusal(num_points, array)
-                    == structure_or_refusal(num_points, tuple(records))), f"case {case}\n{text}"
+                    == structure_or_refusal(num_points, tuple(records))
+                    ), f"seed {seed} case {case}\n{text}"
             compared += 1
+    return outcomes, compared
+
+
+def test_mutated_incidence_text_is_refused_with_a_typed_error():
+    outcomes, compared = run_cases(SEED, CASES)
     # both verdicts occur, and a third of the cases reach the array comparison
     assert min(outcomes.values()) > 50, outcomes
     assert compared > CASES // 3, compared
