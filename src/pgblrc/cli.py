@@ -106,66 +106,33 @@ def _load_geometry(args: argparse.Namespace) -> geometry.IncidenceStructure:
     return geometry.dual(inc) if args.dual else inc
 
 
-def _json_walk(obj, indent: str = ""):
-    """Yield ``json.dumps(obj, indent=2)`` at ``indent`` in pieces, for
-    objects with string keys, leaving keys and scalars to ``json.dumps``
-    (so NaN, null, floats and non-ASCII text come out as before).
+def _json_walk(obj) -> Iterable[str]:
+    """Yield ``json.dumps(obj, indent=2)`` in pieces.  With an indent,
+    ``iterencode`` runs json's pure-Python encoder, which calls ``default``
+    on an object it cannot encode just before it yields that object's one
+    chunk: ``default`` notes an array that ``_array_pieces`` takes (integer,
+    non-negative, no zero-length axis) and returns None, and that ``null``
+    is replaced by the array's pieces at the indent of the encoder's line.
+    Other arrays are their ``tolist()``; anything else is json's TypeError."""
+    arrays = []
 
-    json's indented form formats every int one call at a time, so one
-    branch sends every integer nest to ``_array_pieces``: an integer
-    ``np.ndarray`` with no negative entry and no zero-length axis, or a
-    list or tuple that ``_int_array`` reads as one.  Any other dict, list,
-    tuple or array (as its ``tolist()``) is walked with one loop over its
-    (key prefix, value) pairs, the prefix empty for a list.  A piece is at
-    most one int list or one symbol's repair sets, so the document is
-    never held whole.
-    """
-    if isinstance(obj, (list, tuple)):
-        obj = _int_array(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iu" and obj.ndim and obj.size and obj.min() >= 0:
-            yield from _array_pieces(obj, indent)
-            return
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        left, right = "{}"
-        pairs = ((json.dumps(key) + ": ", value) for key, value in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        left, right = "[]"
-        pairs = zip(itertools.repeat(""), obj)
-    else:
-        yield json.dumps(obj)
-        return
-    if not obj:
-        yield left + right
-        return
-    inner = indent + "  "
-    opening = left + "\n" + inner
-    for prefix, value in pairs:
-        yield opening + prefix
-        yield from _json_walk(value, inner)
-        opening = ",\n" + inner
-    yield f"\n{indent}{right}"
+    def default(o):
+        if not isinstance(o, np.ndarray):
+            return json.JSONEncoder.default(encoder, o)
+        if o.dtype.kind in "iu" and o.size and o.ndim and o.min() >= 0:
+            arrays.append(o)
+            return None
+        return o.tolist()
 
-
-def _int_array(nest: list | tuple) -> np.ndarray | list | tuple:
-    """The nest as one ``np.array`` if its items at every depth are plain
-    ints (no bool or ``IntEnum``) or lists or tuples of one length, and
-    numpy reads it as integers (not the object array of an int past 64
-    bits, nor the float64 of one past int64 beside a smaller one); else
-    the nest itself."""
-    try:
-        arr = np.array(nest)
-    except ValueError:   # ragged
-        return nest
-    if arr.dtype.kind not in "iu":
-        return nest
-    level = nest
-    for _ in range(arr.ndim - 1):
-        if not set(map(type, level)) <= {list, tuple}:
-            return nest
-        level = list(itertools.chain.from_iterable(level))
-    return arr if set(map(type, level)) == {int} else nest
+    encoder = json.JSONEncoder(indent=2, default=default)
+    line = ""   # the text after the last newline yielded
+    for chunk in encoder.iterencode(obj):
+        if arrays:   # the array's last line keeps the indent of its first
+            yield from _array_pieces(arrays.pop(), line[:len(line) - len(line.lstrip(" "))])
+            continue
+        if "\n" in chunk:
+            line = chunk.rpartition("\n")[2]
+        yield chunk
 
 
 # indices of the first axis per chunk of an array of three or more axes
@@ -235,9 +202,9 @@ def _array_pieces(arr: np.ndarray, indent: str) -> Iterable[str]:
 
 
 def _emit(chunks: Iterable[str], output: str | None) -> None:
-    """Write each text chunk as it comes, one write a chunk (for JSON, one
-    piece from ``_json_walk``): to the ``output`` file, or to stdout with
-    a final newline unless the last chunk ends with one."""
+    """Write each text chunk as it comes, one write a chunk (for JSON,
+    each piece ``_json_walk`` yields): to the ``output`` file, or to stdout
+    with a final newline unless the last chunk ends with one."""
     if output is not None:
         with open(output, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
@@ -350,7 +317,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
             "k": built.k,
             "rate": _frac_str(rate),
             "rate_decimal": float(rate),
-            "info_set": list(built.info_set),
+            "info_set": np.array(built.info_set),
         },
         "metrics": profile._json_fields(),
         "conformance": _conformance_dict(params, built, profile),

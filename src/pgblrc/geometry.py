@@ -643,23 +643,26 @@ def to_text(inc: IncidenceStructure) -> str:
 
 def _integers(line: str) -> tuple[int, ...]:
     """The integers of a header or record line, each token ASCII digits
-    with an optional leading '-' between ASCII blanks.  Any other token
-    that ``int`` would read (a '+' sign, '_' digit groups, non-ASCII
-    digits or blanks) is a ValueError."""
-    if not line.isascii() or "+" in line or "_" in line:
+    with an optional leading '-' between spaces or tabs.  Any other line
+    that ``str.split`` and ``int`` would read (a '+' sign, '_' digit
+    groups, non-ASCII text, or another ASCII separator) is a ValueError."""
+    if (not line.isascii() or "+" in line or "_" in line or "\r" in line or "\x0b" in line
+            or "\x0c" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line
+            or "\x1f" in line):
         raise ValueError(line)
     return tuple(map(int, line.split()))
 
 
 def from_text(text: str) -> IncidenceStructure:
-    """Parse the text form; ``IncidenceStructure`` checks the line records."""
+    """Parse the text form, lines ended by '\\n' or '\\r\\n'; ``IncidenceStructure`` checks them."""
     label = None
     header = None
     records: list[tuple[int, ...]] = []
     numbers: list[int] = []   # the line of text each record came from
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         stripped = raw.strip()
-        if not stripped:
+        if not stripped and not raw.strip(" \t"):   # spaces and tabs only
             continue
         if stripped.startswith("#"):
             body = stripped[1:].strip()

@@ -403,9 +403,9 @@ class RepairProfile:
         return self.delta - 1
 
     def _json_fields(self) -> dict:
-        """The JSON fields in order, with the profile's own tuples as the
-        per-symbol columns, and its repair sets as its array if it holds
-        one, else its tuples; the CLI writes this directly."""
+        """The JSON fields in order, with the per-symbol columns as arrays,
+        and the repair sets as the profile's array if it holds one, else
+        its tuples; the CLI writes this directly."""
         sets = vars(self).get("_repair_array")
         return {
             "schema_version": 1,
@@ -417,17 +417,17 @@ class RepairProfile:
             "safe_unavailability": self.safe_unavailability,
             "balanced": self.balanced,
             "per_symbol": {
-                "r": self.per_symbol_r,
-                "a": self.per_symbol_a,
-                "delta": self.per_symbol_delta,
+                "r": np.array(self.per_symbol_r),
+                "a": np.array(self.per_symbol_a),
+                "delta": np.array(self.per_symbol_delta),
             },
             "repair_sets": self.repair_sets if sets is None else sets,
         }
 
     def to_json_dict(self) -> dict:
-        """``_json_fields`` with lists for tuples, as ``json.loads`` reads it."""
+        """``_json_fields`` with lists for arrays and tuples, as json reads it."""
         doc = self._json_fields()
-        doc["per_symbol"] = {key: list(column) for key, column in doc["per_symbol"].items()}
+        doc["per_symbol"] = {key: column.tolist() for key, column in doc["per_symbol"].items()}
         doc["repair_sets"] = [[list(helpers) for helpers in sets] for sets in self.repair_sets]
         return doc
 

@@ -571,10 +571,9 @@ def record_payloads(monkeypatch) -> list:
     payloads = []
     writer = cli._json_walk
 
-    def recording(obj, indent=""):
-        if not indent:
-            payloads.append(obj)
-        return writer(obj, indent)
+    def recording(obj):
+        payloads.append(obj)
+        return writer(obj)
 
     monkeypatch.setattr(cli, "_json_walk", recording)
     return payloads
@@ -649,10 +648,11 @@ def test_array_writer_matches_indented_json_dumps(dtype, shape, extreme):
     values = [v for v in EDGE_VALUES if v <= top] + [top] * extreme
     arr = np.resize(np.array(values, dtype), shape)
     for indent in ("", "    "):
-        pieces = list(cli._json_walk(arr, indent))
-        assert pieces == list(cli._array_pieces(arr, indent))
+        pieces = list(cli._array_pieces(arr, indent))
         assert len(pieces) == (shape[0] if len(shape) > 2 else 1)
         assert_same_document("".join(pieces), indented(arr, indent))
+    # a top-level array is written by the array writer alone
+    assert list(cli._json_walk(arr)) == list(cli._array_pieces(arr, ""))
 
 
 @pytest.mark.parametrize("arr", [
@@ -663,14 +663,12 @@ def test_array_writer_matches_indented_json_dumps(dtype, shape, extreme):
 ], ids=["negative", "negative2d", "int64_extremes", "empty", "empty_rows", "empty_middle",
         "empty_first", "no_axis"])
 def test_array_writer_walks_negative_or_empty_arrays_as_lists(monkeypatch, arr):
-    writer = cli._array_pieces
+    def refuse(part, indent):
+        raise AssertionError(f"the array writer was handed {part!r}")
 
-    def checked(part, indent):
-        # a non-negative part, such as the row [0, 5] of negative2d, is written
-        assert part.ndim and 0 not in part.shape and part.min() >= 0, part
-        return writer(part, indent)
-
-    monkeypatch.setattr(cli, "_array_pieces", checked)
+    # json encodes the whole array as its tolist(), the row [0, 5] of
+    # negative2d included
+    monkeypatch.setattr(cli, "_array_pieces", refuse)
     assert_same_document("".join(cli._json_walk(arr)), dumps_indented(arr))
 
 
@@ -678,8 +676,10 @@ def test_array_writer_walks_negative_or_empty_arrays_as_lists(monkeypatch, arr):
                                    cli._ARRAY_CHUNK + 1])
 def test_array_writer_yields_one_piece_per_first_index_across_chunks(first):
     arr = (np.arange(first * 6, dtype=np.uint16) * 7 % 1001).reshape(first, 2, 3)
-    pieces = list(cli._json_walk(arr, "  "))
+    pieces = list(cli._array_pieces(arr, "  "))
     assert len(pieces) == first
+    # in a list, the writer splices the same pieces in between its brackets
+    assert list(cli._json_walk([arr])) == ["[\n  ", *pieces, "\n", "]"]
     # each piece is one first index's block after the separator before it
     for i, piece in enumerate(pieces):
         want = ("[" if i == 0 else ",") + "\n    " + indented(arr[i], "    ")
@@ -694,9 +694,43 @@ def test_array_writer_matches_indented_json_dumps_nested_in_dicts():
     assert_same_document("".join(cli._json_walk(doc)), dumps_indented(doc))
 
 
+SPLICED = (np.arange(24, dtype=np.uint16) * 37).reshape(2, 3, 4)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": "", "b": SPLICED, "c": ""}, ["", SPLICED, "", SPLICED], SPLICED,
+    {"a": [1, [SPLICED[0]], "null", None], "b": {"c": [SPLICED[1, 1]]}},
+    # arrays json encodes as their tolist(), beside spliced ones
+    [np.array([-3, 4]), SPLICED, np.zeros((2, 0), np.int64), SPLICED[0, 0],
+     np.array([True, False]), np.array([0.5, 2.0]), np.array(7), {"d": SPLICED}],
+], ids=["empty_strings_in_dict", "empty_strings_in_list", "top_level", "list_in_dict",
+        "beside_tolist"])
+def test_writer_splices_each_array_where_the_encoder_reaches_it(monkeypatch, doc):
+    calls = []
+    writer = cli._array_pieces
+
+    def counting(arr, indent):
+        calls.append(arr)
+        return writer(arr, indent)
+
+    monkeypatch.setattr(cli, "_array_pieces", counting)
+    assert_same_document("".join(cli._json_walk(doc)), dumps_indented(doc))
+    assert calls and all(arr.min() >= 0 and arr.size for arr in calls)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, [np.int64(3)], {"a": [1, range(2)]}, frozenset()])
+def test_writer_refuses_what_json_refuses_with_its_message(obj):
+    with pytest.raises(TypeError) as refused:
+        json.dumps(obj)
+    with pytest.raises(TypeError) as written:
+        "".join(cli._json_walk(obj))
+    assert str(written.value) == str(refused.value)
+    assert str(written.value).endswith("is not JSON serializable")
+
+
 @pytest.mark.parametrize("command", [
     "--geometry grid --s 8", "--geometry hyperoval --q 4 --dual",
-    # an exhaustive profile whose repair sets are one (15, 3, 2) nest of tuples
+    # an exhaustive profile, whose repair sets are a (15, 3, 2) nest of tuples
     "--exhaustive --geometry symplectic --q 2",
 ])
 def test_analyze_writes_each_integer_nest_with_one_array_writer_call(capsys, monkeypatch, command):
@@ -710,11 +744,14 @@ def test_analyze_writes_each_integer_nest_with_one_array_writer_call(capsys, mon
     monkeypatch.setattr(cli, "_array_pieces", counting)
     code, out, _ = run(capsys, "analyze", *command.split())
     doc = json.loads(out)
-    # info_set, the three per-symbol columns and the repair sets
-    assert code == 0 and len(calls) == 5
     n, sets = doc["code"]["n"], doc["metrics"]["repair_sets"]
-    assert calls == [(len(doc["code"]["info_set"]),), (n,), (n,), (n,),
-                     (n, len(sets[0]), len(sets[0][0]))]
+    # info_set and the three per-symbol columns; a geometric profile's
+    # repair sets are one array too, an exhaustive profile's are tuples
+    # that json encodes
+    arrays = [(len(doc["code"]["info_set"]),), (n,), (n,), (n,)]
+    if "--exhaustive" not in command:
+        arrays.append((n, len(sets[0]), len(sets[0][0])))
+    assert code == 0 and calls == arrays
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -492,6 +492,44 @@ def test_from_text_reads_only_the_ascii_integers_to_text_writes(text, line, frag
     assert str(ei.value) == f"line {line}: {fragment}"
 
 
+HEADER = "expected header '<num_points> <num_lines>'"
+
+
+@pytest.mark.parametrize("text, line, fragment", [
+    ("11 1\u20280 10\n", 1, HEADER),
+    ("11 1\x1c0 10\n", 1, HEADER),
+    ("11 1\x850 10\n", 1, HEADER),
+    ("11 1\r0 10\n", 1, HEADER),
+    ("11\x0b1\n0 10\n", 1, "point and line counts must be integers"),
+    ("11\x0c1\n0 10\n", 1, "point and line counts must be integers"),
+    ("11 1\n0\x1f10\n", 2, "point indices must be integers"),
+    ("11 1\n0\x0b10\n", 2, "point indices must be integers"),
+    ("11 1\n0\x0c10\n", 2, "point indices must be integers"),
+    ("11 1\n0\r10\n", 2, "point indices must be integers"),
+    ("11 1\n\x0c\n0 10\n", 2, "point indices must be integers"),
+])
+def test_from_text_splits_lines_at_newlines_and_records_at_spaces_and_tabs(text, line, fragment):
+    # str.splitlines ends a line at \u2028, \x1c, \x85 or a lone \r, and
+    # str.split splits a record at \x1f, \x0b or \x0c, so each text once
+    # read as the line (0, 10)
+    with pytest.raises(IncidenceFileError) as ei:
+        from_text(text)
+    assert ei.value.line_number == line
+    assert str(ei.value) == f"line {line}: {fragment}"
+
+
+@pytest.mark.parametrize("text", [
+    "# label: x\r\n11 1\r\n0 10\r\n",
+    "# label: x\r\n\r\n \t\r\n11 1\r\n0 10",
+    "# label: x\n11\t1\n\t0 \t10\t\n",
+    "\t# label: x\n \t \n11  1\n  0\t\t10  \n\n",
+])
+def test_from_text_reads_crlf_and_tab_separated_text(text):
+    inc = from_text(text)
+    assert inc == from_text("# label: x\n11 1\n0 10\n") and inc.label == "x"
+    assert inc.lines == ((0, 10),)
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load(tmp_path / "absent.txt")

@@ -1,15 +1,17 @@
 """A seeded mutator for incidence text.
 
 Each case is the canonical text of a small base geometry with one to
-three mutations: a token replaced, inserted or deleted; a line
-duplicated, deleted or swapped with another; a huge, negative,
-non-ASCII or non-integer token; or hostile declared counts.  It runs
-``from_text`` -> ``validate_pg`` -> ``build_code`` -> geometric
-``repair_profile`` -> a seeded 10-trial iid ``simulate_availability``,
-and must either finish or be refused with one of the ``pgblrc.errors``
-types.  Where its line records read as one rectangular
-integer array, the structure built from that array must equal the one
-built from the records as tuples, or both must be refused alike.
+three mutations: a token replaced, inserted or deleted; two tokens
+joined by a separator other than a space or tab; a line duplicated,
+deleted or swapped with another; a huge, negative, non-ASCII or
+non-integer token; or hostile declared counts.  It runs ``from_text`` ->
+``validate_pg`` -> ``build_code`` -> geometric ``repair_profile`` -> a
+seeded 10-trial iid ``simulate_availability``, and must either finish or
+be refused with one of the ``pgblrc.errors`` types.  What ``from_text``
+accepts must read as ``strict_read`` reads it.  Where the line records
+read as one rectangular integer array, the structure built from that
+array must equal the one built from the records as tuples, or both must
+be refused alike.
 
 Tier-1 runs a fixed seed and case count; a larger budget runs as
 
@@ -17,6 +19,7 @@ Tier-1 runs a fixed seed and case count; a larger budget runs as
 """
 
 import random
+import re
 
 import numpy as np
 
@@ -43,6 +46,8 @@ HOSTILE_TOKENS = [
     str(2**128), str(2**63), str(-2**63 - 1), "-1", "-0", "+3", "1_0",
     "\u0663", "\uff13", "\u00e9", "\u00a0", "1.5", "1e3", "0x10", "nan", "inf", "#", "-",
 ]
+# what str.splitlines or str.split would break a line or a record at
+SEPARATORS = ["\x1f", "\x0b", "\x1c", "\x85", "\u2028", "\r"]
 HOSTILE_COUNTS = [
     "0 0", "-1 4", "4 -1", str(10**12), f"{10**12} 6", f"9 {10**12}",
     f"{2**128} 6", "6 6 6", "a b", "", "\u0669 6",
@@ -62,8 +67,11 @@ def _mutate(rng: random.Random, lines: list[str]) -> None:
     k = rng.randrange(len(lines))
     tokens = lines[k].split()
     token = rng.choice([*HOSTILE_TOKENS, str(rng.randint(-2, 70))])
-    kind = rng.randrange(9)
-    if kind == 0 and tokens:
+    kind = rng.randrange(10)
+    if kind == 9 and len(tokens) > 1:
+        i = rng.randrange(len(tokens) - 1)
+        tokens[i:i + 2] = [rng.choice(SEPARATORS).join(tokens[i:i + 2])]
+    elif kind == 0 and tokens:
         tokens[rng.randrange(len(tokens))] = token
     elif kind == 1:
         tokens.insert(rng.randint(0, len(tokens)), token)
@@ -93,8 +101,10 @@ def _mutate(rng: random.Random, lines: list[str]) -> None:
     lines[k] = " ".join(tokens)
 
 
-def _pipeline(text: str) -> bool:
-    """True if the text runs through, False if it is refused."""
+def _pipeline(text: str):
+    """The structure ``from_text`` reads, or None, and True if the text
+    runs through, False if it is refused."""
+    inc = None
     try:
         inc = from_text(text)
         validate_pg(inc)
@@ -102,8 +112,31 @@ def _pipeline(text: str) -> bool:
         repair_profile(code, mode="geometric")
         simulate_availability(code, p=0.2, trials=10, seed=5)
     except REFUSALS:
-        return False
-    return True
+        return inc, False
+    return inc, True
+
+
+_STRICT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def strict_read(text: str) -> list[tuple[int, ...]] | None:
+    """The header and the line records, each as a tuple of ints, read
+    strictly: lines end at '\\n' (less one trailing '\\r'), comment lines
+    and lines of spaces and tabs alone are skipped, and every other line
+    is tokens of ASCII digits with an optional leading '-' between spaces
+    or tabs; None if a line is not."""
+    rows = []
+    for line in text.split("\n"):
+        line = line.removesuffix("\r")
+        if line.strip().startswith("#"):
+            continue
+        tokens = re.split("[ \t]+", line.strip(" \t"))
+        if tokens == [""]:
+            continue
+        if not all(map(_STRICT_TOKEN.fullmatch, tokens)):
+            return None
+        rows.append(tuple(map(int, tokens)))
+    return rows
 
 
 def _records_as_array(text: str):
@@ -122,7 +155,8 @@ def _records_as_array(text: str):
 
 def run_cases(seed: int, cases: int) -> tuple[dict[bool, int], int]:
     """Run ``cases`` mutated texts drawn from ``seed`` through the pipeline;
-    an untyped refusal, or an array read that differs from the tuples',
+    an untyped refusal, a text ``from_text`` reads other than
+    ``strict_read`` does, or an array read that differs from the tuples',
     fails.  Returns the count of each verdict (True: it runs through) and
     of the cases whose records were compared as one array."""
     rng = random.Random(seed)
@@ -135,16 +169,20 @@ def run_cases(seed: int, cases: int) -> tuple[dict[bool, int], int]:
             _mutate(rng, lines)
         text = "\n".join(lines) + "\n"
         try:
-            outcomes[_pipeline(text)] += 1
+            inc, ran = _pipeline(text)
         except Exception as exc:  # an untyped refusal fails the case
-            raise AssertionError(f"seed {seed} case {case}: {type(exc).__name__}: {exc}\n{text}"
+            raise AssertionError(f"seed {seed} case {case}: {type(exc).__name__}: {exc}\n{text!r}"
                                  ) from exc
+        outcomes[ran] += 1
+        assert inc is None or strict_read(text) == [(inc.num_points, inc.num_lines),
+                                                    *inc.lines], (
+            f"seed {seed} case {case}: read other than strictly\n{text!r}")
         read = _records_as_array(text)
         if read is not None:
             num_points, records, array = read
             assert (structure_or_refusal(num_points, array)
                     == structure_or_refusal(num_points, tuple(records))
-                    ), f"seed {seed} case {case}\n{text}"
+                    ), f"seed {seed} case {case}\n{text!r}"
             compared += 1
     return outcomes, compared
 

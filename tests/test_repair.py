@@ -398,8 +398,10 @@ def test_profile_json_shape():
     assert doc["balanced"] is True
     assert doc["per_symbol"]["delta"] == [2] * 9
     assert doc["repair_sets"][0] == [[1, 2], [3, 6]]
-    # the CLI writes the fields with the profile's own tuples
-    assert json.loads(json.dumps(prof._json_fields())) == doc
+    # the CLI writes the fields with the per-symbol columns as arrays
+    fields = prof._json_fields()
+    assert all(type(column) is np.ndarray for column in fields["per_symbol"].values())
+    assert json.loads(json.dumps(fields, default=np.ndarray.tolist)) == doc
 
 
 def test_geometric_profile_uses_design_values():
